@@ -32,10 +32,15 @@ fn main() {
             let block: Vec<_> = (0..2)
                 .map(|_| curves.next().expect("one curve per queued spec"))
                 .collect();
-            let sats: Vec<f64> = block
-                .iter()
-                .map(|c| c.saturation_throughput(3.0).unwrap_or(0.0))
-                .collect();
+            let sats: Vec<footprint_stats::Saturation> =
+                block.iter().map(|c| c.saturation(3.0)).collect();
+            // A gain only makes sense between two *measured* crossings: an
+            // empty or unsaturated curve has no saturation point, and
+            // collapsing it to 0.0 would print a made-up +0.0% as data.
+            let fp_gain = match (sats[0].reached(), sats[1].reached()) {
+                (Some(fp), Some(dbar)) => pct(gain(fp, dbar)),
+                _ => "n/a".to_string(),
+            };
             print_curves(
                 &format!("Figure 7 ({traffic}, {vcs} VCs) — DBAR vs Footprint"),
                 &block,
@@ -43,9 +48,9 @@ fn main() {
             summary.row([
                 traffic.name(),
                 vcs.to_string(),
-                format!("{:.3}", sats[0]),
-                format!("{:.3}", sats[1]),
-                pct(gain(sats[0], sats[1])),
+                sats[0].to_string(),
+                sats[1].to_string(),
+                fp_gain,
             ]);
         }
     }

@@ -11,8 +11,7 @@ fn main() {
     let phases = phases_from_env();
     let rates = default_rates();
     // Every (pattern, mesh, algorithm) sweep is queued as one batch; the
-    // saturation criterion is applied to the returned curves (exactly
-    // what `SimulationBuilder::saturation` computes per sweep).
+    // saturation criterion is applied to the returned curves.
     let mut set = CurveSet::new(&rates);
     for traffic in TrafficSpec::PAPER_PATTERNS {
         for k in [4u16, 8, 16] {

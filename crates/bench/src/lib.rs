@@ -14,7 +14,9 @@
 use std::io;
 use std::path::PathBuf;
 
-use footprint_core::{JobSet, RoutingSpec, RunReport, SimulationBuilder, TrafficSpec};
+use footprint_core::{
+    JobSet, RoutingSpec, RunReport, SimulationBuilder, SweepOptions, TrafficSpec,
+};
 use footprint_sim::{EventTrace, ProbePair};
 use footprint_stats::{Curve, TimelineProbe};
 
@@ -204,7 +206,7 @@ pub fn sweep_curve(
     phases: Phases,
 ) -> Curve {
     paper_builder(routing, traffic, phases)
-        .sweep_with(rates, footprint_core::SweepOptions::new())
+        .sweep_with(rates, SweepOptions::new())
         .expect("experiment configuration must be valid")
 }
 
@@ -289,10 +291,10 @@ impl CurveSet {
         for spec in &self.specs {
             for (index, &rate) in self.rates.iter().enumerate() {
                 let point = spec.builder.sweep_point(index, rate);
-                let class = spec.latency_class;
+                let opts = SweepOptions::new().latency_class(spec.latency_class);
                 jobs.push(move || {
                     point
-                        .run_sweep_point(class)
+                        .run_sweep_point_with(&opts)
                         .expect("experiment configuration must be valid")
                 });
             }

@@ -1,448 +1,14 @@
-//! The simulation builder: one fluent entry point for every experiment.
+//! The simulation builder: the configuration value every experiment starts
+//! from. Executing it is the engine's job (`engine.rs`).
 
-use core::fmt;
-use std::path::PathBuf;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use crate::exec::JobOutcome;
-use crate::journal::SweepJournal;
-use crate::snapcache;
-use crate::{RunReport, TenantSpec, TrafficSpec};
+use crate::options::ExecOptions;
+#[cfg(doc)]
+use crate::RunReport;
+use crate::{TenantSpec, TrafficSpec};
 use footprint_routing::RoutingSpec;
-use footprint_sim::observe::ProbePair;
-use footprint_sim::{
-    ConfigError, Network, NoTraffic, NullProbe, Probe, Scheduler, Sentinel, SentinelReport,
-    SimConfig, StallDiagnostic, StallWatchdog, UnreachablePolicy, Workload,
-};
-use footprint_stats::{Curve, FaultStats, PartitionReport, RecoveryStats, SweepPoint, TenantProbe};
-use footprint_topology::{FaultPlan, NodeId, TopologySpec};
+use footprint_sim::{ConfigError, Network, Scheduler, SimConfig, UnreachablePolicy, Workload};
+use footprint_topology::{FaultPlan, TopologySpec};
 use footprint_traffic::{ModulationSpec, Modulator, PacketSize, Tenant, TenantWorkload};
-
-/// Why a run ([`SimulationBuilder::run_with`] or any of its shims) failed.
-#[derive(Debug)]
-pub enum RunError {
-    /// The configuration was rejected before the network was built.
-    Config(ConfigError),
-    /// The stall watchdog tripped: no flit moved for the configured
-    /// number of cycles while packets were in flight. The boxed
-    /// diagnostic bundle describes the frozen network.
-    Stalled(Box<StallDiagnostic>),
-    /// The run was configured with [`UnreachablePolicy::Error`] and the
-    /// fault plan made at least one generated packet's destination
-    /// unreachable. The boxed [`FaultStats`] carries the offending
-    /// source→destination pairs and the full disposition accounting.
-    Unreachable(Box<FaultStats>),
-    /// The runtime invariant sentinel detected a conservation, VC-state
-    /// or deadlock violation. The boxed report names the first-failure
-    /// cycle, the violated invariant and a state excerpt — the typed
-    /// alternative to a panic deep in the cycle loop or, worse, silently
-    /// wrong numbers.
-    InvariantViolated(Box<SentinelReport>),
-    /// The run exceeded its wall-clock deadline
-    /// ([`RunOptions::deadline`] / [`SweepOptions::deadline`]) — the
-    /// bound a sweep point must finish within so one degenerate
-    /// configuration cannot hold an entire campaign hostage.
-    DeadlineExceeded {
-        /// The configured wall-clock limit.
-        limit: Duration,
-        /// Simulated cycle reached when the deadline fired.
-        cycle: u64,
-    },
-    /// A sweep job panicked. The panic was quarantined to its own result
-    /// slot ([`crate::exec::JobSet::run_quarantined_on`]) so sibling
-    /// points completed (and were journaled) normally; the string carries
-    /// the offending point and the captured panic payload.
-    JobPanicked(String),
-    /// The sweep checkpoint journal could not be opened, validated or
-    /// appended ([`SweepOptions::checkpoint`]).
-    Checkpoint(String),
-    /// The fault plan masks wraparound (dateline) channels on a wrapping
-    /// fabric and severs deterministic escape routes, so the routing
-    /// algorithm's Duato/dateline deadlock-freedom argument no longer
-    /// covers every pair. Checked up front
-    /// ([`footprint_routing::cdg::check_escape_under_mask`]) — the run is
-    /// refused before it can livelock. Opt into the degraded fallback with
-    /// [`RunOptions::degraded_escape`] to run anyway under watchdog or
-    /// sentinel cover.
-    EscapeCompromised {
-        /// Source→destination pairs whose deterministic escape route the
-        /// mask severs (sorted).
-        severed: Vec<(NodeId, NodeId)>,
-        /// How many masked directed channels are wraparound channels.
-        masked_wrap_channels: usize,
-    },
-}
-
-impl fmt::Display for RunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunError::Config(e) => write!(f, "invalid configuration: {e}"),
-            RunError::Stalled(d) => d.fmt(f),
-            RunError::Unreachable(s) => write!(
-                f,
-                "{} source→destination pair(s) unreachable under the fault plan \
-                 ({} packet(s) dropped)",
-                s.unreachable_pairs.len(),
-                s.dropped()
-            ),
-            RunError::InvariantViolated(r) => r.fmt(f),
-            RunError::DeadlineExceeded { limit, cycle } => write!(
-                f,
-                "run exceeded its {limit:?} wall-clock deadline at simulated cycle {cycle}"
-            ),
-            RunError::JobPanicked(msg) => write!(f, "sweep job panicked: {msg}"),
-            RunError::Checkpoint(msg) => write!(f, "sweep checkpoint error: {msg}"),
-            RunError::EscapeCompromised {
-                severed,
-                masked_wrap_channels,
-            } => write!(
-                f,
-                "fault plan compromises the escape network on a wrapping \
-                 fabric: {} deterministic escape route(s) severed, {} \
-                 wraparound channel(s) masked (run with degraded_escape to \
-                 proceed under watchdog/sentinel cover)",
-                severed.len(),
-                masked_wrap_channels
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RunError::Config(e) => Some(e),
-            RunError::Stalled(d) => Some(d.as_ref()),
-            RunError::InvariantViolated(r) => Some(r.as_ref()),
-            RunError::Unreachable(_)
-            | RunError::DeadlineExceeded { .. }
-            | RunError::JobPanicked(_)
-            | RunError::Checkpoint(_)
-            | RunError::EscapeCompromised { .. } => None,
-        }
-    }
-}
-
-impl From<Box<SentinelReport>> for RunError {
-    fn from(r: Box<SentinelReport>) -> Self {
-        RunError::InvariantViolated(r)
-    }
-}
-
-impl From<ConfigError> for RunError {
-    fn from(e: ConfigError) -> Self {
-        RunError::Config(e)
-    }
-}
-
-impl From<Box<StallDiagnostic>> for RunError {
-    fn from(d: Box<StallDiagnostic>) -> Self {
-        RunError::Stalled(d)
-    }
-}
-
-/// Options for one execution of a [`SimulationBuilder`]: which observers
-/// to attach and which fault schedule to run under.
-///
-/// The canonical entry point [`SimulationBuilder::run_with`] consumes this;
-/// every legacy entry point (`run`, `run_probed`, `run_watched`) is a shim
-/// over it. `RunOptions::default()` reproduces the plain `run()` behaviour
-/// bit for bit: no probe, no watchdog, no faults.
-///
-/// ```
-/// use footprint_core::{RunOptions, SimulationBuilder};
-///
-/// let report = SimulationBuilder::mesh(4)
-///     .vcs(4)
-///     .warmup(100)
-///     .measurement(200)
-///     .run_with(RunOptions::new().watchdog(10_000))?;
-/// assert!(report.latency.ejected_packets > 0);
-/// # Ok::<(), footprint_core::RunError>(())
-/// ```
-#[derive(Default)]
-pub struct RunOptions<'a> {
-    probe: Option<&'a mut dyn Probe>,
-    stall_threshold: Option<u64>,
-    faults: FaultPlan,
-    on_unreachable: UnreachablePolicy,
-    sentinel: Option<bool>,
-    deadline: Option<Duration>,
-    scheduler: Scheduler,
-    degraded_escape: bool,
-    snapshot_dir: Option<PathBuf>,
-}
-
-impl<'a> RunOptions<'a> {
-    /// No probe, no watchdog, no faults — the plain-`run()` configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches a probe from the warmup boundary onward (measurement and
-    /// drain phases).
-    #[must_use]
-    pub fn probe(mut self, probe: &'a mut dyn Probe) -> Self {
-        self.probe = Some(probe);
-        self
-    }
-
-    /// Guards the whole run (warmup included) with a stall watchdog: if no
-    /// flit moves for `stall_threshold` consecutive cycles while packets
-    /// are in flight, the run aborts with [`RunError::Stalled`] instead of
-    /// spinning to the cycle limit. The threshold must be nonzero.
-    #[must_use]
-    pub fn watchdog(mut self, stall_threshold: u64) -> Self {
-        self.stall_threshold = Some(stall_threshold);
-        self
-    }
-
-    /// Runs under a fault schedule. The plan is validated against the
-    /// topology when the network is built.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Disposition of packets whose destination the fault state makes
-    /// unreachable (default: drop with accounting). With
-    /// [`UnreachablePolicy::Error`], a run that observes any unreachable
-    /// generation fails with [`RunError::Unreachable`] after completing.
-    #[must_use]
-    pub fn on_unreachable(mut self, policy: UnreachablePolicy) -> Self {
-        self.on_unreachable = policy;
-        self
-    }
-
-    /// Explicitly enables (or disables) the runtime invariant sentinel
-    /// for the whole run — warmup, measurement and drain. When never
-    /// called, the `FOOTPRINT_SENTINEL` environment variable decides
-    /// ([`Sentinel::env_enabled`]).
-    ///
-    /// The sentinel only observes, so an untripped sentinel-on run
-    /// reports bit-identically to a sentinel-off run; a violation aborts
-    /// with [`RunError::InvariantViolated`].
-    #[must_use]
-    pub fn sentinel(mut self, enabled: bool) -> Self {
-        self.sentinel = Some(enabled);
-        self
-    }
-
-    /// Bounds the run to `limit` of wall-clock time, checked at coarse
-    /// cycle-chunk boundaries (~1024 cycles). Exceeding it aborts with
-    /// [`RunError::DeadlineExceeded`].
-    #[must_use]
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
-
-    /// Which cycle loop the network runs ([`Scheduler::Active`] by
-    /// default). The active-set scheduler is bit-identical to the dense
-    /// reference loop; select [`Scheduler::Dense`] to cross-check it or to
-    /// measure its speedup.
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Opts into the degraded-escape fallback: a fault plan that masks
-    /// wraparound channels and severs deterministic escape routes
-    /// normally refuses to run ([`RunError::EscapeCompromised`]) because
-    /// the algorithm's wrapping deadlock-freedom argument no longer
-    /// covers every pair. With this flag the run proceeds anyway — the
-    /// severed pairs are quarantined by the per-packet deliverability
-    /// check, and a watchdog or sentinel should cover the in-flight
-    /// worst case (a wedged wormhole across the mask) since the escape
-    /// network is no longer a complete fallback.
-    #[must_use]
-    pub fn degraded_escape(mut self, allow: bool) -> Self {
-        self.degraded_escape = allow;
-        self
-    }
-
-    /// Enables the warm-start snapshot cache rooted at `dir`: the first
-    /// eligible run of a configuration serializes its post-warmup network
-    /// state there, and later runs of the *same* configuration restore it
-    /// and skip straight to measurement. The cache key covers everything
-    /// that shapes the warmed state — topology, router geometry, routing,
-    /// traffic, packet mix, injection rate, seed, warmup length and
-    /// scheduler — so a hit reports **bit-identically** to a cold run.
-    ///
-    /// Ineligible runs (fault plans, sentinel on, tenants, modulation,
-    /// stateful workloads, zero warmup) silently take the cold path; a
-    /// missing, corrupt or stale cache file likewise degrades to a plain
-    /// warmup. The cache never changes results, only how fast they arrive.
-    #[must_use]
-    pub fn snapshot_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.snapshot_dir = Some(dir.into());
-        self
-    }
-}
-
-/// Options for a latency-throughput sweep ([`SimulationBuilder::sweep_with`]):
-/// the per-point [`RunOptions`] equivalent plus sweep-level knobs.
-///
-/// `SweepOptions::default()` reproduces the plain `sweep()` behaviour: total
-/// latency over all classes, default worker pool, no faults.
-#[derive(Debug, Clone, Default)]
-pub struct SweepOptions {
-    latency_class: Option<u8>,
-    threads: Option<usize>,
-    stall_threshold: Option<u64>,
-    faults: FaultPlan,
-    on_unreachable: UnreachablePolicy,
-    sentinel: Option<bool>,
-    deadline: Option<Duration>,
-    checkpoint: Option<PathBuf>,
-    scheduler: Scheduler,
-    degraded_escape: bool,
-    ensemble: usize,
-    snapshot_dir: Option<PathBuf>,
-}
-
-impl SweepOptions {
-    /// Total-latency curve on the default worker pool, no faults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Summarizes class `class` instead of the total over all classes.
-    #[must_use]
-    pub fn latency_class(mut self, class: Option<u8>) -> Self {
-        self.latency_class = class;
-        self
-    }
-
-    /// Explicit worker count (`<= 1` runs sequentially on the calling
-    /// thread). Defaults to [`crate::exec::num_threads`].
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Guards every sweep point with a stall watchdog (see
-    /// [`RunOptions::watchdog`]).
-    #[must_use]
-    pub fn watchdog(mut self, stall_threshold: u64) -> Self {
-        self.stall_threshold = Some(stall_threshold);
-        self
-    }
-
-    /// Runs every sweep point under the same fault schedule.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Per-point unreachable-destination policy (see
-    /// [`RunOptions::on_unreachable`]).
-    #[must_use]
-    pub fn on_unreachable(mut self, policy: UnreachablePolicy) -> Self {
-        self.on_unreachable = policy;
-        self
-    }
-
-    /// Runs every point under the runtime invariant sentinel (see
-    /// [`RunOptions::sentinel`]). Defaults to the `FOOTPRINT_SENTINEL`
-    /// environment variable.
-    #[must_use]
-    pub fn sentinel(mut self, enabled: bool) -> Self {
-        self.sentinel = Some(enabled);
-        self
-    }
-
-    /// Wall-clock deadline for every individual sweep point (see
-    /// [`RunOptions::deadline`]): one degenerate point fails with
-    /// [`RunError::DeadlineExceeded`] instead of stalling the campaign.
-    #[must_use]
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
-
-    /// Journals completed sweep points to `path`
-    /// ([`crate::journal::SweepJournal`]) so a crashed or killed campaign
-    /// resumes where it left off: re-running the same sweep with the same
-    /// journal skips the recorded points and produces a curve
-    /// bit-identical to an uninterrupted run, at any thread count.
-    #[must_use]
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Cycle loop for every sweep point (see [`RunOptions::scheduler`];
-    /// [`Scheduler::Active`] by default, bit-identical either way).
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Opts every sweep point into the degraded-escape fallback (see
-    /// [`RunOptions::degraded_escape`]).
-    #[must_use]
-    pub fn degraded_escape(mut self, allow: bool) -> Self {
-        self.degraded_escape = allow;
-        self
-    }
-
-    /// Runs the sweep as lane-parallel ensembles of width `n`: up to `n`
-    /// sweep points (same topology and geometry, different rates and
-    /// derived seeds) are built as independent lanes and stepped in
-    /// lockstep, one cycle per lane per round, inside a single worker job.
-    /// Each lane is a complete private network, so its [`SweepPoint`] is
-    /// **bit-identical** to the one a standalone
-    /// [`SimulationBuilder::run_with`] of that point would produce — the
-    /// ensemble only changes the execution schedule, never the numbers.
-    ///
-    /// Groups that cannot run in lockstep (a single leftover point, a
-    /// per-point deadline, sentinel on, tenant workloads) transparently
-    /// fall back to the sequential per-point path. `n <= 1` (the default)
-    /// disables grouping entirely.
-    #[must_use]
-    pub fn ensemble(mut self, n: usize) -> Self {
-        self.ensemble = n;
-        self
-    }
-
-    /// Enables the warm-start snapshot cache for every sweep point (see
-    /// [`RunOptions::snapshot_cache`]); ensemble lanes consult the same
-    /// cache.
-    #[must_use]
-    pub fn snapshot_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.snapshot_dir = Some(dir.into());
-        self
-    }
-
-    /// The per-point [`RunOptions`] this sweep configuration induces.
-    fn run_options(&self) -> RunOptions<'static> {
-        let mut o = RunOptions::new()
-            .faults(self.faults.clone())
-            .on_unreachable(self.on_unreachable)
-            .scheduler(self.scheduler)
-            .degraded_escape(self.degraded_escape);
-        if let Some(d) = &self.snapshot_dir {
-            o = o.snapshot_cache(d.clone());
-        }
-        if let Some(t) = self.stall_threshold {
-            o = o.watchdog(t);
-        }
-        if let Some(s) = self.sentinel {
-            o = o.sentinel(s);
-        }
-        if let Some(d) = self.deadline {
-            o = o.deadline(d);
-        }
-        o
-    }
-}
 
 /// Fluent configuration of one simulation run.
 ///
@@ -451,7 +17,7 @@ impl SweepOptions {
 /// traffic, 10k warmup + 10k measurement cycles.
 ///
 /// ```
-/// use footprint_core::{SimulationBuilder, RoutingSpec, TrafficSpec};
+/// use footprint_core::{RoutingSpec, RunOptions, SimulationBuilder, TrafficSpec};
 ///
 /// let report = SimulationBuilder::mesh(4)
 ///     .vcs(4)
@@ -461,27 +27,27 @@ impl SweepOptions {
 ///     .warmup(300)
 ///     .measurement(500)
 ///     .seed(1)
-///     .run()?;
+///     .run_with(RunOptions::new())?;
 /// assert!(report.latency.ejected_packets > 0);
 /// # Ok::<(), footprint_core::RunError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
-    topology: TopologySpec,
+    pub(crate) topology: TopologySpec,
     num_vcs: usize,
     vc_buffer_depth: usize,
     speedup: usize,
-    routing: RoutingSpec,
-    traffic: TrafficSpec,
+    pub(crate) routing: RoutingSpec,
+    pub(crate) traffic: TrafficSpec,
     packet_size: PacketSize,
-    rate: f64,
+    pub(crate) rate: f64,
     link_latency: usize,
-    warmup: u64,
-    measurement: u64,
-    drain: u64,
-    seed: u64,
-    modulation: ModulationSpec,
-    tenants: Vec<TenantSpec>,
+    pub(crate) warmup: u64,
+    pub(crate) measurement: u64,
+    pub(crate) drain: u64,
+    pub(crate) seed: u64,
+    pub(crate) modulation: ModulationSpec,
+    pub(crate) tenants: Vec<TenantSpec>,
 }
 
 /// Seed salt for the single-workload modulator, far outside the sweep
@@ -489,8 +55,6 @@ pub struct SimulationBuilder {
 const MODULATION_SALT: u64 = 0x4D4F_4475_4C41_7465; // "MODuLAte"
 /// Base seed salt for per-tenant modulators (tenant `i` uses `SALT + i`).
 const TENANT_SALT: u64 = 0x7465_4E61_4E74_0000; // "teNaNt"
-/// Accounting-window length for per-tenant offered/delivered timelines.
-const TENANT_WINDOW: u64 = 256;
 
 impl SimulationBuilder {
     /// Starts from the paper's default configuration (8×8 mesh).
@@ -670,9 +234,7 @@ impl SimulationBuilder {
     ///
     /// Propagates configuration errors (bad VC count, etc.).
     pub fn build(&self) -> Result<(Network, Box<dyn Workload>), ConfigError> {
-        let net = Network::new(self.sim_config(), self.routing.build(), self.seed)?;
-        let wl = self.build_workload()?;
-        Ok((net, wl))
+        self.build_with(FaultPlan::new(), UnreachablePolicy::default())
     }
 
     /// Builds the configured workload — single traffic spec, modulated
@@ -760,328 +322,15 @@ impl SimulationBuilder {
         Ok((net, wl))
     }
 
-    /// Runs one phase, watched when a watchdog is present, audited when a
-    /// sentinel is attached, bounded when a deadline is set.
-    ///
-    /// With a sentinel or deadline the phase runs in coarse cycle chunks
-    /// so trip/timeout checks need no per-cycle hook; chunking is
-    /// invisible to the simulation (the run loops are stateless between
-    /// calls), so any completing combination stays bit-identical to the
-    /// single-call fast path.
-    fn phase(
-        net: &mut Network,
-        wl: &mut dyn Workload,
-        cycles: u64,
-        probe: &mut dyn Probe,
-        mut watchdog: Option<&mut StallWatchdog>,
-        mut sentinel: Option<&mut Sentinel>,
-        deadline: Option<(Instant, Duration)>,
-    ) -> Result<(), RunError> {
-        const CHUNK: u64 = 1024;
-        let chunked = sentinel.is_some() || deadline.is_some();
-        let mut remaining = cycles;
-        while remaining > 0 {
-            // Checked before each chunk, so an already-expired deadline
-            // stops the run without simulating another chunk first.
-            if let Some((start, limit)) = deadline {
-                if start.elapsed() >= limit {
-                    return Err(RunError::DeadlineExceeded {
-                        limit,
-                        cycle: net.cycle(),
-                    });
-                }
-            }
-            let step = if chunked { remaining.min(CHUNK) } else { remaining };
-            let result = {
-                let mut pair;
-                let p: &mut dyn Probe = match sentinel.as_mut() {
-                    Some(s) => {
-                        pair = ProbePair::new(&mut **s, &mut *probe);
-                        &mut pair
-                    }
-                    None => &mut *probe,
-                };
-                match watchdog.as_mut() {
-                    Some(w) => net.run_watched(wl, step, p, w).map_err(RunError::from),
-                    None => {
-                        net.run_probed(wl, step, p);
-                        Ok(())
-                    }
-                }
-            };
-            // A sentinel violation outranks the stall it may have caused:
-            // the report names the origin of the corruption, the stall is
-            // only its symptom.
-            if let Some(s) = sentinel.as_mut() {
-                if s.tripped() {
-                    let report = s.take_report().expect("tripped sentinel holds a report");
-                    return Err(RunError::InvariantViolated(report));
-                }
-            }
-            result?;
-            remaining -= step;
-        }
-        Ok(())
-    }
-
-    /// Wrap safety: on a wrapping fabric whose deadlock-freedom argument
-    /// rests on deterministic escape or dateline routes
-    /// ([`WrapStrategy::EscapeVcs`](footprint_routing::WrapStrategy) /
-    /// `DatelineVcClasses`), a fault plan that masks any wraparound
-    /// channel may sever escape routes without creating a CDG cycle — a
-    /// masked acyclic graph stays acyclic, but a pair with no surviving
-    /// escape path has no deadlock-free fallback, which is a livelock
-    /// hazard, not a loss the per-packet drop accounting can absorb.
-    /// Rebuilds the escape CDG under the plan's full channel mask and
-    /// refuses the run with [`RunError::EscapeCompromised`] unless the
-    /// caller opted into the degraded fallback. Plans that leave every
-    /// wraparound channel alive (and every mesh plan) skip the check:
-    /// grid-only cuts are covered by the existing per-packet
-    /// deliverability quarantine.
-    fn check_wrap_safety(&self, faults: &FaultPlan, degraded_escape: bool) -> Result<(), RunError> {
-        use footprint_routing::cdg::{check_escape_under_mask, EscapeMaskVerdict};
-        use footprint_routing::WrapStrategy;
-        if faults.is_empty() {
-            return Ok(());
-        }
-        let topo = self.topology.validate().map_err(ConfigError::from)?;
-        if !topo.wraps() {
-            return Ok(());
-        }
-        let strategy = self.routing.build().wrap_strategy();
-        if !matches!(
-            strategy,
-            WrapStrategy::EscapeVcs | WrapStrategy::DatelineVcClasses
-        ) {
-            return Ok(());
-        }
-        let dead = faults.down_channels(topo);
-        if !dead.iter().any(|&(n, d)| topo.is_wrap_channel(n, d)) {
-            return Ok(());
-        }
-        match check_escape_under_mask(topo, &dead) {
-            EscapeMaskVerdict::StillAcyclic => Ok(()),
-            EscapeMaskVerdict::EscapeCompromised {
-                severed,
-                masked_wrap_channels,
-            } => {
-                if degraded_escape {
-                    return Ok(());
-                }
-                Err(RunError::EscapeCompromised {
-                    severed,
-                    masked_wrap_channels,
-                })
-            }
-        }
-    }
-
-    /// The canonical execution entry point: runs warmup + measurement
-    /// (+ optional drain) under `opts` and reports the measurement window.
-    ///
-    /// Every other run flavour is a shim over this method:
-    ///
-    /// * [`run`](Self::run) = `run_with(RunOptions::new())`
-    /// * [`run_probed`](Self::run_probed) = `run_with(... .probe(p))`
-    /// * [`run_watched`](Self::run_watched) = `run_with(... .probe(p).watchdog(t))`
-    ///
-    /// The probe attaches at the warmup boundary (measurement + drain);
-    /// the watchdog, when configured, guards the whole run including
-    /// warmup. Probes and the watchdog only observe, so any completing
-    /// combination reports bit-identically to the plain run. A fault plan
-    /// reshapes the simulated network itself, so its effects *are* part of
-    /// the report ([`RunReport::faults`]) — but an empty plan is
-    /// bit-identical to no fault subsystem at all.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Config`] for configuration errors (including a fault
-    /// plan that does not fit the topology), [`RunError::Stalled`] when a
-    /// configured watchdog trips, [`RunError::Unreachable`] when
-    /// [`UnreachablePolicy::Error`] is set and the fault state made any
-    /// generated packet undeliverable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a configured watchdog threshold is zero.
-    pub fn run_with(&self, opts: RunOptions<'_>) -> Result<RunReport, RunError> {
-        let RunOptions {
-            probe,
-            stall_threshold,
-            faults,
-            on_unreachable,
-            sentinel,
-            deadline,
-            scheduler,
-            degraded_escape,
-            snapshot_dir,
-        } = opts;
-        self.check_wrap_safety(&faults, degraded_escape)?;
-        let started = Instant::now();
-        let faults_empty = faults.is_empty();
-        let (mut net, mut wl) = self.build_with(faults, on_unreachable)?;
-        net.set_scheduler(scheduler);
-        let mut null = NullProbe;
-        let probe = probe.unwrap_or(&mut null);
-        let mut watchdog = stall_threshold.map(StallWatchdog::new);
-        // The sentinel attaches from cycle 0: its flit census must see
-        // every injection, so it spans warmup, measurement and drain.
-        let mut sentinel = sentinel
-            .unwrap_or_else(Sentinel::env_enabled)
-            .then(Sentinel::new);
-        let deadline = deadline.map(|limit| (started, limit));
-        // Warm start: an eligible configuration with a cached post-warmup
-        // snapshot restores it and skips the warmup phase outright; a miss
-        // remembers the key so this run's warmed state fills the cache.
-        let mut warm = false;
-        let mut store_key: Option<(PathBuf, String)> = None;
-        if let Some(dir) = &snapshot_dir {
-            if self.snapshot_eligible(faults_empty, sentinel.is_some()) {
-                let key = self.snapshot_key(scheduler);
-                match snapcache::load(dir, &key) {
-                    Some(bytes) => match net.restore(&bytes) {
-                        Ok(()) if net.cycle() == self.warmup => warm = true,
-                        // A failed restore may have partially overwritten
-                        // the network: rebuild and warm up from scratch
-                        // (and overwrite the bad cache entry).
-                        _ => {
-                            let (n, w) = self.build_with(FaultPlan::new(), on_unreachable)?;
-                            net = n;
-                            wl = w;
-                            net.set_scheduler(scheduler);
-                            store_key = Some((dir.clone(), key));
-                        }
-                    },
-                    None => store_key = Some((dir.clone(), key)),
-                }
-            }
-        }
-        if !warm {
-            let mut warmup_probe = NullProbe;
-            Self::phase(
-                &mut net,
-                &mut *wl,
-                self.warmup,
-                &mut warmup_probe,
-                watchdog.as_mut(),
-                sentinel.as_mut(),
-                deadline,
-            )?;
-            if let Some((dir, key)) = store_key {
-                if let Ok(blob) = net.snapshot() {
-                    snapcache::store(&dir, &key, &blob);
-                }
-            }
-        }
-        let boundary = net.cycle();
-        net.metrics_mut().reset_window_at(boundary);
-        // Multi-tenant runs carry their own accounting probe from the
-        // measurement boundary: offered counts then equal the metrics
-        // window's generated counts exactly. It composes with any
-        // user-supplied probe through a ProbePair (and, inside `phase`,
-        // with the sentinel through a second pair — pairs nest).
-        let mut tenant_probe =
-            (!self.tenants.is_empty()).then(|| TenantProbe::new(boundary, TENANT_WINDOW));
-        {
-            let mut pair;
-            let phase_probe: &mut dyn Probe = match tenant_probe.as_mut() {
-                Some(tp) => {
-                    pair = ProbePair::new(tp, probe);
-                    &mut pair
-                }
-                None => probe,
-            };
-            Self::phase(
-                &mut net,
-                &mut *wl,
-                self.measurement,
-                &mut *phase_probe,
-                watchdog.as_mut(),
-                sentinel.as_mut(),
-                deadline,
-            )?;
-            if self.drain > 0 {
-                let mut none = NoTraffic;
-                Self::phase(
-                    &mut net,
-                    &mut none,
-                    self.drain,
-                    &mut *phase_probe,
-                    watchdog.as_mut(),
-                    sentinel.as_mut(),
-                    deadline,
-                )?;
-            }
-        }
-        self.assemble_report(&net, on_unreachable, tenant_probe)
-    }
-
-    /// Distills a finished network into the [`RunReport`] `run_with`
-    /// returns. Shared by the single-run path and the ensemble lanes, so
-    /// a lane's report is assembled by exactly the code a standalone run
-    /// would use.
-    fn assemble_report(
-        &self,
-        net: &Network,
-        on_unreachable: UnreachablePolicy,
-        tenant_probe: Option<TenantProbe>,
-    ) -> Result<RunReport, RunError> {
-        let mut report = RunReport::from_metrics(net.metrics(), self.topology.nodes(), self.rate);
-        report.topology = self.topology.to_string();
-        report.faults = FaultStats::collect(net);
-        report.partitions = PartitionReport::collect(net);
-        report.recovery = RecoveryStats::collect(net);
-        if let Some(tp) = tenant_probe {
-            report.tenants = self
-                .tenants
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let class = i as u8;
-                    let dropped = report
-                        .faults
-                        .classes
-                        .iter()
-                        .find(|c| c.class == class)
-                        .map_or(0, |c| c.dropped);
-                    tp.summary(class, &t.name, dropped, report.cycles, self.topology.nodes())
-                })
-                .collect();
-        }
-        if on_unreachable == UnreachablePolicy::Error
-            && !report.faults.unreachable_pairs.is_empty()
-        {
-            return Err(RunError::Unreachable(Box::new(report.faults)));
-        }
-        Ok(report)
-    }
-
-    /// `true` when this configuration's post-warmup state is exactly
-    /// reproducible from a snapshot: no fault plan (fault bookkeeping is
-    /// not serialized), sentinel off (its cycle-0 flit census cannot skip
-    /// warmup), a nonzero warmup to actually skip, steady modulation and
-    /// no tenants (their schedules live outside the network), and a
-    /// workload that keeps no state of its own.
-    fn snapshot_eligible(&self, faults_empty: bool, sentinel_on: bool) -> bool {
-        faults_empty
-            && !sentinel_on
-            && self.warmup > 0
-            && self.modulation == ModulationSpec::Steady
-            && self.tenants.is_empty()
-            && self.traffic.stateless_workload()
-    }
-
-    /// The canonical warm-start cache key: every knob that shapes the
-    /// post-warmup network state, spelled out. The injection **rate** and
-    /// **seed** are deliberately included — warmup is rate-coupled (the
-    /// congestion pattern at the boundary depends on the offered load) and
-    /// the RNG stream is seed-coupled, so omitting either would trade the
-    /// bit-identity guarantee for hit rate. The rate is keyed by its exact
-    /// bit pattern, not a decimal rendering.
-    fn snapshot_key(&self, scheduler: Scheduler) -> String {
+    /// Everything both persisted artefacts — warm-start snapshots and
+    /// sweep journals — must bind to, spelled out: fabric, router
+    /// geometry, routing, traffic, packet mix, base seed and warmup
+    /// length. [`Self::snapshot_key`] and [`Self::campaign_key`] each add
+    /// the knobs only their artefact depends on.
+    fn config_key(&self) -> String {
         format!(
-            "footprint-snap-v1 topo={} vcs={} depth={} speedup={} link={} routing={} \
-             traffic={:?} packet={:?} rate={:016x} seed={:016x} warmup={} sched={:?}",
+            "topo={} vcs={} depth={} speedup={} link={} routing={} traffic={:?} packet={:?} \
+             seed={:016x} warmup={}",
             self.topology,
             self.num_vcs,
             self.vc_buffer_depth,
@@ -1090,398 +339,57 @@ impl SimulationBuilder {
             self.routing.name(),
             self.traffic,
             self.packet_size,
-            self.rate.to_bits(),
             self.seed,
             self.warmup,
-            scheduler,
         )
     }
 
-    /// Runs warmup + measurement (+ optional drain) and reports the
-    /// measurement window. Shim for
-    /// [`run_with(RunOptions::new())`](Self::run_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    #[deprecated(since = "0.8.0", note = "use `run_with(RunOptions::new())`")]
-    pub fn run(&self) -> Result<RunReport, RunError> {
-        self.run_with(RunOptions::new())
-    }
-
-    /// Like [`SimulationBuilder::run`], with a probe attached for the
-    /// measurement window (purity tracking, custom instrumentation).
-    /// Shim for [`run_with(RunOptions::new().probe(probe))`](Self::run_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    #[deprecated(since = "0.8.0", note = "use `run_with(RunOptions::new().probe(probe))`")]
-    pub fn run_probed(&self, probe: &mut dyn Probe) -> Result<RunReport, RunError> {
-        self.run_with(RunOptions::new().probe(probe))
-    }
-
-    /// Like [`SimulationBuilder::run_probed`], with a stall watchdog
-    /// guarding the whole run. Shim for
-    /// [`run_with(RunOptions::new().probe(probe).watchdog(stall_threshold))`](Self::run_with).
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Config`] for configuration errors,
-    /// [`RunError::Stalled`] when the watchdog trips.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stall_threshold` is zero.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `run_with(RunOptions::new().probe(probe).watchdog(threshold))`"
-    )]
-    pub fn run_watched(
-        &self,
-        probe: &mut dyn Probe,
-        stall_threshold: u64,
-    ) -> Result<RunReport, RunError> {
-        self.run_with(RunOptions::new().probe(probe).watchdog(stall_threshold))
-    }
-
-    /// The canonical sweep entry point: sweeps offered load over `rates`
-    /// in parallel under `opts`, producing a latency-throughput curve.
-    ///
-    /// The rate points run concurrently on the worker pool
-    /// ([`SweepOptions::threads`], defaulting to
-    /// [`crate::exec::num_threads`], overridable with
-    /// `FOOTPRINT_THREADS`). Each point gets its own seed, derived
-    /// deterministically from this builder's seed and the rate's index
-    /// ([`crate::exec::derive_seed`]), so the curve is bit-identical
-    /// whatever the thread count or completion order — with or without a
-    /// fault plan, since the fault state is itself a pure function of the
-    /// plan and the cycle.
-    ///
-    /// [`sweep`](Self::sweep) and [`sweep_on`](Self::sweep_on) are shims
-    /// over this method.
-    ///
-    /// # Errors
-    ///
-    /// Any [`RunError`] from the individual points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not strictly increasing (curve invariant).
-    pub fn sweep_with(&self, rates: &[f64], opts: SweepOptions) -> Result<Curve, RunError> {
-        let threads = opts.threads.unwrap_or_else(crate::exec::num_threads);
-        // With a checkpoint journal, restore the completed points and
-        // submit only the missing ones; each finishing job appends its
-        // record (fsync'd) before reporting success, so a kill at any
-        // instant loses at most the points still in flight.
-        let journal: Option<Mutex<SweepJournal>> = match &opts.checkpoint {
-            Some(path) => Some(Mutex::new(
-                SweepJournal::open(path, self.seed, rates).map_err(RunError::Checkpoint)?,
-            )),
-            None => None,
-        };
-        let mut done: std::collections::BTreeMap<usize, SweepPoint> = journal
-            .as_ref()
-            .map(|j| j.lock().expect("journal lock").completed().clone())
-            .unwrap_or_default();
-        // Missing points are grouped into ensembles of up to
-        // `opts.ensemble` lanes; each group is one worker job. The default
-        // width of 1 reproduces the historical one-job-per-point schedule.
-        let missing: Vec<(usize, f64)> = rates
-            .iter()
-            .enumerate()
-            .filter(|(index, _)| !done.contains_key(index))
-            .map(|(index, &rate)| (index, rate))
-            .collect();
-        let width = opts.ensemble.max(1);
-        let mut jobs = crate::exec::JobSet::new();
-        let mut submitted: Vec<Vec<usize>> = Vec::new();
-        for group in missing.chunks(width) {
-            submitted.push(group.iter().map(|&(index, _)| index).collect());
-            let points: Vec<(usize, SimulationBuilder)> = group
-                .iter()
-                .map(|&(index, rate)| (index, self.sweep_point(index, rate)))
-                .collect();
-            let o = opts.clone();
-            let journal = &journal;
-            jobs.push(move || {
-                let sps = Self::run_sweep_group(points, &o)?;
-                if let Some(j) = journal {
-                    let mut j = j.lock().expect("journal lock");
-                    for (index, sp) in &sps {
-                        j.record(*index, sp).map_err(RunError::Checkpoint)?;
-                    }
-                }
-                Ok::<Vec<(usize, SweepPoint)>, RunError>(sps)
-            });
-        }
-        // Quarantined execution: a panicking or failing point cannot tear
-        // down the pool, so every other point still completes — and, with
-        // a journal, is durably recorded for the next resume.
-        let outcomes = jobs.run_quarantined_on(threads);
-        let mut first_error: Option<RunError> = None;
-        for (group, outcome) in submitted.iter().zip(outcomes) {
-            match outcome {
-                JobOutcome::Completed(Ok(sps)) => {
-                    for (index, sp) in sps {
-                        done.insert(index, sp);
-                    }
-                }
-                JobOutcome::Completed(Err(e)) => {
-                    first_error.get_or_insert(e);
-                }
-                JobOutcome::Panicked(msg) => {
-                    let loads: Vec<f64> = group.iter().map(|&i| rates[i]).collect();
-                    first_error.get_or_insert(RunError::JobPanicked(format!(
-                        "sweep points {group:?} (offered loads {loads:?}): {msg}"
-                    )));
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        let mut curve = Curve::new(self.routing.name());
-        for (_, point) in done {
-            curve.push(point);
-        }
-        Ok(curve)
-    }
-
-    /// Sweeps offered load over `rates` in parallel, producing a
-    /// latency-throughput curve (class `latency_class`, or the total
-    /// when `None`). Shim for
-    /// [`sweep_with`](Self::sweep_with) with default options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not strictly increasing (curve invariant).
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `sweep_with(rates, SweepOptions::new().latency_class(class))`"
-    )]
-    pub fn sweep(&self, rates: &[f64], latency_class: Option<u8>) -> Result<Curve, RunError> {
-        self.sweep_with(rates, SweepOptions::new().latency_class(latency_class))
-    }
-
-    /// [`SimulationBuilder::sweep`] with an explicit worker count
-    /// (`threads <= 1` runs sequentially on the calling thread). Shim for
-    /// [`sweep_with`](Self::sweep_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not strictly increasing (curve invariant).
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `sweep_with(rates, SweepOptions::new().latency_class(class).threads(n))`"
-    )]
-    pub fn sweep_on(
-        &self,
-        rates: &[f64],
-        latency_class: Option<u8>,
-        threads: usize,
-    ) -> Result<Curve, RunError> {
-        self.sweep_with(
-            rates,
-            SweepOptions::new().latency_class(latency_class).threads(threads),
+    /// The canonical warm-start cache key: every knob that shapes the
+    /// post-warmup network state. The injection **rate** and **seed** are
+    /// deliberately included — warmup is rate-coupled (the congestion
+    /// pattern at the boundary depends on the offered load) and the RNG
+    /// stream is seed-coupled, so omitting either would trade the
+    /// bit-identity guarantee for hit rate. The rate is keyed by its exact
+    /// bit pattern, not a decimal rendering. Modulation, tenants and
+    /// faults are absent because such runs are never cached.
+    pub(crate) fn snapshot_key(&self, scheduler: Scheduler) -> String {
+        format!(
+            "footprint-snap-v1 {} rate={:016x} sched={scheduler:?}",
+            self.config_key(),
+            self.rate.to_bits(),
         )
     }
 
-    /// [`SimulationBuilder::sweep`] with a probe attached to every
-    /// point: `make_probe(index, rate)` builds the point's subscriber
-    /// (timelines, event traces, purity tracking) before the job is
-    /// submitted, and the probes come back alongside the curve, in rate
-    /// order.
-    ///
-    /// Points still run concurrently on the default worker pool with
-    /// per-point derived seeds; since probes only observe, the curve is
-    /// bit-identical to [`SimulationBuilder::sweep`] over the same
-    /// rates, whatever the thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not strictly increasing (curve invariant).
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `sweep_with` and attach probes per point via `sweep_point` + `run_with`"
-    )]
-    pub fn sweep_observed<P, F>(
-        &self,
-        rates: &[f64],
-        latency_class: Option<u8>,
-        make_probe: F,
-    ) -> Result<(Curve, Vec<P>), RunError>
-    where
-        P: Probe + Send,
-        F: Fn(usize, f64) -> P + Sync,
-    {
-        let mut jobs = crate::exec::JobSet::new();
-        for (index, &rate) in rates.iter().enumerate() {
-            let point = self.sweep_point(index, rate);
-            let make = &make_probe;
-            jobs.push(move || {
-                let mut probe = make(index, rate);
-                let report = point.run_with(RunOptions::new().probe(&mut probe))?;
-                let s = match latency_class {
-                    Some(c) => report.class(c),
-                    None => report.latency,
-                };
-                Ok::<_, RunError>((
-                    SweepPoint {
-                        offered: rate,
-                        accepted: s.throughput,
-                        latency: s.mean_latency,
-                    },
-                    probe,
-                ))
-            });
-        }
-        let mut curve = Curve::new(self.routing.name());
-        let mut probes = Vec::with_capacity(rates.len());
-        for result in jobs.run() {
-            let (point, probe) = result?;
-            curve.push(point);
-            probes.push(probe);
-        }
-        Ok((curve, probes))
+    /// The key a sweep journal is bound to: every knob that shapes the
+    /// numbers of a sweep of this configuration under `exec`, so a journal
+    /// written by one campaign is refused by any other. The rate grid is
+    /// bound by the journal header itself. Threads, scheduler, sentinel,
+    /// watchdog, ensemble width and the snapshot cache are absent: results
+    /// are bit-identical across them by contract.
+    pub(crate) fn campaign_key(&self, exec: &ExecOptions, latency_class: Option<u8>) -> String {
+        format!(
+            "{} measurement={} drain={} modulation={:?} tenants={:?} faults={:?} \
+             unreachable={:?} class={latency_class:?}",
+            self.config_key(),
+            self.measurement,
+            self.drain,
+            self.modulation,
+            self.tenants,
+            exec.faults,
+            exec.on_unreachable,
+        )
     }
 
     /// The builder for sweep point `index` at offered load `rate`: the
     /// same configuration with the point's derived seed. Exposed so
     /// batch runners (the bench harness) can flatten many curves into
-    /// one job set while reproducing exactly what [`Self::sweep`]
+    /// one job set while reproducing exactly what [`Self::sweep_with`]
     /// would compute per curve.
     #[must_use]
     pub fn sweep_point(&self, index: usize, rate: f64) -> Self {
         self.clone()
             .injection_rate(rate)
             .seed(crate::exec::derive_seed(self.seed, index as u64))
-    }
-
-    /// Runs this builder as one point of a sweep under `opts` (probe-less
-    /// per-point [`RunOptions`], class selection). Combined with
-    /// [`Self::sweep_point`], this is the unit of work batch runners
-    /// submit to a [`crate::exec::JobSet`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`RunError`] from the underlying run.
-    pub fn run_sweep_point_with(&self, opts: &SweepOptions) -> Result<SweepPoint, RunError> {
-        let report = self.run_with(opts.run_options())?;
-        let s = match opts.latency_class {
-            Some(c) => report.class(c),
-            None => report.latency,
-        };
-        Ok(SweepPoint {
-            offered: self.rate,
-            accepted: s.throughput,
-            latency: s.mean_latency,
-        })
-    }
-
-    /// Runs one sweep group: lane-parallel lockstep when the group is
-    /// eligible, the sequential per-point path otherwise. Either way each
-    /// point's result is bit-identical to a standalone
-    /// [`run_sweep_point_with`](Self::run_sweep_point_with).
-    ///
-    /// Lockstep needs at least two lanes to pay for itself and excludes
-    /// configurations whose run loop is not a pure per-cycle step:
-    /// per-point wall-clock deadlines (the lanes share a clock), the
-    /// sentinel (its probe hooks into the bulk phase loop) and tenant
-    /// workloads (their accounting probe likewise).
-    fn run_sweep_group(
-        points: Vec<(usize, SimulationBuilder)>,
-        opts: &SweepOptions,
-    ) -> Result<Vec<(usize, SweepPoint)>, RunError> {
-        let lockstep = points.len() >= 2
-            && opts.deadline.is_none()
-            && !opts.sentinel.unwrap_or_else(Sentinel::env_enabled)
-            && points.iter().all(|(_, b)| b.tenants.is_empty());
-        if lockstep {
-            return Self::run_ensemble_group(points, opts);
-        }
-        points
-            .into_iter()
-            .map(|(index, b)| b.run_sweep_point_with(opts).map(|sp| (index, sp)))
-            .collect()
-    }
-
-    /// Steps a group of independent lanes in lockstep — one cycle per
-    /// lane per round, in lane order — until every lane has finished its
-    /// warmup/measurement/drain schedule, then assembles each lane's
-    /// report with the standard single-run path.
-    fn run_ensemble_group(
-        points: Vec<(usize, SimulationBuilder)>,
-        opts: &SweepOptions,
-    ) -> Result<Vec<(usize, SweepPoint)>, RunError> {
-        let mut lanes = points
-            .into_iter()
-            .map(|(index, b)| Lane::new(index, b, opts))
-            .collect::<Result<Vec<Lane>, RunError>>()?;
-        loop {
-            let mut live = false;
-            for lane in &mut lanes {
-                live |= lane.advance_one()?;
-            }
-            if !live {
-                break;
-            }
-        }
-        lanes
-            .into_iter()
-            .map(|lane| {
-                let report = lane
-                    .builder
-                    .assemble_report(&lane.net, opts.on_unreachable, None)?;
-                let s = match opts.latency_class {
-                    Some(c) => report.class(c),
-                    None => report.latency,
-                };
-                Ok((
-                    lane.index,
-                    SweepPoint {
-                        offered: lane.builder.rate,
-                        accepted: s.throughput,
-                        latency: s.mean_latency,
-                    },
-                ))
-            })
-            .collect()
-    }
-
-    /// Runs this builder as one point of a sweep, summarizing class
-    /// `latency_class` (or the total when `None`). Shim for
-    /// [`run_sweep_point_with`](Self::run_sweep_point_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    pub fn run_sweep_point(&self, latency_class: Option<u8>) -> Result<SweepPoint, RunError> {
-        self.run_sweep_point_with(&SweepOptions::new().latency_class(latency_class))
-    }
-
-    /// Finds the saturation throughput by sweeping `rates` (in
-    /// parallel) and applying the 3×-zero-load-latency criterion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration errors as [`RunError::Config`].
-    pub fn saturation(&self, rates: &[f64]) -> Result<Option<f64>, RunError> {
-        Ok(self
-            .sweep_with(rates, SweepOptions::new())?
-            .saturation_throughput(3.0))
     }
 }
 
@@ -1491,187 +399,19 @@ impl Default for SimulationBuilder {
     }
 }
 
-/// Where one ensemble lane is in its run schedule; the counter is the
-/// number of cycles left in the phase.
-enum LanePhase {
-    Warmup(u64),
-    Measure(u64),
-    Drain(u64),
-    Done,
-}
-
-/// One lane of a lockstep ensemble: a complete private simulation (network,
-/// workload, optional watchdog) plus its position in the
-/// warmup→measurement→drain schedule. Stepping a lane one cycle at a time
-/// is bit-identical to the bulk phases of `run_with` — the run loops are
-/// stateless between calls — so the final report matches a standalone run
-/// exactly.
-struct Lane {
-    index: usize,
-    builder: SimulationBuilder,
-    net: Network,
-    wl: Box<dyn Workload>,
-    watchdog: Option<StallWatchdog>,
-    phase: LanePhase,
-    /// Cache slot to fill with this lane's post-warmup snapshot (set on a
-    /// cache miss of an eligible configuration).
-    store_key: Option<(PathBuf, String)>,
-}
-
-impl Lane {
-    /// Builds the lane, consulting the warm-start cache exactly as
-    /// `run_with` would: a hit restores the post-warmup state and the lane
-    /// starts at the measurement boundary; a miss on an eligible
-    /// configuration remembers the key for storing after warmup.
-    fn new(index: usize, builder: SimulationBuilder, opts: &SweepOptions) -> Result<Self, RunError> {
-        builder.check_wrap_safety(&opts.faults, opts.degraded_escape)?;
-        let (mut net, mut wl) = builder.build_with(opts.faults.clone(), opts.on_unreachable)?;
-        net.set_scheduler(opts.scheduler);
-        let mut phase = LanePhase::Warmup(builder.warmup);
-        let mut store_key = None;
-        if let Some(dir) = &opts.snapshot_dir {
-            // The lockstep path only runs with the sentinel off.
-            if builder.snapshot_eligible(opts.faults.is_empty(), false) {
-                let key = builder.snapshot_key(opts.scheduler);
-                match snapcache::load(dir, &key) {
-                    Some(bytes) => match net.restore(&bytes) {
-                        Ok(()) if net.cycle() == builder.warmup => {
-                            phase = LanePhase::Warmup(0);
-                        }
-                        _ => {
-                            let (n, w) =
-                                builder.build_with(FaultPlan::new(), opts.on_unreachable)?;
-                            net = n;
-                            wl = w;
-                            net.set_scheduler(opts.scheduler);
-                            store_key = Some((dir.clone(), key));
-                        }
-                    },
-                    None => store_key = Some((dir.clone(), key)),
-                }
-            }
-        }
-        Ok(Lane {
-            index,
-            builder,
-            net,
-            wl,
-            watchdog: opts.stall_threshold.map(StallWatchdog::new),
-            phase,
-            store_key,
-        })
-    }
-
-    /// Advances the lane one simulated cycle, applying any phase
-    /// transition first (warmup boundary: metrics window reset + snapshot
-    /// store, exactly where `run_with` does both). Returns `Ok(false)`
-    /// once the lane has finished every phase.
-    fn advance_one(&mut self) -> Result<bool, RunError> {
-        loop {
-            match self.phase {
-                LanePhase::Warmup(0) => {
-                    let boundary = self.net.cycle();
-                    self.net.metrics_mut().reset_window_at(boundary);
-                    if let Some((dir, key)) = self.store_key.take() {
-                        if let Ok(blob) = self.net.snapshot() {
-                            snapcache::store(&dir, &key, &blob);
-                        }
-                    }
-                    self.phase = LanePhase::Measure(self.builder.measurement);
-                }
-                LanePhase::Measure(0) => {
-                    self.phase = if self.builder.drain > 0 {
-                        LanePhase::Drain(self.builder.drain)
-                    } else {
-                        LanePhase::Done
-                    };
-                }
-                LanePhase::Drain(0) => self.phase = LanePhase::Done,
-                LanePhase::Done => return Ok(false),
-                LanePhase::Warmup(n) => {
-                    self.step(false)?;
-                    self.phase = LanePhase::Warmup(n - 1);
-                    return Ok(true);
-                }
-                LanePhase::Measure(n) => {
-                    self.step(false)?;
-                    self.phase = LanePhase::Measure(n - 1);
-                    return Ok(true);
-                }
-                LanePhase::Drain(n) => {
-                    self.step(true)?;
-                    self.phase = LanePhase::Drain(n - 1);
-                    return Ok(true);
-                }
-            }
-        }
-    }
-
-    /// One cycle of this lane's network (drain phases inject nothing).
-    fn step(&mut self, drain: bool) -> Result<(), RunError> {
-        let mut null = NullProbe;
-        let mut none = NoTraffic;
-        let wl: &mut dyn Workload = if drain { &mut none } else { &mut *self.wl };
-        match self.watchdog.as_mut() {
-            Some(w) => self
-                .net
-                .run_watched(wl, 1, &mut null, w)
-                .map_err(RunError::from),
-            None => {
-                self.net.run_probed(wl, 1, &mut null);
-                Ok(())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{RunError, RunOptions};
     use footprint_topology::Mesh;
 
-    fn quick() -> SimulationBuilder {
+    /// The small, fast configuration the crate's unit tests start from.
+    pub(crate) fn quick() -> SimulationBuilder {
         SimulationBuilder::mesh(4)
             .vcs(4)
             .warmup(200)
             .measurement(400)
             .seed(3)
-    }
-
-    #[test]
-    fn run_produces_traffic_and_latency() {
-        let r = quick()
-            .routing(RoutingSpec::Footprint)
-            .injection_rate(0.2)
-            .run_with(RunOptions::new())
-            .unwrap();
-        assert!(r.latency.ejected_packets > 50);
-        assert!(r.latency.mean_latency > 4.0, "{}", r.latency.mean_latency);
-        assert!(r.latency.throughput > 0.1);
-        assert_eq!(r.nodes, 16);
-        assert_eq!(r.cycles, 400);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let a = quick().injection_rate(0.3).run_with(RunOptions::new()).unwrap();
-        let b = quick().injection_rate(0.3).run_with(RunOptions::new()).unwrap();
-        assert_eq!(a, b);
-        let c = quick().injection_rate(0.3).seed(4).run_with(RunOptions::new()).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn sweep_identical_across_thread_counts() {
-        // The engine guarantee: `FOOTPRINT_THREADS=1` (sequential,
-        // `sweep_on(.., 1)`) and any wider pool — including the default
-        // `sweep()` pool — produce bit-identical curves.
-        let rates = [0.05, 0.15, 0.25];
-        let sequential = quick().sweep_with(&rates, SweepOptions::new().threads(1)).unwrap();
-        let pooled = quick().sweep_with(&rates, SweepOptions::new().threads(4)).unwrap();
-        let default_pool = quick().sweep_with(&rates, SweepOptions::new()).unwrap();
-        assert_eq!(sequential, pooled);
-        assert_eq!(sequential, default_pool);
     }
 
     #[test]
@@ -1687,70 +427,11 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), seeds.len());
         assert!(seeds.iter().all(|&s| s != 3));
-        // And sweep_point() is the exact builder sweep() runs for a
+        // And sweep_point() is the exact builder sweep_with() runs for a
         // given index: same config, derived seed, requested rate.
         let p = base.sweep_point(2, 0.25);
         assert_eq!(p.rate(), 0.25);
         assert_eq!(p.seed, crate::exec::derive_seed(3, 2));
-    }
-
-    #[test]
-    fn sweep_builds_monotonic_curve() {
-        let curve = quick()
-            .routing(RoutingSpec::Dor)
-            .sweep_with(&[0.05, 0.2], SweepOptions::new())
-            .unwrap();
-        assert_eq!(curve.points.len(), 2);
-        assert!(curve.points[0].latency <= curve.points[1].latency * 1.5);
-        assert!(curve.points[1].accepted > curve.points[0].accepted);
-    }
-
-    #[test]
-    fn watched_run_matches_plain_run() {
-        // The watchdog and probe only observe: a watched run that never
-        // trips reports bit-identically to the plain run.
-        let plain = quick().injection_rate(0.2).run_with(RunOptions::new()).unwrap();
-        let watched = quick()
-            .injection_rate(0.2)
-            .run_with(RunOptions::new().probe(&mut footprint_sim::NullProbe).watchdog(10_000))
-            .unwrap();
-        assert_eq!(plain, watched);
-    }
-
-    #[test]
-    fn watched_run_propagates_config_errors() {
-        let err = quick()
-            .vcs(0)
-            .run_with(RunOptions::new().probe(&mut footprint_sim::NullProbe).watchdog(100))
-            .unwrap_err();
-        assert!(matches!(err, RunError::Config(ConfigError::NumVcs(0))));
-        assert!(err.to_string().contains("invalid configuration"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn sweep_observed_matches_sweep_and_returns_probes() {
-        let rates = [0.05, 0.15, 0.25];
-        let plain = quick().sweep_with(&rates, SweepOptions::new()).unwrap();
-        let (curve, probes) = quick()
-            .sweep_observed(&rates, None, |_, _| {
-                footprint_stats::TimelineProbe::new(50)
-            })
-            .unwrap();
-        assert_eq!(plain, curve);
-        assert_eq!(probes.len(), rates.len());
-        // Every point's probe saw its measurement window (400 cycles at
-        // stride 50, sampled from the warmup boundary onward).
-        assert!(probes.iter().all(|p| !p.mesh_samples().is_empty()));
-    }
-
-    #[test]
-    fn latency_population_excludes_warmup_born_packets() {
-        let r = quick().injection_rate(0.2).run_with(RunOptions::new()).unwrap();
-        assert!(r.latency.measured_packets > 0);
-        // Warmup-born packets drain into the window: they are counted as
-        // ejections (throughput) but not in the latency population.
-        assert!(r.latency.measured_packets <= r.latency.ejected_packets);
     }
 
     #[test]
@@ -1762,396 +443,6 @@ mod tests {
             err,
             RunError::Config(ConfigError::TooFewVcsForRouting { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_canonical_entry_points() {
-        // The 0.8.0-deprecated shims stay bit-identical to the canonical
-        // `run_with` / `sweep_with` they forward to.
-        let canonical = quick()
-            .injection_rate(0.2)
-            .run_with(RunOptions::default())
-            .unwrap();
-        assert_eq!(canonical, quick().injection_rate(0.2).run().unwrap());
-        assert_eq!(
-            canonical,
-            quick()
-                .injection_rate(0.2)
-                .run_probed(&mut footprint_sim::NullProbe)
-                .unwrap()
-        );
-        assert_eq!(
-            canonical,
-            quick()
-                .injection_rate(0.2)
-                .run_watched(&mut footprint_sim::NullProbe, 10_000)
-                .unwrap()
-        );
-        assert!(canonical.faults.is_clean(), "no plan, no fault effects");
-        let rates = [0.05, 0.15];
-        let curve = quick().sweep_with(&rates, SweepOptions::new()).unwrap();
-        assert_eq!(curve, quick().sweep(&rates, None).unwrap());
-        assert_eq!(curve, quick().sweep_on(&rates, None, 2).unwrap());
-    }
-
-    #[test]
-    fn faulted_run_accounts_for_every_packet() {
-        use footprint_topology::{Direction, FaultEvent, NodeId};
-        // Cut a bottom-row link: same-row pairs across it become
-        // unreachable, everything else routes around; a drained run must
-        // account for every generated packet as delivered or dropped.
-        let plan =
-            FaultPlan::new().with(FaultEvent::link_down(NodeId(1), Direction::East, 0));
-        // warmup(0): accounting is over the measurement window, so the
-        // window must cover every packet for generated = delivered + dropped
-        // to hold after the drain.
-        let report = quick()
-            .warmup(0)
-            .injection_rate(0.15)
-            .drain(2_000)
-            .run_with(RunOptions::new().faults(plan).watchdog(10_000))
-            .unwrap();
-        assert!(!report.faults.is_clean());
-        assert!(report.faults.fully_accounted());
-        assert!(report.faults.dropped() > 0);
-        assert!(report.latency.ejected_packets > 0);
-        assert!(!report.faults.unreachable_pairs.is_empty());
-    }
-
-    #[test]
-    fn error_policy_turns_unreachable_pairs_into_a_typed_failure() {
-        use footprint_topology::{Direction, FaultEvent, NodeId};
-        let plan =
-            FaultPlan::new().with(FaultEvent::link_down(NodeId(1), Direction::East, 0));
-        let err = quick()
-            .injection_rate(0.15)
-            .run_with(
-                RunOptions::new()
-                    .faults(plan)
-                    .on_unreachable(UnreachablePolicy::Error),
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("unreachable under the fault plan"));
-        match err {
-            RunError::Unreachable(stats) => {
-                assert!(!stats.unreachable_pairs.is_empty());
-                assert!(stats.dropped() > 0);
-            }
-            other => panic!("expected Unreachable, got {other}"),
-        }
-    }
-
-    #[test]
-    fn sweep_with_faults_is_identical_across_thread_counts() {
-        use footprint_topology::{Direction, FaultEvent, NodeId};
-        let plan =
-            FaultPlan::new().with(FaultEvent::link_down(NodeId(5), Direction::North, 0));
-        let rates = [0.05, 0.15];
-        let opts = |threads| {
-            SweepOptions::new()
-                .faults(plan.clone())
-                .threads(threads)
-                .watchdog(20_000)
-        };
-        let sequential = quick().sweep_with(&rates, opts(1)).unwrap();
-        let pooled = quick().sweep_with(&rates, opts(4)).unwrap();
-        assert_eq!(sequential, pooled);
-    }
-
-    #[test]
-    fn longer_links_increase_latency() {
-        let short = quick().injection_rate(0.1).run_with(RunOptions::new()).unwrap();
-        let long = quick().injection_rate(0.1).link_latency(4).run_with(RunOptions::new()).unwrap();
-        assert!(
-            long.latency.mean_latency > short.latency.mean_latency + 3.0,
-            "short {} vs long {}",
-            short.latency.mean_latency,
-            long.latency.mean_latency
-        );
-    }
-
-    #[test]
-    fn drain_improves_delivery_ratio() {
-        let no_drain = quick().injection_rate(0.2).run_with(RunOptions::new()).unwrap();
-        let with_drain = quick().injection_rate(0.2).drain(300).run_with(RunOptions::new()).unwrap();
-        assert!(with_drain.delivery_ratio() >= no_drain.delivery_ratio());
-        assert!(with_drain.delivery_ratio() > 0.97);
-    }
-
-    #[test]
-    fn sentinel_stays_quiet_across_algorithms() {
-        // Every algorithm of the comparison set, with and without XORDET,
-        // passes a fully audited run: zero invariant violations.
-        for spec in [
-            RoutingSpec::Footprint,
-            RoutingSpec::Dbar,
-            RoutingSpec::OddEven,
-            RoutingSpec::Dor,
-            RoutingSpec::DbarXordet,
-            RoutingSpec::OddEvenXordet,
-            RoutingSpec::DorXordet,
-        ] {
-            let result = quick()
-                .routing(spec)
-                .injection_rate(0.2)
-                .run_with(RunOptions::new().sentinel(true));
-            assert!(
-                result.is_ok(),
-                "{}: {}",
-                spec.name(),
-                result.unwrap_err()
-            );
-        }
-    }
-
-    #[test]
-    fn sentinel_on_reports_bit_identically() {
-        // The sentinel only observes: an audited run that never trips
-        // reports exactly what the plain run reports.
-        let plain = quick().injection_rate(0.2).run_with(RunOptions::new()).unwrap();
-        let audited = quick()
-            .injection_rate(0.2)
-            .run_with(RunOptions::new().sentinel(true))
-            .unwrap();
-        assert_eq!(plain, audited);
-    }
-
-    #[test]
-    fn sentinel_stays_quiet_under_a_fault_plan() {
-        use footprint_topology::{Direction, FaultEvent, NodeId};
-        let plan =
-            FaultPlan::new().with(FaultEvent::link_down(NodeId(5), Direction::East, 0));
-        let report = quick()
-            .injection_rate(0.15)
-            .drain(1_000)
-            .run_with(RunOptions::new().faults(plan).sentinel(true).watchdog(10_000))
-            .unwrap();
-        assert!(!report.faults.is_clean());
-        assert!(report.latency.ejected_packets > 0);
-    }
-
-    #[test]
-    fn expired_deadline_is_a_typed_error() {
-        let err = quick()
-            .injection_rate(0.2)
-            .run_with(RunOptions::new().deadline(Duration::ZERO))
-            .unwrap_err();
-        match err {
-            RunError::DeadlineExceeded { limit, cycle } => {
-                assert_eq!(limit, Duration::ZERO);
-                assert_eq!(cycle, 0, "an expired deadline stops before simulating");
-            }
-            other => panic!("expected DeadlineExceeded, got {other}"),
-        }
-        assert!(err.to_string().contains("deadline"));
-    }
-
-    #[test]
-    fn generous_deadline_does_not_perturb_the_run() {
-        let plain = quick().injection_rate(0.2).run_with(RunOptions::new()).unwrap();
-        let bounded = quick()
-            .injection_rate(0.2)
-            .run_with(RunOptions::new().deadline(Duration::from_secs(3600)))
-            .unwrap();
-        assert_eq!(plain, bounded);
-    }
-
-    #[test]
-    fn sweep_config_error_survives_quarantine() {
-        // Quarantined execution still surfaces per-point errors.
-        let err = quick()
-            .vcs(0)
-            .sweep_with(&[0.05, 0.15], SweepOptions::new().threads(2))
-            .unwrap_err();
-        assert!(matches!(err, RunError::Config(ConfigError::NumVcs(0))));
-    }
-
-    fn tmp_journal(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "footprint-builder-test-{}-{name}.journal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
-
-    #[test]
-    fn checkpointed_sweep_matches_plain_sweep() {
-        let rates = [0.05, 0.15, 0.25];
-        let plain = quick().sweep_with(&rates, SweepOptions::new().threads(1)).unwrap();
-        let path = tmp_journal("match");
-        let journaled = quick()
-            .sweep_with(&rates, SweepOptions::new().threads(2).checkpoint(&path))
-            .unwrap();
-        assert_eq!(plain, journaled);
-        // A second invocation over a complete journal reruns nothing and
-        // restores the identical curve.
-        let restored = quick()
-            .sweep_with(&rates, SweepOptions::new().threads(2).checkpoint(&path))
-            .unwrap();
-        assert_eq!(plain, restored);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn interrupted_sweep_resumes_bit_identically() {
-        // Simulate a `kill -9` after two points: truncate the journal to
-        // header + 2 records plus a torn half-written line, then resume at
-        // both thread counts. The resumed curve must be bit-identical to an
-        // uninterrupted sequential sweep — including its rendered output.
-        let rates = [0.05, 0.15, 0.25, 0.35];
-        let baseline = quick().sweep_with(&rates, SweepOptions::new().threads(1)).unwrap();
-        for threads in [1usize, 4] {
-            let path = tmp_journal(&format!("resume-{threads}"));
-            let full = quick()
-                .sweep_with(
-                    &rates,
-                    SweepOptions::new().threads(threads).checkpoint(&path),
-                )
-                .unwrap();
-            assert_eq!(full, baseline);
-            let contents = std::fs::read_to_string(&path).unwrap();
-            let keep: Vec<&str> = contents.lines().take(3).collect();
-            std::fs::write(&path, format!("{}\npoint 3 3fd3", keep.join("\n"))).unwrap();
-            let resumed = quick()
-                .sweep_with(
-                    &rates,
-                    SweepOptions::new().threads(threads).checkpoint(&path),
-                )
-                .unwrap();
-            assert_eq!(resumed, baseline);
-            assert_eq!(format!("{resumed}"), format!("{baseline}"));
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    #[test]
-    fn active_scheduler_matches_dense_across_algorithms_and_faults() {
-        use footprint_topology::{Direction, FaultEvent, NodeId};
-        // The tentpole guarantee: the active-set scheduler reports
-        // bit-identically to the dense reference loop — same latency,
-        // throughput, purity and fault accounting — for every routing
-        // algorithm, with and without a fault plan in play.
-        let plan = FaultPlan::new()
-            .with(FaultEvent::link_down(NodeId(5), Direction::East, 100).repaired_at(250));
-        for spec in [
-            RoutingSpec::Footprint,
-            RoutingSpec::Dbar,
-            RoutingSpec::OddEven,
-            RoutingSpec::Dor,
-        ] {
-            for faults in [None, Some(plan.clone())] {
-                let run = |scheduler: Scheduler| {
-                    let mut o = RunOptions::new().scheduler(scheduler).watchdog(10_000);
-                    if let Some(p) = faults.clone() {
-                        o = o.faults(p);
-                    }
-                    quick()
-                        .routing(spec)
-                        .injection_rate(0.15)
-                        .drain(500)
-                        .run_with(o)
-                        .unwrap()
-                };
-                let dense = run(Scheduler::Dense);
-                let active = run(Scheduler::Active);
-                assert_eq!(
-                    dense,
-                    active,
-                    "{} (faults: {}) diverged between schedulers",
-                    spec.name(),
-                    faults.is_some(),
-                );
-                assert_eq!(dense.faults, active.faults);
-                assert!(dense.latency.ejected_packets > 0, "{}", spec.name());
-            }
-        }
-    }
-
-    #[test]
-    fn scheduler_choice_is_bit_identical_across_sweep_threads() {
-        // Dense sequential is the reference; the active scheduler on a
-        // wide pool must reproduce it bit for bit.
-        let rates = [0.05, 0.15];
-        let sweep = |scheduler, threads| {
-            quick()
-                .sweep_with(
-                    &rates,
-                    SweepOptions::new().scheduler(scheduler).threads(threads),
-                )
-                .unwrap()
-        };
-        let reference = sweep(Scheduler::Dense, 1);
-        assert_eq!(reference, sweep(Scheduler::Active, 1));
-        assert_eq!(reference, sweep(Scheduler::Active, 4));
-        assert_eq!(reference, sweep(Scheduler::Dense, 4));
-    }
-
-    #[test]
-    fn active_scheduler_matches_dense_under_sentinel_audit() {
-        // Sentinel-armed runs force full ticks on the audit stride; the
-        // interleaving of skipped and full ticks must not perturb results.
-        let run = |scheduler| {
-            quick()
-                .injection_rate(0.2)
-                .run_with(RunOptions::new().scheduler(scheduler).sentinel(true))
-                .unwrap()
-        };
-        assert_eq!(run(Scheduler::Dense), run(Scheduler::Active));
-    }
-
-    #[test]
-    fn scheduler_matrix_is_bit_identical_under_faults_and_audit() {
-        use footprint_topology::{Direction, FaultEvent, NodeId};
-        // The combined equivalence matrix over the SoA datapath: for every
-        // comparison algorithm, a sentinel-audited sweep with a mid-run
-        // fault-and-repair plan must produce one curve — whichever
-        // scheduler runs the cycles and however many workers run the
-        // points. Dense sequential is the reference; every other cell of
-        // {dense, active} × {1, 4 threads} must match it bit for bit.
-        let plan = FaultPlan::new()
-            .with(FaultEvent::link_down(NodeId(5), Direction::East, 100).repaired_at(250));
-        let rates = [0.05, 0.15];
-        for spec in [
-            RoutingSpec::Footprint,
-            RoutingSpec::Dbar,
-            RoutingSpec::OddEven,
-            RoutingSpec::Dor,
-        ] {
-            for faults in [None, Some(plan.clone())] {
-                let sweep = |scheduler, threads| {
-                    let mut o = SweepOptions::new()
-                        .scheduler(scheduler)
-                        .threads(threads)
-                        .sentinel(true)
-                        .watchdog(10_000);
-                    if let Some(p) = faults.clone() {
-                        o = o.faults(p);
-                    }
-                    quick()
-                        .routing(spec)
-                        .drain(500)
-                        .sweep_with(&rates, o)
-                        .unwrap()
-                };
-                let reference = sweep(Scheduler::Dense, 1);
-                for (scheduler, threads) in [
-                    (Scheduler::Active, 1),
-                    (Scheduler::Dense, 4),
-                    (Scheduler::Active, 4),
-                ] {
-                    assert_eq!(
-                        reference,
-                        sweep(scheduler, threads),
-                        "{} (faults: {}) diverged under {scheduler:?} × {threads} workers",
-                        spec.name(),
-                        faults.is_some(),
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -2167,77 +458,6 @@ mod tests {
             other => panic!("expected PatternMesh, got {other}"),
         }
         assert!(err.to_string().contains("power-of-two"));
-    }
-
-    #[test]
-    fn modulated_run_reports_reduced_load() {
-        use footprint_traffic::DurationDist;
-        // A 50%-duty on/off gate at rate r must accept ≈ r/2 — the
-        // end-to-end version of the workload-layer thinning test.
-        let steady = quick()
-            .injection_rate(0.2)
-            .measurement(4_000)
-            .run_with(RunOptions::new())
-            .unwrap();
-        let bursty = quick()
-            .injection_rate(0.2)
-            .measurement(4_000)
-            .modulation(ModulationSpec::OnOff {
-                on: DurationDist::Fixed(100),
-                off: DurationDist::Fixed(100),
-            })
-            .run_with(RunOptions::new())
-            .unwrap();
-        let ratio = bursty.latency.throughput / steady.latency.throughput;
-        assert!((ratio - 0.5).abs() < 0.08, "throughput ratio {ratio}");
-    }
-
-    #[test]
-    fn modulated_runs_are_scheduler_and_thread_invariant() {
-        use footprint_traffic::DurationDist;
-        let b = quick().injection_rate(0.2).modulation(ModulationSpec::OnOff {
-            on: DurationDist::Geometric { mean: 60.0 },
-            off: DurationDist::Geometric { mean: 120.0 },
-        });
-        let dense = b.run_with(RunOptions::new().scheduler(Scheduler::Dense)).unwrap();
-        let active = b.run_with(RunOptions::new().scheduler(Scheduler::Active)).unwrap();
-        assert_eq!(dense, active);
-        let rates = [0.1, 0.2];
-        let seq = b.sweep_with(&rates, SweepOptions::new().threads(1)).unwrap();
-        let pooled = b.sweep_with(&rates, SweepOptions::new().threads(4)).unwrap();
-        assert_eq!(seq, pooled);
-    }
-
-    #[test]
-    fn tenant_run_reports_per_tenant_summaries() {
-        // warmup(0) + drain: the window covers every packet, so the
-        // per-tenant accounting invariant closes exactly.
-        let report = quick()
-            .warmup(0)
-            .tenants(vec![
-                TenantSpec::new("web", TrafficSpec::UniformRandom, 0.1),
-                TenantSpec::new("batch", TrafficSpec::Transpose, 0.1),
-            ])
-            .drain(500)
-            .run_with(RunOptions::new())
-            .unwrap();
-        assert_eq!(report.tenants.len(), 2);
-        let web = report.tenant("web").unwrap();
-        let batch = report.tenant("batch").unwrap();
-        assert_eq!((web.class, batch.class), (0, 1));
-        // Tenant accounting must agree exactly with the per-class window
-        // counters the simulator keeps independently.
-        for t in &report.tenants {
-            let c = report.class(t.class);
-            assert_eq!(t.offered_packets, c.generated_packets, "{}", t.name);
-            assert_eq!(t.delivered_packets, c.ejected_packets, "{}", t.name);
-            assert_eq!(t.measured_packets, c.measured_packets, "{}", t.name);
-            assert!(t.delivered_packets > 0, "{}", t.name);
-            assert!(t.fully_accounted(), "{}", t.name);
-            assert!(t.windows.iter().map(|w| w.offered).sum::<u64>() == t.offered_packets);
-            assert_eq!(t.window_cycles, TENANT_WINDOW);
-        }
-        assert!(report.tenant("nope").is_none());
     }
 
     #[test]
@@ -2274,24 +494,4 @@ mod tests {
         assert!(matches!(err, RunError::Config(ConfigError::Workload(_))));
         assert!(err.to_string().contains("invalid workload"));
     }
-
-    #[test]
-    fn foreign_journal_is_refused() {
-        let rates = [0.05, 0.15];
-        let path = tmp_journal("foreign");
-        quick()
-            .sweep_with(&rates, SweepOptions::new().threads(1).checkpoint(&path))
-            .unwrap();
-        // Same path, different seed: a different campaign.
-        let err = quick()
-            .seed(99)
-            .sweep_with(&rates, SweepOptions::new().threads(1).checkpoint(&path))
-            .unwrap_err();
-        match err {
-            RunError::Checkpoint(msg) => assert!(msg.contains("different sweep"), "{msg}"),
-            other => panic!("expected Checkpoint, got {other}"),
-        }
-        let _ = std::fs::remove_file(&path);
-    }
 }
-

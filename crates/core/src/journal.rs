@@ -23,7 +23,12 @@
 //!
 //! * The header binds the journal to the sweep's base seed and exact rate
 //!   grid (`f64::to_bits` hex). A journal from a *different* sweep is a
-//!   hard error, never silently merged.
+//!   hard error, never silently merged. `SimulationBuilder::sweep_with`
+//!   appends ` config=<campaign key>` to the header — the whole
+//!   configuration that shapes the numbers (fabric, geometry, routing,
+//!   traffic, phases, fault plan, …), spelled out — so the same seed and
+//!   grid under another algorithm, topology or fault plan is a different
+//!   sweep too, and so is a key-less journal.
 //! * Each `point` line records `index offered accepted latency`, all three
 //!   values as `f64` bit patterns, so restored points compare equal to the
 //!   freshly-computed ones down to the last bit.
@@ -70,6 +75,20 @@ impl SweepJournal {
     /// synced, when the header belongs to a different campaign, or when a
     /// non-trailing line is corrupt.
     pub fn open(path: &Path, seed: u64, rates: &[f64]) -> Result<Self, String> {
+        Self::open_keyed(path, seed, rates, None)
+    }
+
+    /// [`Self::open`] for the sweep that owns the journal: the header must
+    /// also carry exactly `config`, its campaign key, so a journal with
+    /// another key, or with none, is refused. (`open` itself checks seed
+    /// and grid only and reads a journal whatever its key — the standalone
+    /// use: inspecting progress.)
+    pub(crate) fn open_keyed(
+        path: &Path,
+        seed: u64,
+        rates: &[f64],
+        config: Option<&str>,
+    ) -> Result<Self, String> {
         let mut file = OpenOptions::new()
             .read(true)
             .create(true)
@@ -87,16 +106,15 @@ impl SweepJournal {
             completed: BTreeMap::new(),
         };
         if contents.is_empty() {
-            let header = Self::header_line(seed, rates);
-            journal.append_line(&header)?;
+            journal.append_line(&Self::header_line(seed, rates, config))?;
             return Ok(journal);
         }
-        journal.replay(&contents, seed, rates)?;
+        journal.replay(&contents, seed, rates, config)?;
         journal.restored = journal.completed.len();
         Ok(journal)
     }
 
-    fn header_line(seed: u64, rates: &[f64]) -> String {
+    fn header_line(seed: u64, rates: &[f64], config: Option<&str>) -> String {
         let mut line = format!("{HEADER_TAG} seed={seed:016x} rates=");
         for (i, r) in rates.iter().enumerate() {
             if i > 0 {
@@ -104,12 +122,21 @@ impl SweepJournal {
             }
             let _ = write!(line, "{:016x}", r.to_bits());
         }
+        if let Some(key) = config {
+            let _ = write!(line, " config={key}");
+        }
         line
     }
 
     /// Validates the header and restores the recorded points from a
     /// non-empty journal body.
-    fn replay(&mut self, contents: &str, seed: u64, rates: &[f64]) -> Result<(), String> {
+    fn replay(
+        &mut self,
+        contents: &str,
+        seed: u64,
+        rates: &[f64],
+        config: Option<&str>,
+    ) -> Result<(), String> {
         let display = self.path.display();
         let lines: Vec<&str> = contents.split('\n').collect();
         let last_complete = contents.ends_with('\n');
@@ -121,11 +148,18 @@ impl SweepJournal {
         } else {
             &lines[..]
         };
-        let expected_header = Self::header_line(seed, rates);
+        let expected_header = Self::header_line(seed, rates, None);
         for (lineno, line) in records.iter().enumerate() {
             let torn_candidate = !last_complete && lineno == records.len() - 1;
             if lineno == 0 {
-                if *line != expected_header {
+                // The owning sweep requires its exact campaign key; a
+                // standalone reader accepts any key, or none.
+                let rest = line.strip_prefix(expected_header.as_str());
+                let bound = rest.is_some_and(|rest| match config {
+                    Some(key) => rest.strip_prefix(" config=") == Some(key),
+                    None => rest.is_empty() || rest.starts_with(" config="),
+                });
+                if !bound {
                     return Err(format!(
                         "checkpoint journal {display} belongs to a different sweep \
                          (header mismatch): refusing to resume. Delete the file to \
@@ -284,6 +318,21 @@ mod tests {
         // Different rate grid.
         let err = SweepJournal::open(&path, 1, &[0.05, 0.20]).unwrap_err();
         assert!(err.contains("different sweep"), "{err}");
+        // A key-less journal is not the keyed sweep's.
+        let err = SweepJournal::open_keyed(&path, 1, &rates, Some("routing=dor")).unwrap_err();
+        assert!(err.contains("different sweep"), "{err}");
+        // A keyed journal: its own sweep and a standalone reader get in,
+        // another key — even one it is a prefix of — does not.
+        let _ = std::fs::remove_file(&path);
+        drop(SweepJournal::open_keyed(&path, 1, &rates, Some("routing=dor")).unwrap());
+        SweepJournal::open_keyed(&path, 1, &rates, Some("routing=dor")).unwrap();
+        SweepJournal::open(&path, 1, &rates).unwrap();
+        for other in ["routing=dbar", "routing=do", "routing=dor faults=1"] {
+            let err = SweepJournal::open_keyed(&path, 1, &rates, Some(other)).unwrap_err();
+            assert!(err.contains("different sweep"), "{other}: {err}");
+        }
+        let err = SweepJournal::open(&path, 1, &[0.05]).unwrap_err();
+        assert!(err.contains("different sweep"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -310,7 +359,7 @@ mod tests {
             &path,
             format!(
                 "{}\ngarbage line\npoint 0 {:016x} {:016x} {:016x}\n",
-                SweepJournal::header_line(9, &rates),
+                SweepJournal::header_line(9, &rates, None),
                 0.05f64.to_bits(),
                 0.04f64.to_bits(),
                 10.0f64.to_bits()

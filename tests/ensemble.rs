@@ -5,7 +5,12 @@
 //! warm-start snapshot cache carries the same bar — a cache hit must
 //! reproduce the cold-start report exactly.
 
-use footprint_core::{RoutingSpec, RunOptions, Scheduler, SimulationBuilder, SweepOptions};
+use std::time::Duration;
+
+use footprint_core::{
+    RoutingSpec, RunError, RunOptions, Scheduler, SimulationBuilder, SweepOptions, TenantSpec,
+    TrafficSpec,
+};
 
 const ALGOS: [RoutingSpec; 4] = [
     RoutingSpec::Footprint,
@@ -30,33 +35,69 @@ fn fabrics() -> [(&'static str, SimulationBuilder); 2] {
     ]
 }
 
-/// The full matrix: 4 algorithms × {mesh, torus} × {dense, active}. A
-/// four-lane ensemble sweep must equal the sequential single-thread sweep
-/// point for point (`Curve` derives `PartialEq` over exact f64 values, and
-/// the `Debug` rendering prints shortest-roundtrip floats, so both
-/// comparisons are bit-level).
+fn two_tenants(b: SimulationBuilder) -> SimulationBuilder {
+    b.tenants(vec![
+        TenantSpec::new("web", TrafficSpec::UniformRandom, 0.08),
+        TenantSpec::new("batch", TrafficSpec::Transpose, 0.06),
+    ])
+}
+
+/// The full matrix: 4 algorithms × {mesh, torus} × {dense, active} ×
+/// {plain, sentinel, tenants, deadline, watchdog}. A four-point ensemble
+/// sweep must equal the sequential single-thread sweep point for point
+/// (`Curve` derives `PartialEq` over exact f64 values, and the `Debug`
+/// rendering prints shortest-roundtrip floats, so both comparisons are
+/// bit-level) whatever else rides along: every observer is private to
+/// its run, so none of them restricts the schedule.
 #[test]
 fn ensemble_lanes_bit_identical_across_algorithms_fabrics_schedulers() {
+    type Variant = (
+        &'static str,
+        fn(SimulationBuilder) -> SimulationBuilder,
+        fn(SweepOptions) -> SweepOptions,
+    );
+    let variants: [Variant; 5] = [
+        ("plain", |b| b, |o| o),
+        ("sentinel", |b| b, |o| o.sentinel(true)),
+        ("tenants", two_tenants, |o| o),
+        ("deadline", |b| b, |o| o.deadline(Duration::from_secs(600))),
+        ("watchdog", |b| b, |o| o.watchdog(20_000)),
+    ];
     for (fabric, base) in fabrics() {
         for spec in ALGOS {
             for scheduler in [Scheduler::Dense, Scheduler::Active] {
-                let sweep = |opts: SweepOptions| {
-                    base.clone()
-                        .routing(spec)
-                        .sweep_with(&RATES, opts.threads(1).scheduler(scheduler))
-                        .expect("sweep")
-                };
-                let sequential = sweep(SweepOptions::new());
-                let ensemble = sweep(SweepOptions::new().ensemble(4));
-                assert_eq!(
-                    format!("{sequential:?}"),
-                    format!("{ensemble:?}"),
-                    "{}/{fabric}/{scheduler:?}: ensemble lanes diverged from standalone runs",
-                    spec.name()
-                );
+                for (variant, configure, options) in variants {
+                    let sweep = |opts: SweepOptions| {
+                        configure(base.clone().routing(spec))
+                            .sweep_with(&RATES, options(opts).threads(1).scheduler(scheduler))
+                            .expect("sweep")
+                    };
+                    let sequential = sweep(SweepOptions::new());
+                    let ensemble = sweep(SweepOptions::new().ensemble(4));
+                    assert_eq!(
+                        format!("{sequential:?}"),
+                        format!("{ensemble:?}"),
+                        "{}/{fabric}/{scheduler:?}/{variant}: ensemble diverged from standalone runs",
+                        spec.name()
+                    );
+                }
             }
         }
     }
+    // An expired per-point deadline is the same typed error in an ensemble
+    // as in a standalone run: each point is charged its own time only.
+    let err = fabrics()[0]
+        .1
+        .clone()
+        .sweep_with(
+            &RATES,
+            SweepOptions::new().threads(1).ensemble(4).deadline(Duration::ZERO),
+        )
+        .expect_err("an expired deadline must fail the sweep");
+    assert!(
+        matches!(err, RunError::DeadlineExceeded { cycle: 0, .. }),
+        "expected DeadlineExceeded at cycle 0, got {err}"
+    );
 }
 
 /// A warm-start hit replays the cached post-warmup state and must produce
@@ -96,7 +137,17 @@ fn snapshot_cache_hit_reproduces_cold_start_exactly() {
         cached.iter().any(|n| n.ends_with(".snap")),
         "cold run stored no snapshot (dir holds {cached:?})"
     );
+    let mtimes = || -> Vec<_> {
+        let modified = |n| std::fs::metadata(dir.join(n)).and_then(|m| m.modified());
+        cached.iter().map(|n| modified(n).expect("snapshot mtime")).collect()
+    };
+    let stored = mtimes();
     let warm = run();
+    assert_eq!(
+        stored,
+        mtimes(),
+        "warm rerun rewrote the snapshot instead of hitting it"
+    );
     assert_eq!(
         format!("{cold:?}"),
         format!("{warm:?}"),
@@ -126,8 +177,9 @@ fn ensemble_sweep_with_shared_cache_stays_bit_identical() {
         .sweep_with(&RATES, SweepOptions::new().threads(1))
         .expect("reference sweep");
     for pass in ["cold", "warm"] {
-        // Sentinel pinned off so the lockstep + cache path runs (rather
-        // than falling back) even on the FOOTPRINT_SENTINEL=1 CI leg.
+        // Sentinel pinned off: the cache is (deliberately) ineligible under
+        // it, and both passes must store/hit even on the
+        // FOOTPRINT_SENTINEL=1 CI leg.
         let curve = base()
             .sweep_with(
                 &RATES,
