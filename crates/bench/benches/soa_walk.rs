@@ -1,5 +1,5 @@
 //! Criterion microbenchmark for the struct-of-arrays datapath walk: one
-//! simulator cycle of the paper-default 8×8 mesh at three steady-state
+//! simulator cycle of the paper-default 8×8 mesh at four steady-state
 //! occupancy levels. The per-cycle stages (delivery, VC allocation over
 //! the waiting/active bitmasks, switch traversal, wire ticks) are exactly
 //! what the single-thread `perf` metric times end to end; this bench
@@ -18,10 +18,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use footprint_core::{RoutingSpec, SimulationBuilder, TrafficSpec};
 
-/// `(label, injection rate)` per occupancy level: nearly-idle (the
-/// active-set scheduler's home turf), moderate load, and the near-saturation
-/// regime where every bitmask in the walk is dense.
-const LEVELS: [(&str, f64); 3] = [("low", 0.02), ("mid", 0.15), ("high", 0.30)];
+/// `(label, injection rate)` per occupancy level: nearly idle (the
+/// active-set scheduler's home turf), moderate load, the highest load
+/// below saturation (every head is still granted the cycle it is routed:
+/// `va_blocks` is 0), and past saturation, where most waiting heads are
+/// blocked and re-routed every cycle, so VC allocation dominates the walk.
+const LEVELS: [(&str, f64); 4] = [
+    ("low", 0.02),
+    ("mid", 0.15),
+    ("high", 0.30),
+    ("saturated", 0.55),
+];
 
 fn bench_soa_walk(c: &mut Criterion) {
     let quick = std::env::var_os("FOOTPRINT_QUICK").is_some();

@@ -78,7 +78,7 @@ pub use observe::{
 };
 pub use output::{OutVc, OutVcState};
 pub use packet::{Flit, FlitKind, NewPacket, PacketId, PendingPacket};
-pub use router::{FreedSlot, Router};
+pub use router::{AllocRules, FreedSlot, Router};
 pub use sched::Scheduler;
 pub use soa::{InPortRef, InVcRef, NocSoa, OutPortRef, OutVcRef};
 pub use sentinel::{

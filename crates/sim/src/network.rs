@@ -10,7 +10,7 @@ use crate::fault::{FaultState, FaultView, UnreachablePolicy};
 use crate::metrics::{Metrics, NullProbe, Probe};
 use crate::packet::{NewPacket, PacketId};
 use crate::recovery::RecoveryTracker;
-use crate::router::{FreedSlot, Router};
+use crate::router::{AllocRules, FreedSlot, Router};
 use crate::sched::{SchedState, Scheduler};
 use crate::sideband::Sideband;
 use crate::soa::NocSoa;
@@ -522,7 +522,7 @@ impl Network {
         // their period. Credits keep flowing regardless (the credit
         // side-band is modeled as reliable), so repaired links resume
         // cleanly with a consistent credit count.
-        let policy = self.algo.policy();
+        let rules = AllocRules::of(&*self.algo, topo);
         order.clear();
         if full {
             order.extend(0..topo.len());
@@ -561,6 +561,7 @@ impl Network {
                 &mut self.soa,
                 &*self.algo,
                 topo,
+                rules,
                 &self.sideband,
                 &FaultView::new(&self.faults, &*self.algo),
                 &mut self.rng,
@@ -571,7 +572,7 @@ impl Network {
             freed.clear();
             self.routers[ni].switch_allocate(
                 &mut self.soa,
-                policy,
+                rules.policy,
                 self.cfg.speedup,
                 &mut freed,
                 probe,

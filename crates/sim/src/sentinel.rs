@@ -983,7 +983,7 @@ pub(crate) fn find_protocol_deadlock(net: &Network) -> Option<DeadlockFinding> {
         }
     };
     let faults = net.fault_state();
-    let adaptive_lo = if algo.has_escape() { mesh.escape_vcs() } else { 0 };
+    let adaptive_lo = crate::router::AllocRules::of(algo, mesh).escape_lo;
 
     // Pass 2: least fixpoint of liveness.
     loop {

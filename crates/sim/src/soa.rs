@@ -587,20 +587,11 @@ impl NocSoa {
         }
     }
 
-    /// The output-VC class arrays for one port, for the routing-view bulk
-    /// scans: `(&out_state[..], &out_owner[..])`, both `num_vcs` long.
+    /// The owner registers of port `np`'s output VCs, `num_vcs` long (raw:
+    /// a destination id, or the no-owner sentinel that matches none).
     #[inline]
-    pub(crate) fn out_port_slices(&self, np: usize) -> (&[u8], &[u32]) {
-        let lo = np * self.num_vcs;
-        let hi = lo + self.num_vcs;
-        (&self.out_state[lo..hi], &self.out_owner[lo..hi])
-    }
-
-    /// Packed idle test used by the bulk routing scans — must agree with
-    /// [`NocSoa::out_idle_for`].
-    #[inline]
-    pub(crate) fn packed_idle(state: u8, policy: VcReallocationPolicy) -> bool {
-        state == OUT_IDLE || (state == OUT_DRAINING && policy == VcReallocationPolicy::NonAtomic)
+    pub(crate) fn out_port_owners(&self, np: usize) -> &[u32] {
+        &self.out_owner[np * self.num_vcs..(np + 1) * self.num_vcs]
     }
 
     /// Bits `lo..hi` set (the caller-visible VC index window of a scan).
@@ -620,6 +611,13 @@ impl NocSoa {
             VcReallocationPolicy::Atomic => self.out_idle_mask[np],
             VcReallocationPolicy::NonAtomic => self.out_idle_mask[np] | self.out_drain_mask[np],
         }
+    }
+
+    /// Bitmask of port `np`'s output VCs whose packet has left but whose
+    /// credits are not all home.
+    #[inline]
+    pub(crate) fn out_drain_mask(&self, np: usize) -> u64 {
+        self.out_drain_mask[np]
     }
 
     /// Bitmask of port `np`'s output VCs whose owner register is set.

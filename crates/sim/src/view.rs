@@ -82,7 +82,7 @@ impl PortStateView for RouterOutputsView<'_> {
         let range = NocSoa::vc_range_mask(lo, hi);
         // Footprint VCs are the owner-register matches; the owner mask
         // narrows the scan to VCs that ever carried a packet.
-        let (_, owners) = self.soa.out_port_slices(np);
+        let owners = self.soa.out_port_owners(np);
         let d = u32::from(dest.0);
         let mut fp = 0u64;
         let mut m = self.soa.out_owned_mask(np) & range;

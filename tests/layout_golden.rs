@@ -13,8 +13,11 @@
 //! purity term shows up as a mismatch.
 
 use footprint_core::{
-    PacketSize, RoutingSpec, RunOptions, Scheduler, SimulationBuilder, SweepOptions, TrafficSpec,
+    PacketSize, RoutingSpec, RunOptions, RunReport, Scheduler, SimulationBuilder, SweepOptions,
+    TrafficSpec,
 };
+use footprint_routing::Footprint;
+use footprint_sim::{Network, SimConfig};
 use footprint_topology::{Direction, FaultEvent, FaultPlan, NodeId};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -97,7 +100,6 @@ fn fingerprint(spec: RoutingSpec, faults: Option<FaultPlan>, scheduler: Schedule
 
 #[test]
 fn reports_match_object_layout_goldens() {
-    let discover = std::env::var("FOOTPRINT_GOLDEN_PRINT").is_ok();
     let mut got: Vec<(String, u64)> = Vec::new();
     for spec in [
         RoutingSpec::Footprint,
@@ -157,20 +159,110 @@ fn reports_match_object_layout_goldens() {
         "ensemble sweep diverged from the sequential sweep"
     );
 
-    if discover {
-        for (label, h) in &got {
+    check(&got, GOLDEN, "object-layout");
+}
+
+/// Compares the fingerprints in `got` with their pins in `table` — or,
+/// under `FOOTPRINT_GOLDEN_PRINT`, prints them in table syntax instead.
+fn check(got: &[(String, u64)], table: &[(&str, u64)], captured_on: &str) {
+    if std::env::var("FOOTPRINT_GOLDEN_PRINT").is_ok() {
+        for (label, h) in got {
             println!("    (\"{label}\", {h:#018x}),");
         }
         return;
     }
-    for (label, h) in &got {
-        let expected = GOLDEN
+    for (label, h) in got {
+        let expected = table
             .iter()
             .find(|(l, _)| l == label)
             .unwrap_or_else(|| panic!("no golden for {label}"));
         assert_eq!(
             *h, expected.1,
-            "{label}: report fingerprint diverged from the object-layout golden"
+            "{label}: report fingerprint diverged from the {captured_on} golden"
         );
     }
+}
+
+/// Past-saturation pins for the VC allocator's blocked-head path: the
+/// loser scan, the dead-link backstop and the purity accounting, none of
+/// which the matrix above reaches (its loads stay at or below 0.30, where
+/// `va_blocks` is 0). Captured on the flat tier × request grant loop (PR
+/// 12), before the allocator was rebuilt on the output-VC masks.
+const SATURATED: &[(&str, u64)] = &[
+    ("sat-footprint", 0x0e3cc10bc710de65),
+    ("sat-dbar", 0x729244e7be78f682),
+    ("sat-odd-even", 0x1efce486480669ea),
+    ("sat-dor", 0x826cde9ca2164516),
+    ("sat-dor+cut", 0xc465bfc87592b3f5),
+    ("sat-footprint-join", 0x90a774276e645699),
+];
+
+const SAT_RATE: f64 = 0.55;
+const SAT_WARMUP: u64 = 100;
+const SAT_MEASURE: u64 = 150;
+
+fn saturated() -> SimulationBuilder {
+    SimulationBuilder::paper_default()
+        .traffic(TrafficSpec::UniformRandom)
+        .injection_rate(SAT_RATE)
+        .warmup(SAT_WARMUP)
+        .measurement(SAT_MEASURE)
+        .seed(0x5A7)
+}
+
+/// `Footprint::with_join` has no `RoutingSpec` variant, so this run is
+/// driven by hand: the paper's 8×8 geometry, warmup, window reset,
+/// measurement, report straight from the metrics.
+fn join_report(scheduler: Scheduler) -> RunReport {
+    let cfg = SimConfig::paper_default();
+    let topo = cfg.topo();
+    let mut net = Network::new(cfg, Box::new(Footprint::new().with_join()), 0x5A7)
+        .expect("paper config fits Footprint");
+    net.set_scheduler(scheduler);
+    let mut wl = TrafficSpec::UniformRandom
+        .build(topo, PacketSize::Fixed(3), SAT_RATE)
+        .expect("uniform is defined on every mesh");
+    net.run(&mut *wl, SAT_WARMUP);
+    let at = net.cycle();
+    net.metrics_mut().reset_window_at(at);
+    net.run(&mut *wl, SAT_MEASURE);
+    RunReport::from_metrics(net.metrics(), topo.len(), SAT_RATE)
+}
+
+#[test]
+fn saturated_reports_match_flat_scan_goldens() {
+    // A link that dies mid-window and comes back: heads already committed
+    // to it wait on the allocator's `link_up` backstop, idle VCs or not.
+    let cut = FaultPlan::new()
+        .with(FaultEvent::link_down(NodeId(27), Direction::East, 120).repaired_at(200));
+    let mut runs: Vec<(String, RoutingSpec, Option<FaultPlan>)> = [
+        RoutingSpec::Footprint,
+        RoutingSpec::Dbar,
+        RoutingSpec::OddEven,
+        RoutingSpec::Dor,
+    ]
+    .into_iter()
+    .map(|spec| (format!("sat-{}", spec.name()), spec, None))
+    .collect();
+    runs.push(("sat-dor+cut".into(), RoutingSpec::Dor, Some(cut)));
+
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (label, spec, faults) in runs {
+        let [dense, active] = [Scheduler::Dense, Scheduler::Active].map(|scheduler| {
+            let mut o = RunOptions::new().scheduler(scheduler).watchdog(10_000);
+            if let Some(p) = faults.clone() {
+                o = o.faults(p);
+            }
+            saturated().routing(spec).run_with(o).expect("saturated run")
+        });
+        assert_eq!(dense, active, "{label}: dense vs active diverged");
+        assert!(dense.va_blocks > 0, "{label}: no blocked head, the pin is vacuous");
+        got.push((label, golden_hash(&format!("{dense:?}"))));
+    }
+    let join = join_report(Scheduler::Dense);
+    assert_eq!(join, join_report(Scheduler::Active), "join: dense vs active diverged");
+    assert!(join.va_blocks > 0, "join: no blocked head, the pin is vacuous");
+    got.push(("sat-footprint-join".into(), golden_hash(&format!("{join:?}"))));
+
+    check(&got, SATURATED, "flat-scan");
 }
