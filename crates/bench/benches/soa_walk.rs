@@ -31,9 +31,8 @@ const LEVELS: [(&str, f64); 4] = [
 ];
 
 fn bench_soa_walk(c: &mut Criterion) {
-    let quick = std::env::var_os("FOOTPRINT_QUICK").is_some();
     let mut g = c.benchmark_group("soa-walk-8x8");
-    g.sample_size(if quick { 3 } else { 10 });
+    g.sample_size(if footprint_bench::quick() { 3 } else { 10 });
     const CYCLES: u64 = 100;
     g.throughput(Throughput::Elements(CYCLES));
     for (label, rate) in LEVELS {

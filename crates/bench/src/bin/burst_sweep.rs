@@ -27,7 +27,7 @@
 
 use std::process::ExitCode;
 
-use footprint_bench::{phases_from_env, results_dir, Phases};
+use footprint_bench::{phases_from_env, quick, results_dir, Phases};
 use footprint_core::{
     DurationDist, JobSet, ModulationSpec, RoutingSpec, RunOptions, RunReport, SimulationBuilder,
     TenantSpec, TrafficSpec,
@@ -96,7 +96,7 @@ fn run(algo: RoutingSpec, mode: Mode, mean_load: f64, phases: Phases) -> RunRepo
 
 fn main() -> ExitCode {
     let phases = phases_from_env();
-    let loads: Vec<f64> = if std::env::var_os("FOOTPRINT_QUICK").is_some() {
+    let loads: Vec<f64> = if quick() {
         vec![0.05, 0.15, 0.25]
     } else {
         vec![0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35]

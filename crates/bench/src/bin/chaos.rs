@@ -27,7 +27,7 @@
 
 use std::fmt::Write as _;
 
-use footprint_bench::results_dir;
+use footprint_bench::{quick, results_dir};
 use footprint_core::{
     JobSet, RoutingSpec, RunError, RunOptions, RunReport, SimulationBuilder, TrafficSpec,
     UnreachablePolicy,
@@ -213,8 +213,7 @@ fn run_trial(
 }
 
 fn main() {
-    let quick = std::env::var_os("FOOTPRINT_QUICK").is_some();
-    let (trials, measurement) = if quick { (2u64, 500) } else { (5u64, 1_500) };
+    let (trials, measurement) = if quick() { (2u64, 500) } else { (5u64, 1_500) };
 
     let mut jobs = JobSet::new();
     let mut scheduled = 0usize;

@@ -27,7 +27,7 @@
 use std::fmt::Write as _;
 
 use footprint_bench::{
-    default_rates, paper_builder, phases_from_env, quick_rates, results_dir, Phases,
+    default_rates, paper_builder, phases_from_env, quick, quick_rates, results_dir, Phases,
 };
 use footprint_core::{
     JobSet, RoutingSpec, RunError, RunOptions, SimulationBuilder, TrafficSpec,
@@ -113,7 +113,7 @@ fn run_point(
 
 fn main() {
     let phases = phases_from_env();
-    let rates = if std::env::var_os("FOOTPRINT_QUICK").is_some() {
+    let rates = if quick() {
         quick_rates()
     } else {
         default_rates()

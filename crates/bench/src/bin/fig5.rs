@@ -36,7 +36,7 @@ fn main() {
             summary.row([
                 traffic.name(),
                 c.label.clone(),
-                format!("{:.3}", c.saturation_throughput(3.0).unwrap_or(0.0)),
+                c.saturation(3.0).to_string(),
             ]);
         }
     }

@@ -11,7 +11,7 @@
 //! Run with `FOOTPRINT_QUICK=1` for a fast smoke pass.
 
 use footprint_bench::{
-    default_rates, paper_builder, phases_from_env, print_curves, quick_rates, CurveSet,
+    default_rates, paper_builder, phases_from_env, print_curves, quick, quick_rates, CurveSet,
 };
 use footprint_core::{SimulationBuilder, TrafficSpec};
 use footprint_routing::RoutingSpec;
@@ -39,7 +39,7 @@ fn fabrics() -> [TopologySpec; 2] {
 
 fn main() {
     let phases = phases_from_env();
-    let rates = if std::env::var_os("FOOTPRINT_QUICK").is_some() {
+    let rates = if quick() {
         quick_rates()
     } else {
         default_rates()

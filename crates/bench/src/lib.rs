@@ -62,10 +62,15 @@ impl Phases {
     };
 }
 
-/// Reads phases from the `FOOTPRINT_QUICK` environment variable: set it to
-/// run every experiment binary in smoke mode.
+/// `true` when `FOOTPRINT_QUICK` is set: every experiment binary and
+/// bench then runs in smoke mode (short phases, sparse axes).
+pub fn quick() -> bool {
+    std::env::var_os("FOOTPRINT_QUICK").is_some()
+}
+
+/// The phases [`quick`] selects.
 pub fn phases_from_env() -> Phases {
-    if std::env::var_os("FOOTPRINT_QUICK").is_some() {
+    if quick() {
         Phases::QUICK
     } else {
         Phases::FULL
@@ -193,23 +198,6 @@ pub fn paper_builder(
         .seed(0x0F00)
 }
 
-/// Sweeps one latency-throughput curve (a single-curve [`CurveSet`]).
-///
-/// # Panics
-///
-/// Panics on configuration errors — experiment configurations are static
-/// and must be valid.
-pub fn sweep_curve(
-    routing: RoutingSpec,
-    traffic: TrafficSpec,
-    rates: &[f64],
-    phases: Phases,
-) -> Curve {
-    paper_builder(routing, traffic, phases)
-        .sweep_with(rates, SweepOptions::new())
-        .expect("experiment configuration must be valid")
-}
-
 /// A batch of labelled latency-throughput curves sharing one rate axis,
 /// executed as a single flat job set.
 ///
@@ -319,9 +307,7 @@ pub fn print_curves(title: &str, curves: &[Curve]) {
     println!("## {title}");
     for c in curves {
         print!("{c}");
-        if let Some(sat) = c.saturation_throughput(3.0) {
-            println!("# saturation throughput ({}): {:.3}", c.label, sat);
-        }
+        println!("# saturation throughput ({}): {}", c.label, c.saturation(3.0));
         println!();
     }
 }

@@ -63,11 +63,10 @@ type Job<'scope, T> = Box<dyn FnOnce() -> T + Send + 'scope>;
 
 /// How one quarantined job ended: with a value, or with a captured panic.
 ///
-/// Produced by [`JobSet::run_quarantined`]/[`JobSet::run_quarantined_on`],
-/// where a panicking job is contained to its own slot instead of tearing
-/// down the whole pool — one diverging simulation point must not discard
-/// the completed work of its siblings (which may already be journaled to a
-/// sweep checkpoint).
+/// Produced by [`JobSet::run_quarantined_on`], where a panicking job is
+/// contained to its own slot instead of tearing down the whole pool — one
+/// diverging simulation point must not discard the completed work of its
+/// siblings (which may already be journaled to a sweep checkpoint).
 #[derive(Debug)]
 pub enum JobOutcome<T> {
     /// The job returned normally.
@@ -160,15 +159,9 @@ impl<'scope, T: Send + 'scope> JobSet<'scope, T> {
         run_parallel(self.jobs, threads)
     }
 
-    /// Runs all jobs on the default pool with per-job panic isolation:
-    /// a panicking job yields [`JobOutcome::Panicked`] in its slot while
-    /// every other job still runs to completion.
-    pub fn run_quarantined(self) -> Vec<JobOutcome<T>> {
-        let threads = num_threads();
-        self.run_quarantined_on(threads)
-    }
-
-    /// [`JobSet::run_quarantined`] on exactly `threads` workers.
+    /// Runs all jobs on exactly `threads` workers with per-job panic
+    /// isolation: a panicking job yields [`JobOutcome::Panicked`] in its
+    /// slot while every other job still runs to completion.
     ///
     /// Each job runs under `catch_unwind`; the panic payload is captured
     /// into the job's result slot instead of unwinding through the pool.

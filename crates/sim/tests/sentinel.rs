@@ -12,9 +12,10 @@ use footprint_sim::{
 use footprint_topology::{NodeId, Port, TopologySpec, DIRECTIONS, PORT_COUNT};
 use rand::RngCore;
 
-/// A deliberately broken algorithm (same shape as the obs_smoke hook):
-/// injection works, but `route` never emits a request, so every head waits
-/// forever at its first router with an empty request set.
+/// A deliberately broken algorithm (the same as in
+/// `tests/observability.rs`): injection works, but `route` never emits a
+/// request, so every head waits forever at its first router with an empty
+/// request set.
 struct BlackHole;
 
 impl RoutingAlgorithm for BlackHole {

@@ -19,7 +19,7 @@
 //! for (o, a, l) in [(0.1, 0.1, 20.0), (0.3, 0.3, 35.0), (0.5, 0.42, 300.0)] {
 //!     curve.push(SweepPoint { offered: o, accepted: a, latency: l });
 //! }
-//! let sat = curve.saturation_throughput(3.0).unwrap();
+//! let sat = curve.saturation(3.0).reached().unwrap();
 //! assert!(sat > 0.3 && sat < 0.5);
 //! ```
 

@@ -51,12 +51,11 @@ impl fmt::Display for SweepProgress {
 /// How a curve's saturation throughput was determined — or why it could
 /// not be.
 ///
-/// [`Curve::saturation_throughput`] collapses all three cases into an
-/// `Option<f64>`, which made an unsaturated curve's accepted-throughput
-/// plateau indistinguishable from a genuine crossing (and `unwrap_or(0.0)`
-/// call sites printed `0.000`, a sentinel that downstream normalization
-/// then divided by). This enum keeps the cases apart so reports can say
-/// what they actually measured.
+/// An `Option<f64>` would make an unsaturated curve's accepted-throughput
+/// plateau indistinguishable from a genuine crossing (and invite
+/// `unwrap_or(0.0)`, a sentinel that downstream normalization then divides
+/// by). This enum keeps the cases apart so reports can say what they
+/// actually measured.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Saturation {
     /// Mean latency crossed `factor ×` zero-load latency at this offered
@@ -138,18 +137,12 @@ impl Curve {
 
     /// Saturation throughput: the offered load at which mean latency first
     /// exceeds `factor ×` the zero-load latency, linearly interpolated
-    /// between the straddling points. Falls back to the largest *accepted*
-    /// throughput when the curve never saturates in the measured range.
+    /// between the straddling points — or, when the curve never saturates
+    /// in the measured range, the largest *accepted* throughput as a lower
+    /// bound (see [`Saturation`]).
     ///
     /// `factor = 3` is the conventional choice and the default used by the
     /// experiment harness.
-    pub fn saturation_throughput(&self, factor: f64) -> Option<f64> {
-        self.saturation(factor).estimate()
-    }
-
-    /// Saturation throughput with the outcome kept explicit (see
-    /// [`Saturation`]): a measured crossing, an unsaturated lower bound,
-    /// or nothing for an empty curve.
     pub fn saturation(&self, factor: f64) -> Saturation {
         let Some(zero) = self.zero_load_latency() else {
             return Saturation::Empty;
@@ -221,7 +214,7 @@ mod tests {
     fn saturation_interpolates_at_3x_zero_load() {
         let c = rising_curve();
         // zero-load 20, threshold 60: between 0.3 (30) and 0.4 (80).
-        let sat = c.saturation_throughput(3.0).unwrap();
+        let sat = c.saturation(3.0).reached().unwrap();
         let expected = 0.3 + 0.1 * (60.0 - 30.0) / (80.0 - 30.0);
         assert!((sat - expected).abs() < 1e-9, "{sat} vs {expected}");
     }
@@ -232,9 +225,7 @@ mod tests {
         c.push(pt(0.1, 0.1, 20.0));
         c.push(pt(0.2, 0.2, 21.0));
         c.push(pt(0.3, 0.3, 22.0));
-        assert!((c.saturation_throughput(3.0).unwrap() - 0.3).abs() < 1e-12);
-        // The typed API keeps the lower bound distinguishable from a
-        // measured crossing.
+        // The lower bound stays distinguishable from a measured crossing.
         let sat = c.saturation(3.0);
         assert_eq!(sat, Saturation::NotReached(0.3));
         assert_eq!(sat.reached(), None);
@@ -258,7 +249,7 @@ mod tests {
     #[test]
     fn empty_curve_has_no_saturation() {
         let c = Curve::new("empty");
-        assert_eq!(c.saturation_throughput(3.0), None);
+        assert_eq!(c.saturation(3.0), Saturation::Empty);
         assert_eq!(c.zero_load_latency(), None);
         assert_eq!(c.peak_accepted(), None);
     }
@@ -291,7 +282,7 @@ mod tests {
         c.push(pt(0.4, 0.3, 100.0));
         c.push(pt(0.5, 0.3, 500.0));
         // zero-load = 100 → threshold 300 → crossing between the points.
-        let s = c.saturation_throughput(3.0).unwrap();
+        let s = c.saturation(3.0).reached().unwrap();
         assert!(s > 0.4 && s < 0.5);
     }
 }

@@ -4,6 +4,7 @@
 //! that even a partitioning fault plan never hangs or panics the stack.
 
 use footprint_suite::prelude::*;
+use footprint_suite::sim::{FlowSet, Network, SimConfig, SingleFlow, StallWatchdog};
 use proptest::prelude::*;
 
 /// An 8×8 run whose whole lifetime is the measurement window, drained to
@@ -171,6 +172,30 @@ fn partitioning_fault_plan_never_hangs_or_panics() {
             Err(other) => panic!("{}: unexpected error {other}", spec.name()),
         }
     }
+    // The case with one right answer: a saturating single flow crosses
+    // n5→n6 and the link dies at cycle 60 with flits in flight. DOR has no
+    // detour, so the wormhole wedges and only the watchdog can turn the
+    // freeze into a diagnostic.
+    let cut = FaultPlan::new().with(FaultEvent::link_down(NodeId(5), Direction::East, 60));
+    let mut net = Network::with_faults(
+        SimConfig::small(),
+        RoutingSpec::Dor.build(),
+        7,
+        cut,
+        UnreachablePolicy::Drop,
+    )
+    .unwrap();
+    let mut flow = FlowSet::new(vec![SingleFlow {
+        src: NodeId(4),
+        dest: NodeId(7),
+        rate: 1.0,
+        size: 8,
+    }]);
+    let diag = net
+        .run_watched(&mut flow, 5_000, &mut NullProbe, &mut StallWatchdog::new(150))
+        .expect_err("a mid-stream cut must wedge the DOR wormhole");
+    assert!(diag.in_flight > 0);
+    assert!(diag.to_string().starts_with("STALL"));
 }
 
 #[test]

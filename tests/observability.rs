@@ -6,7 +6,9 @@
 use footprint_suite::prelude::*;
 use footprint_suite::sim::StallWatchdog;
 use footprint_suite::routing::{RoutingAlgorithm, RoutingCtx, VcReallocationPolicy, VcRequest};
-use footprint_suite::sim::{EventTrace, FlitEventKind, FlowSet, Network, SimConfig, SingleFlow};
+use footprint_suite::sim::{
+    EventTrace, FlitEventKind, FlowSet, Network, Sentinel, SimConfig, SingleFlow,
+};
 use footprint_suite::stats::TimelineProbe;
 use rand::RngCore;
 
@@ -117,6 +119,16 @@ fn watchdog_turns_a_hung_network_into_a_diagnostic_bundle() {
     assert!(text.contains("occupancy map:"));
     assert!(text.contains("oldest in-flight packets:"));
     assert!(text.contains("router n0"));
+    // The same hang under the sentinel: its report converts into the typed
+    // run error and keeps the `SENTINEL` rendering.
+    let mut net = Network::new(SimConfig::small(), Box::new(BlackHole), 7).unwrap();
+    let mut sentinel = Sentinel::with_intervals(1, 1);
+    while !sentinel.tripped() && net.cycle() < 100 {
+        net.step_probed(&mut wl, &mut sentinel);
+    }
+    let err = RunError::from(sentinel.take_report().expect("the sentinel must trip"));
+    assert!(matches!(err, RunError::InvariantViolated(_)), "{err}");
+    assert!(err.to_string().starts_with("SENTINEL"), "{err}");
 }
 
 #[test]
