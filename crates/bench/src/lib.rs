@@ -1,5 +1,5 @@
 //! Shared driver code for the experiment binaries (one per paper
-//! table/figure) and the criterion microbenchmarks.
+//! table/figure).
 //!
 //! The central abstraction is [`CurveSet`]: a figure declares *all* of
 //! its latency-throughput curves up front, and `CurveSet::run`
@@ -62,8 +62,8 @@ impl Phases {
     };
 }
 
-/// `true` when `FOOTPRINT_QUICK` is set: every experiment binary and
-/// bench then runs in smoke mode (short phases, sparse axes).
+/// `true` when `FOOTPRINT_QUICK` is set: every experiment binary then
+/// runs in smoke mode (short phases, sparse axes).
 pub fn quick() -> bool {
     std::env::var_os("FOOTPRINT_QUICK").is_some()
 }

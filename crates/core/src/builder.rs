@@ -101,11 +101,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// The topology currently configured.
-    pub fn topology_spec(&self) -> TopologySpec {
-        self.topology
-    }
-
     /// VCs per physical channel.
     pub fn vcs(mut self, n: usize) -> Self {
         self.num_vcs = n;

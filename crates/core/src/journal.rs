@@ -32,9 +32,10 @@
 //! * Each `point` line records `index offered accepted latency`, all three
 //!   values as `f64` bit patterns, so restored points compare equal to the
 //!   freshly-computed ones down to the last bit.
-//! * A torn final line (the crash happened mid-append) is ignored on
-//!   replay; anything malformed *before* the final line means real
-//!   corruption and is reported as an error.
+//! * A torn final line (no newline: the crash happened mid-append) is never
+//!   read as a record and is cut from the file before anything is appended;
+//!   anything malformed *before* it means real corruption and is reported
+//!   as an error.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -105,12 +106,27 @@ impl SweepJournal {
             restored: 0,
             completed: BTreeMap::new(),
         };
-        if contents.is_empty() {
-            journal.append_line(&Self::header_line(seed, rates, config))?;
-            return Ok(journal);
+        if !contents.is_empty() {
+            journal.replay(&contents, seed, rates, config)?;
+            journal.restored = journal.completed.len();
         }
-        journal.replay(&contents, seed, rates, config)?;
-        journal.restored = journal.completed.len();
+        // Cut a torn tail off before anything is appended: a record glued
+        // onto the fragment would make the *next* open see mid-file
+        // corruption.
+        let keep = contents.rfind('\n').map_or(0, |i| i + 1);
+        if keep < contents.len() {
+            let display = path.display();
+            journal
+                .file
+                .set_len(keep as u64)
+                .and_then(|()| journal.file.sync_data())
+                .map_err(|e| format!("cannot truncate checkpoint journal {display}: {e}"))?;
+        }
+        // A fresh file — or one whose (validated) header never got its
+        // newline — starts with the header.
+        if keep == 0 {
+            journal.append_line(&Self::header_line(seed, rates, config))?;
+        }
         Ok(journal)
     }
 
@@ -129,7 +145,9 @@ impl SweepJournal {
     }
 
     /// Validates the header and restores the recorded points from a
-    /// non-empty journal body.
+    /// non-empty journal body. An unterminated last line is torn: never a
+    /// record, even when its prefix happens to parse (a hex field cut short
+    /// still reads as a number).
     fn replay(
         &mut self,
         contents: &str,
@@ -138,20 +156,11 @@ impl SweepJournal {
         config: Option<&str>,
     ) -> Result<(), String> {
         let display = self.path.display();
-        let lines: Vec<&str> = contents.split('\n').collect();
-        let last_complete = contents.ends_with('\n');
-        // With a trailing newline the final split element is "", so the
-        // last *candidate* record is lines[len-2]; without one, the final
-        // element itself is the torn candidate.
-        let records = if last_complete {
-            &lines[..lines.len().saturating_sub(1)]
-        } else {
-            &lines[..]
-        };
         let expected_header = Self::header_line(seed, rates, None);
-        for (lineno, line) in records.iter().enumerate() {
-            let torn_candidate = !last_complete && lineno == records.len() - 1;
+        for (lineno, raw) in contents.split_inclusive('\n').enumerate() {
+            let complete = raw.strip_suffix('\n');
             if lineno == 0 {
+                let line = complete.unwrap_or(raw);
                 // The owning sweep requires its exact campaign key; a
                 // standalone reader accepts any key, or none.
                 let rest = line.strip_prefix(expected_header.as_str());
@@ -168,13 +177,12 @@ impl SweepJournal {
                 }
                 continue;
             }
+            // A crash mid-append leaves a truncated last line; the point
+            // it was recording simply re-runs.
+            let Some(line) = complete else { continue };
             match Self::parse_point(line, rates) {
                 Some((index, point)) => {
                     self.completed.insert(index, point);
-                }
-                None if torn_candidate => {
-                    // A crash mid-append leaves a truncated last line; the
-                    // point it was recording simply re-runs.
                 }
                 None => {
                     return Err(format!(
@@ -351,8 +359,16 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(b"point 1 3fc333").unwrap();
         }
+        {
+            let mut j = SweepJournal::open(&path, 9, &rates).unwrap();
+            assert_eq!(j.completed().len(), 1, "torn tail ignored, point 0 kept");
+            // The resumed sweep appends; the fragment must be gone by then
+            // or the record is glued onto it.
+            j.record(1, &point(0.15)).unwrap();
+        }
         let j = SweepJournal::open(&path, 9, &rates).unwrap();
-        assert_eq!(j.completed().len(), 1, "torn tail ignored, point 0 kept");
+        assert_eq!(j.completed().len(), 2, "a torn journal survives two resumes");
+        assert_eq!(j.completed()[&1], point(0.15));
         // Now corrupt a *complete* line in the middle: that is real
         // corruption, not a torn append.
         std::fs::write(

@@ -142,7 +142,7 @@ pub fn vc_adaptiveness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dbar, Dor, Footprint, OddEven, Xordet};
+    use crate::{Dbar, Dor, Footprint, OddEven, VcOverlay, VcRule};
     use footprint_topology::Mesh;
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(vc_adaptiveness(&fp, 10, false), Some(0.9));
         assert_eq!(vc_adaptiveness(&Dbar, 10, false), Some(0.0));
         assert_eq!(vc_adaptiveness(&Dor, 10, false), Some(0.0));
-        let x = Xordet::new(Dor, "dor+xordet");
+        let x = VcOverlay::new(Dor, VcRule::Xordet, "dor+xordet");
         assert_eq!(vc_adaptiveness(&x, 10, false), None);
     }
 }

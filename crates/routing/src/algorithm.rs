@@ -1,6 +1,7 @@
 //! The routing-algorithm abstraction.
 
 use crate::{CongestionView, LinkStateView, PortStateView, Priority, VcId, VcRequest};
+use core::cmp::Ordering;
 use footprint_topology::{AnyTopology, Direction, NodeId, Port};
 use rand::RngCore;
 
@@ -316,6 +317,55 @@ impl FromIterator<Direction> for DirSet {
 #[inline]
 pub(crate) fn coin(rng: &mut dyn RngCore) -> bool {
     rng.next_u32() & 1 == 1
+}
+
+/// The two-candidate pick every port selector ends in: `a` if `a_vs_b`
+/// ranks it above `b`, `b` if below, and a coin flip — the only RNG draw —
+/// on a full tie, so a run where one candidate is masked or dominated
+/// consumes the same RNG sequence as one where it never existed.
+#[inline]
+pub(crate) fn prefer<T>(a: T, b: T, a_vs_b: Ordering, rng: &mut dyn RngCore) -> T {
+    match a_vs_b {
+        Ordering::Greater => a,
+        Ordering::Less => b,
+        Ordering::Equal => {
+            if coin(rng) {
+                a
+            } else {
+                b
+            }
+        }
+    }
+}
+
+/// Selects among up to two allowed directions by idle-VC count with a
+/// random tie-break, then requests every VC on the chosen port — the
+/// selection rule the paper uses for Odd-Even, shared by the turn models.
+#[inline]
+pub(crate) fn select_and_request(
+    ctx: &RoutingCtx<'_>,
+    legal: DirSet,
+    rng: &mut dyn RngCore,
+    out: &mut Vec<VcRequest>,
+) {
+    if ctx.current == ctx.dest {
+        return eject_requests(ctx, out);
+    }
+    // Faulted candidates drop out of the turn-model set.
+    let mut it = legal.iter().filter(|&d| ctx.usable(d));
+    let dir = match (it.next(), it.next()) {
+        // Every legal direction is masked: stand down and wait.
+        (None, _) => return,
+        (Some(d), None) => d,
+        (Some(a), Some(b)) => {
+            let ia = ctx.ports.idle_count(Port::Dir(a), 0, ctx.num_vcs);
+            let ib = ctx.ports.idle_count(Port::Dir(b), 0, ctx.num_vcs);
+            prefer(a, b, ia.cmp(&ib), rng)
+        }
+    };
+    for v in 0..ctx.num_vcs {
+        out.push(VcRequest::new(Port::Dir(dir), VcId::from_index(v), Priority::Low));
+    }
 }
 
 #[cfg(test)]

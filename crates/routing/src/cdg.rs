@@ -341,13 +341,6 @@ pub enum EscapeMaskVerdict {
     },
 }
 
-impl EscapeMaskVerdict {
-    /// `true` when the mask leaves the escape argument intact.
-    pub fn is_sound(&self) -> bool {
-        matches!(self, EscapeMaskVerdict::StillAcyclic)
-    }
-}
-
 /// Checks whether the dateline-classed escape network survives a fault
 /// mask on `topo`. `dead` lists the masked directed channels as
 /// `(upstream, dir)` pairs — typically every channel any `Down` event of a
@@ -648,7 +641,7 @@ mod tests {
                 algo.name()
             );
         }
-        let x = crate::Xordet::new(Dor, "dor+xordet");
+        let x = crate::VcOverlay::new(Dor, crate::VcRule::Xordet, "dor+xordet");
         assert_eq!(
             check_deadlock_freedom(torus, &x),
             DeadlockVerdict::UnsupportedOnTopology

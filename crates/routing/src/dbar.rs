@@ -1,7 +1,7 @@
 //! DBAR-style fully-adaptive routing (Ma, Enright Jerger & Wang, ISCA 2011)
 //! — the paper's fully adaptive baseline.
 
-use crate::algorithm::{coin, eject_requests};
+use crate::algorithm::{eject_requests, prefer};
 use crate::{Priority, RoutingAlgorithm, RoutingCtx, VcId, VcRequest, VcReallocationPolicy};
 use footprint_topology::{Direction, Port};
 use rand::RngCore;
@@ -79,9 +79,7 @@ impl RoutingAlgorithm for Dbar {
         if dirs.count() == 0 {
             return eject_requests(ctx, out);
         }
-        // Faulted or dead-end candidates drop out before selection; the
-        // RNG is only consumed on a genuine two-way tie, preserving the
-        // fault-free sequence.
+        // Faulted or dead-end candidates drop out before selection.
         let ux = dirs.x.filter(|&d| ctx.usable(d));
         let uy = dirs.y.filter(|&d| ctx.usable(d));
         let dir = match (ux, uy) {
@@ -91,29 +89,16 @@ impl RoutingAlgorithm for Dbar {
             (Some(d), None) | (None, Some(d)) => d,
             (Some(a), Some(b)) => {
                 // Fewest congested downstream channels wins; tie on local
-                // idle VCs; then random.
+                // idle VCs (only then are they read); then random.
                 let ca = Self::segment_congestion(ctx, a);
                 let cb = Self::segment_congestion(ctx, b);
-                match ca.cmp(&cb) {
-                    core::cmp::Ordering::Less => a,
-                    core::cmp::Ordering::Greater => b,
-                    core::cmp::Ordering::Equal => {
-                        let lo = ctx.adaptive_lo(true);
-                        let ia = ctx.ports.idle_count(Port::Dir(a), lo, ctx.num_vcs);
-                        let ib = ctx.ports.idle_count(Port::Dir(b), lo, ctx.num_vcs);
-                        match ia.cmp(&ib) {
-                            core::cmp::Ordering::Greater => a,
-                            core::cmp::Ordering::Less => b,
-                            core::cmp::Ordering::Equal => {
-                                if coin(rng) {
-                                    a
-                                } else {
-                                    b
-                                }
-                            }
-                        }
-                    }
-                }
+                let a_vs_b = cb.cmp(&ca).then_with(|| {
+                    let lo = ctx.adaptive_lo(true);
+                    let ia = ctx.ports.idle_count(Port::Dir(a), lo, ctx.num_vcs);
+                    let ib = ctx.ports.idle_count(Port::Dir(b), lo, ctx.num_vcs);
+                    ia.cmp(&ib)
+                });
+                prefer(a, b, a_vs_b, rng)
             }
         };
         // Oblivious VC selection: all adaptive VCs, equal priority.

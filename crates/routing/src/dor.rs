@@ -1,7 +1,8 @@
 //! Dimension-order routing (DOR) — the oblivious, deterministic baseline.
 
-use crate::algorithm::{coin, eject_requests, DirSet, WrapStrategy};
+use crate::algorithm::{eject_requests, prefer, DirSet, WrapStrategy};
 use crate::{Priority, RoutingAlgorithm, RoutingCtx, VcId, VcRequest, VcReallocationPolicy};
+use core::cmp::Ordering;
 use footprint_topology::{AnyTopology, NodeId, Port};
 use rand::RngCore;
 
@@ -76,18 +77,6 @@ impl RoutingAlgorithm for Dor {
         }
     }
 
-    fn injection_requests(
-        &self,
-        ctx: &RoutingCtx<'_>,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<VcRequest>,
-    ) {
-        let _ = rng;
-        for v in 0..ctx.num_vcs {
-            out.push(VcRequest::new(Port::Local, VcId::from_index(v), Priority::Low));
-        }
-    }
-
     fn allowed_dirs(&self, topo: AnyTopology, cur: NodeId, _src: NodeId, dest: NodeId) -> DirSet {
         let dirs = topo.minimal_dirs(cur, dest);
         dirs.x.or(dirs.y).into_iter().collect()
@@ -120,19 +109,12 @@ impl RoutingAlgorithm for RandomMinimal {
         if dirs.count() == 0 {
             return eject_requests(ctx, out);
         }
-        // Faulted or dead-end candidates are excluded; the coin is only
-        // consumed when both candidates survive, so a fault-free run draws
-        // the exact same RNG sequence as before the fault subsystem existed.
+        // Faulted or dead-end candidates are excluded.
         let ux = dirs.x.filter(|&d| ctx.usable(d));
         let uy = dirs.y.filter(|&d| ctx.usable(d));
         let dir = match (ux, uy) {
-            (Some(x), Some(y)) => {
-                if coin(rng) {
-                    x
-                } else {
-                    y
-                }
-            }
+            // No congestion awareness: two survivors always tie.
+            (Some(x), Some(y)) => prefer(x, y, Ordering::Equal, rng),
             (Some(d), None) | (None, Some(d)) => d,
             // Every productive direction is masked: stand down and wait
             // (the simulator's reachability gate keeps such packets from

@@ -1,6 +1,6 @@
 //! The Footprint routing algorithm — the paper's contribution (Algorithm 1).
 
-use crate::algorithm::{coin, eject_requests};
+use crate::algorithm::{eject_requests, prefer};
 use crate::{Priority, RoutingAlgorithm, RoutingCtx, VcId, VcRequest, VcReallocationPolicy};
 use footprint_topology::{Direction, NodeId, Port};
 use rand::RngCore;
@@ -120,8 +120,9 @@ impl Footprint {
     /// chosen port from its packed class masks ([`class_masks`]). Emission
     /// is class-grouped (idle block, then footprint, then busy — matching
     /// the listing) by ascending bit iteration; no intermediate lists and
-    /// no further port scans.
-    fn add_vc_requests(
+    /// no further port scans. The one statement of the tiering: the
+    /// [`crate::VcOverlay`] footprint rule calls it on `Footprint::new()`.
+    pub(crate) fn add_vc_requests(
         &self,
         ctx: &RoutingCtx<'_>,
         port: Port,
@@ -151,13 +152,7 @@ impl Footprint {
                 // Saturated, no footprint: request all adaptive VCs (line 37).
                 push(VcClass::Busy, Priority::Low, usize::MAX, out);
             }
-        } else if self.literal_tiering || fp == 0 {
-            // Intermediate load, no footprint (or literal mode): prioritize
-            // idle > footprint > busy (lines 40-42 as listed).
-            push(VcClass::Idle, Priority::Highest, usize::MAX, out);
-            push(VcClass::Footprint, Priority::High, fp_limit, out);
-            push(VcClass::Busy, Priority::Low, usize::MAX, out);
-        } else if fp >= idle {
+        } else if !self.literal_tiering && fp >= idle {
             // Intermediate load with a *dominant* footprint — the signature
             // of endpoint congestion (this destination already occupies as
             // many VCs as remain idle): follow the footprint instead of
@@ -169,10 +164,10 @@ impl Footprint {
             push(VcClass::Idle, Priority::High, usize::MAX, out);
             push(VcClass::Busy, Priority::Low, usize::MAX, out);
         } else {
-            // Intermediate load, footprint present but small relative to
-            // the idle pool (transient contention, not endpoint
-            // congestion): the listing's tiering — idle first, then
-            // footprint, then busy (lines 40-42).
+            // Intermediate load in literal mode, or with a footprint that
+            // is absent or small relative to the idle pool (transient
+            // contention, not endpoint congestion): the listing's tiering
+            // — idle first, then footprint, then busy (lines 40-42).
             push(VcClass::Idle, Priority::Highest, usize::MAX, out);
             push(VcClass::Footprint, Priority::High, fp_limit, out);
             push(VcClass::Busy, Priority::Low, usize::MAX, out);
@@ -285,9 +280,7 @@ impl RoutingAlgorithm for Footprint {
         // (Duato's theory permits this as long as the escape sub-network is
         // always requested; line 45 below guarantees that).
         // STEP 1: legal output ports. Faulted or dead-end channels drop
-        // out of the candidate set before selection; the coin is only
-        // consumed on a genuine two-way tie, so fault-free runs draw the
-        // same RNG sequence as before the fault subsystem existed.
+        // out of the candidate set before selection.
         let dirs = ctx.topo.minimal_dirs(ctx.current, ctx.dest);
         if dirs.count() == 0 {
             return eject_requests(ctx, out);
@@ -308,22 +301,9 @@ impl RoutingAlgorithm for Footprint {
                 let lo = ctx.adaptive_lo(true);
                 let mx = class_masks(ctx, Port::Dir(x), ctx.dest, lo);
                 let my = class_masks(ctx, Port::Dir(y), ctx.dest, lo);
-                let x_wins = match mx.idle_count().cmp(&my.idle_count()) {
-                    core::cmp::Ordering::Greater => true,
-                    core::cmp::Ordering::Less => false,
-                    core::cmp::Ordering::Equal => {
-                        match mx.footprint_count().cmp(&my.footprint_count()) {
-                            core::cmp::Ordering::Greater => true,
-                            core::cmp::Ordering::Less => false,
-                            core::cmp::Ordering::Equal => coin(rng),
-                        }
-                    }
-                };
-                if x_wins {
-                    (x, mx)
-                } else {
-                    (y, my)
-                }
+                let x_vs_y = (mx.idle_count().cmp(&my.idle_count()))
+                    .then_with(|| mx.footprint_count().cmp(&my.footprint_count()));
+                prefer((x, mx), (y, my), x_vs_y, rng)
             }
         };
         // STEP 3: VC requests on the chosen port.

@@ -12,8 +12,9 @@
 //!   routing, Duato escape channel, side-band congestion selection).
 //! * [`OddEven`] — the partially adaptive turn-model baseline.
 //! * [`Dor`] — dimension-order routing, the deterministic baseline.
-//! * [`Xordet`] — the static HoL-blocking-aware VC mapping, composable with
-//!   any of the above (`DOR+XORDET`, `Odd-Even+XORDET`, `DBAR+XORDET`).
+//! * [`VcOverlay`] — a VC rule layered over any of the above: the static
+//!   HoL-blocking-aware XORDET mapping (`DOR+XORDET`, `Odd-Even+XORDET`,
+//!   `DBAR+XORDET`), VOQ_sw, or Footprint's own VC tiering.
 //!
 //! A routing decision is not a single output; it is a **prioritized set of
 //! VC requests** ([`VcRequest`]) handed to the router's priority-based VC
@@ -77,7 +78,7 @@ pub use dor::{Dor, RandomMinimal};
 pub use footprint::Footprint;
 pub use invariant::{escape_request, escape_request_within, neighbor_checked, InvariantError};
 pub use odd_even::OddEven;
-pub use overlay::FootprintOverlay;
+pub use overlay::{VcOverlay, VcRule};
 pub use request::{Priority, VcId, VcRequest};
 pub use spec::{ParseRoutingSpecError, RoutingSpec};
 pub use turn_model::{NorthLast, WestFirst};
@@ -85,5 +86,5 @@ pub use view::{
     AllLinksUp, CongestionView, DownLinks, LinkStateView, NoCongestionInfo, PortStateView,
     TablePortView, VcClass, VcView,
 };
-pub use voqsw::{dor_output_port, VoqSw};
-pub use xordet::{xordet_class, Xordet};
+pub use voqsw::dor_output_port;
+pub use xordet::xordet_class;

@@ -1,9 +1,9 @@
 //! The Odd-Even turn model (Chiu, 2000) — the paper's partially adaptive
 //! baseline.
 
-use crate::algorithm::{coin, eject_requests, DirSet};
-use crate::{Priority, RoutingAlgorithm, RoutingCtx, VcId, VcRequest, VcReallocationPolicy};
-use footprint_topology::{AnyTopology, Direction, NodeId, Port};
+use crate::algorithm::{select_and_request, DirSet};
+use crate::{RoutingAlgorithm, RoutingCtx, VcRequest, VcReallocationPolicy};
+use footprint_topology::{AnyTopology, Direction, NodeId};
 use rand::RngCore;
 
 /// Minimal Odd-Even adaptive routing.
@@ -98,49 +98,8 @@ impl RoutingAlgorithm for OddEven {
     }
 
     fn route(&self, ctx: &RoutingCtx<'_>, rng: &mut dyn RngCore, out: &mut Vec<VcRequest>) {
-        if ctx.current == ctx.dest {
-            return eject_requests(ctx, out);
-        }
         let legal = Self::legal_dirs(ctx.topo, ctx.current, ctx.src, ctx.dest);
-        // Faulted candidates drop out of the turn-model set; the coin is
-        // only consumed on a genuine two-way tie, preserving the fault-free
-        // RNG sequence.
-        let mut it = legal.iter().filter(|&d| ctx.usable(d));
-        let dir = match (it.next(), it.next()) {
-            // Every legal direction is masked: stand down and wait.
-            (None, _) => return,
-            (Some(d), None) => d,
-            (Some(a), Some(b)) => {
-                // Select by idle-VC count; random tie-break.
-                let ia = ctx.ports.idle_count(Port::Dir(a), 0, ctx.num_vcs);
-                let ib = ctx.ports.idle_count(Port::Dir(b), 0, ctx.num_vcs);
-                match ia.cmp(&ib) {
-                    core::cmp::Ordering::Greater => a,
-                    core::cmp::Ordering::Less => b,
-                    core::cmp::Ordering::Equal => {
-                        if coin(rng) {
-                            a
-                        } else {
-                            b
-                        }
-                    }
-                }
-            }
-        };
-        for v in 0..ctx.num_vcs {
-            out.push(VcRequest::new(Port::Dir(dir), VcId::from_index(v), Priority::Low));
-        }
-    }
-
-    fn injection_requests(
-        &self,
-        ctx: &RoutingCtx<'_>,
-        _rng: &mut dyn RngCore,
-        out: &mut Vec<VcRequest>,
-    ) {
-        for v in 0..ctx.num_vcs {
-            out.push(VcRequest::new(Port::Local, VcId::from_index(v), Priority::Low));
-        }
+        select_and_request(ctx, legal, rng, out);
     }
 
     fn allowed_dirs(&self, topo: AnyTopology, cur: NodeId, src: NodeId, dest: NodeId) -> DirSet {
@@ -270,7 +229,7 @@ mod tests {
 
     #[test]
     fn route_excludes_faulted_directions() {
-        use crate::{DownLinks, NoCongestionInfo, TablePortView};
+        use crate::{DownLinks, NoCongestionInfo, TablePortView, VcId};
         use footprint_topology::Port;
         use rand::rngs::SmallRng;
         use rand::SeedableRng;

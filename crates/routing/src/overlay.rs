@@ -1,105 +1,107 @@
-//! Footprint VC selection as a composable overlay — operationalizing §5's
-//! claim that "the Footprint approach is not limited to any particular
-//! routing algorithm".
+//! VC-selection rules as a composable overlay on any port selector — the
+//! paper's own structure: its evaluation layers XORDET over three port
+//! selectors, and §5 claims that "the Footprint approach is not limited to
+//! any particular routing algorithm".
 //!
-//! [`FootprintOverlay`] keeps the *port* decisions of any inner algorithm
-//! and re-prioritizes its VC requests with the footprint classification of
-//! Algorithm 1's step 3 (idle / footprint / busy, congestion-gated). The
-//! overlay adds only VC *preferences* — no new channel dependencies — so
-//! the inner algorithm's deadlock-freedom argument carries over unchanged.
+//! [`VcOverlay`] keeps the *port* decisions of an inner algorithm and
+//! replaces the VCs it requested on each port by one of three
+//! [`VcRule`]s. A rule only narrows or re-prioritizes the VCs of ports the
+//! inner algorithm already chose — no new channel dependencies — so on
+//! meshes the inner algorithm's deadlock-freedom argument carries over
+//! unchanged.
 
-use crate::footprint::{class_masks, push_mask_class, VcClass};
+use crate::footprint::class_masks;
 use crate::{
-    DirSet, Priority, RoutingAlgorithm, RoutingCtx, VcId, VcRequest, VcReallocationPolicy,
+    voqsw, xordet, DirSet, Footprint, Priority, RoutingAlgorithm, RoutingCtx, VcReallocationPolicy,
+    VcRequest, VcSelection, WrapStrategy,
 };
 use footprint_topology::{AnyTopology, NodeId, Port, PORT_COUNT};
 use rand::RngCore;
 
-/// Wraps a routing algorithm with footprint-prioritized VC selection.
-///
-/// For every port the inner algorithm requested, the overlay classifies
-/// that port's usable VCs (preserving the inner algorithm's escape VC, if
-/// any) and re-emits them with Algorithm-1 step-3 priorities. Combined with
-/// e.g. Odd-Even this yields "Odd-Even + Footprint": partial port
-/// adaptiveness with full VC adaptiveness.
+/// The VC rule a [`VcOverlay`] applies on every port its inner algorithm
+/// requested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FootprintOverlay<A> {
+pub enum VcRule {
+    /// The XORDET static destination→VC mapping ([`crate::xordet_class`]):
+    /// one VC per port, e.g. `DBAR + XORDET` in the paper's evaluation.
+    Xordet,
+    /// The VOQ_sw mapping: one VC per port, chosen by the packet's output
+    /// port at the downstream router ([`crate::dor_output_port`]).
+    VoqSw,
+    /// Footprint's Algorithm 1 step 3 (idle / footprint / busy tiers,
+    /// congestion-gated) with [`Footprint::new`]'s configuration. Over
+    /// e.g. Odd-Even this yields "Odd-Even + Footprint": partial port
+    /// adaptiveness with full VC adaptiveness.
+    Footprint,
+}
+
+/// Wraps a routing algorithm and replaces its VC selection by a [`VcRule`].
+/// Port selection, the reallocation policy and the escape mechanism (whose
+/// requests pass through untouched) come from the inner algorithm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VcOverlay<A> {
     inner: A,
+    rule: VcRule,
     name: &'static str,
 }
 
-impl<A: RoutingAlgorithm> FootprintOverlay<A> {
-    /// Wraps `inner` under a display name (e.g. `"odd-even+footprint"`).
-    pub fn new(inner: A, name: &'static str) -> Self {
-        FootprintOverlay { inner, name }
+impl<A: RoutingAlgorithm> VcOverlay<A> {
+    /// Wraps `inner` under a display name (e.g. `"dbar+xordet"`).
+    pub fn new(inner: A, rule: VcRule, name: &'static str) -> Self {
+        VcOverlay { inner, rule, name }
     }
 
-    /// Step-3 reclassification of the tail `reqs[start..]`, rewritten in
-    /// place — this runs per packet per cycle, so no temporary lists.
+    /// Rewrites the requests appended after `start`: escape requests pass
+    /// through, every other port keeps only the VCs the rule gives it.
     ///
-    /// Escape requests are compacted (order-preserving) to the front of
-    /// the tail during the scan, the reclassified per-port requests are
-    /// appended behind them, and a final rotation restores the
-    /// `[reclassified..., escapes...]` layout of the original code.
-    fn reprioritize(&self, ctx: &RoutingCtx<'_>, reqs: &mut Vec<VcRequest>, start: usize) {
+    /// Only the tail `reqs[start..]` is touched: the routing buffer is
+    /// shared by every requester at a router, and earlier entries belong to
+    /// other packets. The rewrite is in place (per-port state lives in a
+    /// fixed array) — this runs per packet per cycle, so it must not
+    /// allocate: escapes are compacted to the front of the tail, the
+    /// per-port requests appended, and a final rotation puts the tail in
+    /// `[by rule..., escapes...]` order.
+    fn remap(&self, ctx: &RoutingCtx<'_>, reqs: &mut Vec<VcRequest>, start: usize) {
         let lo = ctx.adaptive_lo(self.inner.has_escape());
-        let has_escape = self.inner.has_escape();
-        // Distinct requested ports in first-seen order; escape requests
-        // preserved verbatim.
-        let mut seen = [false; PORT_COUNT];
-        let mut port_order = [Port::Local; PORT_COUNT];
+        // Requested ports in first-seen order, each with the highest
+        // priority the inner algorithm gave it.
+        let mut ports = [(Port::Local, Priority::Lowest); PORT_COUNT];
         let mut num_ports = 0;
         let mut write = start;
         for read in start..reqs.len() {
             let r = reqs[read];
-            if has_escape && r.vc == VcId::ESCAPE {
+            if r.vc.index() < lo {
                 reqs[write] = r;
                 write += 1;
-            } else if !seen[r.port.index()] {
-                seen[r.port.index()] = true;
-                port_order[num_ports] = r.port;
+            } else if let Some(seen) = ports[..num_ports].iter_mut().find(|p| p.0 == r.port) {
+                seen.1 = seen.1.max(r.priority);
+            } else {
+                ports[num_ports] = (r.port, r.priority);
                 num_ports += 1;
             }
         }
         let num_escapes = write - start;
         reqs.truncate(write);
-        for &port in &port_order[..num_ports] {
-            let masks = class_masks(ctx, port, ctx.dest, lo);
-            let (idle, fp) = (masks.idle_count(), masks.footprint_count());
-            let threshold = ctx.num_vcs / 2;
-            let push = |class, priority, reqs: &mut Vec<VcRequest>| {
-                push_mask_class(port, masks, class, priority, usize::MAX, reqs);
-            };
-            if idle >= threshold {
-                push(VcClass::Idle, Priority::Low, reqs);
-                push(VcClass::Footprint, Priority::Low, reqs);
-                push(VcClass::Busy, Priority::Low, reqs);
-            } else if idle == 0 && fp > 0 {
-                push(VcClass::Footprint, Priority::High, reqs);
-            } else if fp >= idle && fp > 0 {
-                push(VcClass::Footprint, Priority::Highest, reqs);
-                push(VcClass::Idle, Priority::High, reqs);
-                push(VcClass::Busy, Priority::Low, reqs);
-            } else {
-                push(VcClass::Idle, Priority::Highest, reqs);
-                push(VcClass::Footprint, Priority::High, reqs);
-                push(VcClass::Busy, Priority::Low, reqs);
-            }
-            // Guard against a degenerate empty request set (e.g. a
-            // saturated port with no usable VC classes): fall back to every
-            // usable VC at Low.
-            if reqs.len() == start && num_escapes == 0 {
-                for v in lo..ctx.num_vcs {
-                    reqs.push(VcRequest::new(port, VcId::from_index(v), Priority::Low));
+        for &(port, pri) in &ports[..num_ports] {
+            match self.rule {
+                VcRule::Xordet => {
+                    reqs.push(VcRequest::new(port, xordet::mapped_vc(ctx, lo, ctx.dest), pri));
+                }
+                VcRule::VoqSw => {
+                    reqs.push(VcRequest::new(port, voqsw::mapped_vc(ctx, lo, port, ctx.dest), pri));
+                }
+                VcRule::Footprint => {
+                    let masks = class_masks(ctx, port, ctx.dest, lo);
+                    Footprint::new().add_vc_requests(ctx, port, masks, reqs);
                 }
             }
         }
-        // [escapes..., reclassified...] → [reclassified..., escapes...].
+        // [escapes..., by rule...] → [by rule..., escapes...].
         reqs[start..].rotate_left(num_escapes);
     }
 }
 
-impl<A: RoutingAlgorithm> RoutingAlgorithm for FootprintOverlay<A> {
+impl<A: RoutingAlgorithm> RoutingAlgorithm for VcOverlay<A> {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -112,14 +114,32 @@ impl<A: RoutingAlgorithm> RoutingAlgorithm for FootprintOverlay<A> {
         self.inner.has_escape()
     }
 
-    fn vc_selection(&self) -> crate::VcSelection {
-        crate::VcSelection::Adaptive
+    fn allows_footprint_join(&self) -> bool {
+        // A static mapping relies on same-class packets sharing a VC, so
+        // they must be able to queue behind each other even under an
+        // atomic inner policy, mirroring how XORDET deployments dedicate
+        // the VC to the class. The footprint rule claims VCs through
+        // standing requests, as `Footprint::new()` does.
+        self.rule != VcRule::Footprint
     }
 
-    fn wrap_strategy(&self) -> crate::WrapStrategy {
-        // The overlay adds VC preferences, not channel dependencies, so the
-        // inner algorithm's wrap argument carries over unchanged.
-        self.inner.wrap_strategy()
+    fn vc_selection(&self) -> VcSelection {
+        match self.rule {
+            VcRule::Xordet | VcRule::VoqSw => VcSelection::StaticMapped,
+            VcRule::Footprint => VcSelection::Adaptive,
+        }
+    }
+
+    fn wrap_strategy(&self) -> WrapStrategy {
+        match self.rule {
+            // A static collapse to one VC per port discards the
+            // dateline/escape VC freedom the wrap arguments rely on, so
+            // XORDET and VOQ_sw stay mesh-only.
+            VcRule::Xordet | VcRule::VoqSw => WrapStrategy::Unsupported,
+            // VC preferences within the inner algorithm's own range leave
+            // its wrap argument intact.
+            VcRule::Footprint => self.inner.wrap_strategy(),
+        }
     }
 
     fn route(&self, ctx: &RoutingCtx<'_>, rng: &mut dyn RngCore, out: &mut Vec<VcRequest>) {
@@ -128,7 +148,7 @@ impl<A: RoutingAlgorithm> RoutingAlgorithm for FootprintOverlay<A> {
         if ctx.current == ctx.dest {
             return; // ejection untouched
         }
-        self.reprioritize(ctx, out, start);
+        self.remap(ctx, out, start);
     }
 
     fn injection_requests(
@@ -139,7 +159,7 @@ impl<A: RoutingAlgorithm> RoutingAlgorithm for FootprintOverlay<A> {
     ) {
         let start = out.len();
         self.inner.injection_requests(ctx, rng, out);
-        self.reprioritize(ctx, out, start);
+        self.remap(ctx, out, start);
     }
 
     fn allowed_dirs(&self, topo: AnyTopology, cur: NodeId, src: NodeId, dest: NodeId) -> DirSet {
@@ -150,7 +170,7 @@ impl<A: RoutingAlgorithm> RoutingAlgorithm for FootprintOverlay<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NoCongestionInfo, OddEven, TablePortView, VcView};
+    use crate::{NoCongestionInfo, OddEven, TablePortView, VcId, VcView};
     use footprint_topology::{Direction, Mesh};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -192,7 +212,7 @@ mod tests {
         }
         let cong = NoCongestionInfo;
         let ctx = mk_ctx(&view, &cong);
-        let algo = FootprintOverlay::new(OddEven, "odd-even+footprint");
+        let algo = VcOverlay::new(OddEven, VcRule::Footprint, "odd-even+footprint");
         let mut rng = SmallRng::seed_from_u64(1);
         let mut out = Vec::new();
         algo.route(&ctx, &mut rng, &mut out);
@@ -213,7 +233,7 @@ mod tests {
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
         let ctx = mk_ctx(&view, &cong);
-        let algo = FootprintOverlay::new(OddEven, "odd-even+footprint");
+        let algo = VcOverlay::new(OddEven, VcRule::Footprint, "odd-even+footprint");
         let mut rng = SmallRng::seed_from_u64(1);
         let mut out = Vec::new();
         algo.route(&ctx, &mut rng, &mut out);
@@ -223,11 +243,11 @@ mod tests {
 
     #[test]
     fn delegates_structure_to_inner() {
-        let algo = FootprintOverlay::new(OddEven, "odd-even+footprint");
+        let algo = VcOverlay::new(OddEven, VcRule::Footprint, "odd-even+footprint");
         assert_eq!(algo.name(), "odd-even+footprint");
         assert_eq!(algo.policy(), VcReallocationPolicy::NonAtomic);
         assert!(!algo.has_escape());
-        assert_eq!(algo.vc_selection(), crate::VcSelection::Adaptive);
+        assert_eq!(algo.vc_selection(), VcSelection::Adaptive);
         let mesh = Mesh::square(8);
         assert_eq!(
             algo.allowed_dirs(mesh.into(), NodeId(0), NodeId(0), NodeId(63)),
@@ -241,7 +261,7 @@ mod tests {
         let cong = NoCongestionInfo;
         let mut ctx = mk_ctx(&view, &cong);
         ctx.current = ctx.dest;
-        let algo = FootprintOverlay::new(OddEven, "odd-even+footprint");
+        let algo = VcOverlay::new(OddEven, VcRule::Footprint, "odd-even+footprint");
         let mut rng = SmallRng::seed_from_u64(1);
         let mut out = Vec::new();
         algo.route(&ctx, &mut rng, &mut out);

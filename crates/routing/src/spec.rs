@@ -2,8 +2,8 @@
 //! Table 2 plus reference extras.
 
 use crate::{
-    Dbar, Dor, Footprint, FootprintOverlay, NorthLast, OddEven, RandomMinimal, RoutingAlgorithm,
-    VoqSw, WestFirst, WrapStrategy, Xordet,
+    Dbar, Dor, Footprint, NorthLast, OddEven, RandomMinimal, RoutingAlgorithm, VcOverlay, VcRule,
+    WestFirst, WrapStrategy,
 };
 use core::fmt;
 use core::str::FromStr;
@@ -66,23 +66,25 @@ impl RoutingSpec {
         RoutingSpec::DorXordet,
     ];
 
-    /// Instantiates the algorithm.
+    /// Instantiates the algorithm: one of seven port selectors, bare or
+    /// under a [`VcOverlay`] rule that takes its name from [`Self::name`].
     pub fn build(self) -> Box<dyn RoutingAlgorithm> {
+        let name = self.name();
         match self {
             RoutingSpec::Footprint => Box::new(Footprint::new()),
             RoutingSpec::Dbar => Box::new(Dbar),
             RoutingSpec::OddEven => Box::new(OddEven),
             RoutingSpec::Dor => Box::new(Dor),
-            RoutingSpec::DbarXordet => Box::new(Xordet::new(Dbar, "dbar+xordet")),
-            RoutingSpec::OddEvenXordet => Box::new(Xordet::new(OddEven, "odd-even+xordet")),
-            RoutingSpec::DorXordet => Box::new(Xordet::new(Dor, "dor+xordet")),
+            RoutingSpec::DbarXordet => Box::new(VcOverlay::new(Dbar, VcRule::Xordet, name)),
+            RoutingSpec::OddEvenXordet => Box::new(VcOverlay::new(OddEven, VcRule::Xordet, name)),
+            RoutingSpec::DorXordet => Box::new(VcOverlay::new(Dor, VcRule::Xordet, name)),
             RoutingSpec::RandomMinimal => Box::new(RandomMinimal),
             RoutingSpec::WestFirst => Box::new(WestFirst),
             RoutingSpec::NorthLast => Box::new(NorthLast),
-            RoutingSpec::DorVoqSw => Box::new(VoqSw::new(Dor, "dor+voqsw")),
-            RoutingSpec::DbarVoqSw => Box::new(VoqSw::new(Dbar, "dbar+voqsw")),
+            RoutingSpec::DorVoqSw => Box::new(VcOverlay::new(Dor, VcRule::VoqSw, name)),
+            RoutingSpec::DbarVoqSw => Box::new(VcOverlay::new(Dbar, VcRule::VoqSw, name)),
             RoutingSpec::OddEvenFootprint => {
-                Box::new(FootprintOverlay::new(OddEven, "odd-even+footprint"))
+                Box::new(VcOverlay::new(OddEven, VcRule::Footprint, name))
             }
         }
     }

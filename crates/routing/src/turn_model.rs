@@ -7,50 +7,10 @@
 //! adaptiveness is asymmetric by construction: fully adaptive for some
 //! quadrants, deterministic for others).
 
-use crate::algorithm::{coin, eject_requests, DirSet};
-use crate::{Priority, RoutingAlgorithm, RoutingCtx, VcId, VcRequest, VcReallocationPolicy};
-use footprint_topology::{AnyTopology, Direction, NodeId, Port};
+use crate::algorithm::{select_and_request, DirSet};
+use crate::{RoutingAlgorithm, RoutingCtx, VcRequest, VcReallocationPolicy};
+use footprint_topology::{AnyTopology, Direction, NodeId};
 use rand::RngCore;
-
-/// Selects among up to two allowed directions by idle-VC count with a
-/// random tie-break, then requests every VC on the chosen port (the
-/// selection rule the paper uses for Odd-Even).
-fn select_and_request(
-    ctx: &RoutingCtx<'_>,
-    legal: DirSet,
-    rng: &mut dyn RngCore,
-    out: &mut Vec<VcRequest>,
-) {
-    if ctx.current == ctx.dest {
-        return eject_requests(ctx, out);
-    }
-    // Faulted candidates drop out of the turn-model set; the coin is only
-    // consumed on a genuine two-way tie (fault-free RNG sequence intact).
-    let mut it = legal.iter().filter(|&d| ctx.usable(d));
-    let dir = match (it.next(), it.next()) {
-        // Every legal direction is masked: stand down and wait.
-        (None, _) => return,
-        (Some(d), None) => d,
-        (Some(a), Some(b)) => {
-            let ia = ctx.ports.idle_count(Port::Dir(a), 0, ctx.num_vcs);
-            let ib = ctx.ports.idle_count(Port::Dir(b), 0, ctx.num_vcs);
-            match ia.cmp(&ib) {
-                core::cmp::Ordering::Greater => a,
-                core::cmp::Ordering::Less => b,
-                core::cmp::Ordering::Equal => {
-                    if coin(rng) {
-                        a
-                    } else {
-                        b
-                    }
-                }
-            }
-        }
-    };
-    for v in 0..ctx.num_vcs {
-        out.push(VcRequest::new(Port::Dir(dir), VcId::from_index(v), Priority::Low));
-    }
-}
 
 /// West-First turn model: all turns *into* West are banned, so any westward
 /// travel must happen first. Eastbound packets are fully adaptive;
@@ -96,17 +56,6 @@ impl RoutingAlgorithm for WestFirst {
     fn route(&self, ctx: &RoutingCtx<'_>, rng: &mut dyn RngCore, out: &mut Vec<VcRequest>) {
         let legal = Self::legal_dirs(ctx.topo, ctx.current, ctx.dest);
         select_and_request(ctx, legal, rng, out);
-    }
-
-    fn injection_requests(
-        &self,
-        ctx: &RoutingCtx<'_>,
-        _rng: &mut dyn RngCore,
-        out: &mut Vec<VcRequest>,
-    ) {
-        for v in 0..ctx.num_vcs {
-            out.push(VcRequest::new(Port::Local, VcId::from_index(v), Priority::Low));
-        }
     }
 
     fn allowed_dirs(&self, topo: AnyTopology, cur: NodeId, _src: NodeId, dest: NodeId) -> DirSet {
@@ -159,17 +108,6 @@ impl RoutingAlgorithm for NorthLast {
     fn route(&self, ctx: &RoutingCtx<'_>, rng: &mut dyn RngCore, out: &mut Vec<VcRequest>) {
         let legal = Self::legal_dirs(ctx.topo, ctx.current, ctx.dest);
         select_and_request(ctx, legal, rng, out);
-    }
-
-    fn injection_requests(
-        &self,
-        ctx: &RoutingCtx<'_>,
-        _rng: &mut dyn RngCore,
-        out: &mut Vec<VcRequest>,
-    ) {
-        for v in 0..ctx.num_vcs {
-            out.push(VcRequest::new(Port::Local, VcId::from_index(v), Priority::Low));
-        }
     }
 
     fn allowed_dirs(&self, topo: AnyTopology, cur: NodeId, _src: NodeId, dest: NodeId) -> DirSet {

@@ -95,38 +95,17 @@ pub trait PortStateView {
             .count()
     }
 
-    /// Number of footprint VCs for `dest` at `port` among `[lo, hi)`.
-    fn footprint_count(&self, port: Port, dest: NodeId, lo: usize, hi: usize) -> usize {
-        (lo..hi)
-            .filter(|&v| self.vc(port, VcId::from_index(v)).is_footprint_for(dest))
-            .count()
-    }
-
-    /// Per-class VC counts `(idle, footprint, busy)` for destination `dest`
-    /// at `port` among `[lo, hi)` — one bulk call instead of a virtual
-    /// [`PortStateView::vc`] dispatch per VC. Backing stores with contiguous
-    /// per-port state override this with a flat array scan; the default
-    /// walks `vc` so table-backed test views stay correct for free.
-    fn class_counts(&self, port: Port, dest: NodeId, lo: usize, hi: usize) -> (usize, usize, usize) {
-        let (mut idle, mut fp, mut busy) = (0, 0, 0);
-        for v in lo..hi {
-            match self.vc(port, VcId::from_index(v)).class_for(dest) {
-                VcClass::Idle => idle += 1,
-                VcClass::Footprint => fp += 1,
-                VcClass::Busy => busy += 1,
-            }
-        }
-        (idle, fp, busy)
-    }
-
     /// Packed per-class VC bitmasks for destination `dest` at `port` over
     /// `[lo, hi)`: bit `v` of the first mask marks an idle VC, of the
     /// second a footprint VC; busy VCs are the remaining bits of the
-    /// range. One bulk call replaces a count pass plus one emission pass
-    /// per class — callers derive counts with `count_ones` and emit
-    /// requests by ascending bit iteration, which preserves the VC-index
-    /// order the per-class scans produce. Requires `hi <= 64` (the
-    /// simulator's VC-count ceiling).
+    /// range. One bulk call per port instead of a virtual
+    /// [`PortStateView::vc`] dispatch per VC — callers derive the class
+    /// counts with `count_ones` and emit requests by ascending bit
+    /// iteration (grant arbitration depends on that VC-index order).
+    /// Backing stores with contiguous per-port state override this with a
+    /// flat array scan; the default walks `vc` so table-backed test views
+    /// stay correct for free. Requires `hi <= 64` (the simulator's
+    /// VC-count ceiling).
     fn class_masks(&self, port: Port, dest: NodeId, lo: usize, hi: usize) -> (u64, u64) {
         debug_assert!(hi <= 64, "class_masks packs VC indices into u64 bits");
         let (mut idle, mut fp) = (0u64, 0u64);
@@ -138,35 +117,6 @@ pub trait PortStateView {
             }
         }
         (idle, fp)
-    }
-
-    /// Calls `emit` for every VC of `class` at `port` within `[lo, hi)` in
-    /// VC-index order, at most `limit` of them. The bulk counterpart of the
-    /// per-class request-emission scans in Algorithm 1 step 3; overriding
-    /// implementations must preserve the ascending VC order (grant
-    /// arbitration depends on request order).
-    #[allow(clippy::too_many_arguments)]
-    fn for_each_in_class(
-        &self,
-        port: Port,
-        dest: NodeId,
-        lo: usize,
-        hi: usize,
-        class: VcClass,
-        limit: usize,
-        emit: &mut dyn FnMut(VcId),
-    ) {
-        let mut emitted = 0;
-        for v in lo..hi {
-            if emitted >= limit {
-                break;
-            }
-            let vc = VcId::from_index(v);
-            if self.vc(port, vc).class_for(dest) == class {
-                emit(vc);
-                emitted += 1;
-            }
-        }
     }
 }
 
@@ -364,8 +314,8 @@ mod tests {
         );
         assert_eq!(t.idle_count(e, 0, 4), 1);
         assert_eq!(t.idle_count(e, 1, 4), 0);
-        assert_eq!(t.footprint_count(e, NodeId(7), 0, 4), 1);
-        assert_eq!(t.footprint_count(e, NodeId(8), 0, 4), 0);
+        assert_eq!(t.class_masks(e, NodeId(7), 0, 4), (0b0001, 0b0010));
+        assert_eq!(t.class_masks(e, NodeId(8), 0, 4), (0b0001, 0));
     }
 
     #[test]

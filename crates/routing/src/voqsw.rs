@@ -6,13 +6,11 @@
 //! through different outputs. The paper configured 10 VCs per channel
 //! partly "to facilitate the implementation of VOQ_sw" (two VCs per output
 //! port of a 5-port router), though it reports XORDET results instead.
-//! This implementation completes that comparison point.
+//! This implementation completes that comparison point, as the
+//! [`crate::VcRule::VoqSw`] rule of [`crate::VcOverlay`].
 
-use crate::{
-    DirSet, Priority, RoutingAlgorithm, RoutingCtx, VcId, VcRequest, VcReallocationPolicy,
-};
+use crate::{RoutingCtx, VcId};
 use footprint_topology::{AnyTopology, NodeId, Port, PORT_COUNT};
-use rand::RngCore;
 
 /// The output port a packet will take at router `node` under
 /// dimension-order routing (`Local` at the destination). This is the
@@ -27,154 +25,43 @@ pub fn dor_output_port(topo: impl Into<AnyTopology>, node: NodeId, dest: NodeId)
     }
 }
 
-/// Wraps a routing algorithm and replaces its VC selection with a VOQ_sw
-/// mapping: the VC on each channel is chosen by the packet's output port at
-/// the *downstream* router, so packets leaving through different switch
+/// The VC that VOQ_sw maps a packet to on the channel out of `port` when
+/// the mappable VCs start at `lo` (past the escape VC of a Duato-based
+/// inner algorithm): the VC is chosen by the packet's output port at the
+/// *downstream* router, so packets leaving through different switch
 /// outputs never share a VC FIFO.
 ///
-/// With `V` VCs per channel, each of the five downstream outputs gets
-/// `⌊V/5⌋`-or-so VCs (`class * range / PORT_COUNT` striping). The escape VC
-/// of Duato-based inner algorithms is preserved untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VoqSw<A> {
-    inner: A,
-    name: &'static str,
-}
-
-impl<A: RoutingAlgorithm> VoqSw<A> {
-    /// Wraps `inner`, giving the combination a display name (e.g.
-    /// `"dor+voqsw"`).
-    pub fn new(inner: A, name: &'static str) -> Self {
-        VoqSw { inner, name }
-    }
-
-    /// The VC that VOQ_sw maps a packet to on the channel out of `port`,
-    /// given the algorithm's VC layout.
-    pub fn mapped_vc(&self, ctx: &RoutingCtx<'_>, port: Port, dest: NodeId) -> VcId {
-        let lo = ctx.adaptive_lo(self.inner.has_escape());
-        let range = ctx.num_vcs - lo;
-        debug_assert!(range > 0, "VOQ_sw needs at least one mappable VC");
-        let downstream = match port {
-            Port::Local => dest, // injection: the local router itself
-            Port::Dir(d) => {
-                match crate::invariant::neighbor_checked(ctx.topo, ctx.current, d) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        // Minimal ports always have a neighbor; degrade to
-                        // the local class instead of aborting the sweep.
-                        crate::invariant::report_violation(&e);
-                        ctx.current
-                    }
-                }
-            }
-        };
-        let class = dor_output_port(ctx.topo, downstream, dest).index();
-        // Stripe the available VCs across the five output classes.
-        VcId::from_index(lo + class * range / PORT_COUNT)
-    }
-
-    /// Rewrites the tail `reqs[start..]` so each port requests only its
-    /// VOQ_sw VC (escape requests pass through).
-    ///
-    /// In-place rewrite, same scheme as `Xordet::remap`: per-port state in
-    /// fixed arrays, escapes compacted to the front of the tail, mapped
-    /// requests appended, then a rotation restores the
-    /// `[mapped..., escapes...]` order — no per-call allocation.
-    fn remap(&self, ctx: &RoutingCtx<'_>, reqs: &mut Vec<VcRequest>, start: usize) {
-        let has_escape = self.inner.has_escape();
-        // Highest priority seen per port, ports kept in first-seen order.
-        let mut best: [Option<Priority>; PORT_COUNT] = [None; PORT_COUNT];
-        let mut port_order = [Port::Local; PORT_COUNT];
-        let mut num_ports = 0;
-        let mut write = start;
-        for read in start..reqs.len() {
-            let r = reqs[read];
-            if has_escape && r.vc == VcId::ESCAPE {
-                reqs[write] = r;
-                write += 1;
-                continue;
-            }
-            let slot = &mut best[r.port.index()];
-            match slot {
-                Some(pri) => *pri = (*pri).max(r.priority),
-                None => {
-                    *slot = Some(r.priority);
-                    port_order[num_ports] = r.port;
-                    num_ports += 1;
+/// With `V` mappable VCs, each of the five downstream outputs gets
+/// `⌊V/5⌋`-or-so of them (`class * range / PORT_COUNT` striping).
+pub(crate) fn mapped_vc(ctx: &RoutingCtx<'_>, lo: usize, port: Port, dest: NodeId) -> VcId {
+    let range = ctx.num_vcs - lo;
+    debug_assert!(range > 0, "VOQ_sw needs at least one mappable VC");
+    let downstream = match port {
+        Port::Local => dest, // injection: the local router itself
+        Port::Dir(d) => {
+            match crate::invariant::neighbor_checked(ctx.topo, ctx.current, d) {
+                Ok(n) => n,
+                Err(e) => {
+                    // Minimal ports always have a neighbor; degrade to
+                    // the local class instead of aborting the sweep.
+                    crate::invariant::report_violation(&e);
+                    ctx.current
                 }
             }
         }
-        let num_escapes = write - start;
-        reqs.truncate(write);
-        for &port in &port_order[..num_ports] {
-            // Listed ports always have a recorded priority; skip (rather
-            // than panic) if that bookkeeping is ever violated.
-            let Some(pri) = best[port.index()] else { continue };
-            let vc = self.mapped_vc(ctx, port, ctx.dest);
-            reqs.push(VcRequest::new(port, vc, pri));
-        }
-        // [escapes..., mapped...] → [mapped..., escapes...].
-        reqs[start..].rotate_left(num_escapes);
-    }
-}
-
-impl<A: RoutingAlgorithm> RoutingAlgorithm for VoqSw<A> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn policy(&self) -> VcReallocationPolicy {
-        self.inner.policy()
-    }
-
-    fn has_escape(&self) -> bool {
-        self.inner.has_escape()
-    }
-
-    fn allows_footprint_join(&self) -> bool {
-        // Same rationale as XORDET: the class VC must admit queued packets.
-        true
-    }
-
-    fn vc_selection(&self) -> crate::VcSelection {
-        crate::VcSelection::StaticMapped
-    }
-
-    fn wrap_strategy(&self) -> crate::WrapStrategy {
-        // Same restriction as XORDET: the static per-output VC classes
-        // leave no room for dateline classes, so VOQ_sw stays mesh-only.
-        crate::WrapStrategy::Unsupported
-    }
-
-    fn route(&self, ctx: &RoutingCtx<'_>, rng: &mut dyn RngCore, out: &mut Vec<VcRequest>) {
-        let start = out.len();
-        self.inner.route(ctx, rng, out);
-        if ctx.current == ctx.dest {
-            return; // ejection: no remapping
-        }
-        self.remap(ctx, out, start);
-    }
-
-    fn injection_requests(
-        &self,
-        ctx: &RoutingCtx<'_>,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<VcRequest>,
-    ) {
-        let start = out.len();
-        self.inner.injection_requests(ctx, rng, out);
-        self.remap(ctx, out, start);
-    }
-
-    fn allowed_dirs(&self, topo: AnyTopology, cur: NodeId, src: NodeId, dest: NodeId) -> DirSet {
-        self.inner.allowed_dirs(topo, cur, src, dest)
-    }
+    };
+    let class = dor_output_port(ctx.topo, downstream, dest).index();
+    // Stripe the available VCs across the five output classes.
+    VcId::from_index(lo + class * range / PORT_COUNT)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dor, NoCongestionInfo, TablePortView};
+    use crate::{
+        Dor, NoCongestionInfo, RoutingAlgorithm, TablePortView, VcOverlay, VcReallocationPolicy,
+        VcRule,
+    };
     use footprint_topology::{Direction, Mesh};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -221,14 +108,13 @@ mod tests {
     fn packets_to_different_downstream_outputs_use_different_vcs() {
         let view = TablePortView::all_idle(10, 4);
         let cong = NoCongestionInfo;
-        let algo = VoqSw::new(Dor, "dor+voqsw");
         // From n0, both packets go East to n1; at n1 the n3 packet continues
         // East while the n5 packet turns North → distinct VC classes.
         let ctx_a = mk_ctx(&view, &cong, 0, 3);
         let ctx_b = mk_ctx(&view, &cong, 0, 5);
         let east = Port::Dir(Direction::East);
-        let vc_a = algo.mapped_vc(&ctx_a, east, NodeId(3));
-        let vc_b = algo.mapped_vc(&ctx_b, east, NodeId(5));
+        let vc_a = mapped_vc(&ctx_a, 0, east, NodeId(3));
+        let vc_b = mapped_vc(&ctx_b, 0, east, NodeId(5));
         assert_ne!(vc_a, vc_b);
     }
 
@@ -236,10 +122,9 @@ mod tests {
     fn packets_ejecting_downstream_get_the_local_class() {
         let view = TablePortView::all_idle(10, 4);
         let cong = NoCongestionInfo;
-        let algo = VoqSw::new(Dor, "dor+voqsw");
         // n0 → n1: at n1 the packet ejects (Local class = 0 → VC 0).
         let ctx = mk_ctx(&view, &cong, 0, 1);
-        let vc = algo.mapped_vc(&ctx, Port::Dir(Direction::East), NodeId(1));
+        let vc = mapped_vc(&ctx, 0, Port::Dir(Direction::East), NodeId(1));
         assert_eq!(vc, VcId(0));
     }
 
@@ -248,17 +133,18 @@ mod tests {
         let view = TablePortView::all_idle(10, 4);
         let cong = NoCongestionInfo;
         let ctx = mk_ctx(&view, &cong, 0, 10);
-        let algo = VoqSw::new(Dor, "dor+voqsw");
+        let algo = VcOverlay::new(Dor, VcRule::VoqSw, "dor+voqsw");
         let mut rng = SmallRng::seed_from_u64(1);
         let mut out = Vec::new();
         algo.route(&ctx, &mut rng, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].port, Port::Dir(Direction::East));
+        assert_eq!(out[0].vc, mapped_vc(&ctx, 0, out[0].port, NodeId(10)));
     }
 
     #[test]
     fn name_and_policy_delegate() {
-        let algo = VoqSw::new(Dor, "dor+voqsw");
+        let algo = VcOverlay::new(Dor, VcRule::VoqSw, "dor+voqsw");
         assert_eq!(algo.name(), "dor+voqsw");
         assert_eq!(algo.policy(), VcReallocationPolicy::NonAtomic);
         assert_eq!(algo.vc_selection(), crate::VcSelection::StaticMapped);

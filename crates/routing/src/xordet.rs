@@ -1,11 +1,9 @@
-//! XORDET static VC mapping (Peñaranda et al., HPCC 2014), composable with
+//! XORDET static VC mapping (Peñaranda et al., HPCC 2014) — the
+//! [`crate::VcRule::Xordet`] rule of [`crate::VcOverlay`], composable with
 //! any port-selection algorithm.
 
-use crate::{
-    DirSet, Priority, RoutingAlgorithm, RoutingCtx, VcId, VcRequest, VcReallocationPolicy,
-};
-use footprint_topology::{AnyTopology, NodeId, PORT_COUNT};
-use rand::RngCore;
+use crate::{RoutingCtx, VcId};
+use footprint_topology::{AnyTopology, NodeId};
 
 /// Computes the XORDET VC class of a destination: the XOR of its mesh
 /// coordinates. Destinations in the same class share a VC, which bounds the
@@ -25,148 +23,27 @@ pub fn xordet_class(topo: impl Into<AnyTopology>, dest: NodeId) -> u16 {
     c.x ^ c.y
 }
 
-/// Wraps a routing algorithm and replaces its VC selection with the XORDET
-/// static destination→VC mapping.
-///
-/// * Port selection (and the escape mechanism, if any) comes from the inner
-///   algorithm — e.g. `DBAR + XORDET` in the paper's evaluation.
-/// * Each adaptive request set collapses to a single VC per port:
-///   `vc = class(dest) mod mapped_vcs`, where `mapped_vcs` excludes the
-///   escape VC for Duato-based inner algorithms.
+/// The VC that XORDET maps `dest` to when the mappable VCs start at `lo`
+/// (past the escape VC of a Duato-based inner algorithm):
+/// `lo + class(dest) mod (num_vcs - lo)`.
 ///
 /// Because the mapping is static, the branches of a congestion tree stay
 /// thin (Figure 2(c)) — but buffer utilization suffers on skewed traffic,
 /// which is exactly the XORDET weakness the paper's Figures 5–6 expose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Xordet<A> {
-    inner: A,
-    name: &'static str,
-}
-
-impl<A: RoutingAlgorithm> Xordet<A> {
-    /// Wraps `inner`, giving the combination a display name (e.g.
-    /// `"dbar+xordet"`).
-    pub fn new(inner: A, name: &'static str) -> Self {
-        Xordet { inner, name }
-    }
-
-    /// The VC that XORDET maps `dest` to under this algorithm's layout.
-    pub fn mapped_vc(&self, ctx: &RoutingCtx<'_>, dest: NodeId) -> VcId {
-        let lo = ctx.adaptive_lo(self.inner.has_escape());
-        let range = ctx.num_vcs - lo;
-        debug_assert!(range > 0, "XORDET needs at least one mappable VC");
-        let class = xordet_class(ctx.topo, dest) as usize;
-        VcId::from_index(lo + class % range)
-    }
-
-    /// Rewrites the requests appended after `start` so each port requests
-    /// only the mapped VC (escape requests pass through untouched).
-    ///
-    /// Only the tail `reqs[start..]` is touched: the routing buffer is
-    /// shared by every requester at a router, and earlier entries belong to
-    /// other packets. The rewrite is in place (per-port state lives in
-    /// fixed arrays) — this runs per packet per cycle, so it must not
-    /// allocate: escapes are compacted to the front of the tail, the
-    /// collapsed per-port requests appended, and a final rotation restores
-    /// the `[mapped..., escapes...]` order of the original code.
-    fn remap(&self, ctx: &RoutingCtx<'_>, reqs: &mut Vec<VcRequest>, start: usize) {
-        let mapped = self.mapped_vc(ctx, ctx.dest);
-        let has_escape = self.inner.has_escape();
-        // Highest priority seen per port, ports kept in first-seen order.
-        let mut best: [Option<Priority>; PORT_COUNT] = [None; PORT_COUNT];
-        let mut port_order = [footprint_topology::Port::Local; PORT_COUNT];
-        let mut num_ports = 0;
-        let mut write = start;
-        for read in start..reqs.len() {
-            let r = reqs[read];
-            if has_escape && r.vc == VcId::ESCAPE {
-                reqs[write] = r;
-                write += 1;
-                continue;
-            }
-            let slot = &mut best[r.port.index()];
-            match slot {
-                Some(pri) => *pri = (*pri).max(r.priority),
-                None => {
-                    *slot = Some(r.priority);
-                    port_order[num_ports] = r.port;
-                    num_ports += 1;
-                }
-            }
-        }
-        let num_escapes = write - start;
-        reqs.truncate(write);
-        for &port in &port_order[..num_ports] {
-            // Listed ports always have a recorded priority; skip (rather
-            // than panic) if that bookkeeping is ever violated.
-            let Some(pri) = best[port.index()] else { continue };
-            reqs.push(VcRequest::new(port, mapped, pri));
-        }
-        // [escapes..., mapped...] → [mapped..., escapes...].
-        reqs[start..].rotate_left(num_escapes);
-    }
-}
-
-impl<A: RoutingAlgorithm> RoutingAlgorithm for Xordet<A> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn policy(&self) -> VcReallocationPolicy {
-        self.inner.policy()
-    }
-
-    fn has_escape(&self) -> bool {
-        self.inner.has_escape()
-    }
-
-    fn allows_footprint_join(&self) -> bool {
-        // The static mapping relies on same-class packets sharing a VC, so
-        // packets must be able to queue behind each other. For Duato-based
-        // inner algorithms (atomic policy) we allow same-destination joins,
-        // mirroring how XORDET deployments dedicate the VC to the class.
-        true
-    }
-
-    fn vc_selection(&self) -> crate::VcSelection {
-        crate::VcSelection::StaticMapped
-    }
-
-    fn wrap_strategy(&self) -> crate::WrapStrategy {
-        // The static class→VC collapse discards the dateline/escape VC
-        // freedom the wrap arguments rely on, so XORDET stays mesh-only.
-        crate::WrapStrategy::Unsupported
-    }
-
-    fn route(&self, ctx: &RoutingCtx<'_>, rng: &mut dyn RngCore, out: &mut Vec<VcRequest>) {
-        let start = out.len();
-        self.inner.route(ctx, rng, out);
-        if ctx.current == ctx.dest {
-            return; // ejection: no remapping
-        }
-        self.remap(ctx, out, start);
-    }
-
-    fn injection_requests(
-        &self,
-        ctx: &RoutingCtx<'_>,
-        rng: &mut dyn RngCore,
-        out: &mut Vec<VcRequest>,
-    ) {
-        let start = out.len();
-        self.inner.injection_requests(ctx, rng, out);
-        self.remap(ctx, out, start);
-    }
-
-    fn allowed_dirs(&self, topo: AnyTopology, cur: NodeId, src: NodeId, dest: NodeId) -> DirSet {
-        self.inner.allowed_dirs(topo, cur, src, dest)
-    }
+pub(crate) fn mapped_vc(ctx: &RoutingCtx<'_>, lo: usize, dest: NodeId) -> VcId {
+    let range = ctx.num_vcs - lo;
+    debug_assert!(range > 0, "XORDET needs at least one mappable VC");
+    let class = xordet_class(ctx.topo, dest) as usize;
+    VcId::from_index(lo + class % range)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dbar, Dor, NoCongestionInfo, OddEven, TablePortView};
+    use crate::{
+        Dbar, Dor, NoCongestionInfo, OddEven, Priority, RoutingAlgorithm, TablePortView,
+        VcOverlay, VcReallocationPolicy, VcRule,
+    };
     use footprint_topology::{Direction, Mesh, Port};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -205,7 +82,7 @@ mod tests {
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
         let ctx = mk_ctx(&view, &cong, 4, 13);
-        let algo = Xordet::new(Dor, "dor+xordet");
+        let algo = VcOverlay::new(Dor, VcRule::Xordet, "dor+xordet");
         let mut rng = SmallRng::seed_from_u64(5);
         let mut out = Vec::new();
         algo.route(&ctx, &mut rng, &mut out);
@@ -220,7 +97,7 @@ mod tests {
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
         let ctx = mk_ctx(&view, &cong, 4, 13);
-        let algo = Xordet::new(Dbar, "dbar+xordet");
+        let algo = VcOverlay::new(Dbar, VcRule::Xordet, "dbar+xordet");
         let mut rng = SmallRng::seed_from_u64(5);
         let mut out = Vec::new();
         algo.route(&ctx, &mut rng, &mut out);
@@ -237,15 +114,17 @@ mod tests {
     fn same_class_destinations_share_a_vc() {
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
-        let algo = Xordet::new(OddEven, "oe+xordet");
+        let algo = VcOverlay::new(OddEven, VcRule::Xordet, "oe+xordet");
         let mesh = Mesh::square(4);
         let ctx_a = mk_ctx(&view, &cong, 4, 10);
         let ctx_b = mk_ctx(&view, &cong, 4, 15);
         assert_eq!(xordet_class(mesh, NodeId(10)), xordet_class(mesh, NodeId(15)));
-        assert_eq!(
-            algo.mapped_vc(&ctx_a, NodeId(10)),
-            algo.mapped_vc(&ctx_b, NodeId(15))
-        );
+        assert_eq!(mapped_vc(&ctx_a, 0, NodeId(10)), mapped_vc(&ctx_b, 0, NodeId(15)));
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        algo.route(&ctx_a, &mut rng, &mut a);
+        algo.route(&ctx_b, &mut rng, &mut b);
+        assert_eq!(a[0].vc, b[0].vc);
     }
 
     #[test]
@@ -254,7 +133,7 @@ mod tests {
         let cong = NoCongestionInfo;
         let mut ctx = mk_ctx(&view, &cong, 4, 13);
         ctx.current = NodeId(13);
-        let algo = Xordet::new(Dor, "dor+xordet");
+        let algo = VcOverlay::new(Dor, VcRule::Xordet, "dor+xordet");
         let mut rng = SmallRng::seed_from_u64(5);
         let mut out = Vec::new();
         algo.route(&ctx, &mut rng, &mut out);
@@ -267,7 +146,7 @@ mod tests {
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
         let ctx = mk_ctx(&view, &cong, 4, 13);
-        let algo = Xordet::new(Dor, "dor+xordet");
+        let algo = VcOverlay::new(Dor, VcRule::Xordet, "dor+xordet");
         let mut rng = SmallRng::seed_from_u64(5);
         let mut out = Vec::new();
         algo.injection_requests(&ctx, &mut rng, &mut out);
@@ -278,7 +157,7 @@ mod tests {
 
     #[test]
     fn name_and_policy_delegate() {
-        let algo = Xordet::new(Dor, "dor+xordet");
+        let algo = VcOverlay::new(Dor, VcRule::Xordet, "dor+xordet");
         assert_eq!(algo.name(), "dor+xordet");
         assert_eq!(algo.policy(), VcReallocationPolicy::NonAtomic);
         assert!(!algo.has_escape());

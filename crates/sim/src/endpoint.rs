@@ -219,7 +219,8 @@ impl Source {
         w.usize(self.rr);
     }
 
-    /// Restores a snapshot; the VC count echo must match.
+    /// Restores a snapshot; the VC count echo must match and an active VC
+    /// must exist and have a packet to send.
     pub(crate) fn snapshot_read(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
@@ -248,12 +249,18 @@ impl Source {
         for vc in &mut self.vcs {
             vc.snapshot_read(r)?;
         }
-        self.active_vc = match r.u8()? {
-            0 => {
-                r.usize()?;
-                None
+        self.active_vc = match (r.u8()?, r.usize()?) {
+            (0, _) => None,
+            // `step` indexes `vcs` with it and takes the queue's front.
+            (_, v) if v >= self.vcs.len() || self.queue.is_empty() => {
+                return Err(format!(
+                    "snapshot names active source VC {v} at a source with {} VCs and {} queued \
+                     packets",
+                    self.vcs.len(),
+                    self.queue.len()
+                ));
             }
-            _ => Some(r.usize()?),
+            (_, v) => Some(v),
         };
         self.rr = r.usize()?;
         Ok(())

@@ -881,11 +881,6 @@ impl Network {
         &self.recovery
     }
 
-    /// The configured disposition for unreachable packets.
-    pub fn unreachable_policy(&self) -> UnreachablePolicy {
-        self.policy
-    }
-
     /// Packets currently parked awaiting a retry.
     pub fn parked_retries(&self) -> usize {
         self.retries.len()
@@ -1329,6 +1324,43 @@ mod tests {
         let mut other = Network::new(cfg, RoutingSpec::Footprint.build(), 42).unwrap();
         assert!(other.restore(&blob).is_err(), "geometry echo must catch this");
         assert!(other.restore(&blob[..blob.len() - 3]).is_err());
+
+        // A flipped byte in a source's active-VC field: `Source::step`
+        // would expect a packet its queue does not hold, or index past its
+        // VCs, and panic the sweep worker — it must be a restore error.
+        let tag_of_source0 = |net: &Network, blob: &[u8]| {
+            let mut w = crate::snapshot::SnapWriter::new();
+            net.sources[0].snapshot_write(&mut w);
+            let src = w.into_bytes();
+            let at = blob.windows(src.len()).position(|win| win == src);
+            // The tag byte, then the VC index and `rr` as u64.
+            at.expect("source 0 is in the blob") + src.len() - 17
+        };
+        let mut other = build(RoutingSpec::Footprint);
+        let mut bad = blob.clone();
+        bad[tag_of_source0(&net, &blob)] = 1;
+        let err = other.restore(&bad).unwrap_err();
+        assert!(err.contains("active source VC 0"), "nothing queued: {err}");
+        let mut busy = build(RoutingSpec::Footprint);
+        let mut wl = crate::workload::FlowSet::new(vec![SingleFlow {
+            src: NodeId(0),
+            dest: NodeId(15),
+            rate: 1.0,
+            size: 4,
+        }]);
+        let (blob, tag) = (0..100)
+            .find_map(|_| {
+                busy.step(&mut wl);
+                let blob = busy.snapshot().unwrap();
+                let tag = tag_of_source0(&busy, &blob);
+                (blob[tag] == 1).then_some((blob, tag))
+            })
+            .expect("source 0 is mid-packet within 100 cycles");
+        let mut bad = blob.clone();
+        bad[tag + 1] = SimConfig::small().num_vcs as u8;
+        let err = other.restore(&bad).unwrap_err();
+        assert!(err.contains("active source VC"), "one past the last VC: {err}");
+        other.restore(&blob).expect("the unflipped blob restores");
     }
 
     /// Regression: a parked packet whose destination's router is repaired

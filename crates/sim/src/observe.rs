@@ -243,17 +243,6 @@ impl EventTrace {
         self.write_jsonl(&mut f)?;
         f.flush()
     }
-
-    /// Writes the CSV export to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_csv(&self, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-        let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-        self.write_csv(&mut f)?;
-        f.flush()
-    }
 }
 
 impl Probe for EventTrace {

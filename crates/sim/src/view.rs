@@ -1,18 +1,18 @@
 //! [`PortStateView`] implementations over live simulator state.
 //!
 //! [`RouterOutputsView`] is backed by the struct-of-arrays store and
-//! overrides the trait's bulk scan methods (`idle_count`, `class_counts`,
-//! `for_each_in_class`) with flat walks over the packed per-port state and
-//! owner arrays — the routing algorithms' per-cycle class scans never
-//! touch a per-VC object or a vtable entry per VC. The per-VC [`vc`]
-//! accessor remains for the rare single-VC probes (and as the semantic
-//! reference the bulk overrides are tested against).
+//! overrides the trait's bulk scan methods (`idle_count`, `class_masks`)
+//! with reads of the packed per-port masks and owner array — the routing
+//! algorithms' per-cycle class scans never touch a per-VC object or a
+//! vtable entry per VC. The per-VC [`vc`] accessor remains for the rare
+//! single-VC probes (and as the semantic reference the bulk overrides are
+//! tested against).
 //!
 //! [`vc`]: PortStateView::vc
 
 use crate::output::{OutVc, OutVcState};
 use crate::soa::NocSoa;
-use footprint_routing::{PortStateView, VcClass, VcId, VcReallocationPolicy, VcView};
+use footprint_routing::{PortStateView, VcId, VcReallocationPolicy, VcView};
 use footprint_topology::{NodeId, Port};
 
 fn view_of(vc: &OutVc, policy: VcReallocationPolicy) -> VcView {
@@ -66,17 +66,6 @@ impl PortStateView for RouterOutputsView<'_> {
         (self.soa.out_idle_mask_for(np, self.policy) & range).count_ones() as usize
     }
 
-    fn footprint_count(&self, port: Port, dest: NodeId, lo: usize, hi: usize) -> usize {
-        self.class_masks(port, dest, lo, hi).1.count_ones() as usize
-    }
-
-    fn class_counts(&self, port: Port, dest: NodeId, lo: usize, hi: usize) -> (usize, usize, usize) {
-        let (idle, fp) = self.class_masks(port, dest, lo, hi);
-        let total = NocSoa::vc_range_mask(lo, hi).count_ones() as usize;
-        let (idle, fp) = (idle.count_ones() as usize, fp.count_ones() as usize);
-        (idle, fp, total - idle - fp)
-    }
-
     fn class_masks(&self, port: Port, dest: NodeId, lo: usize, hi: usize) -> (u64, u64) {
         let np = self.soa.np(self.node, port.index());
         let range = NocSoa::vc_range_mask(lo, hi);
@@ -95,31 +84,6 @@ impl PortStateView for RouterOutputsView<'_> {
         }
         let idle = self.soa.out_idle_mask_for(np, self.policy) & range & !fp;
         (idle, fp)
-    }
-
-    fn for_each_in_class(
-        &self,
-        port: Port,
-        dest: NodeId,
-        lo: usize,
-        hi: usize,
-        class: VcClass,
-        limit: usize,
-        emit: &mut dyn FnMut(VcId),
-    ) {
-        let (idle, fp) = self.class_masks(port, dest, lo, hi);
-        let mut bits = match class {
-            VcClass::Idle => idle,
-            VcClass::Footprint => fp,
-            VcClass::Busy => NocSoa::vc_range_mask(lo, hi) & !idle & !fp,
-        };
-        let mut emitted = 0;
-        while bits != 0 && emitted < limit {
-            let v = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            emit(VcId::from_index(v));
-            emitted += 1;
-        }
     }
 }
 
@@ -164,6 +128,7 @@ impl PortStateView for InjectionView<'_> {
 mod tests {
     use super::*;
     use crate::packet::PacketId;
+    use footprint_routing::VcClass;
     use footprint_topology::Direction;
 
     fn soa() -> NocSoa {
@@ -220,18 +185,8 @@ mod tests {
             let view = RouterOutputsView::new(&s, NodeId(0), policy);
             for dest in [NodeId(7), NodeId(9), NodeId(5)] {
                 for lo in 0..2 {
-                    // Reference: the trait's default per-vc scans.
-                    let (mut idle, mut fp, mut busy) = (0, 0, 0);
-                    for v in lo..4 {
-                        match view.vc(e, VcId::from_index(v)).class_for(dest) {
-                            VcClass::Idle => idle += 1,
-                            VcClass::Footprint => fp += 1,
-                            VcClass::Busy => busy += 1,
-                        }
-                    }
-                    assert_eq!(view.class_counts(e, dest, lo, 4), (idle, fp, busy));
-                    // The raw masks drive every bulk scan (and the routing
-                    // crate's tiering): each bit must match the per-VC
+                    // The raw masks drive the routing crate's port pick and
+                    // tiering: each bit must match the per-VC
                     // classification exactly.
                     let (idle_mask, fp_mask) = view.class_masks(e, dest, lo, 4);
                     for v in lo..4 {
@@ -243,17 +198,6 @@ mod tests {
                         .filter(|&v| view.vc(e, VcId::from_index(v)).idle)
                         .count();
                     assert_eq!(view.idle_count(e, lo, 4), ref_idle);
-                    for class in [VcClass::Idle, VcClass::Footprint, VcClass::Busy] {
-                        let mut bulk = Vec::new();
-                        view.for_each_in_class(e, dest, lo, 4, class, usize::MAX, &mut |v| {
-                            bulk.push(v)
-                        });
-                        let reference: Vec<VcId> = (lo..4)
-                            .map(VcId::from_index)
-                            .filter(|&v| view.vc(e, v).class_for(dest) == class)
-                            .collect();
-                        assert_eq!(bulk, reference, "{policy:?} {dest:?} {class:?}");
-                    }
                 }
             }
         }

@@ -215,11 +215,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Builds a plan from explicit events.
-    pub fn from_events(events: Vec<FaultEvent>) -> Self {
-        FaultPlan { events }
-    }
-
     /// Appends an event, builder-style.
     #[must_use]
     pub fn with(mut self, event: FaultEvent) -> Self {

@@ -229,6 +229,26 @@ fn join_report(scheduler: Scheduler) -> RunReport {
     RunReport::from_metrics(net.metrics(), topo.len(), SAT_RATE)
 }
 
+/// Runs `builder` under both schedulers, which must agree on a report with
+/// blocked heads in it, and fingerprints that report.
+fn blocked_head_pin(
+    label: String,
+    builder: SimulationBuilder,
+    faults: Option<FaultPlan>,
+) -> (String, u64) {
+    let [dense, active] = [Scheduler::Dense, Scheduler::Active].map(|scheduler| {
+        let mut o = RunOptions::new().scheduler(scheduler).watchdog(10_000);
+        if let Some(p) = faults.clone() {
+            o = o.faults(p);
+        }
+        builder.clone().run_with(o).expect("pinned run")
+    });
+    assert_eq!(dense, active, "{label}: dense vs active diverged");
+    assert!(dense.va_blocks > 0, "{label}: no blocked head, the pin is vacuous");
+    let hash = golden_hash(&format!("{dense:?}"));
+    (label, hash)
+}
+
 #[test]
 fn saturated_reports_match_flat_scan_goldens() {
     // A link that dies mid-window and comes back: heads already committed
@@ -246,23 +266,67 @@ fn saturated_reports_match_flat_scan_goldens() {
     .collect();
     runs.push(("sat-dor+cut".into(), RoutingSpec::Dor, Some(cut)));
 
-    let mut got: Vec<(String, u64)> = Vec::new();
-    for (label, spec, faults) in runs {
-        let [dense, active] = [Scheduler::Dense, Scheduler::Active].map(|scheduler| {
-            let mut o = RunOptions::new().scheduler(scheduler).watchdog(10_000);
-            if let Some(p) = faults.clone() {
-                o = o.faults(p);
-            }
-            saturated().routing(spec).run_with(o).expect("saturated run")
-        });
-        assert_eq!(dense, active, "{label}: dense vs active diverged");
-        assert!(dense.va_blocks > 0, "{label}: no blocked head, the pin is vacuous");
-        got.push((label, golden_hash(&format!("{dense:?}"))));
-    }
+    let mut got: Vec<(String, u64)> = runs
+        .into_iter()
+        .map(|(label, spec, faults)| blocked_head_pin(label, saturated().routing(spec), faults))
+        .collect();
     let join = join_report(Scheduler::Dense);
     assert_eq!(join, join_report(Scheduler::Active), "join: dense vs active diverged");
     assert!(join.va_blocks > 0, "join: no blocked head, the pin is vacuous");
     got.push(("sat-footprint-join".into(), golden_hash(&format!("{join:?}"))));
 
     check(&got, SATURATED, "flat-scan");
+}
+
+/// The nine specs the two tables above leave out — the XORDET / VOQ_sw /
+/// Footprint-on-X overlays and the reference selectors — on the
+/// `saturated()` builder, plus `odd-even+footprint` on a torus for the
+/// wrap strategy the overlay inherits. Captured on the three separate
+/// wrapper types (PR 14), before they became one `VcOverlay`.
+const OTHER_SPECS: &[(&str, u64)] = &[
+    ("dbar+xordet", 0xfd4e03b092f084f9),
+    ("odd-even+xordet", 0x0da23e70a8625a98),
+    ("dor+xordet", 0x49eae442fc85e561),
+    ("random-minimal", 0x4c4d1ed35fa747e2),
+    ("west-first", 0x25a8430c79949352),
+    ("north-last", 0xf79929d1b7cb2579),
+    ("dor+voqsw", 0xa08061680702a89f),
+    ("dbar+voqsw", 0x739c3b79edec1595),
+    ("odd-even+footprint", 0x8f6b163395fc776a),
+    ("torus-odd-even+footprint", 0x3dade5eb311ffca3),
+];
+
+#[test]
+fn other_specs_match_separate_wrapper_goldens() {
+    let mut runs: Vec<(String, SimulationBuilder)> = [
+        RoutingSpec::DbarXordet,
+        RoutingSpec::OddEvenXordet,
+        RoutingSpec::DorXordet,
+        RoutingSpec::RandomMinimal,
+        RoutingSpec::WestFirst,
+        RoutingSpec::NorthLast,
+        RoutingSpec::DorVoqSw,
+        RoutingSpec::DbarVoqSw,
+        RoutingSpec::OddEvenFootprint,
+    ]
+    .into_iter()
+    .map(|spec| (spec.name().to_string(), saturated().routing(spec)))
+    .collect();
+    runs.push((
+        "torus-odd-even+footprint".into(),
+        SimulationBuilder::torus(4)
+            .vcs(4)
+            .routing(RoutingSpec::OddEvenFootprint)
+            .traffic(TrafficSpec::UniformRandom)
+            .injection_rate(0.45)
+            .warmup(100)
+            .measurement(300)
+            .seed(9),
+    ));
+
+    let got: Vec<(String, u64)> = runs
+        .into_iter()
+        .map(|(label, builder)| blocked_head_pin(label, builder, None))
+        .collect();
+    check(&got, OTHER_SPECS, "separate-wrapper");
 }
