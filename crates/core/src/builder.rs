@@ -349,7 +349,7 @@ impl SimulationBuilder {
     /// faults are absent because such runs are never cached.
     pub(crate) fn snapshot_key(&self, scheduler: Scheduler) -> String {
         format!(
-            "footprint-snap-v1 {} rate={:016x} sched={scheduler:?}",
+            "footprint-snap {} rate={:016x} sched={scheduler:?}",
             self.config_key(),
             self.rate.to_bits(),
         )

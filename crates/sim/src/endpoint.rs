@@ -3,9 +3,9 @@
 use std::collections::VecDeque;
 
 use crate::metrics::{EjectedPacket, Metrics, Probe};
-use crate::output::OutVc;
 use crate::packet::{Flit, NewPacket, PacketId, PendingPacket};
-use crate::view::InjectionView;
+use crate::soa::NocSoa;
+use crate::view::RouterOutputsView;
 use crate::wire::{CreditMsg, Wire};
 use footprint_routing::{
     CongestionView, LinkStateView, Priority, RoutingAlgorithm, RoutingCtx, VcId,
@@ -14,7 +14,9 @@ use footprint_topology::{AnyTopology, NodeId, Port};
 use rand::rngs::SmallRng;
 
 /// A packet source: an unbounded generation queue feeding the router's
-/// local input port over a credit-controlled channel with its own VCs.
+/// local input port over a credit-controlled channel with its own VCs —
+/// the injection row of the [`NocSoa`] store, under the same output-VC
+/// state machine as a router port.
 ///
 /// The source runs the routing algorithm's *injection* VC selection, so a
 /// Footprint network starts forming footprints from the very first hop.
@@ -22,7 +24,7 @@ use rand::rngs::SmallRng;
 pub struct Source {
     node: NodeId,
     queue: VecDeque<PendingPacket>,
-    vcs: Vec<OutVc>,
+    num_vcs: usize,
     /// VC granted to the front packet, if any.
     active_vc: Option<usize>,
     /// Rotating scan offset so equal-priority injection requests spread
@@ -32,13 +34,12 @@ pub struct Source {
 }
 
 impl Source {
-    /// Creates a source for `node` with `num_vcs` injection VCs backed by
-    /// `buffer_depth`-flit downstream buffers.
-    pub fn new(node: NodeId, num_vcs: usize, buffer_depth: u32) -> Self {
+    /// Creates a source for `node` with `num_vcs` injection VCs.
+    pub fn new(node: NodeId, num_vcs: usize) -> Self {
         Source {
             node,
             queue: VecDeque::new(),
-            vcs: (0..num_vcs).map(|_| OutVc::new(buffer_depth)).collect(),
+            num_vcs,
             active_vc: None,
             rr: 0,
             scratch_reqs: Vec::new(),
@@ -63,11 +64,6 @@ impl Source {
         self.queue.len()
     }
 
-    /// Receives returned credits from the router's local input port.
-    pub fn return_credit(&mut self, vc: u8) {
-        self.vcs[vc as usize].return_credit();
-    }
-
     /// One source cycle: allocate a VC for the front packet if needed, then
     /// stream at most one flit onto the injection wire.
     #[allow(clippy::too_many_arguments)]
@@ -78,21 +74,23 @@ impl Source {
         congestion: &dyn CongestionView,
         links: &dyn LinkStateView,
         rng: &mut SmallRng,
+        soa: &mut NocSoa,
         wire: &mut Wire,
         probe: &mut dyn Probe,
     ) {
         if self.active_vc.is_none() {
-            self.try_allocate(algo, topo, congestion, links, rng);
+            self.try_allocate(algo, topo, congestion, links, rng, soa);
         }
         let Some(vc) = self.active_vc else { return };
-        if self.vcs[vc].credits() == 0 {
+        let ovc = soa.inj_ivc(self.node, vc);
+        if soa.out_credits(ovc) == 0 {
             return;
         }
         let front = self.queue.front_mut().expect("active VC implies a packet");
         let flit = front.next_flit(crate::cast::vc_u8(vc));
-        self.vcs[vc].consume_credit();
+        soa.out_consume_credit(ovc);
         if flit.is_tail() {
-            self.vcs[vc].tail_sent(algo.policy());
+            soa.out_tail_sent(ovc, algo.policy());
             self.queue.pop_front();
             self.active_vc = None;
         }
@@ -120,6 +118,7 @@ impl Source {
         congestion: &dyn CongestionView,
         links: &dyn LinkStateView,
         rng: &mut SmallRng,
+        soa: &mut NocSoa,
     ) {
         let Some(front) = self.queue.front() else {
             return;
@@ -127,7 +126,7 @@ impl Source {
         let mut reqs = std::mem::take(&mut self.scratch_reqs);
         reqs.clear();
         {
-            let view = InjectionView::new(&self.vcs, algo.policy());
+            let view = RouterOutputsView::injection(soa, self.node, algo.policy());
             let ctx = RoutingCtx {
                 topo,
                 current: self.node,
@@ -136,7 +135,7 @@ impl Source {
                 input_port: Port::Local,
                 input_vc: VcId(0),
                 on_escape: false,
-                num_vcs: self.vcs.len(),
+                num_vcs: self.num_vcs,
                 ports: &view,
                 congestion,
                 links,
@@ -156,11 +155,11 @@ impl Source {
                 }
                 debug_assert_eq!(req.port, Port::Local);
                 let v = req.vc.index();
-                let ovc = &self.vcs[v];
-                let fresh = ovc.idle_for(policy);
-                let join = allows_join && v >= escape_lo && ovc.joinable_by(front.dest);
+                let ovc = soa.inj_ivc(self.node, v);
+                let fresh = soa.out_idle_for(ovc, policy);
+                let join = allows_join && v >= escape_lo && soa.out_joinable_by(ovc, front.dest);
                 if fresh || join {
-                    self.vcs[v].allocate(front.id, front.dest);
+                    soa.out_allocate(ovc, front.id, front.dest);
                     self.active_vc = Some(v);
                     break 'pri;
                 }
@@ -178,19 +177,14 @@ impl Source {
         self.queue.is_empty() && self.active_vc.is_none()
     }
 
-    /// `true` when the queue is empty and all VCs have drained.
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty() && self.vcs.iter().all(OutVc::is_quiescent)
+    /// `true` when the queue is empty and all injection VCs have drained.
+    pub fn is_quiescent(&self, soa: &NocSoa) -> bool {
+        self.queue.is_empty() && soa.injection(self.node).is_quiescent()
     }
 
-    /// Read-only view of the injection-channel VC states (credit counters,
-    /// owners). Used by the sentinel's credit-conservation audit.
-    pub fn vcs(&self) -> &[OutVc] {
-        &self.vcs
-    }
-
-    /// Serializes the generation queue, injection VCs, active grant and
-    /// round-robin pointer (scratch is per-cycle and omitted).
+    /// Serializes the generation queue, active grant and round-robin
+    /// pointer (the injection VCs are in the [`NocSoa`] image; scratch is
+    /// per-cycle and omitted).
     pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapWriter) {
         w.usize(self.queue.len());
         for p in &self.queue {
@@ -201,10 +195,6 @@ impl Source {
             w.u64(p.birth);
             w.u8(p.class);
             w.u16(p.sent);
-        }
-        w.usize(self.vcs.len());
-        for vc in &self.vcs {
-            vc.snapshot_write(w);
         }
         match self.active_vc {
             None => {
@@ -219,8 +209,8 @@ impl Source {
         w.usize(self.rr);
     }
 
-    /// Restores a snapshot; the VC count echo must match and an active VC
-    /// must exist and have a packet to send.
+    /// Restores a snapshot; an active VC must exist and have a packet to
+    /// send.
     pub(crate) fn snapshot_read(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
@@ -245,18 +235,15 @@ impl Source {
                 sent,
             });
         }
-        r.expect_usize(self.vcs.len(), "source VC count")?;
-        for vc in &mut self.vcs {
-            vc.snapshot_read(r)?;
-        }
         self.active_vc = match (r.u8()?, r.usize()?) {
             (0, _) => None,
-            // `step` indexes `vcs` with it and takes the queue's front.
-            (_, v) if v >= self.vcs.len() || self.queue.is_empty() => {
+            // `step` indexes the injection row with it and takes the
+            // queue's front.
+            (_, v) if v >= self.num_vcs || self.queue.is_empty() => {
                 return Err(format!(
                     "snapshot names active source VC {v} at a source with {} VCs and {} queued \
                      packets",
-                    self.vcs.len(),
+                    self.num_vcs,
                     self.queue.len()
                 ));
             }
@@ -410,6 +397,12 @@ mod tests {
     use footprint_topology::Mesh;
     use rand::SeedableRng;
 
+    /// A source at node 0 of a 4×4 mesh, with the store holding its
+    /// injection VCs (`depth` credits each).
+    fn source(num_vcs: usize, depth: usize) -> (Source, NocSoa) {
+        (Source::new(NodeId(0), num_vcs), NocSoa::new(16, num_vcs, depth, 2))
+    }
+
     fn new_packet(dest: u16, size: u16) -> NewPacket {
         NewPacket {
             dest: NodeId(dest),
@@ -422,13 +415,13 @@ mod tests {
     #[test]
     fn source_streams_a_packet() {
         let mesh = AnyTopology::from(Mesh::square(4));
-        let mut src = Source::new(NodeId(0), 4, 4);
+        let (mut src, mut soa) = source(4, 4);
         let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
         src.enqueue(PacketId(1), new_packet(3, 2), 0);
         assert_eq!(src.backlog(), 1);
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut wire, &mut NullProbe);
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut wire, &mut NullProbe);
+        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
+        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
         assert_eq!(src.backlog(), 0);
         wire.tick();
         let flits: Vec<_> = wire.flits.drain().collect();
@@ -441,17 +434,18 @@ mod tests {
     #[test]
     fn source_respects_credits() {
         let mesh = AnyTopology::from(Mesh::square(4));
-        let mut src = Source::new(NodeId(0), 2, 1); // 1-credit VCs
+        let (mut src, mut soa) = source(2, 1); // 1-credit VCs
         let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
         src.enqueue(PacketId(1), new_packet(3, 3), 0);
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut wire, &mut NullProbe); // head goes
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut wire, &mut NullProbe); // stalls
+        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe); // head goes
+        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe); // stalls
         wire.tick();
         let sent: Vec<_> = wire.flits.drain().collect();
         assert_eq!(sent.len(), 1, "second flit must stall on zero credits");
-        src.return_credit(sent[0].vc); // head slot freed downstream
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut wire, &mut NullProbe);
+        // Head slot freed downstream.
+        soa.out_return_credit(soa.inj_ivc(NodeId(0), sent[0].vc as usize));
+        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
         wire.tick();
         let flits: Vec<_> = wire.flits.drain().collect();
         assert_eq!(flits.len(), 1);
@@ -462,21 +456,21 @@ mod tests {
     fn footprint_source_joins_same_destination_stream() {
         let mesh = AnyTopology::from(Mesh::square(4));
         let algo = Footprint::new().with_join();
-        let mut src = Source::new(NodeId(0), 3, 4);
+        let (mut src, mut soa) = source(3, 4);
         let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
         // Packet 1 to n5 claims adaptive VC; packet 2 to n7 claims the
         // other adaptive VC (3 VCs total: escape + 2 adaptive). Both end up
         // draining, so the channel is congested (no idle adaptive VCs).
         src.enqueue(PacketId(1), new_packet(5, 1), 0);
-        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut wire, &mut NullProbe);
+        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
         src.enqueue(PacketId(2), new_packet(7, 1), 1);
-        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut wire, &mut NullProbe);
+        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
         assert_eq!(src.backlog(), 0);
         // Packet 3 to n5 finds idle = ∅ and a footprint VC for n5 → joins
         // it instead of waiting or escaping.
         src.enqueue(PacketId(3), new_packet(5, 1), 2);
-        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut wire, &mut NullProbe);
+        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
         assert_eq!(src.backlog(), 0, "joined the draining footprint VC");
         wire.tick();
         let flits: Vec<_> = wire.flits.drain().collect();

@@ -76,7 +76,7 @@ pub use observe::{
     EventTrace, FlitEvent, FlitEventKind, InFlightPacket, ProbePair, StallDiagnostic,
     StallWatchdog, TraceRecord,
 };
-pub use output::{OutVc, OutVcState};
+pub use output::OutVcState;
 pub use packet::{Flit, FlitKind, NewPacket, PacketId, PendingPacket};
 pub use router::{AllocRules, FreedSlot, Router};
 pub use sched::Scheduler;
@@ -85,6 +85,6 @@ pub use sentinel::{
     DeadlockFinding, DeadlockMember, Sentinel, SentinelChannel, SentinelReport, SentinelViolation,
 };
 pub use sideband::Sideband;
-pub use view::{InjectionView, RouterOutputsView};
+pub use view::RouterOutputsView;
 pub use wire::{CreditMsg, Pipe, Wire};
 pub use workload::{FlowSet, NoTraffic, SingleFlow, Windowed, Workload};

@@ -17,9 +17,14 @@ use crate::soa::NocSoa;
 use crate::wire::{CreditMsg, Wire};
 use crate::workload::Workload;
 use footprint_routing::{dbar_threshold, RoutingAlgorithm, WrapStrategy};
-use footprint_topology::{AnyTopology, FaultPlan, NodeId, Port, DIRECTIONS, PORT_COUNT};
+use footprint_topology::{AnyTopology, FaultPlan, NodeId, Port, PORT_COUNT};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+/// "No input row" in the channel table: the `down` entry of an ejection
+/// channel (its flits land in the node's sink) and the `up` entry of a
+/// mesh-edge input port (no channel feeds it).
+pub(crate) const SINK: usize = usize::MAX;
 
 /// Splitmix64 finalizer — the jitter mixer for retry backoff. Kept local:
 /// retry timing must be a pure function of `(seed, packet, attempt)`,
@@ -74,13 +79,18 @@ pub struct Network {
     routers: Vec<Router>,
     sources: Vec<Source>,
     sinks: Vec<Sink>,
-    /// Source → router-local-input channels, one per node.
-    inj_wires: Vec<Wire>,
-    /// Router output channels, indexed `node * PORT_COUNT + port`.
-    /// `port == 0` is the ejection channel (always present); direction
-    /// ports exist only where the topology has a neighbor (wrapping
-    /// fabrics have all four).
-    out_wires: Vec<Option<Wire>>,
+    /// Every channel, indexed like [`NocSoa`]'s output rows: the router
+    /// outputs at `node * PORT_COUNT + port` (`port == 0` is the ejection
+    /// channel, always present; a direction port has a wire only where the
+    /// topology has a neighbor), then each node's injection channel. One
+    /// rule serves all three kinds: a channel's credits go home to its own
+    /// output row, its flits land in the input row at its far end.
+    wires: Vec<Option<Wire>>,
+    /// `down[channel]`: the input row its flits land in, or [`SINK`].
+    down: Vec<usize>,
+    /// `up[input row]`: the channel feeding it, on which its credits
+    /// return ([`SINK`] at a mesh edge).
+    up: Vec<usize>,
     sideband: Sideband,
     /// Flits launched per output channel (`node * PORT_COUNT + port`), for
     /// utilization analysis.
@@ -170,23 +180,34 @@ impl Network {
             .collect();
         let sources = topo
             .nodes()
-            .map(|node| Source::new(node, cfg.num_vcs, crate::cast::idx_u32(cfg.vc_buffer_depth)))
+            .map(|node| Source::new(node, cfg.num_vcs))
             .collect();
         let sinks = topo
             .nodes()
             .map(|node| Sink::new(node, cfg.num_vcs, cfg.vc_buffer_depth))
             .collect();
-        let mut out_wires: Vec<Option<Wire>> = Vec::with_capacity(n * PORT_COUNT);
+        let rows = n * PORT_COUNT;
+        let mut wires: Vec<Option<Wire>> = Vec::with_capacity(rows + n);
+        let mut down = vec![SINK; rows + n];
+        let mut up = vec![SINK; rows];
         for node in topo.nodes() {
             for port in 0..PORT_COUNT {
-                let wire = match Port::from_index(port) {
-                    Port::Local => Some(Wire::with_latency(cfg.link_latency)),
+                let far = match Port::from_index(port) {
+                    Port::Local => Some(SINK),
                     Port::Dir(d) => topo
                         .neighbor(node, d)
-                        .map(|_| Wire::with_latency(cfg.link_latency)),
+                        .map(|nb| soa.np(nb, Port::Dir(d.opposite()).index())),
                 };
-                out_wires.push(wire);
+                if let Some(row) = far.filter(|&row| row != SINK) {
+                    (down[wires.len()], up[row]) = (row, wires.len());
+                }
+                wires.push(far.map(|_| Wire::with_latency(cfg.link_latency)));
             }
+        }
+        for node in topo.nodes() {
+            let row = soa.np(node, Port::Local.index());
+            (down[wires.len()], up[row]) = (row, wires.len());
+            wires.push(Some(Wire::with_latency(cfg.link_latency)));
         }
         Ok(Network {
             topo,
@@ -195,10 +216,9 @@ impl Network {
             routers,
             sources,
             sinks,
-            inj_wires: (0..n)
-                .map(|_| Wire::with_latency(cfg.link_latency))
-                .collect(),
-            out_wires,
+            wires,
+            down,
+            up,
             link_flits: vec![0; n * PORT_COUNT],
             sideband: Sideband::new(n, dbar_threshold(cfg.num_vcs)),
             rng: SmallRng::seed_from_u64(seed),
@@ -262,11 +282,6 @@ impl Network {
         &mut self.metrics
     }
 
-    #[inline]
-    fn wire_idx(node: NodeId, port: usize) -> usize {
-        node.index() * PORT_COUNT + port
-    }
-
     /// Advances one cycle with [`NullProbe`].
     pub fn step(&mut self, workload: &mut dyn Workload) {
         self.step_probed(workload, &mut NullProbe);
@@ -275,7 +290,8 @@ impl Network {
     /// Advances one cycle, reporting events to `probe`.
     ///
     /// Both schedulers run the same stage sequence; the active-set walk
-    /// merely restricts stages 1, 2, 5 and 6 to the components with work.
+    /// merely restricts stages 2 to 5 to the components with work (stage 1
+    /// skips quiescent channels in either mode).
     /// Skipped components are exact no-ops under the dense loop (see
     /// [`crate::sched`] for the argument), so the two modes are
     /// bit-identical.
@@ -308,126 +324,53 @@ impl Network {
             || fault_change
             || probe.wants_full_tick(self.cycle);
 
-        // 1. Wires advance: flits/credits sent last cycle become visible.
-        //    Quiescent wires are skipped (ticking them is a no-op); wires
-        //    with receivable content mark their receiving node for the
-        //    delivery stage.
-        self.sched.deliver.clear();
-        for (ni, w) in self.inj_wires.iter_mut().enumerate() {
-            if w.is_quiescent() {
+        // 1. Channels advance and deliver: what was sent `latency` cycles
+        //    ago arrives — credits at the channel's own output row, flits
+        //    in the input row (or sink) at its far end, waking that router.
+        //    A delivery writes only datapath rows, sinks and activity bits,
+        //    never another wire, and each input VC has one feeder, so the
+        //    visit order is immaterial. Quiescent channels are skipped
+        //    (ticking them is a no-op).
+        let num_vcs = self.cfg.num_vcs;
+        for (c, slot) in self.wires.iter_mut().enumerate() {
+            let Some(w) = slot.as_mut().filter(|w| !w.is_quiescent()) else {
+                continue;
+            };
+            w.tick();
+            if w.credits.receivable() {
+                for credit in w.credits.drain() {
+                    self.soa.out_return_credit(c * num_vcs + credit.vc as usize);
+                }
+            }
+            if !w.flits.receivable() {
                 continue;
             }
-            w.tick();
-            if w.flits.receivable() || w.credits.receivable() {
-                self.sched.deliver.insert(ni);
-            }
-        }
-        for node in topo.nodes() {
-            let ni = node.index();
-            for port in 0..PORT_COUNT {
-                let Some(w) = self.out_wires[Self::wire_idx(node, port)].as_mut() else {
-                    continue;
-                };
-                if w.is_quiescent() {
-                    continue;
-                }
-                w.tick();
-                // Credits return to this node's router; flits travel to
-                // the sink (Local) or the downstream neighbor.
-                if w.credits.receivable() {
-                    self.sched.deliver.insert(ni);
-                }
-                if w.flits.receivable() {
-                    match Port::from_index(port) {
-                        Port::Local => self.sched.deliver.insert(ni),
-                        Port::Dir(d) => {
-                            let nb = topo.neighbor(node, d).expect("wire toward neighbor");
-                            self.sched.deliver.insert(nb.index());
-                        }
-                    }
-                }
-            }
-        }
-
-        // 2. Deliveries, in ascending node order (the dense visit order).
-        let mut order = std::mem::take(&mut self.sched.scratch);
-        order.clear();
-        if full {
-            order.extend(0..topo.len());
-        } else {
-            self.sched.deliver.collect_into(&mut order);
-        }
-        for &ni in &order {
-            let node = NodeId(crate::cast::idx_u16(ni));
-            // Draining an empty pipe is a no-op, so every drain below is
-            // gated on `receivable` — the dense loop visits every node, and
-            // most of its wires carry nothing in a given cycle.
-            // Source receives credits from the router's local input.
-            if self.inj_wires[ni].credits.receivable() {
-                for c in self.inj_wires[ni].credits.drain() {
-                    self.sources[ni].return_credit(c.vc);
-                }
-            }
-            // Router local input receives injected flits.
-            let mut arrived: u32 = 0;
-            if self.inj_wires[ni].flits.receivable() {
-                for f in self.inj_wires[ni].flits.drain() {
-                    let vc = f.vc as usize;
-                    let ivc = self.soa.ivc(node, Port::Local.index(), vc);
-                    self.soa.in_push(ivc, f);
-                    arrived += 1;
-                }
-            }
-            // Router outputs receive returned credits; the sink receives
-            // ejected flits.
-            for port in 0..PORT_COUNT {
-                let Some(w) = self.out_wires[Self::wire_idx(node, port)].as_mut() else {
-                    continue;
-                };
-                if w.credits.receivable() {
-                    for c in w.credits.drain() {
-                        let ivc = self.soa.ivc(node, port, c.vc as usize);
-                        self.soa.out_return_credit(ivc);
-                    }
-                }
-                if port == Port::Local.index() && w.flits.receivable() {
+            match self.down[c] {
+                SINK => {
+                    let ni = c / PORT_COUNT;
                     for f in w.flits.drain() {
                         self.sinks[ni].push(f);
-                        self.sched.sink_live.insert(ni);
                     }
+                    self.sched.sink_live.insert(ni);
                 }
-            }
-            // Router direction inputs receive flits from upstream routers.
-            for d in DIRECTIONS {
-                let Some(nb) = topo.neighbor(node, d) else {
-                    continue;
-                };
-                let upstream = Self::wire_idx(nb, Port::Dir(d.opposite()).index());
-                let w = self.out_wires[upstream]
-                    .as_mut()
-                    .expect("symmetric neighbor wire");
-                if !w.flits.receivable() {
-                    continue;
+                row => {
+                    // Flit arrivals wake the router and dirty its
+                    // occupancy as seen by the side band.
+                    let ni = row / PORT_COUNT;
+                    for f in w.flits.drain() {
+                        self.soa.in_push(row * num_vcs + f.vc as usize, f);
+                        self.sched.router_work[ni] += 1;
+                    }
+                    self.sched.live.insert(ni);
+                    self.sched.sideband_dirty.insert(ni);
                 }
-                for f in w.flits.drain() {
-                    let vc = f.vc as usize;
-                    let ivc = self.soa.ivc(node, Port::Dir(d).index(), vc);
-                    self.soa.in_push(ivc, f);
-                    arrived += 1;
-                }
-            }
-            if arrived > 0 {
-                // Flit arrivals wake the router and dirty its occupancy
-                // as seen by the side band.
-                self.sched.router_work[ni] += arrived;
-                self.sched.live.insert(ni);
-                self.sched.sideband_dirty.insert(ni);
             }
         }
 
-        // 3. Side-band congestion state (one-cycle-old view). A full tick
+        // 2. Side-band congestion state (one-cycle-old view). A full tick
         //    recomputes everything; otherwise only the bits fed by routers
         //    whose input occupancy changed since the last refresh.
+        let mut order = std::mem::take(&mut self.sched.scratch);
         if full {
             self.sideband.update(topo, &self.soa);
             self.sched.sideband_dirty.clear();
@@ -441,7 +384,7 @@ impl Network {
             self.sched.sideband_dirty.clear();
         }
 
-        // 4. Packet generation and source injection. Parked retries are
+        // 3. Packet generation and source injection. Parked retries are
         //    re-checked first (FIFO) so their order relative to fresh
         //    generation is deterministic. A mask change re-checks *every*
         //    parked entry, not just the due ones: a repair re-admits its
@@ -505,19 +448,21 @@ impl Network {
                 }
             }
             if full || !self.sources[ni].is_idle() {
+                let inj = self.soa.inj_np(node);
                 self.sources[ni].step(
                     &*self.algo,
                     topo,
                     &self.sideband,
                     &FaultView::new(&self.faults, &*self.algo),
                     &mut self.rng,
-                    &mut self.inj_wires[ni],
+                    &mut self.soa,
+                    self.wires[inj].as_mut().expect("injection wire"),
                     probe,
                 );
             }
         }
 
-        // 5. Routers: launch previously staged flits, then VA, then SA.
+        // 4. Routers: launch previously staged flits, then VA, then SA.
         // Dead output channels launch nothing; degraded channels launch on
         // their period. Credits keep flowing regardless (the credit
         // side-band is modeled as reliable), so repaired links resume
@@ -545,13 +490,14 @@ impl Network {
                 if self.soa.staged(self.soa.np(node, port)) == 0 {
                     continue;
                 }
-                let wi = Self::wire_idx(node, port);
-                if self.out_wires[wi].is_some()
-                    && self.faults.launch_allowed(node, port, self.cycle)
-                {
+                let wi = self.soa.np(node, port);
+                let Some(wire) = self.wires[wi].as_mut() else {
+                    continue;
+                };
+                if self.faults.launch_allowed(node, port, self.cycle) {
                     if let Some(f) = self.routers[ni].launch(&mut self.soa, port) {
                         self.link_flits[wi] += 1;
-                        self.out_wires[wi].as_mut().unwrap().flits.push(f);
+                        wire.flits.push(f);
                         self.sched.router_work[ni] =
                             self.sched.router_work[ni].saturating_sub(1);
                     }
@@ -583,19 +529,11 @@ impl Network {
                 self.sched.sideband_dirty.insert(ni);
             }
             for slot in &freed {
-                let credit = CreditMsg { vc: slot.vc };
-                match Port::from_index(slot.in_port) {
-                    Port::Local => self.inj_wires[ni].credits.push(credit),
-                    Port::Dir(d) => {
-                        let nb = topo.neighbor(node, d).expect("flit arrived from neighbor");
-                        let upstream = Self::wire_idx(nb, Port::Dir(d.opposite()).index());
-                        self.out_wires[upstream]
-                            .as_mut()
-                            .expect("symmetric neighbor wire")
-                            .credits
-                            .push(credit);
-                    }
-                }
+                self.wires[self.up[self.soa.np(node, slot.in_port)]]
+                    .as_mut()
+                    .expect("a flit arrived on this channel")
+                    .credits
+                    .push(CreditMsg { vc: slot.vc });
             }
             self.freed_scratch = freed;
             if self.sched.router_work[ni] == 0 {
@@ -605,7 +543,7 @@ impl Network {
             }
         }
 
-        // 6. Sinks consume at the endpoint ejection bandwidth.
+        // 5. Sinks consume at the endpoint ejection bandwidth.
         order.clear();
         if full {
             order.extend(0..topo.len());
@@ -615,7 +553,7 @@ impl Network {
         for &ni in &order {
             let node = NodeId(crate::cast::idx_u16(ni));
             if let Some(credit) = self.sinks[ni].step(self.cycle, &mut self.metrics, probe) {
-                self.out_wires[Self::wire_idx(node, Port::Local.index())]
+                self.wires[self.soa.np(node, Port::Local.index())]
                     .as_mut()
                     .expect("ejection wire")
                     .credits
@@ -627,7 +565,7 @@ impl Network {
         }
         self.sched.scratch = order;
 
-        // 7. Cycle bookkeeping. Recovery tracking is pure observation
+        // 6. Cycle bookkeeping. Recovery tracking is pure observation
         //    (no RNG draws, no feedback into routing), driven only for
         //    faulted runs.
         if self.track_recovery {
@@ -744,14 +682,9 @@ impl Network {
     /// `true` when nothing is in flight anywhere: wires, routers, sources
     /// and sinks are all empty. Used by drain phases and deadlock checks.
     pub fn is_quiescent(&self) -> bool {
-        self.inj_wires.iter().all(Wire::is_quiescent)
-            && self
-                .out_wires
-                .iter()
-                .flatten()
-                .all(Wire::is_quiescent)
+        self.wires.iter().flatten().all(Wire::is_quiescent)
             && self.routers.iter().all(|r| r.is_quiescent(&self.soa))
-            && self.sources.iter().all(Source::is_quiescent)
+            && self.sources.iter().all(|s| s.is_quiescent(&self.soa))
             && self.sinks.iter().all(Sink::is_quiescent)
             && self.retries.is_empty()
     }
@@ -782,6 +715,7 @@ impl Network {
             return Err("snapshots require a fault-free network".into());
         }
         let mut w = crate::snapshot::SnapWriter::new();
+        w.u64(crate::snapshot::SNAPSHOT_LAYOUT);
         w.usize(self.topo.len());
         w.usize(self.cfg.num_vcs);
         w.usize(self.cfg.vc_buffer_depth);
@@ -800,10 +734,7 @@ impl Network {
         for s in &self.sinks {
             s.snapshot_write(&mut w);
         }
-        for wire in &self.inj_wires {
-            wire.snapshot_write(&mut w);
-        }
-        for wire in self.out_wires.iter().flatten() {
+        for wire in self.wires.iter().flatten() {
             wire.snapshot_write(&mut w);
         }
         for &lf in &self.link_flits {
@@ -826,12 +757,20 @@ impl Network {
     ///
     /// Returns an error (leaving the network in an unspecified but
     /// rebuild-able state — callers should discard it and run cold) when
-    /// the image is truncated, corrupt or from a different geometry.
+    /// the image is truncated, corrupt, of another snapshot layout or from
+    /// a different geometry.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
         if self.track_recovery {
             return Err("cannot restore into a faulted network".into());
         }
         let mut r = crate::snapshot::SnapReader::new(bytes);
+        let layout = r.u64()?;
+        if layout != crate::snapshot::SNAPSHOT_LAYOUT {
+            return Err(format!(
+                "snapshot layout {layout}, this build reads {}",
+                crate::snapshot::SNAPSHOT_LAYOUT
+            ));
+        }
         r.expect_usize(self.topo.len(), "node count")?;
         r.expect_usize(self.cfg.num_vcs, "VC count")?;
         r.expect_usize(self.cfg.vc_buffer_depth, "buffer depth")?;
@@ -852,10 +791,7 @@ impl Network {
         for sink in &mut self.sinks {
             sink.snapshot_read(&mut r)?;
         }
-        for wire in &mut self.inj_wires {
-            wire.snapshot_read(&mut r)?;
-        }
-        for wire in self.out_wires.iter_mut().flatten() {
+        for wire in self.wires.iter_mut().flatten() {
             wire.snapshot_read(&mut r)?;
         }
         for lf in &mut self.link_flits {
@@ -979,24 +915,17 @@ impl Network {
         &mut self.soa
     }
 
-    /// All sources, in node-index order (sentinel census).
-    pub(crate) fn sources(&self) -> &[Source] {
-        &self.sources
-    }
-
     /// All sinks, in node-index order (sentinel census).
     pub(crate) fn sinks(&self) -> &[Sink] {
         &self.sinks
     }
 
-    /// The source→router injection wires, in node-index order.
-    pub(crate) fn inj_wires(&self) -> &[Wire] {
-        &self.inj_wires
-    }
-
-    /// The output wire of `node`'s port `port`, if that channel exists.
-    pub(crate) fn out_wire(&self, node: NodeId, port: usize) -> Option<&Wire> {
-        self.out_wires[Self::wire_idx(node, port)].as_ref()
+    /// Every channel that exists, as `(channel, wire, down)`: `channel`
+    /// is its output row in the datapath store, `down` the input row at
+    /// its far end or [`SINK`] (sentinel audits).
+    pub(crate) fn channels(&self) -> impl Iterator<Item = (usize, &Wire, usize)> {
+        (self.wires.iter().zip(&self.down).enumerate())
+            .filter_map(|(c, (wire, &down))| Some((c, wire.as_ref()?, down)))
     }
 
     /// The side-band congestion view (one-cycle-old, as routing sees it).
@@ -1017,8 +946,8 @@ impl Network {
         let mut loads = Vec::new();
         for node in self.topo.nodes() {
             for port in 0..PORT_COUNT {
-                let wi = Self::wire_idx(node, port);
-                if self.out_wires[wi].is_some() {
+                let wi = self.soa.np(node, port);
+                if self.wires[wi].is_some() {
                     loads.push((node, Port::from_index(port), self.link_flits[wi]));
                 }
             }
@@ -1035,6 +964,40 @@ mod tests {
 
     fn build(spec: RoutingSpec) -> Network {
         Network::new(SimConfig::small(), spec.build(), 42).unwrap()
+    }
+
+    /// The channel table pairs up: every channel but the ejection ones has
+    /// a far-end input row whose credits return on it, every input row
+    /// with a neighbour has exactly one feeder, and a mesh edge has
+    /// neither wire nor feeder.
+    #[test]
+    fn channel_table_pairs_every_input_row_with_its_feeder() {
+        use footprint_topology::{TopologySpec, DIRECTIONS};
+        for spec in [TopologySpec::mesh(4), TopologySpec::torus(4), TopologySpec::ring(8)] {
+            let cfg = SimConfig { topology: spec, ..SimConfig::small() };
+            let net = Network::new(cfg, RoutingSpec::Footprint.build(), 1).unwrap();
+            let (topo, n) = (net.topo(), net.topo().len());
+            assert_eq!(net.wires.len(), n * (PORT_COUNT + 1));
+            let mut feeders = vec![0; n * PORT_COUNT];
+            for (c, _, down) in net.channels() {
+                let ejection = c < n * PORT_COUNT && c % PORT_COUNT == Port::Local.index();
+                assert_eq!(down == SINK, ejection, "{spec}: channel {c}");
+                if !ejection {
+                    assert_eq!(net.up[down], c, "{spec}: channel {c}");
+                    feeders[down] += 1;
+                }
+            }
+            for node in topo.nodes() {
+                assert_eq!(feeders[net.soa.np(node, Port::Local.index())], 1, "{spec}");
+                for d in DIRECTIONS {
+                    let row = net.soa.np(node, Port::Dir(d).index());
+                    let linked = topo.neighbor(node, d).is_some();
+                    assert_eq!(net.wires[row].is_some(), linked, "{spec}: {node} {d}");
+                    assert_eq!(feeders[row], usize::from(linked), "{spec}: {node} {d}");
+                    assert_eq!(net.up[row] == SINK, !linked, "{spec}: {node} {d}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1328,17 +1291,26 @@ mod tests {
         // A flipped byte in a source's active-VC field: `Source::step`
         // would expect a packet its queue does not hold, or index past its
         // VCs, and panic the sweep worker — it must be a restore error.
-        let tag_of_source0 = |net: &Network, blob: &[u8]| {
+        let tag_of_source0 = |net: &Network| {
+            // Before the sources: the layout word, three geometry echoes,
+            // the cycle and packet counters and four RNG words, then the
+            // datapath image and the routers' arbiters.
+            let mut w = crate::snapshot::SnapWriter::new();
+            net.soa.snapshot_write(&mut w);
+            net.routers.iter().for_each(|r| r.snapshot_write(&mut w));
+            let before = 10 * 8 + w.into_bytes().len();
             let mut w = crate::snapshot::SnapWriter::new();
             net.sources[0].snapshot_write(&mut w);
-            let src = w.into_bytes();
-            let at = blob.windows(src.len()).position(|win| win == src);
             // The tag byte, then the VC index and `rr` as u64.
-            at.expect("source 0 is in the blob") + src.len() - 17
+            before + w.into_bytes().len() - 17
         };
         let mut other = build(RoutingSpec::Footprint);
         let mut bad = blob.clone();
-        bad[tag_of_source0(&net, &blob)] = 1;
+        bad[0] ^= 1;
+        let err = other.restore(&bad).unwrap_err();
+        assert!(err.contains("snapshot layout 3, this build reads 2"), "{err}");
+        let mut bad = blob.clone();
+        bad[tag_of_source0(&net)] = 1;
         let err = other.restore(&bad).unwrap_err();
         assert!(err.contains("active source VC 0"), "nothing queued: {err}");
         let mut busy = build(RoutingSpec::Footprint);
@@ -1352,7 +1324,7 @@ mod tests {
             .find_map(|_| {
                 busy.step(&mut wl);
                 let blob = busy.snapshot().unwrap();
-                let tag = tag_of_source0(&busy, &blob);
+                let tag = tag_of_source0(&busy);
                 (blob[tag] == 1).then_some((blob, tag))
             })
             .expect("source 0 is mid-packet within 100 cycles");

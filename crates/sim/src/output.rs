@@ -1,14 +1,8 @@
-//! Output-side VC state: credit counters, owner registers and the
-//! allocation state machine.
-//!
-//! Router output VCs live in the struct-of-arrays store ([`crate::NocSoa`])
-//! for cache-resident per-cycle scans; the object-based [`OutVc`] here
-//! backs the injection channels of [`crate::Source`] endpoints (one small
-//! array per node, outside the router hot loop) and remains the reference
-//! semantics the store's packed state machine must agree with.
-
-use footprint_routing::VcReallocationPolicy;
-use footprint_topology::NodeId;
+//! The allocation states of an output VC — the vocabulary
+//! [`OutVcRef`](crate::OutVcRef), the state dumps and the sentinel match
+//! on. The state machine itself, with its credit counter and owner
+//! register, is [`NocSoa`](crate::NocSoa)'s `out_*` arrays, for router
+//! outputs and source injection channels alike.
 
 use crate::packet::PacketId;
 
@@ -26,281 +20,4 @@ pub enum OutVcState {
     /// reallocated in this state — but it *can* be joined by a packet to the
     /// same destination (the footprint join).
     Draining,
-}
-
-/// One output VC: the state machine plus the credit counter and the
-/// destination "owner" register that Footprint routing reads (§4.4 prices
-/// this register at `log2(N)` bits).
-///
-/// The owner register **persists** after the VC drains and is only
-/// overwritten by the next allocation: this is what lets a drained VC
-/// remain "the footprint VC" for its destination (the paper's Figure 3
-/// example grants VC0 to successive node-A packets precisely because the
-/// register still holds A after each packet drains).
-#[derive(Debug, Clone)]
-pub struct OutVc {
-    state: OutVcState,
-    owner: Option<NodeId>,
-    credits: u32,
-    capacity: u32,
-}
-
-impl OutVc {
-    /// A fresh VC with a full credit allotment of `capacity`.
-    pub fn new(capacity: u32) -> Self {
-        OutVc {
-            state: OutVcState::Idle,
-            owner: None,
-            credits: capacity,
-            capacity,
-        }
-    }
-
-    /// Current allocation state.
-    #[inline]
-    pub fn state(&self) -> OutVcState {
-        self.state
-    }
-
-    /// Destination of the packets currently occupying the VC.
-    #[inline]
-    pub fn owner(&self) -> Option<NodeId> {
-        self.owner
-    }
-
-    /// Remaining downstream buffer slots.
-    #[inline]
-    pub fn credits(&self) -> u32 {
-        self.credits
-    }
-
-    /// Downstream buffer capacity.
-    #[inline]
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// `true` if a fresh (non-join) allocation is permitted under `policy`.
-    pub fn idle_for(&self, policy: VcReallocationPolicy) -> bool {
-        match self.state {
-            OutVcState::Idle => true,
-            OutVcState::Active(_) => false,
-            OutVcState::Draining => policy == VcReallocationPolicy::NonAtomic,
-        }
-    }
-
-    /// `true` if a packet destined to `dest` may join this VC right now:
-    /// the previous tail has been forwarded, the owner matches, and at least
-    /// one credit is available.
-    pub fn joinable_by(&self, dest: NodeId) -> bool {
-        self.state == OutVcState::Draining && self.owner == Some(dest) && self.credits > 0
-    }
-
-    /// Allocates the VC to packet `pkt` destined to `dest` (fresh grant or
-    /// join).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VC is in `Active` state (a packet is still streaming).
-    pub fn allocate(&mut self, pkt: PacketId, dest: NodeId) {
-        assert!(
-            !matches!(self.state, OutVcState::Active(_)),
-            "allocating an active VC"
-        );
-        self.state = OutVcState::Active(pkt);
-        self.owner = Some(dest);
-    }
-
-    /// Consumes one credit as a flit is committed to this VC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no credits remain (the switch allocator must gate on
-    /// credits).
-    pub fn consume_credit(&mut self) {
-        assert!(self.credits > 0, "credit underflow");
-        self.credits -= 1;
-    }
-
-    /// Marks the current packet's tail as forwarded. Under `NonAtomic` the
-    /// VC becomes immediately reusable; under `Atomic` it drains first.
-    pub fn tail_sent(&mut self, policy: VcReallocationPolicy) {
-        debug_assert!(matches!(self.state, OutVcState::Active(_)));
-        match policy {
-            VcReallocationPolicy::Atomic => self.state = OutVcState::Draining,
-            VcReallocationPolicy::NonAtomic => {
-                // Owner persists either way (see the type-level docs).
-                self.state = if self.credits == self.capacity {
-                    OutVcState::Idle
-                } else {
-                    OutVcState::Draining
-                };
-            }
-        }
-    }
-
-    /// Returns one credit (a downstream slot freed). May complete a drain.
-    ///
-    /// # Panics
-    ///
-    /// Panics on credit overflow (more credits returned than capacity).
-    pub fn return_credit(&mut self) {
-        assert!(self.credits < self.capacity, "credit overflow");
-        self.credits += 1;
-        if self.state == OutVcState::Draining && self.credits == self.capacity {
-            // The owner register persists: the VC stays this destination's
-            // footprint VC until another packet claims it.
-            self.state = OutVcState::Idle;
-        }
-    }
-
-    /// `true` if the VC holds no traffic and all credits are home.
-    pub fn is_quiescent(&self) -> bool {
-        self.state == OutVcState::Idle && self.credits == self.capacity
-    }
-
-    /// Serializes the state machine, owner register and credit counter.
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapWriter) {
-        match self.state {
-            OutVcState::Idle => {
-                w.u8(0);
-                w.u64(0);
-            }
-            OutVcState::Active(p) => {
-                w.u8(1);
-                w.u64(p.0);
-            }
-            OutVcState::Draining => {
-                w.u8(2);
-                w.u64(0);
-            }
-        }
-        match self.owner {
-            None => {
-                w.u8(0);
-                w.u16(0);
-            }
-            Some(n) => {
-                w.u8(1);
-                w.u16(n.0);
-            }
-        }
-        w.u32(self.credits);
-        w.u32(self.capacity);
-    }
-
-    /// Restores a snapshot; the capacity echo must match.
-    pub(crate) fn snapshot_read(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), String> {
-        let tag = r.u8()?;
-        let packet = r.u64()?;
-        let state = match tag {
-            0 => OutVcState::Idle,
-            1 => OutVcState::Active(PacketId(packet)),
-            2 => OutVcState::Draining,
-            t => return Err(format!("snapshot OutVc state {t} out of range")),
-        };
-        let owner = match r.u8()? {
-            0 => {
-                r.u16()?;
-                None
-            }
-            _ => Some(NodeId(r.u16()?)),
-        };
-        let credits = r.u32()?;
-        let capacity = r.u32()?;
-        if capacity != self.capacity {
-            return Err(format!(
-                "snapshot OutVc capacity mismatch: stored {capacity}, live {}",
-                self.capacity
-            ));
-        }
-        self.state = state;
-        self.owner = owner;
-        self.credits = credits;
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::packet::PacketId;
-
-    #[test]
-    fn atomic_vc_lifecycle() {
-        let mut vc = OutVc::new(2);
-        assert!(vc.idle_for(VcReallocationPolicy::Atomic));
-        vc.allocate(PacketId(1), NodeId(9));
-        assert_eq!(vc.state(), OutVcState::Active(PacketId(1)));
-        assert_eq!(vc.owner(), Some(NodeId(9)));
-        vc.consume_credit();
-        vc.tail_sent(VcReallocationPolicy::Atomic);
-        assert_eq!(vc.state(), OutVcState::Draining);
-        // Draining is not idle under the atomic policy...
-        assert!(!vc.idle_for(VcReallocationPolicy::Atomic));
-        // ...but it is joinable by the same destination.
-        assert!(vc.joinable_by(NodeId(9)));
-        assert!(!vc.joinable_by(NodeId(8)));
-        vc.return_credit();
-        assert_eq!(vc.state(), OutVcState::Idle);
-        assert_eq!(vc.owner(), Some(NodeId(9)), "owner register persists");
-        assert!(vc.is_quiescent());
-    }
-
-    #[test]
-    fn non_atomic_reallocates_before_drain() {
-        let mut vc = OutVc::new(2);
-        vc.allocate(PacketId(1), NodeId(9));
-        vc.consume_credit();
-        vc.tail_sent(VcReallocationPolicy::NonAtomic);
-        // Tail forwarded, credits outstanding → still reallocatable.
-        assert!(vc.idle_for(VcReallocationPolicy::NonAtomic));
-        vc.allocate(PacketId(2), NodeId(4));
-        assert_eq!(vc.state(), OutVcState::Active(PacketId(2)));
-        assert_eq!(vc.owner(), Some(NodeId(4)));
-    }
-
-    #[test]
-    fn join_reactivates_draining_vc() {
-        let mut vc = OutVc::new(2);
-        vc.allocate(PacketId(1), NodeId(9));
-        vc.consume_credit();
-        vc.tail_sent(VcReallocationPolicy::Atomic);
-        assert!(vc.joinable_by(NodeId(9)));
-        vc.allocate(PacketId(2), NodeId(9)); // the footprint join
-        assert_eq!(vc.state(), OutVcState::Active(PacketId(2)));
-        assert_eq!(vc.owner(), Some(NodeId(9)));
-    }
-
-    #[test]
-    fn join_requires_credits() {
-        let mut vc = OutVc::new(1);
-        vc.allocate(PacketId(1), NodeId(9));
-        vc.consume_credit();
-        vc.tail_sent(VcReallocationPolicy::Atomic);
-        assert!(!vc.joinable_by(NodeId(9)), "no credits → not joinable");
-        vc.return_credit();
-        // Credit return completed the drain → idle, not joinable.
-        assert!(!vc.joinable_by(NodeId(9)));
-        assert!(vc.idle_for(VcReallocationPolicy::Atomic));
-    }
-
-    #[test]
-    #[should_panic(expected = "credit underflow")]
-    fn credit_underflow_panics() {
-        let mut vc = OutVc::new(1);
-        vc.consume_credit();
-        vc.consume_credit();
-    }
-
-    #[test]
-    #[should_panic(expected = "credit overflow")]
-    fn credit_overflow_panics() {
-        let mut vc = OutVc::new(1);
-        vc.return_credit();
-    }
-
 }

@@ -104,7 +104,7 @@ impl NodeSet {
 #[derive(Debug)]
 pub(crate) struct SchedState {
     /// Routers with at least one resident flit (input buffers or output
-    /// stages). Persistent: set on flit delivery, cleared when the count
+    /// stages). Persistent: set on flit arrival, cleared when the count
     /// returns to zero after processing.
     pub live: NodeSet,
     /// Resident flits per router, the counter behind `live`.
@@ -112,9 +112,6 @@ pub(crate) struct SchedState {
     /// The cycle each router expects to be processed next; the gap to the
     /// current cycle is the span its switch arbiters must catch up.
     pub next_expected: Vec<u64>,
-    /// Nodes whose delivery stage must run this cycle (receivable wire
-    /// content). Rebuilt every cycle during the wire scan.
-    pub deliver: NodeSet,
     /// Sinks holding buffered flits.
     pub sink_live: NodeSet,
     /// Routers whose input occupancy changed since the side band last
@@ -130,7 +127,6 @@ impl SchedState {
             live: NodeSet::new(nodes),
             router_work: vec![0; nodes],
             next_expected: vec![0; nodes],
-            deliver: NodeSet::new(nodes),
             sink_live: NodeSet::new(nodes),
             sideband_dirty: NodeSet::new(nodes),
             scratch: Vec::with_capacity(nodes),

@@ -37,7 +37,7 @@ use std::fmt;
 
 use crate::input::RouteState;
 use crate::metrics::Probe;
-use crate::network::Network;
+use crate::network::{Network, SINK};
 use crate::observe::{FlitEvent, FlitEventKind};
 use crate::output::OutVcState;
 use crate::packet::PacketId;
@@ -506,19 +506,12 @@ fn render_excerpt(net: &Network, violation: &SentinelViolation) -> String {
 /// every place a flit can legally sit at cycle end.
 fn check_flit_conservation(net: &Network, injected: u64, ejected: u64) -> Option<SentinelViolation> {
     let mut resident: u64 = 0;
-    for w in net.inj_wires() {
-        resident += w.flits.in_flight() as u64;
+    for (_, wire, _) in net.channels() {
+        resident += wire.flits.in_flight() as u64;
     }
     for node in net.topo().nodes() {
         // Inputs + output stages, exactly the router-resident places.
         resident += net.datapath().resident_flits(node) as u64;
-    }
-    for node in net.topo().nodes() {
-        for port in 0..PORT_COUNT {
-            if let Some(w) = net.out_wire(node, port) {
-                resident += w.flits.in_flight() as u64;
-            }
-        }
     }
     for sink in net.sinks() {
         resident += sink.buffered() as u64;
@@ -534,77 +527,52 @@ fn check_flit_conservation(net: &Network, injected: u64, ejected: u64) -> Option
     }
 }
 
-/// Invariant 2: per-(channel, VC) credit conservation, for all three
-/// channel kinds (injection, router-to-router, ejection).
+/// Invariant 2: per-(channel, VC) credit conservation — one equation for
+/// every channel of the table: upstream credits + staged flits + wire
+/// flits + wire credits + downstream occupancy = capacity.
 fn check_credit_conservation(net: &Network) -> Option<SentinelViolation> {
     let num_vcs = net.config().num_vcs;
-    let mesh = net.topo();
+    let soa = net.datapath();
+    let router_rows = net.topo().len() * PORT_COUNT;
     let mut wire_flits = [0u32; MAX_VCS];
     let mut wire_credits = [0u32; MAX_VCS];
     let mut staged = [0u32; MAX_VCS];
-    for node in mesh.nodes() {
-        let ni = node.index();
-        // Injection channel: source OutVcs vs the router's Local input.
-        let wire = &net.inj_wires()[ni];
+    for (c, wire, down) in net.channels() {
         count_wire(wire, num_vcs, &mut wire_flits, &mut wire_credits);
-        let local_input = net.datapath().input(node, Port::Local.index());
-        for (v, up) in net.sources()[ni].vcs().iter().enumerate() {
-            let downstream = local_input.vc(v).len() as u32;
-            let sum = up.credits() + wire_flits[v] + wire_credits[v] + downstream;
+        staged[..num_vcs].fill(0);
+        let output = soa.out_row(c);
+        for f in output.staged_flits() {
+            staged[f.vc as usize] += 1;
+        }
+        // Router outputs come first, then one injection channel per node.
+        let (ni, channel) = if c < router_rows {
+            let port = Port::from_index(c % PORT_COUNT);
+            (c / PORT_COUNT, SentinelChannel::Output(port))
+        } else {
+            (c - router_rows, SentinelChannel::Injection)
+        };
+        for v in 0..num_vcs {
+            let up = output.vc(v);
+            // The far end: a router's input buffer, or the sink for the
+            // ejection channel.
+            let downstream = if down == SINK {
+                net.sinks()[ni].buffered_in(v) as u32
+            } else {
+                soa.in_row(down).vc(v).len() as u32
+            };
+            let sum = up.credits() + staged[v] + wire_flits[v] + wire_credits[v] + downstream;
             if sum != up.capacity() {
                 return Some(SentinelViolation::CreditConservation {
-                    node,
-                    channel: SentinelChannel::Injection,
+                    node: NodeId(crate::cast::idx_u16(ni)),
+                    channel,
                     vc: crate::cast::vc_u8(v),
                     upstream_credits: up.credits(),
-                    staged: 0,
+                    staged: staged[v],
                     wire_flits: wire_flits[v],
                     wire_credits: wire_credits[v],
                     downstream,
                     capacity: up.capacity(),
                 });
-            }
-        }
-        // Output channels: router OutVcs + stage vs the downstream buffer
-        // (a neighbor's input port, or the sink for the ejection channel).
-        for port in 0..PORT_COUNT {
-            let Some(wire) = net.out_wire(node, port) else {
-                continue;
-            };
-            count_wire(wire, num_vcs, &mut wire_flits, &mut wire_credits);
-            staged[..num_vcs].fill(0);
-            let output = net.datapath().output(node, port);
-            for f in output.staged_flits() {
-                staged[f.vc as usize] += 1;
-            }
-            let port = Port::from_index(port);
-            for v in 0..num_vcs {
-                let up = output.vc(v);
-                let downstream = match port {
-                    Port::Local => net.sinks()[ni].buffered_in(v) as u32,
-                    Port::Dir(d) => {
-                        let nb = mesh.neighbor(node, d).expect("wire implies neighbor");
-                        net.datapath()
-                            .input(nb, Port::Dir(d.opposite()).index())
-                            .vc(v)
-                            .len() as u32
-                    }
-                };
-                let sum =
-                    up.credits() + staged[v] + wire_flits[v] + wire_credits[v] + downstream;
-                if sum != up.capacity() {
-                    return Some(SentinelViolation::CreditConservation {
-                        node,
-                        channel: SentinelChannel::Output(port),
-                        vc: crate::cast::vc_u8(v),
-                        upstream_credits: up.credits(),
-                        staged: staged[v],
-                        wire_flits: wire_flits[v],
-                        wire_credits: wire_credits[v],
-                        downstream,
-                        capacity: up.capacity(),
-                    });
-                }
             }
         }
     }
@@ -728,11 +696,15 @@ fn check_vc_states(net: &Network) -> Option<SentinelViolation> {
                 }
             }
         }
-        // Output side: credits within capacity, Active VCs held by exactly
-        // one input, busy VCs carry an owner (Algorithm 1's register).
-        for pi in 0..PORT_COUNT {
-            let output = soa.output(node, pi);
-            let port = Port::from_index(pi);
+        // Output side, the source's injection channel included: credits
+        // within capacity, busy VCs carry an owner (Algorithm 1's
+        // register), a router's Active VCs held by exactly one input (an
+        // injection VC is held by its source, not by an input VC).
+        for pi in (0..PORT_COUNT).map(Some).chain([None]) {
+            let (output, port, what) = match pi {
+                Some(pi) => (soa.output(node, pi), Port::from_index(pi), "output"),
+                None => (soa.injection(node), Port::Local, "injection"),
+            };
             for (vi, ovc) in output.vcs().enumerate() {
                 let illegal = |detail: String| {
                     Some(SentinelViolation::IllegalVcState {
@@ -744,7 +716,7 @@ fn check_vc_states(net: &Network) -> Option<SentinelViolation> {
                 };
                 if ovc.credits() > ovc.capacity() {
                     return illegal(format!(
-                        "output VC carries {} credits, capacity {}",
+                        "{what} VC carries {} credits, capacity {}",
                         ovc.credits(),
                         ovc.capacity()
                     ));
@@ -758,7 +730,7 @@ fn check_vc_states(net: &Network) -> Option<SentinelViolation> {
                 ) {
                     return illegal(e.to_string());
                 }
-                if let OutVcState::Active(pkt) = ovc.state() {
+                if let (Some(pi), OutVcState::Active(pkt)) = (pi, ovc.state()) {
                     match holders[pi * num_vcs + vi] {
                         Some((_, _, held)) if held == pkt => {}
                         Some((_, _, held)) => {
@@ -776,38 +748,6 @@ fn check_vc_states(net: &Network) -> Option<SentinelViolation> {
                         }
                     }
                 }
-            }
-        }
-    }
-    // Source-side output VCs (the injection channel's upstream end) obey
-    // the same credit/owner discipline.
-    for (node, source) in net.topo().nodes().zip(net.sources()) {
-        for (vi, ovc) in source.vcs().iter().enumerate() {
-            if ovc.credits() > ovc.capacity() {
-                return Some(SentinelViolation::IllegalVcState {
-                    node,
-                    port: Port::Local,
-                    vc: crate::cast::vc_u8(vi),
-                    detail: format!(
-                        "injection VC carries {} credits, capacity {}",
-                        ovc.credits(),
-                        ovc.capacity()
-                    ),
-                });
-            }
-            if let Err(e) = invariant::audit_footprint_owner(
-                node,
-                Port::Local,
-                VcId(crate::cast::vc_u8(vi)),
-                ovc.state() == OutVcState::Idle,
-                ovc.owner(),
-            ) {
-                return Some(SentinelViolation::IllegalVcState {
-                    node,
-                    port: Port::Local,
-                    vc: crate::cast::vc_u8(vi),
-                    detail: e.to_string(),
-                });
             }
         }
     }

@@ -3,13 +3,20 @@
 //! A snapshot is a flat little-endian byte stream: every component writes
 //! its dynamic state in a fixed field order and reads it back in the same
 //! order, validating geometry echoes as it goes. There is no schema or
-//! tagging — the stream is only ever read by the build that wrote it (the
-//! cache key upstream binds the full configuration), so corruption or a
-//! version mismatch surfaces as a length/geometry error and the caller
-//! falls back to a cold start.
+//! field tagging; the one tag is [`SNAPSHOT_LAYOUT`], the stream's first
+//! word, because a cache directory outlives the build that filled it. The
+//! cache key upstream binds the full configuration, and the cache file
+//! carries a checksum of the body, so a restore error (another layout,
+//! another geometry, a short stream) only means "run cold".
 
 use crate::packet::{Flit, FlitKind, PacketId};
 use footprint_topology::NodeId;
+
+/// Version of the stream [`Network::snapshot`](crate::Network::snapshot)
+/// writes, checked first by `restore`. Bump it with any change to what a
+/// component writes or in which order. (2: injection VCs are rows of the
+/// datapath image, wires are stored in channel order.)
+pub(crate) const SNAPSHOT_LAYOUT: u64 = 2;
 
 /// Appends fixed-width little-endian fields to a growing buffer.
 pub(crate) struct SnapWriter {

@@ -11,14 +11,16 @@
 //! [`Router`](crate::Router) keeps only its arbiter pointers and scratch
 //! buffers; everything it arbitrates over is read from and written through
 //! this store. Read-only consumers (the sentinel, state dumps, probes) go
-//! through the [`InPortRef`]/[`OutPortRef`] view structs, which reproduce
-//! the old object API over the arrays — the layout change is invisible to
-//! them by construction.
+//! through the [`InPortRef`]/[`OutPortRef`] view structs.
 //!
 //! # Indexing
 //!
 //! * port id: `np = node * PORT_COUNT + port`
 //! * VC id:   `ivc = np * num_vcs + vc`
+//! * The output side has one more row per node after the router rows:
+//!   `inj_np(node) = num_nodes * PORT_COUNT + node` is the upstream end of
+//!   the source → router injection channel, so a source's injection VCs
+//!   are ordinary `out_*` entries under the same state machine.
 //!
 //! # Invariants
 //!
@@ -85,22 +87,30 @@ pub struct NocSoa {
     route_vc: Vec<u8>,
     route_packet: Vec<u64>,
 
-    // ---- output VCs (indexed by `ivc`) ----
+    // ---- output VCs (indexed by `ivc`, injection rows included) ----
     out_state: Vec<u8>,
+    /// The destination "owner" register Footprint routing reads (§4.4
+    /// prices it at `log2(N)` bits). It **persists** after the VC drains
+    /// and is only overwritten by the next allocation: that is what lets a
+    /// drained VC remain "the footprint VC" for its destination (the
+    /// paper's Figure 3 grants VC0 to successive node-A packets precisely
+    /// because the register still holds A after each packet drains).
     out_owner: Vec<u32>,
     out_packet: Vec<u64>,
     out_credits: Vec<u32>,
 
-    // ---- per (node, port) (indexed by `np`) ----
+    // ---- per input port (indexed by `np`) ----
     waiting_mask: Vec<u64>,
     active_mask: Vec<u64>,
+    in_occupied: Vec<u16>,
+
+    // ---- per output port (indexed by `np`, injection rows included) ----
     /// Bit `v` set iff `out_state[ivc] == OUT_IDLE`.
     out_idle_mask: Vec<u64>,
     /// Bit `v` set iff `out_state[ivc] == OUT_DRAINING`.
     out_drain_mask: Vec<u64>,
     /// Bit `v` set iff `out_owner[ivc] != NO_OWNER`.
     out_owned_mask: Vec<u64>,
-    in_occupied: Vec<u16>,
     stage_store: Vec<Flit>,
     stage_head: Vec<u16>,
     stage_len: Vec<u16>,
@@ -115,6 +125,9 @@ impl NocSoa {
         assert!(speedup >= 1 && speedup <= u16::MAX as usize);
         let nps = num_nodes * PORT_COUNT;
         let ivcs = nps * num_vcs;
+        // Output side: the router rows, then one injection row per node.
+        let out_nps = nps + num_nodes;
+        let out_vcs = out_nps * num_vcs;
         NocSoa {
             num_nodes,
             num_vcs,
@@ -127,19 +140,19 @@ impl NocSoa {
             route_port: vec![0; ivcs],
             route_vc: vec![0; ivcs],
             route_packet: vec![0; ivcs],
-            out_state: vec![OUT_IDLE; ivcs],
-            out_owner: vec![NO_OWNER; ivcs],
-            out_packet: vec![0; ivcs],
-            out_credits: vec![crate::cast::idx_u32(depth); ivcs],
+            out_state: vec![OUT_IDLE; out_vcs],
+            out_owner: vec![NO_OWNER; out_vcs],
+            out_packet: vec![0; out_vcs],
+            out_credits: vec![crate::cast::idx_u32(depth); out_vcs],
             waiting_mask: vec![0; nps],
             active_mask: vec![0; nps],
-            out_idle_mask: vec![Self::vc_range_mask(0, num_vcs); nps],
-            out_drain_mask: vec![0; nps],
-            out_owned_mask: vec![0; nps],
             in_occupied: vec![0; nps],
-            stage_store: vec![VACANT; nps * speedup],
-            stage_head: vec![0; nps],
-            stage_len: vec![0; nps],
+            out_idle_mask: vec![Self::vc_range_mask(0, num_vcs); out_nps],
+            out_drain_mask: vec![0; out_nps],
+            out_owned_mask: vec![0; out_nps],
+            stage_store: vec![VACANT; out_nps * speedup],
+            stage_head: vec![0; out_nps],
+            stage_len: vec![0; out_nps],
         }
     }
 
@@ -308,6 +321,19 @@ impl NocSoa {
     #[inline]
     pub fn ivc(&self, node: NodeId, port: usize, vc: usize) -> usize {
         (node.index() * PORT_COUNT + port) * self.num_vcs + vc
+    }
+
+    /// Output row of `node`'s injection channel (the source's end of the
+    /// source → router link).
+    #[inline]
+    pub fn inj_np(&self, node: NodeId) -> usize {
+        self.num_nodes * PORT_COUNT + node.index()
+    }
+
+    /// Flat output-VC id of VC `vc` of `node`'s injection channel.
+    #[inline]
+    pub fn inj_ivc(&self, node: NodeId, vc: usize) -> usize {
+        self.inj_np(node) * self.num_vcs + vc
     }
 
     // ------------------------------------------------------------------
@@ -490,8 +516,7 @@ impl NocSoa {
         }
     }
 
-    /// Owner register of output VC `ivc` (persists after the VC drains;
-    /// see [`crate::OutVc`]).
+    /// Owner register of output VC `ivc` (persists after the VC drains).
     #[inline]
     pub fn out_owner(&self, ivc: usize) -> Option<NodeId> {
         let o = self.out_owner[ivc];
@@ -715,19 +740,32 @@ impl NocSoa {
     /// Read-only view of one input port.
     #[inline]
     pub fn input(&self, node: NodeId, port: usize) -> InPortRef<'_> {
-        InPortRef {
-            soa: self,
-            np: self.np(node, port),
-        }
+        self.in_row(self.np(node, port))
     }
 
-    /// Read-only view of one output port.
+    /// Read-only view of one router output port.
     #[inline]
     pub fn output(&self, node: NodeId, port: usize) -> OutPortRef<'_> {
-        OutPortRef {
-            soa: self,
-            np: self.np(node, port),
-        }
+        self.out_row(self.np(node, port))
+    }
+
+    /// Read-only view of `node`'s injection channel: the source's output
+    /// VCs (its stage is always empty — sources send straight to the wire).
+    #[inline]
+    pub fn injection(&self, node: NodeId) -> OutPortRef<'_> {
+        self.out_row(self.inj_np(node))
+    }
+
+    /// Read-only view of input row `np`.
+    #[inline]
+    pub(crate) fn in_row(&self, np: usize) -> InPortRef<'_> {
+        InPortRef { soa: self, np }
+    }
+
+    /// Read-only view of output row `np` (router port or injection row).
+    #[inline]
+    pub(crate) fn out_row(&self, np: usize) -> OutPortRef<'_> {
+        OutPortRef { soa: self, np }
     }
 
     /// Total nodes the store was sized for.
@@ -737,7 +775,7 @@ impl NocSoa {
     }
 }
 
-/// Read-only view of one input VC (the old `InVc` API over the arrays).
+/// Read-only view of one input VC.
 #[derive(Clone, Copy)]
 pub struct InVcRef<'a> {
     soa: &'a NocSoa,
@@ -797,7 +835,7 @@ impl<'a> InVcRef<'a> {
     }
 }
 
-/// Read-only view of one output VC (the old `OutVc` read API).
+/// Read-only view of one output VC (a router's or a source's).
 #[derive(Clone, Copy)]
 pub struct OutVcRef<'a> {
     soa: &'a NocSoa,
@@ -884,7 +922,8 @@ impl<'a> InPortRef<'a> {
     }
 }
 
-/// Read-only view of one output port.
+/// Read-only view of one output port (a router's, or a source's injection
+/// channel).
 #[derive(Clone, Copy)]
 pub struct OutPortRef<'a> {
     soa: &'a NocSoa,
@@ -1037,52 +1076,111 @@ mod tests {
         s.in_grant(0, Port::Local, 0);
     }
 
+    /// Output-VC ids of one router row and one injection row of a
+    /// two-node store with `depth`-flit buffers: the state machine is the
+    /// same code on both, and every test below runs on both.
+    fn out_rows(depth: usize) -> (NocSoa, [usize; 2]) {
+        let s = NocSoa::new(2, 4, depth, 2);
+        let rows = [s.ivc(NodeId(0), 1, 2), s.inj_ivc(NodeId(1), 2)];
+        (s, rows)
+    }
+
     #[test]
     fn atomic_out_vc_lifecycle() {
-        let mut s = NocSoa::new(1, 4, 2, 2);
-        let ivc = s.ivc(NodeId(0), 1, 2);
-        assert!(s.out_idle_for(ivc, VcReallocationPolicy::Atomic));
-        s.out_allocate(ivc, PacketId(1), NodeId(9));
-        assert_eq!(s.out_state(ivc), OutVcState::Active(PacketId(1)));
-        assert_eq!(s.out_owner(ivc), Some(NodeId(9)));
-        s.out_consume_credit(ivc);
-        s.out_tail_sent(ivc, VcReallocationPolicy::Atomic);
-        assert_eq!(s.out_state(ivc), OutVcState::Draining);
-        assert!(!s.out_idle_for(ivc, VcReallocationPolicy::Atomic));
-        assert!(s.out_joinable_by(ivc, NodeId(9)));
-        assert!(!s.out_joinable_by(ivc, NodeId(8)));
-        s.out_return_credit(ivc);
-        assert_eq!(s.out_state(ivc), OutVcState::Idle);
-        assert_eq!(s.out_owner(ivc), Some(NodeId(9)), "owner register persists");
+        let (mut s, rows) = out_rows(2);
+        for ivc in rows {
+            assert!(s.out_idle_for(ivc, VcReallocationPolicy::Atomic));
+            s.out_allocate(ivc, PacketId(1), NodeId(9));
+            assert_eq!(s.out_state(ivc), OutVcState::Active(PacketId(1)));
+            assert_eq!(s.out_owner(ivc), Some(NodeId(9)));
+            s.out_consume_credit(ivc);
+            s.out_tail_sent(ivc, VcReallocationPolicy::Atomic);
+            assert_eq!(s.out_state(ivc), OutVcState::Draining);
+            // Draining is not idle under the atomic policy...
+            assert!(!s.out_idle_for(ivc, VcReallocationPolicy::Atomic));
+            // ...but it is joinable by the same destination.
+            assert!(s.out_joinable_by(ivc, NodeId(9)));
+            assert!(!s.out_joinable_by(ivc, NodeId(8)));
+            s.out_return_credit(ivc);
+            assert_eq!(s.out_state(ivc), OutVcState::Idle);
+            assert_eq!(s.out_owner(ivc), Some(NodeId(9)), "owner register persists");
+        }
         assert!(s.output(NodeId(0), 1).vc(2).is_quiescent());
+        assert!(s.injection(NodeId(1)).is_quiescent());
     }
 
     #[test]
     fn non_atomic_reallocates_before_drain() {
-        let mut s = NocSoa::new(1, 4, 2, 2);
-        let ivc = 0;
-        s.out_allocate(ivc, PacketId(1), NodeId(9));
-        s.out_consume_credit(ivc);
-        s.out_tail_sent(ivc, VcReallocationPolicy::NonAtomic);
-        assert!(s.out_idle_for(ivc, VcReallocationPolicy::NonAtomic));
-        s.out_allocate(ivc, PacketId(2), NodeId(4));
-        assert_eq!(s.out_state(ivc), OutVcState::Active(PacketId(2)));
-        assert_eq!(s.out_owner(ivc), Some(NodeId(4)));
+        let (mut s, rows) = out_rows(2);
+        for ivc in rows {
+            s.out_allocate(ivc, PacketId(1), NodeId(9));
+            s.out_consume_credit(ivc);
+            s.out_tail_sent(ivc, VcReallocationPolicy::NonAtomic);
+            // Tail forwarded, credits outstanding → still reallocatable.
+            assert!(s.out_idle_for(ivc, VcReallocationPolicy::NonAtomic));
+            s.out_allocate(ivc, PacketId(2), NodeId(4));
+            assert_eq!(s.out_state(ivc), OutVcState::Active(PacketId(2)));
+            assert_eq!(s.out_owner(ivc), Some(NodeId(4)));
+        }
+    }
+
+    #[test]
+    fn join_reactivates_draining_vc() {
+        let (mut s, rows) = out_rows(2);
+        for ivc in rows {
+            s.out_allocate(ivc, PacketId(1), NodeId(9));
+            s.out_consume_credit(ivc);
+            s.out_tail_sent(ivc, VcReallocationPolicy::Atomic);
+            assert!(s.out_joinable_by(ivc, NodeId(9)));
+            s.out_allocate(ivc, PacketId(2), NodeId(9)); // the footprint join
+            assert_eq!(s.out_state(ivc), OutVcState::Active(PacketId(2)));
+            assert_eq!(s.out_owner(ivc), Some(NodeId(9)));
+        }
+    }
+
+    #[test]
+    fn join_requires_credits() {
+        let (mut s, rows) = out_rows(1);
+        for ivc in rows {
+            s.out_allocate(ivc, PacketId(1), NodeId(9));
+            s.out_consume_credit(ivc);
+            s.out_tail_sent(ivc, VcReallocationPolicy::Atomic);
+            assert!(!s.out_joinable_by(ivc, NodeId(9)), "no credits → not joinable");
+            s.out_return_credit(ivc);
+            // Credit return completed the drain → idle, not joinable.
+            assert!(!s.out_joinable_by(ivc, NodeId(9)));
+            assert!(s.out_idle_for(ivc, VcReallocationPolicy::Atomic));
+        }
     }
 
     #[test]
     #[should_panic(expected = "credit underflow")]
     fn credit_underflow_panics() {
-        let mut s = NocSoa::new(1, 1, 1, 1);
-        s.out_consume_credit(0);
-        s.out_consume_credit(0);
+        let (mut s, [router, _]) = out_rows(1);
+        s.out_consume_credit(router);
+        s.out_consume_credit(router);
+    }
+
+    #[test]
+    #[should_panic(expected = "credit underflow")]
+    fn injection_credit_underflow_panics() {
+        let (mut s, [_, injection]) = out_rows(1);
+        s.out_consume_credit(injection);
+        s.out_consume_credit(injection);
     }
 
     #[test]
     #[should_panic(expected = "credit overflow")]
     fn credit_overflow_panics() {
-        let mut s = NocSoa::new(1, 1, 1, 1);
-        s.out_return_credit(0);
+        let (mut s, [router, _]) = out_rows(1);
+        s.out_return_credit(router);
+    }
+
+    #[test]
+    #[should_panic(expected = "credit overflow")]
+    fn injection_credit_overflow_panics() {
+        let (mut s, [_, injection]) = out_rows(1);
+        s.out_return_credit(injection);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! [`PortStateView`] implementations over live simulator state.
+//! The [`PortStateView`] over live simulator state.
 //!
 //! [`RouterOutputsView`] is backed by the struct-of-arrays store and
 //! overrides the trait's bulk scan methods (`idle_count`, `class_masks`)
@@ -10,24 +10,19 @@
 //!
 //! [`vc`]: PortStateView::vc
 
-use crate::output::{OutVc, OutVcState};
+use crate::output::OutVcState;
 use crate::soa::NocSoa;
 use footprint_routing::{PortStateView, VcId, VcReallocationPolicy, VcView};
-use footprint_topology::{NodeId, Port};
+use footprint_topology::{NodeId, Port, PORT_COUNT};
 
-fn view_of(vc: &OutVc, policy: VcReallocationPolicy) -> VcView {
-    VcView {
-        idle: vc.idle_for(policy),
-        owner: vc.owner(),
-        credits: vc.credits(),
-        joinable: vc.state() == OutVcState::Draining && vc.credits() > 0,
-    }
-}
-
-/// View over a router's five output ports in the SoA store.
+/// View over the output VCs a routing decision at one node may read: a
+/// router's five output ports, or a source's injection channel.
 pub struct RouterOutputsView<'a> {
     soa: &'a NocSoa,
-    node: NodeId,
+    /// Output row of port index 0.
+    base: usize,
+    /// Rows the view spans from `base`.
+    ports: usize,
     policy: VcReallocationPolicy,
     num_vcs: usize,
 }
@@ -37,10 +32,27 @@ impl<'a> RouterOutputsView<'a> {
     pub fn new(soa: &'a NocSoa, node: NodeId, policy: VcReallocationPolicy) -> Self {
         RouterOutputsView {
             soa,
-            node,
+            base: soa.np(node, 0),
+            ports: PORT_COUNT,
             policy,
             num_vcs: soa.num_vcs(),
         }
+    }
+
+    /// Wraps the injection channel of `node`'s source: [`Port::Local`] has
+    /// index 0, so this is the same view over a one-row window.
+    pub fn injection(soa: &'a NocSoa, node: NodeId, policy: VcReallocationPolicy) -> Self {
+        RouterOutputsView {
+            base: soa.inj_np(node),
+            ports: 1,
+            ..Self::new(soa, node, policy)
+        }
+    }
+
+    #[inline]
+    fn np(&self, port: Port) -> usize {
+        assert!(port.index() < self.ports, "injection view has only the local port");
+        self.base + port.index()
     }
 }
 
@@ -50,7 +62,7 @@ impl PortStateView for RouterOutputsView<'_> {
     }
 
     fn vc(&self, port: Port, vc: VcId) -> VcView {
-        let ivc = self.soa.ivc(self.node, port.index(), vc.index());
+        let ivc = self.np(port) * self.num_vcs + vc.index();
         VcView {
             idle: self.soa.out_idle_for(ivc, self.policy),
             owner: self.soa.out_owner(ivc),
@@ -61,13 +73,12 @@ impl PortStateView for RouterOutputsView<'_> {
     }
 
     fn idle_count(&self, port: Port, lo: usize, hi: usize) -> usize {
-        let np = self.soa.np(self.node, port.index());
         let range = NocSoa::vc_range_mask(lo, hi);
-        (self.soa.out_idle_mask_for(np, self.policy) & range).count_ones() as usize
+        (self.soa.out_idle_mask_for(self.np(port), self.policy) & range).count_ones() as usize
     }
 
     fn class_masks(&self, port: Port, dest: NodeId, lo: usize, hi: usize) -> (u64, u64) {
-        let np = self.soa.np(self.node, port.index());
+        let np = self.np(port);
         let range = NocSoa::vc_range_mask(lo, hi);
         // Footprint VCs are the owner-register matches; the owner mask
         // narrows the scan to VCs that ever carried a packet.
@@ -83,43 +94,6 @@ impl PortStateView for RouterOutputsView<'_> {
             }
         }
         let idle = self.soa.out_idle_mask_for(np, self.policy) & range & !fp;
-        (idle, fp)
-    }
-}
-
-/// View over a source's injection channel (only [`Port::Local`] is valid).
-pub struct InjectionView<'a> {
-    vcs: &'a [OutVc],
-    policy: VcReallocationPolicy,
-}
-
-impl<'a> InjectionView<'a> {
-    /// Wraps a source's output-VC array.
-    pub fn new(vcs: &'a [OutVc], policy: VcReallocationPolicy) -> Self {
-        InjectionView { vcs, policy }
-    }
-}
-
-impl PortStateView for InjectionView<'_> {
-    fn num_vcs(&self) -> usize {
-        self.vcs.len()
-    }
-
-    fn vc(&self, port: Port, vc: VcId) -> VcView {
-        assert_eq!(port, Port::Local, "injection view has only the local port");
-        view_of(&self.vcs[vc.index()], self.policy)
-    }
-
-    fn class_masks(&self, port: Port, dest: NodeId, lo: usize, hi: usize) -> (u64, u64) {
-        assert_eq!(port, Port::Local, "injection view has only the local port");
-        let (mut idle, mut fp) = (0u64, 0u64);
-        for (v, vc) in self.vcs[lo..hi].iter().enumerate() {
-            if vc.owner() == Some(dest) {
-                fp |= 1 << (lo + v);
-            } else if vc.idle_for(self.policy) {
-                idle |= 1 << (lo + v);
-            }
-        }
         (idle, fp)
     }
 }
@@ -206,16 +180,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "only the local port")]
     fn injection_view_rejects_direction_ports() {
-        let vcs = vec![OutVc::new(4)];
-        let view = InjectionView::new(&vcs, VcReallocationPolicy::Atomic);
+        let s = soa();
+        let view = RouterOutputsView::injection(&s, NodeId(0), VcReallocationPolicy::Atomic);
         let _ = view.vc(Port::Dir(Direction::East), VcId(0));
     }
 
     #[test]
     fn injection_view_reads_local_port() {
-        let vcs = vec![OutVc::new(4), OutVc::new(4)];
-        let view = InjectionView::new(&vcs, VcReallocationPolicy::NonAtomic);
-        assert!(view.vc(Port::Local, VcId(1)).idle);
+        let mut s = NocSoa::new(2, 2, 4, 2);
+        // Node 1's injection VC 1 is busy; node 0's, and node 1's router
+        // outputs, are not what the view reads.
+        s.out_allocate(s.inj_ivc(NodeId(1), 1), PacketId(1), NodeId(0));
+        let view = RouterOutputsView::injection(&s, NodeId(1), VcReallocationPolicy::NonAtomic);
+        assert!(view.vc(Port::Local, VcId(0)).idle);
+        assert!(!view.vc(Port::Local, VcId(1)).idle);
+        assert_eq!(view.class_masks(Port::Local, NodeId(0), 0, 2), (0b01, 0b10));
+        assert_eq!(view.idle_count(Port::Local, 0, 2), 1);
         assert_eq!(view.num_vcs(), 2);
+        let other = RouterOutputsView::injection(&s, NodeId(0), VcReallocationPolicy::NonAtomic);
+        assert!(other.vc(Port::Local, VcId(1)).idle);
     }
 }

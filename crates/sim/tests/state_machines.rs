@@ -2,11 +2,11 @@
 //! VC lifecycle, input VC FIFO discipline and the wire pipeline.
 
 use footprint_routing::VcReallocationPolicy;
-use footprint_sim::{Flit, FlitKind, NocSoa, OutVc, OutVcState, PacketId, Pipe};
+use footprint_sim::{Flit, FlitKind, NocSoa, OutVcState, PacketId, Pipe};
 use footprint_topology::NodeId;
 use proptest::prelude::*;
 
-/// Random operation against an OutVc.
+/// Random operation against an output VC.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Allocate(u16, u16), // packet id, dest
@@ -31,6 +31,7 @@ proptest! {
     fn outvc_invariants(
         ops in prop::collection::vec(arb_op(), 1..200),
         atomic in any::<bool>(),
+        injection in any::<bool>(),
     ) {
         let policy = if atomic {
             VcReallocationPolicy::Atomic
@@ -38,43 +39,52 @@ proptest! {
             VcReallocationPolicy::NonAtomic
         };
         let capacity = 4;
-        let mut vc = OutVc::new(capacity);
+        // One VC of a router output row or of a source's injection row:
+        // the same state machine either way.
+        let mut soa = NocSoa::new(2, 2, capacity as usize, 1);
+        let vc = if injection {
+            soa.inj_ivc(NodeId(1), 1)
+        } else {
+            soa.ivc(NodeId(1), 3, 1)
+        };
         let mut outstanding = 0u32; // flits sent minus credits returned
         for op in ops {
             match op {
                 Op::Allocate(p, d) => {
-                    let fresh = vc.idle_for(policy);
-                    let join = vc.joinable_by(NodeId(d));
+                    let fresh = soa.out_idle_for(vc, policy);
+                    let join = soa.out_joinable_by(vc, NodeId(d));
                     if fresh || join {
-                        vc.allocate(PacketId(p as u64), NodeId(d));
-                        prop_assert_eq!(vc.owner(), Some(NodeId(d)));
-                        prop_assert!(matches!(vc.state(), OutVcState::Active(_)));
+                        soa.out_allocate(vc, PacketId(p as u64), NodeId(d));
+                        prop_assert_eq!(soa.out_owner(vc), Some(NodeId(d)));
+                        prop_assert!(matches!(soa.out_state(vc), OutVcState::Active(_)));
                     }
                 }
                 Op::Consume => {
-                    if matches!(vc.state(), OutVcState::Active(_)) && vc.credits() > 0 {
-                        vc.consume_credit();
+                    if matches!(soa.out_state(vc), OutVcState::Active(_))
+                        && soa.out_credits(vc) > 0
+                    {
+                        soa.out_consume_credit(vc);
                         outstanding += 1;
                     }
                 }
                 Op::TailSent => {
-                    if matches!(vc.state(), OutVcState::Active(_)) {
-                        vc.tail_sent(policy);
-                        prop_assert!(!matches!(vc.state(), OutVcState::Active(_)));
+                    if matches!(soa.out_state(vc), OutVcState::Active(_)) {
+                        soa.out_tail_sent(vc, policy);
+                        prop_assert!(!matches!(soa.out_state(vc), OutVcState::Active(_)));
                     }
                 }
                 Op::ReturnCredit => {
                     if outstanding > 0 {
-                        vc.return_credit();
+                        soa.out_return_credit(vc);
                         outstanding -= 1;
                     }
                 }
             }
-            prop_assert!(vc.credits() <= capacity);
-            prop_assert_eq!(vc.credits() + outstanding, capacity, "credit conservation");
+            prop_assert!(soa.out_credits(vc) <= capacity);
+            prop_assert_eq!(soa.out_credits(vc) + outstanding, capacity, "credit conservation");
             // Atomic policy: a drained VC in Idle state implies full credits.
-            if vc.state() == OutVcState::Idle && policy == VcReallocationPolicy::Atomic {
-                prop_assert!(vc.idle_for(policy));
+            if soa.out_state(vc) == OutVcState::Idle && policy == VcReallocationPolicy::Atomic {
+                prop_assert!(soa.out_idle_for(vc, policy));
             }
         }
     }

@@ -5,7 +5,10 @@
 set -e
 cd "$(dirname "$0")/.."
 cargo build --release -p footprint-bench
-for exp in table1 table2 table3 cost fig2 fig9 fig5 fig6 fig7 fig10 fig8 ablation fault_sweep; do
+# One binary per source file in crates/bench/src/bin (the benchmark is a
+# directory there and has its own driver).
+for src in crates/bench/src/bin/*.rs; do
+  exp=$(basename "$src" .rs)
   echo "=== $exp ==="
   ./target/release/"$exp" > "results/$exp.txt" 2>&1
   echo "    -> results/$exp.txt"

@@ -159,7 +159,8 @@ fn snapshot_cache_hit_reproduces_cold_start_exactly() {
 /// The cache key includes the injection rate and seed, so sibling sweep
 /// points never collide: a four-point ensemble sweep with a shared cache
 /// directory stays bit-identical to the uncached sequential sweep on both
-/// the cold (store) and warm (hit) passes.
+/// the cold (store) and warm (hit) passes — and on a pass over corrupted
+/// entries, which must fall back to cold runs and heal the cache.
 #[test]
 fn ensemble_sweep_with_shared_cache_stays_bit_identical() {
     let dir = std::env::temp_dir().join(format!("footprint-ensemble-sweep-{}", std::process::id()));
@@ -176,9 +177,29 @@ fn ensemble_sweep_with_shared_cache_stays_bit_identical() {
     let reference = base()
         .sweep_with(&RATES, SweepOptions::new().threads(1))
         .expect("reference sweep");
-    for pass in ["cold", "warm"] {
+    let entries = || -> Vec<(std::path::PathBuf, Vec<u8>)> {
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .map(|e| e.expect("cache entry").path())
+            .collect();
+        paths.sort();
+        paths.into_iter().map(|p| (p.clone(), std::fs::read(p).expect("entry"))).collect()
+    };
+    let mut good = Vec::new();
+    for pass in ["cold", "warm", "corrupted"] {
+        if pass == "corrupted" {
+            // One flipped bit in the middle of every entry's body: the
+            // checksum turns each into a miss, so the sweep runs cold.
+            good = entries();
+            assert_eq!(good.len(), RATES.len());
+            for (path, bytes) in &good {
+                let mut bad = bytes.clone();
+                bad[bytes.len() / 2] ^= 0x10;
+                std::fs::write(path, bad).expect("corrupt the entry");
+            }
+        }
         // Sentinel pinned off: the cache is (deliberately) ineligible under
-        // it, and both passes must store/hit even on the
+        // it, and every pass must store/hit even on the
         // FOOTPRINT_SENTINEL=1 CI leg.
         let curve = base()
             .sweep_with(
@@ -196,5 +217,6 @@ fn ensemble_sweep_with_shared_cache_stays_bit_identical() {
             "{pass} cached ensemble sweep diverged from the uncached sequential sweep"
         );
     }
+    assert!(entries() == good, "the cold fallback must rewrite every corrupted entry");
     let _ = std::fs::remove_dir_all(&dir);
 }
