@@ -6,7 +6,7 @@
 //! flattens every (curve × rate) pair into one
 //! [`footprint_core::JobSet`] so the whole figure saturates the worker
 //! pool instead of parallelizing one curve at a time. Each point runs
-//! exactly what [`SimulationBuilder::sweep`] would run for that curve
+//! exactly what [`SimulationBuilder::sweep_with`] would run for that curve
 //! (same derived per-rate seed, same summary), so a figure produced
 //! through a `CurveSet` is bit-identical to sweeping its curves one by
 //! one — and to `FOOTPRINT_THREADS=1` sequential execution.

@@ -4,7 +4,8 @@ use std::collections::VecDeque;
 
 use crate::metrics::{EjectedPacket, Metrics, Probe};
 use crate::packet::{Flit, NewPacket, PacketId, PendingPacket};
-use crate::soa::NocSoa;
+use crate::snapshot::{Snap, SnapResult};
+use crate::soa::{NocSoa, VACANT};
 use crate::view::RouterOutputsView;
 use crate::wire::{CreditMsg, Wire};
 use footprint_routing::{
@@ -182,60 +183,36 @@ impl Source {
         self.queue.is_empty() && soa.injection(self.node).is_quiescent()
     }
 
-    /// Serializes the generation queue, active grant and round-robin
-    /// pointer (the injection VCs are in the [`NocSoa`] image; scratch is
-    /// per-cycle and omitted).
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.usize(self.queue.len());
-        for p in &self.queue {
-            w.u64(p.id.0);
-            w.u16(p.src.0);
-            w.u16(p.dest.0);
-            w.u16(p.size);
-            w.u64(p.birth);
-            w.u8(p.class);
-            w.u16(p.sent);
-        }
-        match self.active_vc {
-            None => {
-                w.u8(0);
-                w.usize(0);
-            }
-            Some(v) => {
-                w.u8(1);
-                w.usize(v);
-            }
-        }
-        w.usize(self.rr);
-    }
-
-    /// Restores a snapshot; an active VC must exist and have a packet to
-    /// send.
-    pub(crate) fn snapshot_read(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), String> {
-        let queued = r.usize()?;
-        self.queue.clear();
-        for _ in 0..queued {
-            let id = PacketId(r.u64()?);
-            let src = NodeId(r.u16()?);
-            let dest = NodeId(r.u16()?);
-            let size = r.u16()?;
-            let birth = r.u64()?;
-            let class = r.u8()?;
-            let sent = r.u16()?;
-            self.queue.push_back(PendingPacket {
-                id,
-                src,
-                dest,
-                size,
-                birth,
-                class,
-                sent,
-            });
-        }
-        self.active_vc = match (r.u8()?, r.usize()?) {
+    /// Moves the generation queue, active grant and round-robin pointer
+    /// (the injection VCs are in the [`NocSoa`] image; scratch is
+    /// per-cycle and omitted). A restored active VC must exist and have a
+    /// packet to send.
+    pub(crate) fn snap<S: Snap>(&mut self, s: &mut S) -> SnapResult {
+        let n = s.len(self.queue.len(), "source queue length")?;
+        let blank = PendingPacket {
+            id: PacketId(0),
+            src: self.node,
+            dest: self.node,
+            size: 0,
+            birth: 0,
+            class: 0,
+            sent: 0,
+        };
+        self.queue.resize(n, blank);
+        s.each(&mut self.queue, |s, p| {
+            s.u64(&mut p.id.0)?;
+            s.u16(&mut p.src.0)?;
+            s.u16(&mut p.dest.0)?;
+            s.u16(&mut p.size)?;
+            s.u64(&mut p.birth)?;
+            s.u8(&mut p.class)?;
+            s.u16(&mut p.sent)
+        })?;
+        let mut tag = u8::from(self.active_vc.is_some());
+        let mut v = self.active_vc.unwrap_or(0);
+        s.u8(&mut tag)?;
+        s.usize(&mut v)?;
+        self.active_vc = match (tag, v) {
             (0, _) => None,
             // `step` indexes the injection row with it and takes the
             // queue's front.
@@ -249,8 +226,7 @@ impl Source {
             }
             (_, v) => Some(v),
         };
-        self.rr = r.usize()?;
-        Ok(())
+        s.usize(&mut self.rr)
     }
 }
 
@@ -350,41 +326,23 @@ impl Sink {
         self.vcs.iter().all(VecDeque::is_empty)
     }
 
-    /// Serializes the per-VC buffers and the round-robin pointer.
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.usize(self.vcs.len());
-        for q in &self.vcs {
-            w.usize(q.len());
-            for f in q {
-                w.flit(f);
-            }
-        }
-        w.usize(self.rr);
-        w.usize(self.capacity);
-    }
-
-    /// Restores a snapshot; VC count and capacity echoes must match.
-    pub(crate) fn snapshot_read(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), String> {
-        r.expect_usize(self.vcs.len(), "sink VC count")?;
+    /// Moves the per-VC buffers and the round-robin pointer; the VC count
+    /// and capacity echoes must match.
+    pub(crate) fn snap<S: Snap>(&mut self, s: &mut S) -> SnapResult {
+        s.echo(self.vcs.len(), "sink VC count")?;
         for q in &mut self.vcs {
-            let n = r.usize()?;
+            let n = s.len(q.len(), "sink buffer length")?;
             if n > self.capacity {
                 return Err(format!(
                     "snapshot sink buffer of {n} flits exceeds capacity {}",
                     self.capacity
                 ));
             }
-            q.clear();
-            for _ in 0..n {
-                q.push_back(r.flit()?);
-            }
+            q.resize(n, VACANT);
+            s.each(q, S::flit)?;
         }
-        self.rr = r.usize()?;
-        r.expect_usize(self.capacity, "sink capacity")?;
-        Ok(())
+        s.usize(&mut self.rr)?;
+        s.echo(self.capacity, "sink capacity")
     }
 }
 

@@ -13,6 +13,7 @@ use crate::recovery::RecoveryTracker;
 use crate::router::{AllocRules, FreedSlot, Router};
 use crate::sched::{SchedState, Scheduler};
 use crate::sideband::Sideband;
+use crate::snapshot::{Snap, SnapReader, SnapResult, SnapWriter, SNAPSHOT_LAYOUT};
 use crate::soa::NocSoa;
 use crate::wire::{CreditMsg, Wire};
 use crate::workload::Workload;
@@ -292,9 +293,9 @@ impl Network {
     /// Both schedulers run the same stage sequence; the active-set walk
     /// merely restricts stages 2 to 5 to the components with work (stage 1
     /// skips quiescent channels in either mode).
-    /// Skipped components are exact no-ops under the dense loop (see
-    /// [`crate::sched`] for the argument), so the two modes are
-    /// bit-identical.
+    /// Skipped components are exact no-ops under the dense loop (the
+    /// private `sched` module's docs give the argument), so the two modes
+    /// are bit-identical.
     pub fn step_probed(&mut self, workload: &mut dyn Workload, probe: &mut dyn Probe) {
         if self.sched_resync_pending {
             self.sched_resync_pending = false;
@@ -710,40 +711,16 @@ impl Network {
     /// Returns an error when the network runs under a fault plan or holds
     /// parked retries — fault/recovery/retry state is deliberately outside
     /// the snapshot inventory, so such a network must not be checkpointed.
-    pub fn snapshot(&self) -> Result<Vec<u8>, String> {
+    ///
+    /// Takes `&mut self` only because it shares one walk with `restore`;
+    /// it changes nothing.
+    pub fn snapshot(&mut self) -> Result<Vec<u8>, String> {
         if self.track_recovery || !self.retries.is_empty() || !self.unreachable.is_empty() {
             return Err("snapshots require a fault-free network".into());
         }
-        let mut w = crate::snapshot::SnapWriter::new();
-        w.u64(crate::snapshot::SNAPSHOT_LAYOUT);
-        w.usize(self.topo.len());
-        w.usize(self.cfg.num_vcs);
-        w.usize(self.cfg.vc_buffer_depth);
-        w.u64(self.cycle);
-        w.u64(self.next_packet);
-        for s in self.rng.state() {
-            w.u64(s);
-        }
-        self.soa.snapshot_write(&mut w);
-        for r in &self.routers {
-            r.snapshot_write(&mut w);
-        }
-        for s in &self.sources {
-            s.snapshot_write(&mut w);
-        }
-        for s in &self.sinks {
-            s.snapshot_write(&mut w);
-        }
-        for wire in self.wires.iter().flatten() {
-            wire.snapshot_write(&mut w);
-        }
-        for &lf in &self.link_flits {
-            w.u64(lf);
-        }
-        for &ne in &self.sched.next_expected {
-            w.u64(ne);
-        }
-        Ok(w.into_bytes())
+        let mut w = SnapWriter(Vec::new());
+        self.snap(&mut w)?;
+        Ok(w.0)
     }
 
     /// Restores a [`Network::snapshot`] image into this network, which
@@ -763,47 +740,40 @@ impl Network {
         if self.track_recovery {
             return Err("cannot restore into a faulted network".into());
         }
-        let mut r = crate::snapshot::SnapReader::new(bytes);
-        let layout = r.u64()?;
-        if layout != crate::snapshot::SNAPSHOT_LAYOUT {
-            return Err(format!(
-                "snapshot layout {layout}, this build reads {}",
-                crate::snapshot::SNAPSHOT_LAYOUT
-            ));
-        }
-        r.expect_usize(self.topo.len(), "node count")?;
-        r.expect_usize(self.cfg.num_vcs, "VC count")?;
-        r.expect_usize(self.cfg.vc_buffer_depth, "buffer depth")?;
-        self.cycle = r.u64()?;
-        self.next_packet = r.u64()?;
-        let mut s = [0u64; 4];
-        for slot in &mut s {
-            *slot = r.u64()?;
-        }
-        self.rng = SmallRng::from_state(s);
-        self.soa.snapshot_read(&mut r)?;
-        for router in &mut self.routers {
-            router.snapshot_read(&mut r)?;
-        }
-        for src in &mut self.sources {
-            src.snapshot_read(&mut r)?;
-        }
-        for sink in &mut self.sinks {
-            sink.snapshot_read(&mut r)?;
-        }
-        for wire in self.wires.iter_mut().flatten() {
-            wire.snapshot_read(&mut r)?;
-        }
-        for lf in &mut self.link_flits {
-            *lf = r.u64()?;
-        }
-        for ne in &mut self.sched.next_expected {
-            *ne = r.u64()?;
-        }
+        let mut r = SnapReader::new(bytes);
+        self.snap(&mut r)?;
         r.done()?;
         self.metrics = Metrics::new();
         self.sched_resync_pending = true;
         Ok(())
+    }
+
+    /// The one walk [`Network::snapshot`] writes and [`Network::restore`]
+    /// reads: the layout word, the geometry echoes, the counters and the
+    /// RNG stream, then every component in a fixed order.
+    fn snap<S: Snap>(&mut self, s: &mut S) -> SnapResult {
+        let mut layout = SNAPSHOT_LAYOUT;
+        s.u64(&mut layout)?;
+        if layout != SNAPSHOT_LAYOUT {
+            return Err(format!(
+                "snapshot layout {layout}, this build reads {SNAPSHOT_LAYOUT}"
+            ));
+        }
+        s.echo(self.topo.len(), "node count")?;
+        s.echo(self.cfg.num_vcs, "VC count")?;
+        s.echo(self.cfg.vc_buffer_depth, "buffer depth")?;
+        s.u64(&mut self.cycle)?;
+        s.u64(&mut self.next_packet)?;
+        let mut rng = self.rng.state();
+        s.each(&mut rng, S::u64)?;
+        self.rng = SmallRng::from_state(rng);
+        self.soa.snap(s)?;
+        s.each(&mut self.routers, |s, r| r.snap(s))?;
+        s.each(&mut self.sources, |s, src| src.snap(s))?;
+        s.each(&mut self.sinks, |s, sink| sink.snap(s))?;
+        s.each(self.wires.iter_mut().flatten(), |s, wire| wire.snap(s))?;
+        s.each(&mut self.link_flits, S::u64)?;
+        s.each(&mut self.sched.next_expected, S::u64)
     }
 
     /// The live fault state derived from the network's fault plan.
@@ -1271,7 +1241,7 @@ mod tests {
     fn snapshot_rejects_faulted_networks_and_wrong_geometry() {
         use footprint_topology::{FaultEvent, FaultPlan};
         let plan = FaultPlan::new().with(FaultEvent::router_down(NodeId(3), 0));
-        let faulted = Network::with_faults(
+        let mut faulted = Network::with_faults(
             SimConfig::small(),
             RoutingSpec::Footprint.build(),
             1,
@@ -1280,7 +1250,7 @@ mod tests {
         )
         .unwrap();
         assert!(faulted.snapshot().is_err());
-        let net = build(RoutingSpec::Footprint);
+        let mut net = build(RoutingSpec::Footprint);
         let blob = net.snapshot().unwrap();
         let mut cfg = SimConfig::small();
         cfg.num_vcs += 1;
@@ -1288,29 +1258,49 @@ mod tests {
         assert!(other.restore(&blob).is_err(), "geometry echo must catch this");
         assert!(other.restore(&blob[..blob.len() - 3]).is_err());
 
-        // A flipped byte in a source's active-VC field: `Source::step`
-        // would expect a packet its queue does not hold, or index past its
-        // VCs, and panic the sweep worker — it must be a restore error.
-        let tag_of_source0 = |net: &Network| {
+        // Offsets into `net`'s stream: source 0's queue length, its
+        // active-VC tag, and the first wire's first pipe stage length.
+        let offsets = |net: &mut Network| {
+            use crate::snapshot::{Snap, SnapWriter};
             // Before the sources: the layout word, three geometry echoes,
             // the cycle and packet counters and four RNG words, then the
             // datapath image and the routers' arbiters.
-            let mut w = crate::snapshot::SnapWriter::new();
-            net.soa.snapshot_write(&mut w);
-            net.routers.iter().for_each(|r| r.snapshot_write(&mut w));
-            let before = 10 * 8 + w.into_bytes().len();
-            let mut w = crate::snapshot::SnapWriter::new();
-            net.sources[0].snapshot_write(&mut w);
+            let mut w = SnapWriter(vec![0; 10 * 8]);
+            net.soa.snap(&mut w).unwrap();
+            w.each(&mut net.routers, |w, r| r.snap(w)).unwrap();
+            let queue = w.0.len();
+            net.sources[0].snap(&mut w).unwrap();
             // The tag byte, then the VC index and `rr` as u64.
-            before + w.into_bytes().len() - 17
+            let tag = w.0.len() - 17;
+            w.each(&mut net.sources[1..], |w, s| s.snap(w)).unwrap();
+            w.each(&mut net.sinks, |w, s| s.snap(w)).unwrap();
+            // Past the pipe's latency echo.
+            (queue, tag, w.0.len() + 8)
         };
         let mut other = build(RoutingSpec::Footprint);
         let mut bad = blob.clone();
         bad[0] ^= 1;
         let err = other.restore(&bad).unwrap_err();
         assert!(err.contains("snapshot layout 3, this build reads 2"), "{err}");
+
+        // A corrupt length prefix must be an error before anything is
+        // allocated for it, not a 2^40-element resize.
+        let (queue, tag, stage) = offsets(&mut net);
+        for (at, field) in [(queue, "source queue length"), (stage, "pipe stage length")] {
+            let mut bad = blob.clone();
+            bad[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+            let err = other.restore(&bad).unwrap_err();
+            assert!(
+                err.contains("snapshot truncated") && err.contains(field),
+                "{err}"
+            );
+        }
+
+        // A flipped byte in a source's active-VC field: `Source::step`
+        // would expect a packet its queue does not hold, or index past its
+        // VCs, and panic the sweep worker — it must be a restore error.
         let mut bad = blob.clone();
-        bad[tag_of_source0(&net)] = 1;
+        bad[tag] = 1;
         let err = other.restore(&bad).unwrap_err();
         assert!(err.contains("active source VC 0"), "nothing queued: {err}");
         let mut busy = build(RoutingSpec::Footprint);
@@ -1324,7 +1314,7 @@ mod tests {
             .find_map(|_| {
                 busy.step(&mut wl);
                 let blob = busy.snapshot().unwrap();
-                let tag = tag_of_source0(&busy);
+                let tag = offsets(&mut busy).1;
                 (blob[tag] == 1).then_some((blob, tag))
             })
             .expect("source 0 is mid-packet within 100 cycles");

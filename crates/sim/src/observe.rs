@@ -121,8 +121,7 @@ pub struct TraceRecord {
 ///
 /// Keeps the most recent `capacity` events in a ring buffer (the tail of a
 /// run is what matters when diagnosing a stall) and counts what it had to
-/// drop. Export the buffer as JSON lines ([`EventTrace::write_jsonl`]) or
-/// CSV ([`EventTrace::write_csv`]).
+/// drop. Export the buffer as JSON lines ([`EventTrace::write_jsonl`]).
 #[derive(Debug)]
 pub struct EventTrace {
     records: VecDeque<TraceRecord>,
@@ -187,36 +186,6 @@ impl EventTrace {
                 "{{\"cycle\":{},\"kind\":\"{}\",\"node\":{},\"packet\":{},\
                  \"src\":{},\"dest\":{},\"class\":{},\"port\":{},\"vc\":{},\
                  \"footprint_vcs\":{},\"busy_vcs\":{}}}",
-                r.cycle,
-                r.kind.label(),
-                r.node.index(),
-                r.packet.0,
-                r.src.index(),
-                r.dest.index(),
-                r.class,
-                r.port.index(),
-                r.vc,
-                r.footprint_vcs,
-                r.busy_vcs,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Writes the buffer as CSV with a header row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_csv<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(
-            w,
-            "cycle,kind,node,packet,src,dest,class,port,vc,footprint_vcs,busy_vcs"
-        )?;
-        for r in &self.records {
-            writeln!(
-                w,
-                "{},{},{},{},{},{},{},{},{},{},{}",
                 r.cycle,
                 r.kind.label(),
                 r.node.index(),
@@ -612,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_exports_jsonl_and_csv() {
+    fn trace_exports_jsonl() {
         let (mut net, mut wl) = flow_net();
         let mut trace = EventTrace::with_capacity(64);
         net.run_probed(&mut wl, 60, &mut trace);
@@ -622,11 +591,6 @@ mod tests {
         assert_eq!(jsonl.lines().count(), trace.len());
         assert!(jsonl.lines().all(|l| l.starts_with("{\"cycle\":")));
         assert!(jsonl.contains("\"kind\":\"inject\""));
-        let mut csv = Vec::new();
-        trace.write_csv(&mut csv).unwrap();
-        let csv = String::from_utf8(csv).unwrap();
-        assert!(csv.starts_with("cycle,kind,node,"));
-        assert_eq!(csv.lines().count(), trace.len() + 1);
     }
 
     #[test]

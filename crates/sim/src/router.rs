@@ -9,6 +9,7 @@
 
 use crate::metrics::{Metrics, Probe, VaBlockInfo};
 use crate::packet::{Flit, PacketId};
+use crate::snapshot::{Snap, SnapResult};
 use crate::soa::NocSoa;
 use crate::view::RouterOutputsView;
 use footprint_routing::{
@@ -140,23 +141,12 @@ impl Router {
         self.sa_vc_rr = (self.sa_vc_rr + (skipped % m as u64) as usize) % m;
     }
 
-    /// Serializes the arbiter pointers (the router's only persistent
-    /// state — the datapath lives in [`NocSoa`], scratch is per-cycle).
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.usize(self.va_rr);
-        w.usize(self.sa_port_rr);
-        w.usize(self.sa_vc_rr);
-    }
-
-    /// Restores the arbiter pointers from a snapshot.
-    pub(crate) fn snapshot_read(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), String> {
-        self.va_rr = r.usize()?;
-        self.sa_port_rr = r.usize()?;
-        self.sa_vc_rr = r.usize()?;
-        Ok(())
+    /// Moves the arbiter pointers (the router's only persistent state —
+    /// the datapath lives in [`NocSoa`], scratch is per-cycle).
+    pub(crate) fn snap<S: Snap>(&mut self, s: &mut S) -> SnapResult {
+        s.usize(&mut self.va_rr)?;
+        s.usize(&mut self.sa_port_rr)?;
+        s.usize(&mut self.sa_vc_rr)
     }
 
     /// Route computation + VC allocation for every waiting head packet.
@@ -947,12 +937,6 @@ mod tests {
         (router, soa)
     }
 
-    fn image(soa: &NocSoa) -> Vec<u8> {
-        let mut w = crate::snapshot::SnapWriter::new();
-        soa.snapshot_write(&mut w);
-        w.into_bytes()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1004,7 +988,7 @@ mod tests {
             vc_allocate_flat(
                 &mut old_r, &mut old_soa, &*algo, topo, rules, &links, &mut old_rng, &mut old_m,
             );
-            prop_assert!(image(&new_soa) == image(&old_soa), "datapath (grants) differ");
+            prop_assert!(format!("{new_soa:?}") == format!("{old_soa:?}"), "datapath (grants) differ");
             prop_assert_eq!(new_r.va_rr, old_r.va_rr);
             prop_assert_eq!(new_rng.state(), old_rng.state());
             prop_assert_eq!(new_m.va_blocks, old_m.va_blocks);

@@ -1,16 +1,18 @@
 //! Binary codec for warm-start checkpoints.
 //!
-//! A snapshot is a flat little-endian byte stream: every component writes
-//! its dynamic state in a fixed field order and reads it back in the same
-//! order, validating geometry echoes as it goes. There is no schema or
-//! field tagging; the one tag is [`SNAPSHOT_LAYOUT`], the stream's first
-//! word, because a cache directory outlives the build that filled it. The
+//! A snapshot is a flat little-endian byte stream with no schema or field
+//! tagging; the one tag is [`SNAPSHOT_LAYOUT`], the stream's first word,
+//! because a cache directory outlives the build that filled it. Each
+//! component states its field order once, in one `snap` walk over a
+//! [`Snap`]: the [`SnapWriter`] appends every field, the [`SnapReader`]
+//! overwrites it from the stream and checks the geometry echoes. A length
+//! prefix larger than the bytes left is refused before anything is
+//! resized, so a corrupt stream is an error, never a huge allocation. The
 //! cache key upstream binds the full configuration, and the cache file
 //! carries a checksum of the body, so a restore error (another layout,
 //! another geometry, a short stream) only means "run cold".
 
-use crate::packet::{Flit, FlitKind, PacketId};
-use footprint_topology::NodeId;
+use crate::packet::{Flit, FlitKind};
 
 /// Version of the stream [`Network::snapshot`](crate::Network::snapshot)
 /// writes, checked first by `restore`. Bump it with any change to what a
@@ -18,68 +20,140 @@ use footprint_topology::NodeId;
 /// datapath image, wires are stored in channel order.)
 pub(crate) const SNAPSHOT_LAYOUT: u64 = 2;
 
-/// Appends fixed-width little-endian fields to a growing buffer.
-pub(crate) struct SnapWriter {
-    buf: Vec<u8>,
-}
+/// Every failure is a `String`, so the caller can fold it into "cache
+/// miss, run cold".
+pub(crate) type SnapResult<T = ()> = Result<T, String>;
 
-impl SnapWriter {
-    pub fn new() -> Self {
-        SnapWriter { buf: Vec::new() }
+/// The stream's code for each flit kind is its index here.
+const FLIT_KINDS: [FlitKind; 4] = [
+    FlitKind::Head,
+    FlitKind::Body,
+    FlitKind::Tail,
+    FlitKind::Single,
+];
+
+/// One direction of a snapshot walk. A component's `snap` moves every
+/// field through these methods in its fixed order: the writer leaves the
+/// values as they are, the reader overwrites them. Every field type is
+/// built on [`Snap::raw`], so each byte layout is stated once.
+pub(crate) trait Snap {
+    /// Moves one fixed-width field.
+    fn raw(&mut self, bytes: &mut [u8]) -> SnapResult;
+
+    /// Bytes still to read (unbounded when writing).
+    fn left(&self) -> usize;
+
+    fn u8(&mut self, v: &mut u8) -> SnapResult {
+        let mut b = v.to_le_bytes();
+        self.raw(&mut b)?;
+        *v = u8::from_le_bytes(b);
+        Ok(())
     }
 
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+    fn u16(&mut self, v: &mut u16) -> SnapResult {
+        let mut b = v.to_le_bytes();
+        self.raw(&mut b)?;
+        *v = u16::from_le_bytes(b);
+        Ok(())
     }
 
-    #[inline]
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    fn u32(&mut self, v: &mut u32) -> SnapResult {
+        let mut b = v.to_le_bytes();
+        self.raw(&mut b)?;
+        *v = u32::from_le_bytes(b);
+        Ok(())
     }
 
-    #[inline]
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    fn u64(&mut self, v: &mut u64) -> SnapResult {
+        let mut b = v.to_le_bytes();
+        self.raw(&mut b)?;
+        *v = u64::from_le_bytes(b);
+        Ok(())
     }
 
     /// A `usize` stored as `u64` (snapshots move between processes, not
     /// architectures, but the width is pinned anyway).
-    #[inline]
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+    fn usize(&mut self, v: &mut usize) -> SnapResult {
+        let mut w = *v as u64;
+        self.u64(&mut w)?;
+        *v = w as usize;
+        Ok(())
     }
 
-    #[inline]
-    pub fn flit(&mut self, f: &Flit) {
-        self.u64(f.packet.0);
-        self.u8(match f.kind {
-            FlitKind::Head => 0,
-            FlitKind::Body => 1,
-            FlitKind::Tail => 2,
-            FlitKind::Single => 3,
-        });
-        self.u16(f.src.0);
-        self.u16(f.dest.0);
-        self.u16(f.seq);
-        self.u16(f.size);
-        self.u64(f.birth);
-        self.u8(f.class);
-        self.u8(f.vc);
+    /// The geometry echo: the stored value must equal the live structure's
+    /// `live`, which catches a snapshot applied to the wrong configuration.
+    fn echo(&mut self, live: usize, what: &str) -> SnapResult {
+        let mut got = live;
+        self.usize(&mut got)?;
+        if got != live {
+            return Err(format!(
+                "snapshot {what} mismatch: stored {got}, live {live}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// The length prefix of a collection holding `live` elements; returns
+    /// the stored length, which the caller resizes to (a no-op when
+    /// writing). Every element takes at least one byte, so a length past
+    /// the bytes left is refused here, before anything is allocated.
+    fn len(&mut self, live: usize, what: &str) -> SnapResult<usize> {
+        let mut n = live;
+        self.usize(&mut n)?;
+        if n > self.left() {
+            return Err(format!(
+                "snapshot truncated: {what} {n} exceeds the {} bytes left",
+                self.left()
+            ));
+        }
+        Ok(n)
+    }
+
+    fn flit(&mut self, f: &mut Flit) -> SnapResult {
+        self.u64(&mut f.packet.0)?;
+        let mut kind = FLIT_KINDS
+            .iter()
+            .position(|&k| k == f.kind)
+            .expect("every kind has a code") as u8;
+        self.u8(&mut kind)?;
+        f.kind = *FLIT_KINDS
+            .get(usize::from(kind))
+            .ok_or_else(|| format!("snapshot flit kind {kind} out of range"))?;
+        self.u16(&mut f.src.0)?;
+        self.u16(&mut f.dest.0)?;
+        self.u16(&mut f.seq)?;
+        self.u16(&mut f.size)?;
+        self.u64(&mut f.birth)?;
+        self.u8(&mut f.class)?;
+        self.u8(&mut f.vc)
+    }
+
+    /// Moves every element of `items` through `field`.
+    fn each<'a, T: 'a>(
+        &mut self,
+        items: impl IntoIterator<Item = &'a mut T>,
+        mut field: impl FnMut(&mut Self, &mut T) -> SnapResult,
+    ) -> SnapResult {
+        items.into_iter().try_for_each(|v| field(self, v))
     }
 }
 
-/// Reads the fields back in writer order; every error is a `String` so the
-/// caller can fold any failure into "cache miss, run cold".
+/// Appends every field to the stream it holds.
+pub(crate) struct SnapWriter(pub Vec<u8>);
+
+impl Snap for SnapWriter {
+    #[inline]
+    fn raw(&mut self, bytes: &mut [u8]) -> SnapResult {
+        self.0.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn left(&self) -> usize {
+        usize::MAX
+    }
+}
+
+/// Overwrites every field from a stream, in writer order.
 pub(crate) struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -90,117 +164,64 @@ impl<'a> SnapReader<'a> {
         SnapReader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("snapshot offset overflow")?;
-        if end > self.buf.len() {
-            return Err(format!(
-                "snapshot truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    #[inline]
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    #[inline]
-    pub fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    #[inline]
-    pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    #[inline]
-    pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    #[inline]
-    pub fn usize(&mut self) -> Result<usize, String> {
-        Ok(self.u64()? as usize)
-    }
-
-    /// Reads a `usize` and checks it against the live structure's value —
-    /// the geometry echo that catches a snapshot applied to the wrong
-    /// configuration.
-    pub fn expect_usize(&mut self, expected: usize, what: &str) -> Result<(), String> {
-        let got = self.usize()?;
-        if got != expected {
-            return Err(format!("snapshot {what} mismatch: stored {got}, live {expected}"));
-        }
-        Ok(())
-    }
-
-    pub fn flit(&mut self) -> Result<Flit, String> {
-        let packet = PacketId(self.u64()?);
-        let kind = match self.u8()? {
-            0 => FlitKind::Head,
-            1 => FlitKind::Body,
-            2 => FlitKind::Tail,
-            3 => FlitKind::Single,
-            k => return Err(format!("snapshot flit kind {k} out of range")),
-        };
-        let src = NodeId(self.u16()?);
-        let dest = NodeId(self.u16()?);
-        let seq = self.u16()?;
-        let size = self.u16()?;
-        let birth = self.u64()?;
-        let class = self.u8()?;
-        let vc = self.u8()?;
-        Ok(Flit {
-            packet,
-            kind,
-            src,
-            dest,
-            seq,
-            size,
-            birth,
-            class,
-            vc,
-        })
-    }
-
     /// Fails unless every byte has been consumed — trailing garbage means
     /// the stream and the reader disagree about the state inventory.
-    pub fn done(&self) -> Result<(), String> {
-        if self.pos != self.buf.len() {
+    pub fn done(&self) -> SnapResult {
+        if self.left() != 0 {
             return Err(format!(
                 "snapshot has {} unread trailing bytes",
-                self.buf.len() - self.pos
+                self.left()
             ));
         }
         Ok(())
     }
 }
 
+impl Snap for SnapReader<'_> {
+    #[inline]
+    fn raw(&mut self, bytes: &mut [u8]) -> SnapResult {
+        let n = bytes.len();
+        if n > self.left() {
+            return Err(format!(
+                "snapshot truncated: need {n} bytes at offset {}, have {}",
+                self.pos,
+                self.left()
+            ));
+        }
+        bytes.copy_from_slice(&self.buf[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(())
+    }
+
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PacketId;
+    use footprint_topology::NodeId;
 
     #[test]
     fn scalar_round_trip() {
-        let mut w = SnapWriter::new();
-        w.u8(7);
-        w.u16(300);
-        w.u32(70_000);
-        w.u64(u64::MAX - 1);
-        w.usize(12345);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 300);
-        assert_eq!(r.u32().unwrap(), 70_000);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.usize().unwrap(), 12345);
+        let (mut a, mut b, mut c, mut d, mut e) =
+            (7u8, 300u16, 70_000u32, u64::MAX - 1, 12345usize);
+        let mut w = SnapWriter(Vec::new());
+        w.u8(&mut a).unwrap();
+        w.u16(&mut b).unwrap();
+        w.u32(&mut c).unwrap();
+        w.u64(&mut d).unwrap();
+        w.usize(&mut e).unwrap();
+        let (mut a, mut b, mut c, mut d, mut e) = (0, 0, 0, 0, 0);
+        let mut r = SnapReader::new(&w.0);
+        r.u8(&mut a).unwrap();
+        r.u16(&mut b).unwrap();
+        r.u32(&mut c).unwrap();
+        r.u64(&mut d).unwrap();
+        r.usize(&mut e).unwrap();
+        assert_eq!((a, b, c, d, e), (7, 300, 70_000, u64::MAX - 1, 12345));
         r.done().unwrap();
     }
 
@@ -217,32 +238,40 @@ mod tests {
             class: 5,
             vc: 9,
         };
-        let mut w = SnapWriter::new();
-        w.flit(&f);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.flit().unwrap(), f);
+        let mut w = SnapWriter(Vec::new());
+        w.flit(&mut f.clone()).unwrap();
+        let mut got = crate::soa::VACANT;
+        let mut r = SnapReader::new(&w.0);
+        r.flit(&mut got).unwrap();
+        assert_eq!(got, f);
         r.done().unwrap();
+        // A kind code past the last kind is an error, not a panic.
+        w.0[8] = 4;
+        let err = SnapReader::new(&w.0).flit(&mut got).unwrap_err();
+        assert!(err.contains("flit kind 4 out of range"), "{err}");
     }
 
     #[test]
     fn truncation_and_trailing_are_errors() {
-        let mut w = SnapWriter::new();
-        w.u64(1);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes[..4]);
-        assert!(r.u64().is_err());
-        let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.u32().unwrap(), 1);
+        let mut w = SnapWriter(Vec::new());
+        w.u64(&mut 1).unwrap();
+        assert!(SnapReader::new(&w.0[..4]).u64(&mut 0).is_err());
+        let mut r = SnapReader::new(&w.0);
+        let mut v = 0;
+        r.u32(&mut v).unwrap();
+        assert_eq!(v, 1);
         assert!(r.done().is_err());
+        // A length prefix past the bytes left is refused before any
+        // element is read.
+        let err = SnapReader::new(&w.0).len(0, "queue").unwrap_err();
+        assert!(err.contains("queue 1 exceeds the 0 bytes left"), "{err}");
     }
 
     #[test]
     fn geometry_echo_catches_mismatch() {
-        let mut w = SnapWriter::new();
-        w.usize(16);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert!(r.expect_usize(64, "nodes").is_err());
+        let mut w = SnapWriter(Vec::new());
+        w.echo(16, "nodes").unwrap();
+        let err = SnapReader::new(&w.0).echo(64, "nodes").unwrap_err();
+        assert_eq!(err, "snapshot nodes mismatch: stored 16, live 64");
     }
 }

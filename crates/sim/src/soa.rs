@@ -40,6 +40,7 @@
 use crate::input::RouteState;
 use crate::output::OutVcState;
 use crate::packet::{Flit, FlitKind, PacketId};
+use crate::snapshot::{Snap, SnapResult};
 use footprint_routing::VcReallocationPolicy;
 use footprint_topology::{NodeId, Port, PORT_COUNT};
 
@@ -56,9 +57,10 @@ const OUT_DRAINING: u8 = 2;
 /// Owner-register sentinel for "no owner yet".
 const NO_OWNER: u32 = u32::MAX;
 
-/// A placeholder flit for unoccupied ring slots (never observable: reads
-/// are bounded by `*_len`).
-const VACANT: Flit = Flit {
+/// A placeholder flit for unoccupied ring slots and for the buffers a
+/// snapshot restore resizes before overwriting (never observable: reads
+/// are bounded by the live lengths).
+pub(crate) const VACANT: Flit = Flit {
     packet: PacketId(0),
     kind: FlitKind::Single,
     src: NodeId(0),
@@ -156,147 +158,34 @@ impl NocSoa {
         }
     }
 
-    /// Serializes every array verbatim (ring slots outside the live
-    /// windows included), prefixed by the geometry, so a restore is an
-    /// exact image of the store at snapshot time.
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.usize(self.num_nodes);
-        w.usize(self.num_vcs);
-        w.usize(self.depth);
-        w.usize(self.stage_cap);
-        for f in &self.in_store {
-            w.flit(f);
-        }
-        for &v in &self.in_head {
-            w.u16(v);
-        }
-        for &v in &self.in_len {
-            w.u16(v);
-        }
-        for &v in &self.route_kind {
-            w.u8(v);
-        }
-        for &v in &self.route_port {
-            w.u8(v);
-        }
-        for &v in &self.route_vc {
-            w.u8(v);
-        }
-        for &v in &self.route_packet {
-            w.u64(v);
-        }
-        for &v in &self.out_state {
-            w.u8(v);
-        }
-        for &v in &self.out_owner {
-            w.u32(v);
-        }
-        for &v in &self.out_packet {
-            w.u64(v);
-        }
-        for &v in &self.out_credits {
-            w.u32(v);
-        }
-        for &v in &self.waiting_mask {
-            w.u64(v);
-        }
-        for &v in &self.active_mask {
-            w.u64(v);
-        }
-        for &v in &self.out_idle_mask {
-            w.u64(v);
-        }
-        for &v in &self.out_drain_mask {
-            w.u64(v);
-        }
-        for &v in &self.out_owned_mask {
-            w.u64(v);
-        }
-        for &v in &self.in_occupied {
-            w.u16(v);
-        }
-        for f in &self.stage_store {
-            w.flit(f);
-        }
-        for &v in &self.stage_head {
-            w.u16(v);
-        }
-        for &v in &self.stage_len {
-            w.u16(v);
-        }
-    }
-
-    /// Restores a [`NocSoa::snapshot_write`] image in place. The geometry
-    /// echo must match this store exactly.
-    pub(crate) fn snapshot_read(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), String> {
-        r.expect_usize(self.num_nodes, "soa nodes")?;
-        r.expect_usize(self.num_vcs, "soa vcs")?;
-        r.expect_usize(self.depth, "soa depth")?;
-        r.expect_usize(self.stage_cap, "soa stage cap")?;
-        for f in &mut self.in_store {
-            *f = r.flit()?;
-        }
-        for v in &mut self.in_head {
-            *v = r.u16()?;
-        }
-        for v in &mut self.in_len {
-            *v = r.u16()?;
-        }
-        for v in &mut self.route_kind {
-            *v = r.u8()?;
-        }
-        for v in &mut self.route_port {
-            *v = r.u8()?;
-        }
-        for v in &mut self.route_vc {
-            *v = r.u8()?;
-        }
-        for v in &mut self.route_packet {
-            *v = r.u64()?;
-        }
-        for v in &mut self.out_state {
-            *v = r.u8()?;
-        }
-        for v in &mut self.out_owner {
-            *v = r.u32()?;
-        }
-        for v in &mut self.out_packet {
-            *v = r.u64()?;
-        }
-        for v in &mut self.out_credits {
-            *v = r.u32()?;
-        }
-        for v in &mut self.waiting_mask {
-            *v = r.u64()?;
-        }
-        for v in &mut self.active_mask {
-            *v = r.u64()?;
-        }
-        for v in &mut self.out_idle_mask {
-            *v = r.u64()?;
-        }
-        for v in &mut self.out_drain_mask {
-            *v = r.u64()?;
-        }
-        for v in &mut self.out_owned_mask {
-            *v = r.u64()?;
-        }
-        for v in &mut self.in_occupied {
-            *v = r.u16()?;
-        }
-        for f in &mut self.stage_store {
-            *f = r.flit()?;
-        }
-        for v in &mut self.stage_head {
-            *v = r.u16()?;
-        }
-        for v in &mut self.stage_len {
-            *v = r.u16()?;
-        }
-        Ok(())
+    /// Moves every array verbatim (ring slots outside the live windows
+    /// included), after the geometry echo, so a restore is an exact image
+    /// of the store at snapshot time.
+    pub(crate) fn snap<S: Snap>(&mut self, s: &mut S) -> SnapResult {
+        s.echo(self.num_nodes, "soa nodes")?;
+        s.echo(self.num_vcs, "soa vcs")?;
+        s.echo(self.depth, "soa depth")?;
+        s.echo(self.stage_cap, "soa stage cap")?;
+        s.each(&mut self.in_store, S::flit)?;
+        s.each(&mut self.in_head, S::u16)?;
+        s.each(&mut self.in_len, S::u16)?;
+        s.each(&mut self.route_kind, S::u8)?;
+        s.each(&mut self.route_port, S::u8)?;
+        s.each(&mut self.route_vc, S::u8)?;
+        s.each(&mut self.route_packet, S::u64)?;
+        s.each(&mut self.out_state, S::u8)?;
+        s.each(&mut self.out_owner, S::u32)?;
+        s.each(&mut self.out_packet, S::u64)?;
+        s.each(&mut self.out_credits, S::u32)?;
+        s.each(&mut self.waiting_mask, S::u64)?;
+        s.each(&mut self.active_mask, S::u64)?;
+        s.each(&mut self.out_idle_mask, S::u64)?;
+        s.each(&mut self.out_drain_mask, S::u64)?;
+        s.each(&mut self.out_owned_mask, S::u64)?;
+        s.each(&mut self.in_occupied, S::u16)?;
+        s.each(&mut self.stage_store, S::flit)?;
+        s.each(&mut self.stage_head, S::u16)?;
+        s.each(&mut self.stage_len, S::u16)
     }
 
     /// VCs per physical channel.
@@ -865,18 +754,6 @@ impl OutVcRef<'_> {
     #[inline]
     pub fn capacity(&self) -> u32 {
         crate::cast::idx_u32(self.soa.depth)
-    }
-
-    /// `true` if a fresh allocation is permitted under `policy`.
-    #[inline]
-    pub fn idle_for(&self, policy: VcReallocationPolicy) -> bool {
-        self.soa.out_idle_for(self.ivc, policy)
-    }
-
-    /// `true` if a `dest` packet may join right now.
-    #[inline]
-    pub fn joinable_by(&self, dest: NodeId) -> bool {
-        self.soa.out_joinable_by(self.ivc, dest)
     }
 
     /// `true` if the VC holds no traffic and all credits are home.

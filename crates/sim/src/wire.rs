@@ -1,6 +1,8 @@
 //! Fixed-latency wires: flit channels and their reverse credit channels.
 
 use crate::packet::Flit;
+use crate::snapshot::{Snap, SnapResult};
+use crate::soa::VACANT;
 
 /// A pipeline with a fixed latency in cycles: values pushed during a cycle
 /// become receivable after `latency` calls to [`Pipe::tick`] (default 1 —
@@ -116,53 +118,26 @@ impl<T> Pipe<T> {
         self.cur.iter().chain(self.stages.iter().flat_map(|s| s.iter()))
     }
 
-    /// Serializes stage contents and the receivable batch through `enc`.
-    pub(crate) fn snapshot_write(
-        &self,
-        w: &mut crate::snapshot::SnapWriter,
-        enc: impl Fn(&T, &mut crate::snapshot::SnapWriter),
-    ) {
-        w.usize(self.stages.len());
-        for s in &self.stages {
-            w.usize(s.len());
-            for v in s {
-                enc(v, w);
-            }
-        }
-        w.usize(self.cur.len());
-        for v in &self.cur {
-            enc(v, w);
-        }
-    }
-
-    /// Restores a snapshot through `dec`; the latency echo must match.
-    pub(crate) fn snapshot_read(
+    /// Moves the stage contents and the receivable batch, each element
+    /// through `item`; the latency echo must match. `fill` pads a batch
+    /// the stream lengthens before it is overwritten.
+    pub(crate) fn snap<S: Snap>(
         &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-        dec: impl Fn(&mut crate::snapshot::SnapReader<'_>) -> Result<T, String>,
-    ) -> Result<(), String> {
-        let latency = r.usize()?;
-        if latency != self.stages.len() {
-            return Err(format!(
-                "snapshot pipe latency mismatch: stored {latency}, live {}",
-                self.stages.len()
-            ));
-        }
+        s: &mut S,
+        fill: T,
+        mut item: impl FnMut(&mut S, &mut T) -> SnapResult,
+    ) -> SnapResult
+    where
+        T: Clone,
+    {
+        s.echo(self.stages.len(), "pipe latency")?;
         self.len = 0;
-        for s in &mut self.stages {
-            s.clear();
-            let n = r.usize()?;
-            for _ in 0..n {
-                s.push(dec(r)?);
-            }
+        for batch in self.stages.iter_mut().chain(std::iter::once(&mut self.cur)) {
+            let n = s.len(batch.len(), "pipe stage length")?;
+            batch.resize(n, fill.clone());
+            s.each(batch.iter_mut(), &mut item)?;
             self.len += n;
         }
-        self.cur.clear();
-        let n = r.usize()?;
-        for _ in 0..n {
-            self.cur.push(dec(r)?);
-        }
-        self.len += n;
         Ok(())
     }
 }
@@ -210,20 +185,11 @@ impl Wire {
         self.flits.is_empty() && self.credits.is_empty()
     }
 
-    /// Serializes both directions (in-flight flits and credits).
-    pub(crate) fn snapshot_write(&self, w: &mut crate::snapshot::SnapWriter) {
-        self.flits.snapshot_write(w, |f, w| w.flit(f));
-        self.credits.snapshot_write(w, |c, w| w.u8(c.vc));
-    }
-
-    /// Restores both directions from a snapshot.
-    pub(crate) fn snapshot_read(
-        &mut self,
-        r: &mut crate::snapshot::SnapReader<'_>,
-    ) -> Result<(), String> {
-        self.flits.snapshot_read(r, |r| r.flit())?;
+    /// Moves both directions (in-flight flits and credits).
+    pub(crate) fn snap<S: Snap>(&mut self, s: &mut S) -> SnapResult {
+        self.flits.snap(s, VACANT, S::flit)?;
         self.credits
-            .snapshot_read(r, |r| Ok(CreditMsg { vc: r.u8()? }))
+            .snap(s, CreditMsg { vc: 0 }, |s, c| s.u8(&mut c.vc))
     }
 }
 

@@ -330,3 +330,78 @@ fn other_specs_match_separate_wrapper_goldens() {
         .collect();
     check(&got, OTHER_SPECS, "separate-wrapper");
 }
+
+/// Byte-layout pins for the warm-start snapshot stream (`SNAPSHOT_LAYOUT`
+/// 2): FNV-1a and length of `Network::snapshot` taken mid-run, with flits
+/// on the wires, in the buffers and in the source queues. Cache entries
+/// written by one build are read by the next, so a change to what a
+/// component writes or in which order must show here. Captured on the
+/// mirrored per-component writer / reader pairs, before they became one
+/// walk.
+const SNAPSHOTS: &[(&str, u64)] = &[
+    ("mesh-footprint", 0x719ff4b3bed8bdb7),
+    ("mesh-footprint-bytes", 64_931),
+    ("torus-odd-even+footprint", 0xed6c61860d77f886),
+    ("torus-odd-even+footprint-bytes", 63_114),
+    ("ring-dbar", 0x7295c418b16bacea),
+    ("ring-dbar-bytes", 30_804),
+];
+
+#[test]
+fn snapshot_blobs_match_layout_2_goldens() {
+    let cases = [
+        (
+            "mesh-footprint",
+            SimulationBuilder::mesh(4)
+                .routing(RoutingSpec::Footprint)
+                .packet_size(PacketSize::Uniform { lo: 1, hi: 6 })
+                .link_latency(2)
+                .injection_rate(0.45)
+                .seed(11),
+            600,
+        ),
+        (
+            "torus-odd-even+footprint",
+            SimulationBuilder::torus(4)
+                .routing(RoutingSpec::OddEvenFootprint)
+                .packet_size(PacketSize::Fixed(3))
+                .injection_rate(0.40)
+                .seed(12),
+            500,
+        ),
+        (
+            "ring-dbar",
+            SimulationBuilder::ring(8)
+                .routing(RoutingSpec::Dbar)
+                .injection_rate(0.30)
+                .seed(13),
+            400,
+        ),
+    ];
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (label, builder, cycles) in cases {
+        let builder = builder.vcs(4).traffic(TrafficSpec::UniformRandom);
+        let fresh = || builder.build().expect("pinned config builds");
+        let (mut net, mut wl) = fresh();
+        net.run(&mut *wl, cycles);
+        assert!(!net.is_quiescent(), "{label}: an idle network pins nothing");
+        let blob = net.snapshot().expect("fault-free snapshot");
+        got.push((label.to_string(), fnv1a(&blob)));
+        got.push((format!("{label}-bytes"), blob.len() as u64));
+        // A short stream is an error wherever it is cut, never a panic.
+        for cut in (0..blob.len()).step_by(97) {
+            let (mut net, _) = fresh();
+            assert!(
+                net.restore(&blob[..cut]).is_err(),
+                "{label}: {cut}-byte prefix restored"
+            );
+        }
+        let (mut restored, _) = fresh();
+        restored.restore(&blob).expect("the full blob restores");
+        assert!(
+            restored.snapshot().expect("fault-free snapshot") == blob,
+            "{label}: round trip"
+        );
+    }
+    check(&got, SNAPSHOTS, "writer / reader pair");
+}
