@@ -32,7 +32,7 @@ use footprint_core::{
     JobSet, RoutingSpec, RunError, RunOptions, RunReport, SimulationBuilder, TrafficSpec,
     UnreachablePolicy,
 };
-use footprint_topology::{AnyTopology, FaultEvent, FaultPlan, Mesh, NodeId, Ring, Torus};
+use footprint_topology::{FaultEvent, FaultPlan, NodeId, TopologySpec};
 
 const ALGOS: [RoutingSpec; 4] = [
     RoutingSpec::Footprint,
@@ -44,15 +44,6 @@ const ALGOS: [RoutingSpec; 4] = [
 const FABRICS: [&str; 3] = ["mesh:8x8", "torus:8x8", "ring:16"];
 
 const FAMILIES: [&str; 4] = ["random_cuts", "dateline", "router_burst", "repair"];
-
-fn topo_of(fabric: &str) -> AnyTopology {
-    match fabric {
-        "mesh:8x8" => Mesh::square(8).into(),
-        "torus:8x8" => Torus::square(8).into(),
-        "ring:16" => Ring::new(16).into(),
-        other => panic!("unknown fabric {other}"),
-    }
-}
 
 /// splitmix64: the repo's standard seed-mixing finalizer, reused here so
 /// trial parameters are decorrelated without any global RNG state.
@@ -66,7 +57,10 @@ fn mix(mut z: u64) -> u64 {
 /// The deterministic plan for one `(fabric, family, trial)` cell. `None`
 /// when the family does not apply to the fabric (dateline cuts on a mesh).
 fn plan_for(fabric: &str, family: &str, trial: u64) -> Option<FaultPlan> {
-    let topo = topo_of(fabric);
+    let topo = fabric
+        .parse::<TopologySpec>()
+        .and_then(TopologySpec::validate)
+        .expect("FABRICS are valid specs");
     let nodes = topo.len() as u64;
     let seed = mix(trial ^ mix(fabric.len() as u64 ^ (family.len() as u64) << 8));
     match family {
@@ -87,7 +81,6 @@ fn plan_for(fabric: &str, family: &str, trial: u64) -> Option<FaultPlan> {
         "repair" => {
             // A mid-run duplex cut on a random East edge, healed later.
             let mut n = NodeId((mix(seed ^ 2) % nodes) as u16);
-            let topo = topo_of(fabric);
             while topo.neighbor(n, footprint_topology::Direction::East).is_none() {
                 n = NodeId(((n.0 as u64 + 1) % nodes) as u16);
             }

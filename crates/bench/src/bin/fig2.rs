@@ -102,7 +102,7 @@ fn hol_impact() {
                 .seed(0xF16)
                 .build()
                 .expect("static experiment config");
-            let mesh = footprint_topology::Mesh::square(4);
+            let mesh = footprint_topology::AnyTopology::mesh(4, 4);
             let fg = SyntheticWorkload::new(
                 mesh,
                 Box::new(Permutation::figure2_example(mesh)),

@@ -5,7 +5,7 @@ use footprint_bench::{default_rates, phases_from_env, CurveSet};
 use footprint_core::{SimulationBuilder, TrafficSpec};
 use footprint_routing::RoutingSpec;
 use footprint_stats::Table;
-use footprint_topology::Mesh;
+use footprint_topology::TopologySpec;
 
 fn main() {
     let phases = phases_from_env();
@@ -18,7 +18,7 @@ fn main() {
             for spec in [RoutingSpec::Footprint, RoutingSpec::Dbar] {
                 set.add(
                     SimulationBuilder::paper_default()
-                        .topology(Mesh::square(k))
+                        .topology(TopologySpec::mesh(k))
                         .routing(spec)
                         .traffic(traffic)
                         .warmup(phases.warmup)

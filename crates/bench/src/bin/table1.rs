@@ -12,10 +12,10 @@ use footprint_core::JobSet;
 use footprint_routing::adaptiveness::{mean_path_adaptiveness, vc_adaptiveness};
 use footprint_routing::RoutingSpec;
 use footprint_stats::Table;
-use footprint_topology::Mesh;
+use footprint_topology::AnyTopology;
 
 fn main() {
-    let mesh = Mesh::square(8);
+    let mesh = AnyTopology::mesh(8, 8);
     let num_vcs = 10;
 
     println!("Table 1 — qualitative comparison (paper rows for the algorithms we implement)\n");

@@ -94,10 +94,9 @@ impl SimulationBuilder {
         Self::paper_default().topology(TopologySpec::ring(nodes))
     }
 
-    /// Sets the topology explicitly — a [`TopologySpec`] or any concrete
-    /// topology value (`Mesh`, `Torus`, `Ring`).
-    pub fn topology(mut self, topo: impl Into<TopologySpec>) -> Self {
-        self.topology = topo.into();
+    /// Sets the topology explicitly.
+    pub fn topology(mut self, topo: TopologySpec) -> Self {
+        self.topology = topo;
         self
     }
 
@@ -398,7 +397,6 @@ impl Default for SimulationBuilder {
 pub(crate) mod tests {
     use super::*;
     use crate::{RunError, RunOptions};
-    use footprint_topology::Mesh;
 
     /// The small, fast configuration the crate's unit tests start from.
     pub(crate) fn quick() -> SimulationBuilder {
@@ -444,7 +442,7 @@ pub(crate) mod tests {
     fn pattern_mesh_mismatch_is_a_config_error() {
         // 6×6 mesh with a power-of-two-only pattern: rejected up front
         // with a typed error instead of a mid-simulation panic.
-        let err = quick().topology(Mesh::square(6)).traffic(TrafficSpec::Shuffle).run_with(RunOptions::new()).unwrap_err();
+        let err = quick().topology(TopologySpec::mesh(6)).traffic(TrafficSpec::Shuffle).run_with(RunOptions::new()).unwrap_err();
         match err {
             RunError::Config(ConfigError::PatternMesh { pattern, nodes }) => {
                 assert_eq!(pattern, "shuffle");

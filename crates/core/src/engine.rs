@@ -1050,7 +1050,7 @@ mod tests {
         let foreign = [
             ("seed", quick().seed(99), opts()),
             ("algorithm", quick().routing(RoutingSpec::Dor), opts()),
-            ("topology", quick().topology(footprint_topology::Torus::square(4)), opts()),
+            ("topology", quick().topology(footprint_topology::TopologySpec::torus(4)), opts()),
             ("fault plan", quick(), opts().faults(cut)),
             ("geometry", quick().vcs(6), opts()),
             ("traffic", quick().traffic(TrafficSpec::Transpose), opts()),

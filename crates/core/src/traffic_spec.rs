@@ -55,11 +55,10 @@ impl TrafficSpec {
     /// power-of-two node count).
     pub fn build(
         self,
-        topo: impl Into<AnyTopology>,
+        topo: AnyTopology,
         size: PacketSize,
         rate: f64,
     ) -> Result<Box<dyn Workload>, PatternError> {
-        let topo = topo.into();
         let synthetic = |pattern: PatternSpec| -> Result<Box<dyn Workload>, PatternError> {
             Ok(Box::new(SyntheticWorkload::new(
                 topo,
@@ -174,13 +173,13 @@ impl TenantSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_topology::{Mesh, NodeId};
+    use footprint_topology::NodeId;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]
     fn all_specs_build_and_generate() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let mut rng = SmallRng::seed_from_u64(3);
         let specs = [
             TrafficSpec::UniformRandom,
@@ -211,7 +210,7 @@ mod tests {
 
     #[test]
     fn figure2_runs_on_4x4() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut wl = TrafficSpec::Figure2.build(mesh, PacketSize::SINGLE, 1.0).unwrap();
         let p = wl.generate(NodeId(0), 0, &mut rng).unwrap();
@@ -220,7 +219,7 @@ mod tests {
 
     #[test]
     fn bit_patterns_rejected_on_non_power_of_two_mesh() {
-        let odd = Mesh::square(6);
+        let odd = AnyTopology::mesh(6, 6);
         for spec in [
             TrafficSpec::Shuffle,
             TrafficSpec::BitComplement,

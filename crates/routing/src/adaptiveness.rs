@@ -20,7 +20,7 @@ use footprint_topology::{AnyTopology, NodeId};
 /// Uses memoized counting over the (acyclic) minimal quadrant, so it is
 /// exact even for 16×16 meshes where path counts explode combinatorially.
 pub fn allowed_path_count(
-    topo: impl Into<AnyTopology>,
+    topo: AnyTopology,
     algo: &dyn RoutingAlgorithm,
     src: NodeId,
     dest: NodeId,
@@ -57,7 +57,6 @@ pub fn allowed_path_count(
         memo[cur.index()] = Some(total);
         total
     }
-    let topo = topo.into();
     let mut memo = vec![None; topo.len()];
     rec(topo, algo, src, src, dest, &mut memo)
 }
@@ -66,12 +65,11 @@ pub fn allowed_path_count(
 /// by all minimal paths. 1.0 for fully adaptive algorithms, `1/C(dx+dy,dx)`
 /// for deterministic ones.
 pub fn path_adaptiveness(
-    topo: impl Into<AnyTopology>,
+    topo: AnyTopology,
     algo: &dyn RoutingAlgorithm,
     src: NodeId,
     dest: NodeId,
 ) -> f64 {
-    let topo = topo.into();
     let total = topo.minimal_path_count(src, dest);
     if total == 0 {
         return 1.0;
@@ -84,8 +82,7 @@ pub fn path_adaptiveness(
 /// This is the network-wide scalar quoted in comparisons like Table 1:
 /// 1.0 for DBAR/Footprint, strictly between 0 and 1 for Odd-Even, and small
 /// for DOR.
-pub fn mean_path_adaptiveness(topo: impl Into<AnyTopology>, algo: &dyn RoutingAlgorithm) -> f64 {
-    let topo = topo.into();
+pub fn mean_path_adaptiveness(topo: AnyTopology, algo: &dyn RoutingAlgorithm) -> f64 {
     let mut sum = 0.0;
     let mut pairs = 0u64;
     for src in topo.nodes() {
@@ -102,13 +99,12 @@ pub fn mean_path_adaptiveness(topo: impl Into<AnyTopology>, algo: &dyn RoutingAl
 /// Port adaptiveness per the paper's Eq. (1) at a single decision point:
 /// adaptive output ports over minimal output ports at `cur` for `src→dest`.
 pub fn port_adaptiveness_at(
-    topo: impl Into<AnyTopology>,
+    topo: AnyTopology,
     algo: &dyn RoutingAlgorithm,
     cur: NodeId,
     src: NodeId,
     dest: NodeId,
 ) -> f64 {
-    let topo = topo.into();
     let minimal = topo.minimal_dirs(cur, dest).count();
     if minimal == 0 {
         return 1.0;
@@ -143,11 +139,11 @@ pub fn vc_adaptiveness(
 mod tests {
     use super::*;
     use crate::{Dbar, Dor, Footprint, OddEven, VcOverlay, VcRule};
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
 
     #[test]
     fn dor_allows_exactly_one_path() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         assert_eq!(allowed_path_count(mesh, &Dor, NodeId(0), NodeId(63)), 1);
         let p = path_adaptiveness(mesh, &Dor, NodeId(0), NodeId(63));
         assert!(p > 0.0 && p < 1e-3, "DOR path adaptiveness tiny, got {p}");
@@ -155,7 +151,7 @@ mod tests {
 
     #[test]
     fn fully_adaptive_algorithms_allow_all_paths() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         for (name, algo) in [
             ("dbar", &Dbar as &dyn RoutingAlgorithm),
             ("footprint", &Footprint::new()),
@@ -169,7 +165,7 @@ mod tests {
 
     #[test]
     fn odd_even_is_partially_adaptive() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let mean = mean_path_adaptiveness(mesh, &OddEven);
         assert!(mean > 0.0 && mean < 1.0, "odd-even mean {mean}");
         let dor_mean = mean_path_adaptiveness(mesh, &Dor);
@@ -180,7 +176,7 @@ mod tests {
 
     #[test]
     fn odd_even_allows_at_least_one_path_everywhere() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         for src in mesh.nodes() {
             for dest in mesh.nodes() {
                 if src != dest {
@@ -195,7 +191,7 @@ mod tests {
 
     #[test]
     fn port_adaptiveness_at_decision_points() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // DOR at an interior point with both dims productive: 1 of 2 ports.
         let p = port_adaptiveness_at(mesh, &Dor, NodeId(0), NodeId(0), NodeId(63));
         assert!((p - 0.5).abs() < 1e-12);

@@ -99,7 +99,7 @@ impl<'a> RoutingCtx<'a> {
     /// The escape hop for this packet: the dimension-order direction plus
     /// the escape-VC class of that channel. On meshes the class is always
     /// [`VcId::ESCAPE`]; wrapping topologies return class 0 or 1 by the
-    /// dateline rule ([`footprint_topology::Topology::escape_class`]).
+    /// dateline rule ([`footprint_topology::AnyTopology::escape_class`]).
     pub fn escape_hop(&self) -> Option<(Direction, VcId)> {
         let dir = self.escape_dir()?;
         let class = self.topo.escape_class(self.current, self.dest, dir);
@@ -123,7 +123,7 @@ impl<'a> RoutingCtx<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WrapStrategy {
     /// The algorithm routes only on the acyclic (non-wraparound) channel
-    /// subgraph — [`footprint_topology::Topology::acyclic_minimal_dirs`] —
+    /// subgraph — [`footprint_topology::AnyTopology::acyclic_minimal_dirs`] —
     /// so its mesh CDG argument applies verbatim (turn models).
     AcyclicSubgraph,
     /// Duato escape VCs with dateline classes: the topology's
@@ -383,7 +383,7 @@ mod tests {
         dest: u16,
     ) -> RoutingCtx<'a> {
         RoutingCtx {
-            topo: footprint_topology::Mesh::square(4).into(),
+            topo: AnyTopology::mesh(4, 4),
             current: NodeId(cur),
             src: NodeId(0),
             dest: NodeId(dest),

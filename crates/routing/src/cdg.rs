@@ -41,8 +41,7 @@ impl ChannelDependencyGraph {
     /// Builds the CDG of `algo`'s allowed-direction relation on `topo`:
     /// there is an edge `A → B` iff some packet (over all source/destination
     /// pairs) can occupy channel `A` while requesting channel `B`.
-    pub fn build(topo: impl Into<AnyTopology>, algo: &dyn RoutingAlgorithm) -> Self {
-        let topo = topo.into();
+    pub fn build(topo: AnyTopology, algo: &dyn RoutingAlgorithm) -> Self {
         let mut g = ChannelDependencyGraph::default();
         for ch in topo.channels() {
             let idx = g.channels.len();
@@ -104,14 +103,13 @@ impl ChannelDependencyGraph {
     /// relation on `topo`: graph nodes are `(channel, escape class)` pairs
     /// and each `(src, dest)` pair contributes its deterministic
     /// dimension-order route, with the class of every hop given by
-    /// [`footprint_topology::Topology::escape_class`]. This is the VC-level
+    /// [`footprint_topology::AnyTopology::escape_class`]. This is the VC-level
     /// dependency graph that both the Duato escape sub-network
     /// ([`WrapStrategy::EscapeVcs`]) and dateline-classed DOR
     /// ([`WrapStrategy::DatelineVcClasses`]) induce on a wrapping topology;
     /// on a mesh every class is 0 and it degenerates to the ordinary DOR
     /// CDG.
-    pub fn build_escape_classed(topo: impl Into<AnyTopology>) -> Self {
-        let topo = topo.into();
+    pub fn build_escape_classed(topo: AnyTopology) -> Self {
         let mut g = ChannelDependencyGraph::default();
         // One graph node per (channel, class); `channels` keeps the physical
         // channel so a witness cycle renders meaningfully.
@@ -162,10 +160,9 @@ impl ChannelDependencyGraph {
     /// at injection, not routed) and is reported in the severed list, in
     /// `(src, dest)` lexical order.
     pub fn build_escape_classed_masked(
-        topo: impl Into<AnyTopology>,
+        topo: AnyTopology,
         dead: &[(NodeId, Direction)],
     ) -> (Self, Vec<(NodeId, NodeId)>) {
-        let topo = topo.into();
         let is_dead = |node: NodeId, dir: Direction| dead.contains(&(node, dir));
         let mut g = ChannelDependencyGraph::default();
         for class in 0..topo.escape_vcs() {
@@ -352,10 +349,9 @@ pub enum EscapeMaskVerdict {
 /// [`EscapeMaskVerdict::EscapeCompromised`] exactly when some pair's
 /// deterministic escape route dies under the mask.
 pub fn check_escape_under_mask(
-    topo: impl Into<AnyTopology>,
+    topo: AnyTopology,
     dead: &[(NodeId, Direction)],
 ) -> EscapeMaskVerdict {
-    let topo = topo.into();
     let (g, severed) = ChannelDependencyGraph::build_escape_classed_masked(topo, dead);
     debug_assert!(
         g.is_acyclic(),
@@ -390,10 +386,9 @@ pub fn check_escape_under_mask(
 /// ([`ChannelDependencyGraph::build_escape_classed`]); algorithms with no
 /// wrap argument report [`DeadlockVerdict::UnsupportedOnTopology`].
 pub fn check_deadlock_freedom(
-    topo: impl Into<AnyTopology>,
+    topo: AnyTopology,
     algo: &dyn RoutingAlgorithm,
 ) -> DeadlockVerdict {
-    let topo = topo.into();
     if topo.wraps() {
         return match algo.wrap_strategy() {
             WrapStrategy::Unsupported => DeadlockVerdict::UnsupportedOnTopology,
@@ -433,11 +428,11 @@ pub fn check_deadlock_freedom(
 mod tests {
     use super::*;
     use crate::{Dbar, DirSet, Footprint, NorthLast, OddEven, WestFirst};
-    use footprint_topology::{Mesh, Ring, Torus, DIRECTIONS};
+    use footprint_topology::DIRECTIONS;
 
     #[test]
     fn dor_cdg_is_acyclic() {
-        let mesh = Mesh::square(5);
+        let mesh = AnyTopology::mesh(5, 5);
         let g = ChannelDependencyGraph::build(mesh, &Dor);
         assert!(g.is_acyclic());
         assert_eq!(g.channel_count(), mesh.channels().count());
@@ -446,7 +441,7 @@ mod tests {
 
     #[test]
     fn turn_models_have_acyclic_cdgs() {
-        let mesh = Mesh::square(5);
+        let mesh = AnyTopology::mesh(5, 5);
         for algo in [
             &OddEven as &dyn RoutingAlgorithm,
             &WestFirst,
@@ -463,7 +458,7 @@ mod tests {
 
     #[test]
     fn duato_algorithms_verify_via_escape_network() {
-        let mesh = Mesh::square(5);
+        let mesh = AnyTopology::mesh(5, 5);
         assert_eq!(
             check_deadlock_freedom(mesh, &Footprint::new()),
             DeadlockVerdict::EscapeNetworkAcyclic
@@ -499,7 +494,7 @@ mod tests {
                 unreachable!("analysis only")
             }
         }
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let verdict = check_deadlock_freedom(mesh, &Unrestricted);
         let DeadlockVerdict::Cyclic(cycle) = verdict else {
             panic!("expected a cycle, got {verdict:?}");
@@ -519,7 +514,7 @@ mod tests {
         // allowed (d_in at a) followed by an allowed (d_out at b) for some
         // src/dest pair — spot-check via a restricted algorithm where we
         // can enumerate by hand: DOR's only turns are X→Y.
-        let mesh = Mesh::square(3);
+        let mesh = AnyTopology::mesh(3, 3);
         let g = ChannelDependencyGraph::build(mesh, &Dor);
         // In DOR, a vertical channel can never depend on a horizontal one.
         for (i, ch) in g.channels.iter().enumerate() {
@@ -541,16 +536,16 @@ mod tests {
     fn unclassed_dor_relation_is_cyclic_on_a_torus() {
         // The reason dateline classes exist: the plain channel-level DOR
         // CDG on a wrapping topology closes each ring into a cycle.
-        let g = ChannelDependencyGraph::build(Torus::square(4), &Dor);
+        let g = ChannelDependencyGraph::build(AnyTopology::torus(4, 4), &Dor);
         assert!(!g.is_acyclic());
     }
 
     #[test]
     fn classed_escape_cdg_is_acyclic_on_wrap_topologies() {
         for topo in [
-            AnyTopology::from(Torus::square(4)),
-            AnyTopology::from(Torus::new(5, 3)),
-            AnyTopology::from(Ring::new(8)),
+            AnyTopology::torus(4, 4),
+            AnyTopology::torus(5, 3),
+            AnyTopology::ring(8),
         ] {
             let g = ChannelDependencyGraph::build_escape_classed(topo);
             assert!(g.is_acyclic(), "{topo}");
@@ -561,9 +556,9 @@ mod tests {
     #[test]
     fn empty_mask_keeps_escape_sound() {
         for topo in [
-            AnyTopology::from(Torus::square(4)),
-            AnyTopology::from(Ring::new(8)),
-            AnyTopology::from(Mesh::square(4)),
+            AnyTopology::torus(4, 4),
+            AnyTopology::ring(8),
+            AnyTopology::mesh(4, 4),
         ] {
             assert_eq!(check_escape_under_mask(topo, &[]), EscapeMaskVerdict::StillAcyclic);
         }
@@ -571,8 +566,7 @@ mod tests {
 
     #[test]
     fn dateline_cut_compromises_the_escape_network() {
-        use footprint_topology::Topology;
-        let ring = Ring::new(8);
+        let ring = AnyTopology::ring(8);
         // The ring's single wrap edge, both directions — the dateline cut.
         let dead = [
             (NodeId(7), Direction::East),
@@ -604,7 +598,7 @@ mod tests {
         // A non-dateline cut still kills deterministic escape routes, but
         // reports zero masked wrap channels — the caller can tell a
         // dateline attack from an ordinary cut.
-        let torus = Torus::square(4);
+        let torus = AnyTopology::torus(4, 4);
         let dead = [(NodeId(0), Direction::East), (NodeId(1), Direction::West)];
         match check_escape_under_mask(torus, &dead) {
             EscapeMaskVerdict::EscapeCompromised {
@@ -620,7 +614,7 @@ mod tests {
 
     #[test]
     fn wrap_verdicts_follow_the_declared_strategy() {
-        let torus = Torus::square(4);
+        let torus = AnyTopology::torus(4, 4);
         assert_eq!(
             check_deadlock_freedom(torus, &Dor),
             DeadlockVerdict::DatelineClassesAcyclic

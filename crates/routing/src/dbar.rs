@@ -119,7 +119,7 @@ pub fn dbar_threshold(num_vcs: usize) -> usize {
 mod tests {
     use super::*;
     use crate::{CongestionView, NoCongestionInfo, TablePortView};
-    use footprint_topology::{Mesh, NodeId};
+    use footprint_topology::{AnyTopology, NodeId};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -138,7 +138,7 @@ mod tests {
         on_escape: bool,
     ) -> RoutingCtx<'a> {
         RoutingCtx {
-            topo: Mesh::square(8).into(),
+            topo: AnyTopology::mesh(8, 8),
             current: NodeId(cur),
             src: NodeId(cur),
             dest: NodeId(dest),

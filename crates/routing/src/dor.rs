@@ -20,14 +20,14 @@ use rand::RngCore;
 /// still has the wrap crossing of that dimension ahead of it, the upper
 /// half once it no longer does. Class transitions are one-way, which keeps
 /// the VC-level dependency graph acyclic (see
-/// [`footprint_topology::Torus`] for the full argument).
+/// [`footprint_topology::AnyTopology::escape_class`] for the full argument).
 ///
 /// ```
 /// use footprint_routing::{Dor, RoutingAlgorithm};
-/// use footprint_topology::{Mesh, NodeId, Direction};
+/// use footprint_topology::{AnyTopology, NodeId, Direction};
 ///
 /// let dor = Dor;
-/// let dirs = dor.allowed_dirs(Mesh::square(4).into(), NodeId(0), NodeId(0), NodeId(10));
+/// let dirs = dor.allowed_dirs(AnyTopology::mesh(4, 4), NodeId(0), NodeId(0), NodeId(10));
 /// assert!(dirs.contains(Direction::East));
 /// assert_eq!(dirs.len(), 1); // deterministic: only the X direction
 /// ```
@@ -132,7 +132,7 @@ impl RoutingAlgorithm for RandomMinimal {
 mod tests {
     use super::*;
     use crate::{AllLinksUp, DownLinks, NoCongestionInfo, TablePortView};
-    use footprint_topology::{Direction, Mesh};
+    use footprint_topology::Direction;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -140,7 +140,7 @@ mod tests {
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
         let ctx = RoutingCtx {
-            topo: Mesh::square(4).into(),
+            topo: AnyTopology::mesh(4, 4),
             current: NodeId(cur),
             src: NodeId(0),
             dest: NodeId(dest),
@@ -197,7 +197,7 @@ mod tests {
         let cong = NoCongestionInfo;
         let faults = DownLinks::new(vec![(NodeId(0), Direction::East)]);
         let ctx = RoutingCtx {
-            topo: Mesh::square(4).into(),
+            topo: AnyTopology::mesh(4, 4),
             current: NodeId(0),
             src: NodeId(0),
             dest: NodeId(10),
@@ -221,7 +221,7 @@ mod tests {
         let cong = NoCongestionInfo;
         let faults = DownLinks::new(vec![(NodeId(0), Direction::East)]);
         let ctx = RoutingCtx {
-            topo: Mesh::square(4).into(),
+            topo: AnyTopology::mesh(4, 4),
             current: NodeId(0),
             src: NodeId(0),
             dest: NodeId(10),
@@ -247,8 +247,8 @@ mod tests {
 
     #[test]
     fn dor_allowed_dirs_is_singleton_off_destination() {
-        let mesh = Mesh::square(8);
-        let dirs = Dor.allowed_dirs(mesh.into(), NodeId(0), NodeId(0), NodeId(63));
+        let mesh = AnyTopology::mesh(8, 8);
+        let dirs = Dor.allowed_dirs(mesh, NodeId(0), NodeId(0), NodeId(63));
         assert_eq!(dirs.len(), 1);
         assert!(dirs.contains(Direction::East));
     }
@@ -258,7 +258,7 @@ mod tests {
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
         let ctx = RoutingCtx {
-            topo: Mesh::square(4).into(),
+            topo: AnyTopology::mesh(4, 4),
             current: NodeId(0),
             src: NodeId(0),
             dest: NodeId(10),

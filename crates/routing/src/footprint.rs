@@ -335,7 +335,7 @@ impl RoutingAlgorithm for Footprint {
 mod tests {
     use super::*;
     use crate::{NoCongestionInfo, TablePortView, VcView};
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -352,7 +352,7 @@ mod tests {
 
     fn mk_ctx<'a>(view: &'a TablePortView, cong: &'a NoCongestionInfo) -> RoutingCtx<'a> {
         RoutingCtx {
-            topo: Mesh::square(8).into(),
+            topo: AnyTopology::mesh(8, 8),
             current: NodeId(0),
             src: NodeId(0),
             dest: NodeId(63),

@@ -108,12 +108,11 @@ impl std::error::Error for InvariantError {}
 /// Returns [`InvariantError::MissingNeighbor`] when `node` has no neighbor
 /// in `dir`.
 pub fn neighbor_checked(
-    topo: impl Into<AnyTopology>,
+    topo: AnyTopology,
     node: NodeId,
     dir: Direction,
 ) -> Result<NodeId, InvariantError> {
-    topo.into()
-        .neighbor(node, dir)
+    topo.neighbor(node, dir)
         .ok_or(InvariantError::MissingNeighbor { node, dir })
 }
 
@@ -202,11 +201,11 @@ pub fn report_violation(err: &InvariantError) {
 mod tests {
     use super::*;
     use crate::request::Priority;
-    use footprint_topology::{Mesh, Port};
+    use footprint_topology::Port;
 
     #[test]
     fn neighbor_checked_steps_inside_the_mesh() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         assert_eq!(
             neighbor_checked(mesh, NodeId(0), Direction::East).unwrap(),
             NodeId(1)
@@ -215,7 +214,7 @@ mod tests {
 
     #[test]
     fn neighbor_checked_reports_edge_violations() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let err = neighbor_checked(mesh, NodeId(0), Direction::West).unwrap_err();
         assert_eq!(
             err,

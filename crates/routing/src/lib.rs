@@ -29,12 +29,12 @@
 //! ```
 //! use footprint_routing::{Footprint, RoutingAlgorithm, RoutingCtx, VcId,
 //!                         TablePortView, NoCongestionInfo, AllLinksUp};
-//! use footprint_topology::{Mesh, NodeId, Port};
+//! use footprint_topology::{AnyTopology, NodeId, Port};
 //! use rand::{rngs::SmallRng, SeedableRng};
 //!
 //! let view = TablePortView::all_idle(10, 4);
 //! let ctx = RoutingCtx {
-//!     topo: Mesh::square(8).into(),
+//!     topo: AnyTopology::mesh(8, 8),
 //!     current: NodeId(0),
 //!     src: NodeId(0),
 //!     dest: NodeId(63),

@@ -34,8 +34,7 @@ impl OddEven {
     /// topologies this is exactly the odd-even relation on the acyclic
     /// (non-wraparound) channel subgraph — the mesh CDG argument carries
     /// over verbatim and wrap channels are simply never used.
-    pub fn legal_dirs(topo: impl Into<AnyTopology>, cur: NodeId, src: NodeId, dest: NodeId) -> DirSet {
-        let topo = topo.into();
+    pub fn legal_dirs(topo: AnyTopology, cur: NodeId, src: NodeId, dest: NodeId) -> DirSet {
         let c = topo.coord(cur);
         let s = topo.coord(src);
         let d = topo.coord(dest);
@@ -110,21 +109,21 @@ impl RoutingAlgorithm for OddEven {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
 
-    fn dirs(mesh: Mesh, cur: u16, src: u16, dest: u16) -> DirSet {
+    fn dirs(mesh: AnyTopology, cur: u16, src: u16, dest: u16) -> DirSet {
         OddEven::legal_dirs(mesh, NodeId(cur), NodeId(src), NodeId(dest))
     }
 
     #[test]
     fn at_destination_no_dirs() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         assert!(dirs(mesh, 9, 0, 9).is_empty());
     }
 
     #[test]
     fn same_column_goes_vertical() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let d = dirs(mesh, 2, 2, 18); // (2,0) → (2,2)
         assert_eq!(d.len(), 1);
         assert!(d.contains(Direction::North));
@@ -132,7 +131,7 @@ mod tests {
 
     #[test]
     fn same_row_eastbound_goes_east() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let d = dirs(mesh, 0, 0, 5);
         assert_eq!(d.len(), 1);
         assert!(d.contains(Direction::East));
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn no_east_to_vertical_turn_prepared_in_even_non_source_column() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // Packet from (0,0) now at (2,0), dest (5,3): even column, not the
         // source column → vertical not allowed, must continue East.
         let d = dirs(mesh, 2, 0, 29);
@@ -154,7 +153,7 @@ mod tests {
 
     #[test]
     fn eastbound_must_turn_before_even_destination_column() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // At (3,0), dest (4,3): destination column even and one hop East →
         // East would force an E→N turn at an even column, so East is banned.
         let d = dirs(mesh, 3, 0, 4 + 3 * 8);
@@ -167,7 +166,7 @@ mod tests {
 
     #[test]
     fn westbound_vertical_only_in_even_columns() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // At (5,5) going to (2,2): odd column → only West.
         let d = dirs(mesh, 5 + 5 * 8, 63, 2 + 2 * 8);
         assert_eq!(d.len(), 1);
@@ -180,7 +179,7 @@ mod tests {
 
     #[test]
     fn legal_dirs_are_always_minimal() {
-        let mesh = Mesh::square(6);
+        let mesh = AnyTopology::mesh(6, 6);
         for src in mesh.nodes() {
             for dest in mesh.nodes() {
                 for cur in mesh.nodes() {
@@ -203,7 +202,7 @@ mod tests {
     /// every node on any partially-routed minimal walk.
     #[test]
     fn routing_function_is_connected() {
-        let mesh = Mesh::square(5);
+        let mesh = AnyTopology::mesh(5, 5);
         for src in mesh.nodes() {
             for dest in mesh.nodes() {
                 if src == dest {
@@ -233,13 +232,13 @@ mod tests {
         use footprint_topology::Port;
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
         // From (3,0) to (5,3): odd column, both East and North legal.
         let faults = DownLinks::new(vec![(NodeId(3), Direction::East)]);
         let ctx = RoutingCtx {
-            topo: mesh.into(),
+            topo: mesh,
             current: NodeId(3),
             src: NodeId(0),
             dest: NodeId(29),
@@ -263,7 +262,7 @@ mod tests {
     /// every greedy walk.
     #[test]
     fn forbidden_turns_never_taken() {
-        let mesh = Mesh::square(6);
+        let mesh = AnyTopology::mesh(6, 6);
         for src in mesh.nodes() {
             for dest in mesh.nodes() {
                 if src == dest {

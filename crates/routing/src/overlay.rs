@@ -11,10 +11,7 @@
 //! unchanged.
 
 use crate::footprint::class_masks;
-use crate::{
-    voqsw, xordet, DirSet, Footprint, Priority, RoutingAlgorithm, RoutingCtx, VcReallocationPolicy,
-    VcRequest, VcSelection, WrapStrategy,
-};
+use crate::{voqsw, xordet, DirSet, Footprint, Priority, RoutingAlgorithm, RoutingCtx, VcReallocationPolicy, VcRequest, VcSelection, WrapStrategy};
 use footprint_topology::{AnyTopology, NodeId, Port, PORT_COUNT};
 use rand::RngCore;
 
@@ -171,7 +168,7 @@ impl<A: RoutingAlgorithm> RoutingAlgorithm for VcOverlay<A> {
 mod tests {
     use super::*;
     use crate::{NoCongestionInfo, OddEven, TablePortView, VcId, VcView};
-    use footprint_topology::{Direction, Mesh};
+    use footprint_topology::Direction;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -186,7 +183,7 @@ mod tests {
 
     fn mk_ctx<'a>(view: &'a TablePortView, cong: &'a NoCongestionInfo) -> RoutingCtx<'a> {
         RoutingCtx {
-            topo: Mesh::square(8).into(),
+            topo: AnyTopology::mesh(8, 8),
             current: NodeId(0),
             src: NodeId(0),
             dest: NodeId(63),
@@ -248,10 +245,10 @@ mod tests {
         assert_eq!(algo.policy(), VcReallocationPolicy::NonAtomic);
         assert!(!algo.has_escape());
         assert_eq!(algo.vc_selection(), VcSelection::Adaptive);
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         assert_eq!(
-            algo.allowed_dirs(mesh.into(), NodeId(0), NodeId(0), NodeId(63)),
-            OddEven.allowed_dirs(mesh.into(), NodeId(0), NodeId(0), NodeId(63))
+            algo.allowed_dirs(mesh, NodeId(0), NodeId(0), NodeId(63)),
+            OddEven.allowed_dirs(mesh, NodeId(0), NodeId(0), NodeId(63))
         );
     }
 

@@ -1,10 +1,7 @@
 //! Named routing configurations — the seven algorithms of the paper's
 //! Table 2 plus reference extras.
 
-use crate::{
-    Dbar, Dor, Footprint, NorthLast, OddEven, RandomMinimal, RoutingAlgorithm, VcOverlay, VcRule,
-    WestFirst, WrapStrategy,
-};
+use crate::{Dbar, Dor, Footprint, NorthLast, OddEven, RandomMinimal, RoutingAlgorithm, VcOverlay, VcRule, WestFirst, WrapStrategy};
 use core::fmt;
 use core::str::FromStr;
 use footprint_topology::AnyTopology;
@@ -129,8 +126,8 @@ impl RoutingSpec {
     /// Duato-based algorithms reserve one escape VC per dateline class
     /// (plus one adaptive VC) and dateline-classed DOR needs both
     /// half-classes populated.
-    pub fn min_vcs_on(self, topo: impl Into<AnyTopology>) -> usize {
-        self.build().min_vcs_on(topo.into())
+    pub fn min_vcs_on(self, topo: AnyTopology) -> usize {
+        self.build().min_vcs_on(topo)
     }
 
     /// The wrap strategy of the built algorithm — how (or whether) it stays
@@ -142,8 +139,8 @@ impl RoutingSpec {
     /// `true` if the algorithm can run on `topo`: always on acyclic
     /// topologies, and on wrapping ones iff it declares a wrap strategy
     /// other than [`WrapStrategy::Unsupported`].
-    pub fn supported_on(self, topo: impl Into<AnyTopology>) -> bool {
-        !topo.into().wraps() || self.wrap_strategy() != WrapStrategy::Unsupported
+    pub fn supported_on(self, topo: AnyTopology) -> bool {
+        !topo.wraps() || self.wrap_strategy() != WrapStrategy::Unsupported
     }
 }
 
@@ -239,18 +236,17 @@ mod tests {
 
     #[test]
     fn torus_support_and_vc_floors() {
-        use footprint_topology::{Mesh, Torus};
-        let torus = Torus::square(4);
+        let torus = AnyTopology::torus(4, 4);
         // Static VC mappings have no wrap argument.
         assert!(!RoutingSpec::DorXordet.supported_on(torus));
         assert!(!RoutingSpec::DbarVoqSw.supported_on(torus));
-        assert!(RoutingSpec::DorXordet.supported_on(Mesh::square(4)));
+        assert!(RoutingSpec::DorXordet.supported_on(AnyTopology::mesh(4, 4)));
         // Duato algorithms: two escape classes + one adaptive VC.
         assert_eq!(RoutingSpec::Footprint.min_vcs_on(torus), 3);
-        assert_eq!(RoutingSpec::Footprint.min_vcs_on(Mesh::square(4)), 2);
+        assert_eq!(RoutingSpec::Footprint.min_vcs_on(AnyTopology::mesh(4, 4)), 2);
         // Dateline-classed DOR needs both half-classes.
         assert_eq!(RoutingSpec::Dor.min_vcs_on(torus), 2);
-        assert_eq!(RoutingSpec::Dor.min_vcs_on(Mesh::square(4)), 1);
+        assert_eq!(RoutingSpec::Dor.min_vcs_on(AnyTopology::mesh(4, 4)), 1);
         // Turn models route on the acyclic subgraph: no extra VCs.
         assert_eq!(RoutingSpec::OddEven.min_vcs_on(torus), 1);
         assert!(RoutingSpec::OddEven.supported_on(torus));

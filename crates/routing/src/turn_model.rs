@@ -22,8 +22,8 @@ impl WestFirst {
     /// The minimal directions permitted by the west-first turn model. On
     /// wrapping topologies the relation lives on the acyclic
     /// (non-wraparound) channel subgraph, preserving the mesh CDG argument.
-    pub fn legal_dirs(topo: impl Into<AnyTopology>, cur: NodeId, dest: NodeId) -> DirSet {
-        let dirs = topo.into().acyclic_minimal_dirs(cur, dest);
+    pub fn legal_dirs(topo: AnyTopology, cur: NodeId, dest: NodeId) -> DirSet {
+        let dirs = topo.acyclic_minimal_dirs(cur, dest);
         let mut set = DirSet::EMPTY;
         match dirs.x {
             // Westward travel must come first and alone.
@@ -73,8 +73,8 @@ impl NorthLast {
     /// The minimal directions permitted by the north-last turn model. On
     /// wrapping topologies the relation lives on the acyclic
     /// (non-wraparound) channel subgraph, preserving the mesh CDG argument.
-    pub fn legal_dirs(topo: impl Into<AnyTopology>, cur: NodeId, dest: NodeId) -> DirSet {
-        let dirs = topo.into().acyclic_minimal_dirs(cur, dest);
+    pub fn legal_dirs(topo: AnyTopology, cur: NodeId, dest: NodeId) -> DirSet {
+        let dirs = topo.acyclic_minimal_dirs(cur, dest);
         let mut set = DirSet::EMPTY;
         match (dirs.x, dirs.y) {
             // Northward travel is only allowed once no other productive
@@ -118,11 +118,11 @@ impl RoutingAlgorithm for NorthLast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
 
     #[test]
     fn west_first_goes_west_alone() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // (5,5) → (2,2): westward component → only West.
         let d = WestFirst::legal_dirs(mesh, NodeId(5 + 5 * 8), NodeId(2 + 2 * 8));
         assert_eq!(d.len(), 1);
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn west_first_is_adaptive_eastbound() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // (0,0) → (3,3): both East and North allowed.
         let d = WestFirst::legal_dirs(mesh, NodeId(0), NodeId(3 + 3 * 8));
         assert_eq!(d.len(), 2);
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn west_first_same_column_moves_vertically() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let d = WestFirst::legal_dirs(mesh, NodeId(2), NodeId(2 + 3 * 8));
         assert_eq!(d.len(), 1);
         assert!(d.contains(Direction::North));
@@ -152,7 +152,7 @@ mod tests {
         // Once a packet has moved any non-West direction, its remaining
         // legal sets must never contain West: equivalently, the legal set
         // contains West only as a singleton.
-        let mesh = Mesh::square(6);
+        let mesh = AnyTopology::mesh(6, 6);
         for cur in mesh.nodes() {
             for dest in mesh.nodes() {
                 let d = WestFirst::legal_dirs(mesh, cur, dest);
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn north_last_goes_north_alone_and_last() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // Northward + eastward: East only (north deferred).
         let d = NorthLast::legal_dirs(mesh, NodeId(0), NodeId(3 + 3 * 8));
         assert_eq!(d.len(), 1);
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn north_last_is_adaptive_southbound() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // (3,3) → (0,0): West + South.
         let d = NorthLast::legal_dirs(mesh, NodeId(3 + 3 * 8), NodeId(0));
         assert_eq!(d.len(), 2);
@@ -188,11 +188,11 @@ mod tests {
 
     #[test]
     fn both_models_connect_all_pairs() {
-        let mesh = Mesh::square(5);
+        let mesh = AnyTopology::mesh(5, 5);
         for (name, legal) in [
             (
                 "west-first",
-                WestFirst::legal_dirs as fn(Mesh, NodeId, NodeId) -> DirSet,
+                WestFirst::legal_dirs as fn(AnyTopology, NodeId, NodeId) -> DirSet,
             ),
             ("north-last", NorthLast::legal_dirs),
         ] {
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn legal_dirs_always_minimal() {
-        let mesh = Mesh::square(6);
+        let mesh = AnyTopology::mesh(6, 6);
         for cur in mesh.nodes() {
             for dest in mesh.nodes() {
                 let minimal = mesh.minimal_dirs(cur, dest);
@@ -237,7 +237,7 @@ mod tests {
     fn adaptiveness_is_between_dor_and_full() {
         use crate::adaptiveness::mean_path_adaptiveness;
         use crate::{Dbar, Dor};
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let dor = mean_path_adaptiveness(mesh, &Dor);
         let full = mean_path_adaptiveness(mesh, &Dbar);
         for algo in [

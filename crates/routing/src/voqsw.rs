@@ -17,8 +17,8 @@ use footprint_topology::{AnyTopology, NodeId, Port, PORT_COUNT};
 /// downstream output that VOQ_sw keys its VC classes on: it must be
 /// computable by the *upstream* router, hence the deterministic routing
 /// function.
-pub fn dor_output_port(topo: impl Into<AnyTopology>, node: NodeId, dest: NodeId) -> Port {
-    let dirs = topo.into().minimal_dirs(node, dest);
+pub fn dor_output_port(topo: AnyTopology, node: NodeId, dest: NodeId) -> Port {
+    let dirs = topo.minimal_dirs(node, dest);
     match dirs.x.or(dirs.y) {
         Some(d) => Port::Dir(d),
         None => Port::Local,
@@ -58,11 +58,8 @@ pub(crate) fn mapped_vc(ctx: &RoutingCtx<'_>, lo: usize, port: Port, dest: NodeI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        Dor, NoCongestionInfo, RoutingAlgorithm, TablePortView, VcOverlay, VcReallocationPolicy,
-        VcRule,
-    };
-    use footprint_topology::{Direction, Mesh};
+    use crate::{Dor, NoCongestionInfo, RoutingAlgorithm, TablePortView, VcOverlay, VcReallocationPolicy, VcRule};
+    use footprint_topology::Direction;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -73,7 +70,7 @@ mod tests {
         dest: u16,
     ) -> RoutingCtx<'a> {
         RoutingCtx {
-            topo: Mesh::square(4).into(),
+            topo: AnyTopology::mesh(4, 4),
             current: NodeId(cur),
             src: NodeId(cur),
             dest: NodeId(dest),
@@ -89,7 +86,7 @@ mod tests {
 
     #[test]
     fn dor_output_port_matches_xy_routing() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         // n0 → n10 = (2,2): X first.
         assert_eq!(
             dor_output_port(mesh, NodeId(0), NodeId(10)),

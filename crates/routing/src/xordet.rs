@@ -11,15 +11,15 @@ use footprint_topology::{AnyTopology, NodeId};
 ///
 /// ```
 /// use footprint_routing::xordet_class;
-/// use footprint_topology::{Mesh, NodeId};
-/// let mesh = Mesh::square(4);
+/// use footprint_topology::{AnyTopology, NodeId};
+/// let mesh = AnyTopology::mesh(4, 4);
 /// // n10 = (2,2) and n15 = (3,3) share a class; n13 = (1,3) does not
 /// // (the paper's Figure 2(c) grouping, up to VC renumbering).
 /// assert_eq!(xordet_class(mesh, NodeId(10)), xordet_class(mesh, NodeId(15)));
 /// assert_ne!(xordet_class(mesh, NodeId(13)), xordet_class(mesh, NodeId(10)));
 /// ```
-pub fn xordet_class(topo: impl Into<AnyTopology>, dest: NodeId) -> u16 {
-    let c = topo.into().coord(dest);
+pub fn xordet_class(topo: AnyTopology, dest: NodeId) -> u16 {
+    let c = topo.coord(dest);
     c.x ^ c.y
 }
 
@@ -40,11 +40,8 @@ pub(crate) fn mapped_vc(ctx: &RoutingCtx<'_>, lo: usize, dest: NodeId) -> VcId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        Dbar, Dor, NoCongestionInfo, OddEven, Priority, RoutingAlgorithm, TablePortView,
-        VcOverlay, VcReallocationPolicy, VcRule,
-    };
-    use footprint_topology::{Direction, Mesh, Port};
+    use crate::{Dbar, Dor, NoCongestionInfo, OddEven, Priority, RoutingAlgorithm, TablePortView, VcOverlay, VcReallocationPolicy, VcRule};
+    use footprint_topology::{Direction, Port};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -55,7 +52,7 @@ mod tests {
         dest: u16,
     ) -> RoutingCtx<'a> {
         RoutingCtx {
-            topo: Mesh::square(4).into(),
+            topo: AnyTopology::mesh(4, 4),
             current: NodeId(0),
             src: NodeId(0),
             dest: NodeId(dest),
@@ -71,7 +68,7 @@ mod tests {
 
     #[test]
     fn class_is_coordinate_xor() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         assert_eq!(xordet_class(mesh, NodeId(0)), 0); // (0,0)
         assert_eq!(xordet_class(mesh, NodeId(13)), 1 ^ 3); // (1,3)
         assert_eq!(xordet_class(mesh, NodeId(10)), 0); // (2,2)
@@ -115,7 +112,7 @@ mod tests {
         let view = TablePortView::all_idle(4, 4);
         let cong = NoCongestionInfo;
         let algo = VcOverlay::new(OddEven, VcRule::Xordet, "oe+xordet");
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let ctx_a = mk_ctx(&view, &cong, 4, 10);
         let ctx_b = mk_ctx(&view, &cong, 4, 15);
         assert_eq!(xordet_class(mesh, NodeId(10)), xordet_class(mesh, NodeId(15)));

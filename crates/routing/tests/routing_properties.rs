@@ -4,7 +4,7 @@
 use footprint_routing::{
     AllLinksUp, NoCongestionInfo, Priority, RoutingCtx, RoutingSpec, TablePortView, VcId, VcView,
 };
-use footprint_topology::{Mesh, NodeId, Port, DIRECTIONS};
+use footprint_topology::{AnyTopology, NodeId, Port, DIRECTIONS};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -65,10 +65,10 @@ proptest! {
         seed in 0u64..64,
         on_escape in any::<bool>(),
     ) {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let algo = spec.build();
         let ctx = RoutingCtx {
-            topo: mesh.into(),
+            topo: mesh,
             current: NodeId(cur),
             src: NodeId(src),
             dest: NodeId(dest),
@@ -114,11 +114,11 @@ proptest! {
         seed in 0u64..64,
     ) {
         prop_assume!(cur != dest);
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         for spec in [RoutingSpec::Footprint, RoutingSpec::Dbar, RoutingSpec::DbarXordet] {
             let algo = spec.build();
             let ctx = RoutingCtx {
-                topo: mesh.into(),
+                topo: mesh,
                 current: NodeId(cur),
                 src: NodeId(cur),
                 dest: NodeId(dest),
@@ -154,10 +154,10 @@ proptest! {
         seed in 0u64..64,
     ) {
         prop_assume!(cur != dest);
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let algo = RoutingSpec::Footprint.build();
         let ctx = RoutingCtx {
-            topo: mesh.into(),
+            topo: mesh,
             current: NodeId(cur),
             src: NodeId(cur),
             dest: NodeId(dest),
@@ -187,10 +187,10 @@ proptest! {
         seed in 0u64..64,
     ) {
         prop_assume!(node != dest);
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let algo = spec.build();
         let ctx = RoutingCtx {
-            topo: mesh.into(),
+            topo: mesh,
             current: NodeId(node),
             src: NodeId(node),
             dest: NodeId(dest),
@@ -222,11 +222,11 @@ proptest! {
         seed in 0u64..64,
     ) {
         prop_assume!(cur != dest);
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let algo = RoutingSpec::OddEven.build();
-        let allowed = algo.allowed_dirs(mesh.into(), NodeId(cur), NodeId(src), NodeId(dest));
+        let allowed = algo.allowed_dirs(mesh, NodeId(cur), NodeId(src), NodeId(dest));
         let ctx = RoutingCtx {
-            topo: mesh.into(),
+            topo: mesh,
             current: NodeId(cur),
             src: NodeId(src),
             dest: NodeId(dest),

@@ -196,13 +196,13 @@ impl std::error::Error for ConfigError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
 
     #[test]
     fn paper_default_matches_table_2() {
         let c = SimConfig::paper_default();
         assert_eq!(c.topology, TopologySpec::mesh(8));
-        assert_eq!(c.topo(), AnyTopology::Mesh(Mesh::square(8)));
+        assert_eq!(c.topo(), AnyTopology::mesh(8, 8));
         assert_eq!(c.num_vcs, 10);
         assert_eq!(c.vc_buffer_depth, 4);
         assert_eq!(c.speedup, 2);

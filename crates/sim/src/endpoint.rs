@@ -352,7 +352,7 @@ mod tests {
     use crate::metrics::NullProbe;
     use crate::packet::FlitKind;
     use footprint_routing::{AllLinksUp, Dor, Footprint, NoCongestionInfo};
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
     use rand::SeedableRng;
 
     /// A source at node 0 of a 4×4 mesh, with the store holding its
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn source_streams_a_packet() {
-        let mesh = AnyTopology::from(Mesh::square(4));
+        let mesh = AnyTopology::mesh(4, 4);
         let (mut src, mut soa) = source(4, 4);
         let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn source_respects_credits() {
-        let mesh = AnyTopology::from(Mesh::square(4));
+        let mesh = AnyTopology::mesh(4, 4);
         let (mut src, mut soa) = source(2, 1); // 1-credit VCs
         let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
@@ -412,7 +412,7 @@ mod tests {
 
     #[test]
     fn footprint_source_joins_same_destination_stream() {
-        let mesh = AnyTopology::from(Mesh::square(4));
+        let mesh = AnyTopology::mesh(4, 4);
         let algo = Footprint::new().with_join();
         let (mut src, mut soa) = source(3, 4);
         let mut wire = Wire::new();

@@ -125,8 +125,7 @@ pub struct FaultState {
 
 impl FaultState {
     /// Builds the state for `plan` on `topo`, applying any cycle-0 events.
-    pub fn new(topo: impl Into<AnyTopology>, plan: FaultPlan) -> Self {
-        let topo = topo.into();
+    pub fn new(topo: AnyTopology, plan: FaultPlan) -> Self {
         let n = topo.len();
         let mut state = FaultState {
             topo,
@@ -419,10 +418,10 @@ impl LinkStateView for FaultView<'_> {
 mod tests {
     use super::*;
     use footprint_routing::{Dor, OddEven, RoutingAlgorithm};
-    use footprint_topology::{FaultEvent, Mesh};
+    use footprint_topology::FaultEvent;
 
-    fn mesh() -> Mesh {
-        Mesh::square(4)
+    fn mesh() -> AnyTopology {
+        AnyTopology::mesh(4, 4)
     }
 
     #[test]
@@ -496,9 +495,9 @@ mod tests {
     #[test]
     fn dor_loses_more_pairs_than_adaptive_routing() {
         let plan = FaultPlan::new().with(FaultEvent::link_down(NodeId(5), Direction::East, 0));
-        let s = FaultState::new(Mesh::square(4), plan);
+        let s = FaultState::new(AnyTopology::mesh(4, 4), plan);
         let count_unreachable = |algo: &dyn RoutingAlgorithm| {
-            let m = Mesh::square(4);
+            let m = AnyTopology::mesh(4, 4);
             let mut n = 0;
             for src in m.nodes() {
                 for dest in m.nodes() {
@@ -563,13 +562,12 @@ mod tests {
 
     #[test]
     fn ring_cut_in_two_places_partitions() {
-        use footprint_topology::Ring;
         // Two duplex cuts split a ring: cutting 1↔2 and 5↔6 on an 8-ring
         // leaves components {0,1,6,7} and {2,3,4,5}.
         let plan = FaultPlan::new()
             .with(FaultEvent::link_down(NodeId(1), Direction::East, 0))
             .with(FaultEvent::link_down(NodeId(5), Direction::East, 0));
-        let s = FaultState::new(Ring::new(8), plan);
+        let s = FaultState::new(AnyTopology::ring(8), plan);
         assert!(s.is_partitioned());
         assert!(s.partitioned(NodeId(2), NodeId(7)));
         assert!(!s.partitioned(NodeId(6), NodeId(1)));
@@ -621,11 +619,10 @@ mod tests {
 
     #[test]
     fn repair_records_a_recovery_epoch() {
-        use footprint_topology::Ring;
         let plan = FaultPlan::new()
             .with(FaultEvent::link_down(NodeId(0), Direction::East, 10).repaired_at(50))
             .with(FaultEvent::link_down(NodeId(2), Direction::East, 10).repaired_at(50));
-        let mut s = FaultState::new(Ring::new(6), plan);
+        let mut s = FaultState::new(AnyTopology::ring(6), plan);
         // A non-empty plan records its healthy baseline at construction.
         assert_eq!(s.partition_history().len(), 1);
         assert!(!s.partition_history()[0].is_partitioned());

@@ -546,7 +546,7 @@ mod tests {
     use crate::metrics::NullProbe;
     use crate::packet::FlitKind;
     use footprint_routing::{AllLinksUp, Dbar, DownLinks, Dor, Footprint, NoCongestionInfo, OddEven};
-    use footprint_topology::{Direction, Mesh, DIRECTIONS};
+    use footprint_topology::{Direction, DIRECTIONS};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -568,7 +568,7 @@ mod tests {
         (
             Router::new(NodeId(0), 4),
             NocSoa::new(1, 4, 4, 2),
-            Mesh::square(4).into(),
+            AnyTopology::mesh(4, 4),
             SmallRng::seed_from_u64(9),
             Metrics::new(),
             NullProbe,
@@ -961,7 +961,7 @@ mod tests {
                 2 => Box::new(OddEven),
                 _ => Box::new(Dor),
             };
-            let topo: AnyTopology = Mesh::square(3).into();
+            let topo = AnyTopology::mesh(3, 3);
             let policy = if atomic {
                 VcReallocationPolicy::Atomic
             } else {

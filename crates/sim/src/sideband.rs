@@ -85,7 +85,7 @@ impl CongestionView for Sideband {
 mod tests {
     use super::*;
     use crate::packet::{Flit, FlitKind, PacketId};
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
 
     fn flit(dest: u16, vc: u8) -> Flit {
         Flit {
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn congestion_bit_tracks_downstream_occupancy() {
-        let mesh = AnyTopology::from(Mesh::square(4));
+        let mesh = AnyTopology::mesh(4, 4);
         let mut soa = NocSoa::new(mesh.len(), 4, 4, 2);
         let mut sb = Sideband::new(mesh.len(), 2);
         sb.update(mesh, &soa);
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn mesh_edges_never_congested() {
-        let mesh = AnyTopology::from(Mesh::square(4));
+        let mesh = AnyTopology::mesh(4, 4);
         let soa = NocSoa::new(mesh.len(), 4, 4, 2);
         let mut sb = Sideband::new(mesh.len(), 1);
         sb.update(mesh, &soa);
@@ -135,7 +135,7 @@ mod tests {
 
     #[test]
     fn incremental_refresh_matches_full_update() {
-        let mesh = AnyTopology::from(Mesh::square(4));
+        let mesh = AnyTopology::mesh(4, 4);
         let mut soa = NocSoa::new(mesh.len(), 4, 4, 2);
         // Occupy inputs at an interior node (5) and an edge node (0).
         for (node, port, vcs) in [

@@ -9,8 +9,8 @@ use core::fmt;
 /// top-right corner `(7, 7)`).
 ///
 /// ```
-/// use footprint_topology::{Mesh, NodeId};
-/// let mesh = Mesh::square(4);
+/// use footprint_topology::{AnyTopology, NodeId};
+/// let mesh = AnyTopology::mesh(4, 4);
 /// assert_eq!(mesh.node_at(mesh.coord(NodeId(13))), NodeId(13));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -42,7 +42,7 @@ impl From<NodeId> for u16 {
     }
 }
 
-/// An `(x, y)` mesh coordinate. `x` grows East, `y` grows North.
+/// An `(x, y)` grid coordinate. `x` grows East, `y` grows North.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Coord {
     /// Column (0 = west edge).
@@ -62,15 +62,6 @@ impl Coord {
     #[inline]
     pub fn new(x: u16, y: u16) -> Self {
         Coord { x, y }
-    }
-
-    /// Manhattan distance to `other`, which is also the minimal hop count
-    /// between the corresponding routers in a mesh.
-    #[inline]
-    pub fn manhattan(self, other: Coord) -> u32 {
-        let dx = (self.x as i32 - other.x as i32).unsigned_abs();
-        let dy = (self.y as i32 - other.y as i32).unsigned_abs();
-        dx + dy
     }
 }
 
@@ -105,15 +96,6 @@ mod tests {
     #[test]
     fn coord_display_is_tuple_like() {
         assert_eq!(Coord::new(1, 2).to_string(), "(1,2)");
-    }
-
-    #[test]
-    fn manhattan_is_symmetric_and_zero_on_self() {
-        let a = Coord::new(1, 7);
-        let b = Coord::new(4, 2);
-        assert_eq!(a.manhattan(b), b.manhattan(a));
-        assert_eq!(a.manhattan(b), 3 + 5);
-        assert_eq!(a.manhattan(a), 0);
     }
 
     #[test]

@@ -196,13 +196,13 @@ impl std::error::Error for FaultPlanError {}
 /// subsystem at all.
 ///
 /// ```
-/// use footprint_topology::{Direction, FaultEvent, FaultPlan, Mesh, NodeId};
+/// use footprint_topology::{AnyTopology, Direction, FaultEvent, FaultPlan, NodeId};
 ///
 /// let plan = FaultPlan::new()
 ///     .with(FaultEvent::link_down(NodeId(27), Direction::East, 0))
 ///     .with(FaultEvent::router_down(NodeId(9), 500).repaired_at(1500));
 /// assert_eq!(plan.len(), 2);
-/// plan.validate(Mesh::square(8)).unwrap();
+/// plan.validate(AnyTopology::mesh(8, 8)).unwrap();
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
@@ -247,30 +247,10 @@ impl FaultPlan {
     /// plan's whole lifetime regardless of onset and repair times — the
     /// channel mask escape-safety checks run against. Sorted and
     /// deduplicated.
-    pub fn down_channels(&self, topo: impl Into<AnyTopology>) -> Vec<(NodeId, Direction)> {
-        let topo = topo.into();
+    pub fn down_channels(&self, topo: AnyTopology) -> Vec<(NodeId, Direction)> {
         let mut out: Vec<(NodeId, Direction)> = Vec::new();
-        for e in &self.events {
-            if e.kind != FaultKind::Down {
-                continue;
-            }
-            match e.target {
-                FaultTarget::Link { node, dir } => out.push((node, dir)),
-                FaultTarget::DuplexLink { node, dir } => {
-                    out.push((node, dir));
-                    if let Some(nb) = topo.neighbor(node, dir) {
-                        out.push((nb, dir.opposite()));
-                    }
-                }
-                FaultTarget::Router(n) => {
-                    for d in DIRECTIONS {
-                        if let Some(nb) = topo.neighbor(n, d) {
-                            out.push((n, d));
-                            out.push((nb, d.opposite()));
-                        }
-                    }
-                }
-            }
+        for e in self.events.iter().filter(|e| e.kind == FaultKind::Down) {
+            Self::directed_channels(topo, e, &mut out);
         }
         out.sort_unstable_by_key(|&(n, d)| (n.0, crate::Port::Dir(d).index()));
         out.dedup();
@@ -279,8 +259,7 @@ impl FaultPlan {
 
     /// How many of this plan's [down channels](Self::down_channels) are
     /// wraparound (dateline) channels of `topo`. Always 0 on a mesh.
-    pub fn masked_wrap_channels(&self, topo: impl Into<AnyTopology>) -> usize {
-        let topo = topo.into();
+    pub fn masked_wrap_channels(&self, topo: AnyTopology) -> usize {
         self.down_channels(topo)
             .into_iter()
             .filter(|&(n, d)| topo.is_wrap_channel(n, d))
@@ -291,32 +270,11 @@ impl FaultPlan {
     /// uniformly from the topology's edges by a splitmix64 stream over
     /// `seed`. Deterministic: the same `(topology, count, seed)` always
     /// yields the same plan. `count` is clamped to the number of edges.
-    pub fn random_link_faults(topo: impl Into<AnyTopology>, count: usize, seed: u64) -> Self {
-        let topo = topo.into();
-        // Canonical (undirected) edges: East/North channels only. On
-        // wrapping topologies this still covers every physical edge
-        // exactly once — the West/South channels are the same edges seen
-        // from the other endpoint.
-        let mut edges: Vec<(NodeId, Direction)> = Vec::new();
-        for node in topo.nodes() {
-            for dir in [Direction::East, Direction::North] {
-                if topo.neighbor(node, dir).is_some() {
-                    edges.push((node, dir));
-                }
-            }
-        }
-        let mut rng = Splitmix64(seed);
-        let count = count.min(edges.len());
-        let mut events = Vec::with_capacity(count);
-        // Partial Fisher-Yates: the first `count` slots end up a uniform
-        // sample without replacement.
-        for i in 0..count {
-            let j = i + (rng.next() % (edges.len() - i) as u64) as usize;
-            edges.swap(i, j);
-            let (node, dir) = edges[i];
-            events.push(FaultEvent::link_down(node, dir, 0));
-        }
-        FaultPlan { events }
+    pub fn random_link_faults(topo: AnyTopology, count: usize, seed: u64) -> Self {
+        let mut edges: Vec<_> = edges(topo).collect();
+        let mut plan = FaultPlan::new();
+        plan.sample_cuts(&mut Splitmix64(seed), &mut edges, count);
+        plan
     }
 
     /// The dateline-aware variant of [`FaultPlan::random_link_faults`]:
@@ -337,44 +295,34 @@ impl FaultPlan {
     /// not exist, and silently returning grid cuts would misreport what
     /// the experiment exercised.
     pub fn random_link_faults_biased(
-        topo: impl Into<AnyTopology>,
+        topo: AnyTopology,
         wrap_cuts: usize,
         other_cuts: usize,
         seed: u64,
     ) -> Result<Self, FaultPlanError> {
-        let topo = topo.into();
-        let mut wrap_edges: Vec<(NodeId, Direction)> = Vec::new();
-        let mut grid_edges: Vec<(NodeId, Direction)> = Vec::new();
-        for node in topo.nodes() {
-            for dir in [Direction::East, Direction::North] {
-                if topo.neighbor(node, dir).is_some() {
-                    if topo.is_wrap_channel(node, dir) {
-                        wrap_edges.push((node, dir));
-                    } else {
-                        grid_edges.push((node, dir));
-                    }
-                }
-            }
-        }
+        let (mut wrap_edges, mut grid_edges): (Vec<_>, Vec<_>) =
+            edges(topo).partition(|&(node, dir)| topo.is_wrap_channel(node, dir));
         if wrap_cuts > 0 && wrap_edges.is_empty() {
             return Err(FaultPlanError::NoWrapChannels {
                 kind: topo.kind_name(),
             });
         }
         let mut rng = Splitmix64(seed);
-        let mut events = Vec::new();
-        let mut sample = |edges: &mut Vec<(NodeId, Direction)>, count: usize| {
-            let count = count.min(edges.len());
-            for i in 0..count {
-                let j = i + (rng.next() % (edges.len() - i) as u64) as usize;
-                edges.swap(i, j);
-                let (node, dir) = edges[i];
-                events.push(FaultEvent::link_down(node, dir, 0));
-            }
-        };
-        sample(&mut wrap_edges, wrap_cuts);
-        sample(&mut grid_edges, other_cuts);
-        Ok(FaultPlan { events })
+        let mut plan = FaultPlan::new();
+        plan.sample_cuts(&mut rng, &mut wrap_edges, wrap_cuts);
+        plan.sample_cuts(&mut rng, &mut grid_edges, other_cuts);
+        Ok(plan)
+    }
+
+    /// Appends `count` (clamped) permanent duplex cuts at cycle 0, drawn
+    /// from `edges` without replacement by a partial Fisher-Yates shuffle.
+    fn sample_cuts(&mut self, rng: &mut Splitmix64, edges: &mut [(NodeId, Direction)], count: usize) {
+        for i in 0..count.min(edges.len()) {
+            let j = i + (rng.next() % (edges.len() - i) as u64) as usize;
+            edges.swap(i, j);
+            let (node, dir) = edges[i];
+            self.push(FaultEvent::link_down(node, dir, 0));
+        }
     }
 
     /// Checks every event against the topology's channel set: a link
@@ -387,8 +335,7 @@ impl FaultPlan {
     /// Returns the first [`FaultPlanError`] found: a target off the
     /// topology, a repair at or before its onset, or a degenerate degrade
     /// period.
-    pub fn validate(&self, topo: impl Into<AnyTopology>) -> Result<(), FaultPlanError> {
-        let topo = topo.into();
+    pub fn validate(&self, topo: AnyTopology) -> Result<(), FaultPlanError> {
         for e in &self.events {
             match e.target {
                 FaultTarget::Link { node, dir } | FaultTarget::DuplexLink { node, dir } => {
@@ -421,11 +368,10 @@ impl FaultPlan {
     /// every attached channel in both directions, whatever the topology's
     /// degree at that node.
     pub fn directed_channels(
-        topo: impl Into<AnyTopology>,
+        topo: AnyTopology,
         event: &FaultEvent,
         out: &mut Vec<(NodeId, Direction)>,
     ) {
-        let topo = topo.into();
         match event.target {
             FaultTarget::Link { node, dir } => out.push((node, dir)),
             FaultTarget::DuplexLink { node, dir } => {
@@ -461,6 +407,18 @@ impl fmt::Display for FaultPlan {
     }
 }
 
+/// Canonical (undirected) edges: East/North channels only. On wrapping
+/// fabrics this still covers every physical edge exactly once — the
+/// West/South channels are the same edges seen from the other endpoint.
+fn edges(topo: AnyTopology) -> impl Iterator<Item = (NodeId, Direction)> {
+    topo.nodes().flat_map(move |node| {
+        [Direction::East, Direction::North]
+            .into_iter()
+            .filter(move |&dir| topo.neighbor(node, dir).is_some())
+            .map(move |dir| (node, dir))
+    })
+}
+
 /// Minimal splitmix64 stream — the topology crate carries no RNG
 /// dependency, and fault placement only needs a small, well-mixed,
 /// deterministic sequence.
@@ -479,14 +437,14 @@ impl Splitmix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mesh;
+    use crate::AnyTopology;
 
     #[test]
     fn empty_plan_is_default_and_validates() {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
         assert_eq!(plan, FaultPlan::default());
-        plan.validate(Mesh::square(4)).unwrap();
+        plan.validate(AnyTopology::mesh(4, 4)).unwrap();
         assert_eq!(plan.to_string(), "no faults");
     }
 
@@ -504,7 +462,7 @@ mod tests {
     fn validate_rejects_edge_links() {
         let plan = FaultPlan::new().with(FaultEvent::link_down(NodeId(0), Direction::West, 0));
         assert_eq!(
-            plan.validate(Mesh::square(4)),
+            plan.validate(AnyTopology::mesh(4, 4)),
             Err(FaultPlanError::LinkOffMesh {
                 node: NodeId(0),
                 dir: Direction::West
@@ -516,7 +474,7 @@ mod tests {
     fn validate_rejects_out_of_range_router() {
         let plan = FaultPlan::new().with(FaultEvent::router_down(NodeId(99), 0));
         assert_eq!(
-            plan.validate(Mesh::square(4)),
+            plan.validate(AnyTopology::mesh(4, 4)),
             Err(FaultPlanError::RouterOffMesh { node: NodeId(99) })
         );
     }
@@ -526,7 +484,7 @@ mod tests {
         let plan = FaultPlan::new()
             .with(FaultEvent::link_down(NodeId(0), Direction::East, 100).repaired_at(100));
         assert_eq!(
-            plan.validate(Mesh::square(4)),
+            plan.validate(AnyTopology::mesh(4, 4)),
             Err(FaultPlanError::RepairBeforeOnset { at: 100, until: 100 })
         );
     }
@@ -536,14 +494,14 @@ mod tests {
         let plan =
             FaultPlan::new().with(FaultEvent::link_degraded(NodeId(0), Direction::East, 0, 1));
         assert_eq!(
-            plan.validate(Mesh::square(4)),
+            plan.validate(AnyTopology::mesh(4, 4)),
             Err(FaultPlanError::DegradePeriodTooShort { period: 1 })
         );
     }
 
     #[test]
     fn random_link_faults_are_deterministic_and_distinct() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let a = FaultPlan::random_link_faults(mesh, 3, 42);
         let b = FaultPlan::random_link_faults(mesh, 3, 42);
         assert_eq!(a, b);
@@ -559,8 +517,7 @@ mod tests {
 
     #[test]
     fn biased_faults_target_wrap_edges_on_torus() {
-        use crate::{Ring, Topology, Torus};
-        let torus = Torus::square(8);
+        let torus = AnyTopology::torus(8, 8);
         let plan = FaultPlan::random_link_faults_biased(torus, 3, 2, 7).unwrap();
         assert_eq!(plan.len(), 5);
         plan.validate(torus).unwrap();
@@ -583,7 +540,7 @@ mod tests {
             FaultPlan::random_link_faults_biased(torus, 3, 2, 8).unwrap()
         );
         // A ring has exactly one wrap edge; the count clamps to it.
-        let ring = Ring::new(8);
+        let ring = AnyTopology::ring(8);
         let p = FaultPlan::random_link_faults_biased(ring, 4, 0, 1).unwrap();
         assert_eq!(p.len(), 1);
         p.validate(ring).unwrap();
@@ -591,7 +548,7 @@ mod tests {
 
     #[test]
     fn biased_faults_reject_mesh_wrap_requests() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         assert_eq!(
             FaultPlan::random_link_faults_biased(mesh, 1, 0, 0),
             Err(FaultPlanError::NoWrapChannels { kind: "mesh" })
@@ -604,7 +561,7 @@ mod tests {
 
     #[test]
     fn random_link_faults_clamp_to_edge_count() {
-        let mesh = Mesh::new(2, 2); // 4 edges
+        let mesh = AnyTopology::mesh(2, 2); // 4 edges
         let plan = FaultPlan::random_link_faults(mesh, 100, 1);
         assert_eq!(plan.len(), 4);
         plan.validate(mesh).unwrap();
@@ -612,7 +569,7 @@ mod tests {
 
     #[test]
     fn duplex_link_expands_to_both_directions() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let e = FaultEvent::link_down(NodeId(0), Direction::East, 0);
         let mut out = Vec::new();
         FaultPlan::directed_channels(mesh, &e, &mut out);
@@ -624,7 +581,7 @@ mod tests {
 
     #[test]
     fn router_fault_expands_to_all_incident_channels() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let e = FaultEvent::router_down(NodeId(5), 0); // interior node: 4 neighbors
         let mut out = Vec::new();
         FaultPlan::directed_channels(mesh, &e, &mut out);

@@ -2,20 +2,15 @@
 //!
 //! The paper ("Footprint: Regulating Routing Adaptiveness in
 //! Networks-on-Chip", ISCA 2017) evaluates exclusively on 2D meshes; this
-//! crate grew from that mesh model into a first-class topology API so the
-//! same regulated-adaptiveness machinery can run on other fabrics:
+//! crate models the mesh, and the torus and ring the same machinery runs
+//! on, as one grid value:
 //!
-//! * [`Topology`] — the trait every fabric shape implements: node/channel
-//!   enumeration, neighbor map, coordinate and hop metric, and the
-//!   canonical deadlock-free escape routing (escape-VC count and dateline
-//!   classes).
-//! * [`Mesh`] — the paper's `width × height` 2D mesh (one escape VC).
-//! * [`Torus`] — the mesh with wraparound rows and columns (two dateline
-//!   escape-VC classes; see the torus module docs for the acyclicity
+//! * [`AnyTopology`] — a `width × height` router grid that wraps (torus,
+//!   and the `n × 1` ring) or does not (mesh): node/channel enumeration,
+//!   neighbor map, coordinate and hop metric, and the canonical
+//!   deadlock-free escape routing (one escape VC on a mesh, two dateline
+//!   classes when the fabric wraps; the module docs hold the acyclicity
 //!   argument).
-//! * [`Ring`] — the 1D torus: the cheap-router cost point.
-//! * [`AnyTopology`] — the `Copy` dispatch enum the simulator's hot paths
-//!   carry by value.
 //! * [`TopologySpec`] — the validated, canonically-printable configuration
 //!   form ([`TopologySpec::validate`] returns typed [`TopologyError`]s).
 //!
@@ -27,9 +22,10 @@
 //! # Example
 //!
 //! ```
-//! use footprint_topology::{Direction, NodeId, Topology, TopologySpec};
+//! use footprint_topology::{AnyTopology, NodeId, TopologySpec};
 //!
 //! let torus = TopologySpec::torus(8).validate().unwrap();
+//! assert_eq!(torus, AnyTopology::torus(8, 8));
 //! // Wraparound makes the far corner adjacent in both dimensions.
 //! assert_eq!(torus.hops(NodeId(0), NodeId(63)), 2);
 //! // Wrapping fabrics reserve two dateline escape-VC classes.
@@ -42,21 +38,16 @@
 mod any;
 mod coord;
 mod fault;
-mod mesh;
 mod port;
-mod ring;
 mod spec;
-mod torus;
-mod traits;
 
-pub use any::AnyTopology;
+// Shape-by-shape tests of the one grid value.
+mod mesh;
+mod ring;
+mod torus;
+
+pub use any::{AnyTopology, Channel, ChannelIter, MinimalDirs, NodeIter};
 pub use coord::{Coord, NodeId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError, FaultTarget};
-pub use mesh::{Channel, Mesh, MinimalDirs};
 pub use port::{Direction, Port, DIRECTIONS, PORTS, PORT_COUNT};
-pub use ring::Ring;
 pub use spec::{TopologyError, TopologySpec};
-pub use torus::Torus;
-pub use traits::{ChannelIter, NodeIter, Topology};
-
-pub(crate) use mesh::binomial;

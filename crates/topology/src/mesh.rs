@@ -1,298 +1,12 @@
-//! The 2D mesh topology.
-
-use crate::traits::Topology;
-use crate::{Coord, Direction, NodeId, DIRECTIONS};
-use core::fmt;
-
-/// A `width × height` 2D mesh of routers, each attached to one endpoint.
-///
-/// Nodes are numbered in row-major order (`id = y * width + x`). The paper's
-/// baseline is an 8×8 mesh; 4×4 and 16×16 are used for the scalability study
-/// (Figure 8).
-///
-/// ```
-/// use footprint_topology::{Mesh, NodeId, Direction};
-/// let mesh = Mesh::new(4, 4);
-/// assert_eq!(mesh.len(), 16);
-/// // n13 = (1, 3): the endpoint oversubscribed in the paper's Figure 2.
-/// assert_eq!(mesh.coord(NodeId(13)).x, 1);
-/// assert_eq!(mesh.neighbor(NodeId(13), Direction::North), None); // top edge
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Mesh {
-    width: u16,
-    height: u16,
-}
-
-/// The minimal (productive) directions from a node toward a destination:
-/// at most one X direction and one Y direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MinimalDirs {
-    /// The productive X direction, if the destination is in a different column.
-    pub x: Option<Direction>,
-    /// The productive Y direction, if the destination is in a different row.
-    pub y: Option<Direction>,
-}
-
-impl MinimalDirs {
-    /// Number of productive directions (0, 1 or 2). Zero means the packet has
-    /// arrived at its destination router.
-    #[inline]
-    pub fn count(self) -> usize {
-        self.x.is_some() as usize + self.y.is_some() as usize
-    }
-
-    /// Iterates over the productive directions, X first.
-    pub fn iter(self) -> impl Iterator<Item = Direction> {
-        self.x.into_iter().chain(self.y)
-    }
-
-    /// `true` if `dir` is one of the productive directions.
-    #[inline]
-    pub fn contains(self, dir: Direction) -> bool {
-        self.x == Some(dir) || self.y == Some(dir)
-    }
-}
-
-/// A directed inter-router channel `src → dst`, identified by its source
-/// router and output direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Channel {
-    /// Upstream router.
-    pub src: NodeId,
-    /// Direction of travel (output port of `src`).
-    pub dir: Direction,
-    /// Downstream router.
-    pub dst: NodeId,
-}
-
-impl fmt::Display for Channel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}→{}", self.src, self.dst)
-    }
-}
-
-impl Mesh {
-    /// Creates a `width × height` mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero or the node count would overflow
-    /// `u16`.
-    pub fn new(width: u16, height: u16) -> Self {
-        assert!(width > 0 && height > 0, "mesh dimensions must be nonzero");
-        assert!(
-            (width as u32) * (height as u32) <= u16::MAX as u32 + 1,
-            "mesh too large for u16 node ids"
-        );
-        Mesh { width, height }
-    }
-
-    /// Creates a square `k × k` mesh (the shape used in all of the paper's
-    /// experiments).
-    pub fn square(k: u16) -> Self {
-        Mesh::new(k, k)
-    }
-
-    /// Mesh width (number of columns).
-    #[inline]
-    pub fn width(self) -> u16 {
-        self.width
-    }
-
-    /// Mesh height (number of rows).
-    #[inline]
-    pub fn height(self) -> u16 {
-        self.height
-    }
-
-    /// Total number of nodes.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.width as usize * self.height as usize
-    }
-
-    /// `true` only for the degenerate 1×1 mesh — kept for `len` symmetry.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        false
-    }
-
-    /// Iterates over all node ids in index order.
-    pub fn nodes(self) -> impl Iterator<Item = NodeId> {
-        (0..self.len() as u16).map(NodeId)
-    }
-
-    /// The coordinate of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range (debug builds).
-    #[inline]
-    pub fn coord(self, node: NodeId) -> Coord {
-        debug_assert!(node.index() < self.len(), "node out of range");
-        Coord {
-            x: node.0 % self.width,
-            y: node.0 / self.width,
-        }
-    }
-
-    /// The node at coordinate `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinate is outside the mesh (debug builds).
-    #[inline]
-    pub fn node_at(self, c: Coord) -> NodeId {
-        debug_assert!(c.x < self.width && c.y < self.height, "coord out of range");
-        NodeId(c.y * self.width + c.x)
-    }
-
-    /// `true` if `c` lies inside the mesh.
-    #[inline]
-    pub fn contains(self, c: Coord) -> bool {
-        c.x < self.width && c.y < self.height
-    }
-
-    /// The neighbor of `node` in direction `dir`, or `None` at a mesh edge.
-    #[inline]
-    pub fn neighbor(self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        let c = self.coord(node);
-        let (dx, dy) = dir.delta();
-        let nx = c.x as i32 + dx;
-        let ny = c.y as i32 + dy;
-        if nx < 0 || ny < 0 || nx >= self.width as i32 || ny >= self.height as i32 {
-            None
-        } else {
-            Some(self.node_at(Coord::new(nx as u16, ny as u16)))
-        }
-    }
-
-    /// Minimal hop count between two routers (Manhattan distance).
-    #[inline]
-    pub fn hops(self, a: NodeId, b: NodeId) -> u32 {
-        self.coord(a).manhattan(self.coord(b))
-    }
-
-    /// The productive directions from `cur` toward `dst`.
-    ///
-    /// ```
-    /// use footprint_topology::{Mesh, NodeId, Direction};
-    /// let mesh = Mesh::square(4);
-    /// let dirs = mesh.minimal_dirs(NodeId(0), NodeId(10)); // (0,0) → (2,2)
-    /// assert_eq!(dirs.x, Some(Direction::East));
-    /// assert_eq!(dirs.y, Some(Direction::North));
-    /// assert_eq!(dirs.count(), 2);
-    /// ```
-    pub fn minimal_dirs(self, cur: NodeId, dst: NodeId) -> MinimalDirs {
-        let c = self.coord(cur);
-        let d = self.coord(dst);
-        let x = match d.x.cmp(&c.x) {
-            core::cmp::Ordering::Greater => Some(Direction::East),
-            core::cmp::Ordering::Less => Some(Direction::West),
-            core::cmp::Ordering::Equal => None,
-        };
-        let y = match d.y.cmp(&c.y) {
-            core::cmp::Ordering::Greater => Some(Direction::North),
-            core::cmp::Ordering::Less => Some(Direction::South),
-            core::cmp::Ordering::Equal => None,
-        };
-        MinimalDirs { x, y }
-    }
-
-    /// Iterates over every directed inter-router channel in the mesh.
-    ///
-    /// An 8×8 mesh has `2 * (2 * 7 * 8) = 224` directed channels.
-    pub fn channels(self) -> impl Iterator<Item = Channel> {
-        self.nodes().flat_map(move |src| {
-            DIRECTIONS.into_iter().filter_map(move |dir| {
-                self.neighbor(src, dir).map(|dst| Channel { src, dir, dst })
-            })
-        })
-    }
-
-    /// Number of minimal paths between `a` and `b`: `C(dx + dy, dx)`.
-    ///
-    /// Used by the adaptiveness metrics of the routing crate. Saturates at
-    /// `u64::MAX` for pathological distances (cannot occur on meshes that fit
-    /// in `u16` ids).
-    pub fn minimal_path_count(self, a: NodeId, b: NodeId) -> u64 {
-        let ca = self.coord(a);
-        let cb = self.coord(b);
-        let dx = (ca.x as i64 - cb.x as i64).unsigned_abs();
-        let dy = (ca.y as i64 - cb.y as i64).unsigned_abs();
-        binomial(dx + dy, dx.min(dy))
-    }
-}
-
-impl Topology for Mesh {
-    fn kind_name(&self) -> &'static str {
-        "mesh"
-    }
-
-    fn width(&self) -> u16 {
-        self.width
-    }
-
-    fn height(&self) -> u16 {
-        self.height
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        Mesh::neighbor(*self, node, dir)
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        Mesh::hops(*self, a, b)
-    }
-
-    fn minimal_dirs(&self, cur: NodeId, dst: NodeId) -> MinimalDirs {
-        Mesh::minimal_dirs(*self, cur, dst)
-    }
-
-    /// A mesh is its own acyclic subgraph.
-    fn acyclic_minimal_dirs(&self, cur: NodeId, dst: NodeId) -> MinimalDirs {
-        Mesh::minimal_dirs(*self, cur, dst)
-    }
-
-    fn minimal_path_count(&self, a: NodeId, b: NodeId) -> u64 {
-        Mesh::minimal_path_count(*self, a, b)
-    }
-
-    fn wraps(&self) -> bool {
-        false
-    }
-
-    /// Dimension-order escape on a mesh needs a single class.
-    fn escape_class(&self, _cur: NodeId, _dst: NodeId, _dir: Direction) -> u8 {
-        0
-    }
-}
-
-impl fmt::Display for Mesh {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}x{} mesh", self.width, self.height)
-    }
-}
-
-/// `C(n, k)` with saturation.
-pub(crate) fn binomial(n: u64, k: u64) -> u64 {
-    let k = k.min(n - k.min(n));
-    let mut acc: u64 = 1;
-    for i in 0..k {
-        acc = acc.saturating_mul(n - i) / (i + 1);
-    }
-    acc
-}
+//! Tests of [`crate::AnyTopology`] as the paper's 2D mesh.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Port;
+    use crate::{AnyTopology, Coord, Direction, NodeId};
 
     #[test]
     fn row_major_numbering() {
-        let mesh = Mesh::new(4, 4);
+        let mesh = AnyTopology::mesh(4, 4);
         assert_eq!(mesh.coord(NodeId(0)), Coord::new(0, 0));
         assert_eq!(mesh.coord(NodeId(5)), Coord::new(1, 1));
         assert_eq!(mesh.coord(NodeId(15)), Coord::new(3, 3));
@@ -301,30 +15,20 @@ mod tests {
 
     #[test]
     fn neighbors_at_edges_are_none() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         assert_eq!(mesh.neighbor(NodeId(0), Direction::West), None);
         assert_eq!(mesh.neighbor(NodeId(0), Direction::South), None);
         assert_eq!(mesh.neighbor(NodeId(0), Direction::East), Some(NodeId(1)));
         assert_eq!(mesh.neighbor(NodeId(0), Direction::North), Some(NodeId(4)));
         assert_eq!(mesh.neighbor(NodeId(15), Direction::East), None);
         assert_eq!(mesh.neighbor(NodeId(15), Direction::North), None);
-    }
-
-    #[test]
-    fn neighbor_relation_is_symmetric() {
-        let mesh = Mesh::new(5, 3);
-        for n in mesh.nodes() {
-            for d in DIRECTIONS {
-                if let Some(m) = mesh.neighbor(n, d) {
-                    assert_eq!(mesh.neighbor(m, d.opposite()), Some(n));
-                }
-            }
-        }
+        assert!(!mesh.is_wrap_channel(NodeId(3), Direction::East));
+        assert_eq!(mesh.escape_class(NodeId(0), NodeId(5), Direction::East), 0);
     }
 
     #[test]
     fn minimal_dirs_zero_at_destination() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let dirs = mesh.minimal_dirs(NodeId(20), NodeId(20));
         assert_eq!(dirs.count(), 0);
         assert_eq!(dirs.iter().count(), 0);
@@ -332,7 +36,7 @@ mod tests {
 
     #[test]
     fn minimal_dirs_point_toward_destination() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // n63 = (7,7) from n0 = (0,0): East + North.
         let dirs = mesh.minimal_dirs(NodeId(0), NodeId(63));
         assert!(dirs.contains(Direction::East));
@@ -345,16 +49,16 @@ mod tests {
 
     #[test]
     fn channel_count_matches_formula() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // 2 directed channels per mesh edge; edges = 2 * k * (k-1).
         assert_eq!(mesh.channels().count(), 2 * 2 * 8 * 7);
-        let mesh = Mesh::new(4, 2);
+        let mesh = AnyTopology::mesh(4, 2);
         assert_eq!(mesh.channels().count(), 2 * (3 * 2 + 4));
     }
 
     #[test]
     fn hops_is_manhattan() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         assert_eq!(mesh.hops(NodeId(0), NodeId(63)), 14);
         assert_eq!(mesh.hops(NodeId(7), NodeId(56)), 14);
         assert_eq!(mesh.hops(NodeId(12), NodeId(13)), 1);
@@ -362,7 +66,7 @@ mod tests {
 
     #[test]
     fn minimal_path_count_small_cases() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         // Same row: exactly one minimal path.
         assert_eq!(mesh.minimal_path_count(NodeId(0), NodeId(3)), 1);
         // 1×1 offset: two minimal paths.
@@ -376,18 +80,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonzero")]
     fn zero_dimension_panics() {
-        let _ = Mesh::new(0, 4);
-    }
-
-    #[test]
-    fn display_formats() {
-        assert_eq!(Mesh::square(8).to_string(), "8x8 mesh");
-        let ch = Channel {
-            src: NodeId(1),
-            dir: Direction::East,
-            dst: NodeId(2),
-        };
-        assert_eq!(ch.to_string(), "n1→n2");
-        let _ = Port::Local; // silence unused import in some cfgs
+        let _ = AnyTopology::mesh(0, 4);
     }
 }

@@ -1,138 +1,13 @@
-//! The bidirectional ring topology.
-//!
-//! A ring is the 1-dimensional torus: `n` routers on coordinates
-//! `(0..n, 0)`, East/West channels wrapping around, no Y dimension at all
-//! (North/South neighbors are `None`, exactly like a 1-row mesh). The
-//! cheap-router appeal — two network ports instead of four — is why ring
-//! fabrics keep showing up as NoC cost points; the escape-VC story is the
-//! same dateline argument as the torus, confined to the X dimension (see
-//! the torus module docs).
-
-use crate::traits::{wrap, Topology};
-use crate::{Direction, MinimalDirs, NodeId};
-use core::fmt;
-
-/// An `n`-node bidirectional ring (`n >= 3`), numbered consecutively
-/// around the cycle.
-///
-/// ```
-/// use footprint_topology::{Direction, NodeId, Ring, Topology};
-/// let r = Ring::new(8);
-/// assert_eq!(r.neighbor(NodeId(7), Direction::East), Some(NodeId(0)));
-/// assert_eq!(r.neighbor(NodeId(0), Direction::North), None);
-/// assert_eq!(r.hops(NodeId(1), NodeId(7)), 2); // the short way around
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ring {
-    nodes: u16,
-}
-
-impl Ring {
-    /// Minimum ring size.
-    pub const MIN_NODES: u16 = 3;
-
-    /// Creates an `n`-node ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 3` (a 2-ring has doubled edges; use
-    /// [`crate::TopologySpec::validate`] for a typed check).
-    pub fn new(nodes: u16) -> Self {
-        assert!(nodes >= Self::MIN_NODES, "ring needs at least 3 nodes");
-        Ring { nodes }
-    }
-
-    /// Total number of nodes.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.nodes as usize
-    }
-
-    /// `false`: a ring always has at least 3 nodes.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        false
-    }
-}
-
-impl Topology for Ring {
-    fn kind_name(&self) -> &'static str {
-        "ring"
-    }
-
-    fn width(&self) -> u16 {
-        self.nodes
-    }
-
-    fn height(&self) -> u16 {
-        1
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        let k = self.nodes;
-        match dir {
-            Direction::East => Some(NodeId((node.0 + 1) % k)),
-            Direction::West => Some(NodeId((node.0 + k - 1) % k)),
-            Direction::North | Direction::South => None,
-        }
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        wrap::dist(a.0, b.0, self.nodes)
-    }
-
-    fn minimal_dirs(&self, cur: NodeId, dst: NodeId) -> MinimalDirs {
-        MinimalDirs {
-            x: wrap::minimal_dir(cur.0, dst.0, self.nodes, Direction::East, Direction::West),
-            y: None,
-        }
-    }
-
-    fn acyclic_minimal_dirs(&self, cur: NodeId, dst: NodeId) -> MinimalDirs {
-        use core::cmp::Ordering;
-        let x = match dst.0.cmp(&cur.0) {
-            Ordering::Greater => Some(Direction::East),
-            Ordering::Less => Some(Direction::West),
-            Ordering::Equal => None,
-        };
-        MinimalDirs { x, y: None }
-    }
-
-    fn minimal_path_count(&self, a: NodeId, b: NodeId) -> u64 {
-        let _ = (a, b);
-        1
-    }
-
-    fn wraps(&self) -> bool {
-        true
-    }
-
-    fn escape_class(&self, cur: NodeId, dst: NodeId, dir: Direction) -> u8 {
-        let next = self
-            .neighbor(cur, dir)
-            .expect("ring escape hops travel East or West");
-        match dir {
-            Direction::East => wrap::escape_class(next.0, dst.0, true),
-            Direction::West => wrap::escape_class(next.0, dst.0, false),
-            Direction::North | Direction::South => 0,
-        }
-    }
-}
-
-impl fmt::Display for Ring {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}-node ring", self.nodes)
-    }
-}
+//! Tests of [`crate::AnyTopology`] as a bidirectional ring: the `n × 1`
+//! torus, whose one-node Y dimension has no channels.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DIRECTIONS;
+    use crate::{AnyTopology, Direction, NodeId, DIRECTIONS};
 
     #[test]
     fn ring_geometry() {
-        let r = Ring::new(6);
+        let r = AnyTopology::ring(6);
         assert_eq!(r.len(), 6);
         assert_eq!(r.width(), 6);
         assert_eq!(r.height(), 1);
@@ -145,7 +20,7 @@ mod tests {
 
     #[test]
     fn ring_has_one_wrap_edge() {
-        let r = Ring::new(6);
+        let r = AnyTopology::ring(6);
         assert!(r.is_wrap_channel(NodeId(5), Direction::East));
         assert!(r.is_wrap_channel(NodeId(0), Direction::West));
         assert!(!r.is_wrap_channel(NodeId(2), Direction::East));
@@ -158,20 +33,8 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_relation_is_symmetric() {
-        let r = Ring::new(7);
-        for n in r.nodes() {
-            for d in DIRECTIONS {
-                if let Some(m) = r.neighbor(n, d) {
-                    assert_eq!(r.neighbor(m, d.opposite()), Some(n));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn hops_and_dirs_take_the_short_way() {
-        let r = Ring::new(8);
+        let r = AnyTopology::ring(8);
         assert_eq!(r.hops(NodeId(0), NodeId(7)), 1);
         assert_eq!(r.minimal_dirs(NodeId(0), NodeId(7)).x, Some(Direction::West));
         assert_eq!(r.minimal_dirs(NodeId(0), NodeId(3)).x, Some(Direction::East));
@@ -182,21 +45,18 @@ mod tests {
 
     #[test]
     fn escape_class_matches_dateline() {
-        let r = Ring::new(8);
+        let r = AnyTopology::ring(8);
         // 6 → 2 eastbound: class 0 until the wrap, then class 1.
         assert_eq!(r.escape_class(NodeId(6), NodeId(2), Direction::East), 0);
         assert_eq!(r.escape_class(NodeId(7), NodeId(2), Direction::East), 1);
         assert_eq!(r.escape_class(NodeId(0), NodeId(2), Direction::East), 1);
-    }
-
-    #[test]
-    fn display_formats() {
-        assert_eq!(Ring::new(16).to_string(), "16-node ring");
+        // No channel leaves a ring node North or South.
+        assert_eq!(r.escape_class(NodeId(6), NodeId(2), Direction::North), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least 3")]
     fn tiny_ring_panics() {
-        let _ = Ring::new(2);
+        let _ = AnyTopology::ring(2);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! [`SimConfig`]: https://docs.rs/footprint-sim
 
-use crate::{AnyTopology, Mesh, Ring, Torus};
+use crate::AnyTopology;
 use core::fmt;
 use core::str::FromStr;
 
@@ -67,15 +67,6 @@ impl TopologySpec {
         }
     }
 
-    /// Short identifier of the shape ("mesh", "torus", "ring").
-    pub fn kind_name(self) -> &'static str {
-        match self {
-            TopologySpec::Mesh { .. } => "mesh",
-            TopologySpec::Torus { .. } => "torus",
-            TopologySpec::Ring { .. } => "ring",
-        }
-    }
-
     /// Validates the dimensions and builds the live topology.
     ///
     /// # Errors
@@ -88,12 +79,7 @@ impl TopologySpec {
     /// * [`TopologyError::RingTooSmall`] — ring below 3 nodes.
     /// * [`TopologyError::TooManyNodes`] — node ids no longer fit `u16`.
     pub fn validate(self) -> Result<AnyTopology, TopologyError> {
-        let nodes = match self {
-            TopologySpec::Mesh { width, height } | TopologySpec::Torus { width, height } => {
-                u32::from(width) * u32::from(height)
-            }
-            TopologySpec::Ring { nodes } => u32::from(nodes),
-        };
+        let nodes = self.nodes() as u32;
         if nodes > u16::MAX as u32 + 1 {
             return Err(TopologyError::TooManyNodes { nodes });
         }
@@ -102,56 +88,20 @@ impl TopologySpec {
                 if width < 2 || height < 2 {
                     return Err(TopologyError::MeshTooSmall { width, height });
                 }
-                Ok(AnyTopology::Mesh(Mesh::new(width, height)))
+                Ok(AnyTopology::mesh(width, height))
             }
             TopologySpec::Torus { width, height } => {
-                if width < Torus::MIN_DIM || height < Torus::MIN_DIM {
+                if width < AnyTopology::MIN_WRAP_EXTENT || height < AnyTopology::MIN_WRAP_EXTENT {
                     return Err(TopologyError::TorusTooSmall { width, height });
                 }
-                Ok(AnyTopology::Torus(Torus::new(width, height)))
+                Ok(AnyTopology::torus(width, height))
             }
             TopologySpec::Ring { nodes } => {
-                if nodes < Ring::MIN_NODES {
+                if nodes < AnyTopology::MIN_WRAP_EXTENT {
                     return Err(TopologyError::RingTooSmall { nodes });
                 }
-                Ok(AnyTopology::Ring(Ring::new(nodes)))
+                Ok(AnyTopology::ring(nodes))
             }
-        }
-    }
-}
-
-impl From<Mesh> for TopologySpec {
-    fn from(m: Mesh) -> Self {
-        TopologySpec::Mesh {
-            width: m.width(),
-            height: m.height(),
-        }
-    }
-}
-
-impl From<Torus> for TopologySpec {
-    fn from(t: Torus) -> Self {
-        TopologySpec::Torus {
-            width: t.width(),
-            height: t.height(),
-        }
-    }
-}
-
-impl From<Ring> for TopologySpec {
-    fn from(r: Ring) -> Self {
-        TopologySpec::Ring {
-            nodes: r.len() as u16,
-        }
-    }
-}
-
-impl From<AnyTopology> for TopologySpec {
-    fn from(t: AnyTopology) -> Self {
-        match t {
-            AnyTopology::Mesh(m) => m.into(),
-            AnyTopology::Torus(t) => t.into(),
-            AnyTopology::Ring(r) => r.into(),
         }
     }
 }
@@ -259,18 +209,9 @@ mod tests {
 
     #[test]
     fn validate_builds_each_shape() {
-        assert!(matches!(
-            TopologySpec::mesh(4).validate(),
-            Ok(AnyTopology::Mesh(_))
-        ));
-        assert!(matches!(
-            TopologySpec::torus(4).validate(),
-            Ok(AnyTopology::Torus(_))
-        ));
-        assert!(matches!(
-            TopologySpec::ring(8).validate(),
-            Ok(AnyTopology::Ring(_))
-        ));
+        assert_eq!(TopologySpec::mesh(4).validate(), Ok(AnyTopology::mesh(4, 4)));
+        assert_eq!(TopologySpec::torus(4).validate(), Ok(AnyTopology::torus(4, 4)));
+        assert_eq!(TopologySpec::ring(8).validate(), Ok(AnyTopology::ring(8)));
     }
 
     #[test]
@@ -323,19 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn from_concrete_topologies() {
-        assert_eq!(TopologySpec::from(Mesh::new(8, 4)).to_string(), "mesh:8x4");
-        assert_eq!(TopologySpec::from(Torus::square(8)).to_string(), "torus:8x8");
-        assert_eq!(TopologySpec::from(Ring::new(9)).to_string(), "ring:9");
-        let any = TopologySpec::torus(4).validate().unwrap();
-        assert_eq!(TopologySpec::from(any), TopologySpec::torus(4));
-    }
-
-    #[test]
     fn spec_reports_node_counts() {
         assert_eq!(TopologySpec::mesh(8).nodes(), 64);
         assert_eq!(TopologySpec::ring(16).nodes(), 16);
-        assert_eq!(TopologySpec::mesh(8).kind_name(), "mesh");
-        assert_eq!(TopologySpec::torus(8).kind_name(), "torus");
     }
 }

@@ -1,204 +1,13 @@
-//! The 2D torus topology: a mesh whose rows and columns wrap around.
-//!
-//! # Deadlock-free escape on a torus (the dateline argument)
-//!
-//! Each dimension of a torus is a ring, and a ring's channel-dependence
-//! graph is a cycle — dimension-order routing alone is *not* deadlock-free
-//! the way it is on a mesh. The classical fix (Dally's dateline) splits
-//! every escape channel into two VC classes: a packet travels in class 0
-//! until it crosses the wrap edge of the dimension, then switches to
-//! class 1 and stays there; packets whose journey never crosses use
-//! class 1 throughout.
-//!
-//! This crate implements the dateline *statelessly*: the class of a hop is
-//! a pure function of the hop's downstream coordinate and the packet's
-//! destination ([`crate::Topology::escape_class`]), so adaptive algorithms
-//! need no per-packet crossing flag. Acyclicity, per dimension and
-//! direction of travel:
-//!
-//! * **Class 0** (`next` still on the far side of the destination in the
-//!   travel direction) never contains the wrap channel — eastbound the
-//!   wrap channel lands on column 0, and `0 > dst.x` is impossible. A set
-//!   of same-direction ring channels minus the wrap edge is a line:
-//!   acyclic.
-//! * **Class 1** contains the wrap channel, but the only request for the
-//!   wrap channel in class 1 comes from a packet *currently in class 0*
-//!   (at the node just before the dateline, `next > dst.x` still held one
-//!   hop earlier). Within class 1 every dependency steps monotonically
-//!   toward the destination without re-crossing, so class 1 is a line
-//!   rooted at the wrap channel: acyclic.
-//! * Transitions are one-way (0 → 1 exactly at the dateline) and the
-//!   escape route is dimension-ordered, adding only X → Y edges.
-//!
-//! Layering the classes `X₀ < X₁ < Y₀ < Y₁` with only forward edges makes
-//! the full escape channel-dependence graph acyclic, which is what
-//! [`crate::Topology::escape_vcs`]` == 2` buys. The property tests in the
-//! workspace root verify the acyclicity claim by explicit CDG
-//! construction.
-
-use crate::traits::{wrap, Topology};
-use crate::{binomial, Coord, Direction, Mesh, MinimalDirs, NodeId};
-use core::fmt;
-
-/// A `width × height` 2D torus: row-major node numbering like [`Mesh`],
-/// plus wraparound channels closing every row and column.
-///
-/// Both dimensions must be at least 3 so that the wrap channel of a
-/// dimension is distinct from the direct channel (a 2-extent "torus" has
-/// doubled edges and is better expressed as a mesh; a 1-extent one is a
-/// ring).
-///
-/// ```
-/// use footprint_topology::{Direction, NodeId, Topology, Torus};
-/// let t = Torus::square(4);
-/// // Wraparound: the east neighbor of the last column is column 0.
-/// assert_eq!(t.neighbor(NodeId(3), Direction::East), Some(NodeId(0)));
-/// // The wrap halves worst-case distance vs. the 4x4 mesh (6 hops).
-/// assert_eq!(t.hops(NodeId(0), NodeId(15)), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Torus {
-    width: u16,
-    height: u16,
-}
-
-impl Torus {
-    /// Minimum extent of each torus dimension.
-    pub const MIN_DIM: u16 = 3;
-
-    /// Creates a `width × height` torus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is below [`Torus::MIN_DIM`] or the node
-    /// count would overflow `u16` ids. Use
-    /// [`crate::TopologySpec::validate`] for a non-panicking, typed check.
-    pub fn new(width: u16, height: u16) -> Self {
-        assert!(
-            width >= Self::MIN_DIM && height >= Self::MIN_DIM,
-            "torus dimensions must be at least {}",
-            Self::MIN_DIM
-        );
-        assert!(
-            (width as u32) * (height as u32) <= u16::MAX as u32 + 1,
-            "torus too large for u16 node ids"
-        );
-        Torus { width, height }
-    }
-
-    /// Creates a square `k × k` torus.
-    pub fn square(k: u16) -> Self {
-        Torus::new(k, k)
-    }
-
-    /// Torus width (number of columns).
-    #[inline]
-    pub fn width(self) -> u16 {
-        self.width
-    }
-
-    /// Torus height (number of rows).
-    #[inline]
-    pub fn height(self) -> u16 {
-        self.height
-    }
-
-    /// Total number of nodes.
-    #[inline]
-    pub fn len(self) -> usize {
-        self.width as usize * self.height as usize
-    }
-
-    /// `false`: a torus always has at least 9 nodes.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        false
-    }
-}
-
-impl Topology for Torus {
-    fn kind_name(&self) -> &'static str {
-        "torus"
-    }
-
-    fn width(&self) -> u16 {
-        self.width
-    }
-
-    fn height(&self) -> u16 {
-        self.height
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        let c = self.coord(node);
-        let (w, h) = (self.width, self.height);
-        let n = match dir {
-            Direction::East => Coord::new((c.x + 1) % w, c.y),
-            Direction::West => Coord::new((c.x + w - 1) % w, c.y),
-            Direction::North => Coord::new(c.x, (c.y + 1) % h),
-            Direction::South => Coord::new(c.x, (c.y + h - 1) % h),
-        };
-        Some(self.node_at(n))
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        let ca = self.coord(a);
-        let cb = self.coord(b);
-        wrap::dist(ca.x, cb.x, self.width) + wrap::dist(ca.y, cb.y, self.height)
-    }
-
-    fn minimal_dirs(&self, cur: NodeId, dst: NodeId) -> MinimalDirs {
-        let c = self.coord(cur);
-        let d = self.coord(dst);
-        MinimalDirs {
-            x: wrap::minimal_dir(c.x, d.x, self.width, Direction::East, Direction::West),
-            y: wrap::minimal_dir(c.y, d.y, self.height, Direction::North, Direction::South),
-        }
-    }
-
-    fn acyclic_minimal_dirs(&self, cur: NodeId, dst: NodeId) -> MinimalDirs {
-        Mesh::new(self.width, self.height).minimal_dirs(cur, dst)
-    }
-
-    fn minimal_path_count(&self, a: NodeId, b: NodeId) -> u64 {
-        let ca = self.coord(a);
-        let cb = self.coord(b);
-        let dx = u64::from(wrap::dist(ca.x, cb.x, self.width));
-        let dy = u64::from(wrap::dist(ca.y, cb.y, self.height));
-        binomial(dx + dy, dx.min(dy))
-    }
-
-    fn wraps(&self) -> bool {
-        true
-    }
-
-    fn escape_class(&self, cur: NodeId, dst: NodeId, dir: Direction) -> u8 {
-        let next = self
-            .coord(self.neighbor(cur, dir).expect("torus channels exist in all directions"));
-        let d = self.coord(dst);
-        match dir {
-            Direction::East => wrap::escape_class(next.x, d.x, true),
-            Direction::West => wrap::escape_class(next.x, d.x, false),
-            Direction::North => wrap::escape_class(next.y, d.y, true),
-            Direction::South => wrap::escape_class(next.y, d.y, false),
-        }
-    }
-}
-
-impl fmt::Display for Torus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}x{} torus", self.width, self.height)
-    }
-}
+//! Tests of [`crate::AnyTopology`] as a 2D torus: a mesh whose rows and
+//! columns wrap around.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DIRECTIONS;
+    use crate::{AnyTopology, Direction, NodeId, DIRECTIONS};
 
     #[test]
     fn every_node_has_four_neighbors() {
-        let t = Torus::square(4);
+        let t = AnyTopology::torus(4, 4);
         for n in t.nodes() {
             for d in DIRECTIONS {
                 assert!(t.neighbor(n, d).is_some(), "{n} {d}");
@@ -209,7 +18,7 @@ mod tests {
 
     #[test]
     fn wrap_channels_are_exactly_the_dateline_edges() {
-        let t = Torus::square(4);
+        let t = AnyTopology::torus(4, 4);
         let mut wraps = 0;
         for n in t.nodes() {
             for d in DIRECTIONS {
@@ -234,7 +43,7 @@ mod tests {
 
     #[test]
     fn wraparound_neighbors() {
-        let t = Torus::square(4);
+        let t = AnyTopology::torus(4, 4);
         // Row 0 wraps in X.
         assert_eq!(t.neighbor(NodeId(0), Direction::West), Some(NodeId(3)));
         assert_eq!(t.neighbor(NodeId(3), Direction::East), Some(NodeId(0)));
@@ -244,19 +53,8 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_relation_is_symmetric() {
-        let t = Torus::new(5, 3);
-        for n in t.nodes() {
-            for d in DIRECTIONS {
-                let m = t.neighbor(n, d).unwrap();
-                assert_eq!(t.neighbor(m, d.opposite()), Some(n));
-            }
-        }
-    }
-
-    #[test]
     fn hops_uses_wrap_distance() {
-        let t = Torus::square(8);
+        let t = AnyTopology::torus(8, 8);
         // The far corner (7,7) is wrap-adjacent in both dimensions.
         assert_eq!(t.hops(NodeId(0), NodeId(63)), 2);
         // The true antipode (4,4) sits at the half-ring distance 4 + 4.
@@ -267,7 +65,7 @@ mod tests {
 
     #[test]
     fn minimal_dirs_take_shorter_way() {
-        let t = Torus::square(8);
+        let t = AnyTopology::torus(8, 8);
         // (0,0) → (7,0): West through the wrap, not 7 hops East.
         let dirs = t.minimal_dirs(NodeId(0), NodeId(7));
         assert_eq!(dirs.x, Some(Direction::West));
@@ -279,7 +77,7 @@ mod tests {
 
     #[test]
     fn acyclic_dirs_ignore_the_wrap() {
-        let t = Torus::square(8);
+        let t = AnyTopology::torus(8, 8);
         // The wrap-aware choice is West; the grid subgraph says East.
         assert_eq!(
             t.acyclic_minimal_dirs(NodeId(0), NodeId(7)).x,
@@ -289,7 +87,7 @@ mod tests {
 
     #[test]
     fn escape_class_is_zero_before_the_dateline_and_one_after() {
-        let t = Torus::square(8);
+        let t = AnyTopology::torus(8, 8);
         // n6 → n2 eastbound (wrap crossing ahead): class 0 at n6, class 1
         // on the wrap channel out of n7 and beyond.
         assert_eq!(t.escape_class(NodeId(6), NodeId(2), Direction::East), 0);
@@ -302,22 +100,17 @@ mod tests {
 
     #[test]
     fn escape_class_never_puts_the_wrap_channel_in_class_zero() {
-        let t = Torus::square(5);
+        let t = AnyTopology::torus(5, 5);
         for src in t.nodes() {
             for dst in t.nodes() {
                 for d in DIRECTIONS {
                     let next = t.neighbor(src, d).unwrap();
-                    let (cs, cn, ds, dn) = (
-                        t.coord(src),
-                        t.coord(next),
-                        t.coord(src),
-                        t.coord(next),
-                    );
+                    let (cs, cn) = (t.coord(src), t.coord(next));
                     let is_wrap = match d {
                         Direction::East => cn.x < cs.x,
                         Direction::West => cn.x > cs.x,
-                        Direction::North => dn.y < ds.y,
-                        Direction::South => dn.y > ds.y,
+                        Direction::North => cn.y < cs.y,
+                        Direction::South => cn.y > cs.y,
                     };
                     if is_wrap {
                         assert_eq!(
@@ -332,13 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn display_formats() {
-        assert_eq!(Torus::square(8).to_string(), "8x8 torus");
-    }
-
-    #[test]
     #[should_panic(expected = "at least 3")]
     fn tiny_torus_panics() {
-        let _ = Torus::new(2, 4);
+        let _ = AnyTopology::torus(2, 4);
     }
 }

@@ -1,10 +1,10 @@
 //! Property-based tests for the mesh topology invariants.
 
-use footprint_topology::{Coord, Mesh, NodeId, DIRECTIONS};
+use footprint_topology::{AnyTopology, Coord, NodeId, DIRECTIONS};
 use proptest::prelude::*;
 
-fn arb_mesh() -> impl Strategy<Value = Mesh> {
-    (1u16..=16, 1u16..=16).prop_map(|(w, h)| Mesh::new(w, h))
+fn arb_mesh() -> impl Strategy<Value = AnyTopology> {
+    (1u16..=16, 1u16..=16).prop_map(|(w, h)| AnyTopology::mesh(w, h))
 }
 
 proptest! {
@@ -75,19 +75,11 @@ proptest! {
             prop_assert_eq!(mesh.neighbor(ch.src, ch.dir), Some(ch.dst));
         }
     }
-
-    #[test]
-    fn manhattan_triangle_inequality(
-        (ax, ay, bx, by, cx, cy) in (0u16..32, 0u16..32, 0u16..32, 0u16..32, 0u16..32, 0u16..32)
-    ) {
-        let (a, b, c) = (Coord::new(ax, ay), Coord::new(bx, by), Coord::new(cx, cy));
-        prop_assert!(a.manhattan(c) <= a.manhattan(b) + b.manhattan(c));
-    }
 }
 
 #[test]
 fn direction_delta_moves_one_step() {
-    let mesh = Mesh::square(3);
+    let mesh = AnyTopology::mesh(3, 3);
     let center = mesh.node_at(Coord::new(1, 1));
     for d in DIRECTIONS {
         let n = mesh.neighbor(center, d).unwrap();

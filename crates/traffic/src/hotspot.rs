@@ -69,13 +69,12 @@ impl HotspotWorkload {
     /// Panics if a flow endpoint lies outside the fabric or a rate is
     /// outside `[0, 1]`.
     pub fn new(
-        topo: impl Into<AnyTopology>,
+        topo: AnyTopology,
         flows: Vec<Flow>,
         hotspot_rate: f64,
         background_rate: f64,
         size: PacketSize,
     ) -> Self {
-        let topo = topo.into();
         assert!((0.0..=1.0).contains(&hotspot_rate), "hotspot rate");
         assert!((0.0..=1.0).contains(&background_rate), "background rate");
         let mut is_hotspot_src = vec![false; topo.len()];
@@ -96,8 +95,7 @@ impl HotspotWorkload {
 
     /// The paper's configuration on an 8×8 mesh: Table 3 flows, background
     /// at 0.30, single-flit packets; hotspot rate is the sweep variable.
-    pub fn paper(topo: impl Into<AnyTopology>, hotspot_rate: f64) -> Self {
-        let topo = topo.into();
+    pub fn paper(topo: AnyTopology, hotspot_rate: f64) -> Self {
         assert!(
             topo.len() == 64,
             "the Table 3 flow set is defined on the 8x8 mesh"
@@ -156,7 +154,7 @@ impl Workload for HotspotWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
     use rand::SeedableRng;
 
     #[test]
@@ -177,7 +175,7 @@ mod tests {
 
     #[test]
     fn hotspot_sources_send_only_their_flow() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let mut wl = HotspotWorkload::paper(mesh, 1.0);
         let mut rng = SmallRng::seed_from_u64(1);
         for c in 0..50 {
@@ -189,7 +187,7 @@ mod tests {
 
     #[test]
     fn background_nodes_send_uniform_class_0() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let mut wl = HotspotWorkload::paper(mesh, 1.0);
         let mut rng = SmallRng::seed_from_u64(1);
         let mut saw = 0;
@@ -206,7 +204,7 @@ mod tests {
 
     #[test]
     fn zero_hotspot_rate_silences_flows() {
-        let mesh = Mesh::square(8);
+        let mesh = AnyTopology::mesh(8, 8);
         let mut wl = HotspotWorkload::paper(mesh, 0.0);
         let mut rng = SmallRng::seed_from_u64(1);
         for c in 0..100 {
@@ -217,6 +215,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "8x8")]
     fn paper_config_requires_8x8() {
-        let _ = HotspotWorkload::paper(Mesh::square(4), 0.5);
+        let _ = HotspotWorkload::paper(AnyTopology::mesh(4, 4), 0.5);
     }
 }

@@ -393,9 +393,9 @@ impl<W: Workload> Workload for Modulator<W> {
 mod tests {
     use super::*;
     use footprint_sim::SingleFlow;
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
 
-    fn count_flits<W: Workload>(wl: &mut W, mesh: Mesh, cycles: u64, seed: u64) -> u64 {
+    fn count_flits<W: Workload>(wl: &mut W, mesh: AnyTopology, cycles: u64, seed: u64) -> u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut flits = 0u64;
         for c in 0..cycles {
@@ -412,7 +412,7 @@ mod tests {
     fn fifty_percent_duty_halves_offered_load() {
         // The ISSUE acceptance test: a 50%-duty bursty source at rate r
         // must deliver mean load r/2, for every duration family.
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let r = 0.4;
         let cycles = 40_000u64;
         for (on, off) in [
@@ -448,7 +448,7 @@ mod tests {
         // A modulated flow at node 0 must leave the packet sequence of an
         // unmodulated flow at node 1 untouched: all gate/thinning
         // randomness is private.
-        let mesh = Mesh::new(4, 2);
+        let mesh = AnyTopology::mesh(4, 2);
         let probe_flow = || SingleFlow::new(NodeId(1), NodeId(5), 0.5, 1);
         let run = |gated: bool| {
             let inner = SingleFlow::new(NodeId(0), NodeId(4), 0.5, 1);
@@ -479,7 +479,7 @@ mod tests {
 
     #[test]
     fn on_off_state_is_a_pure_function_of_seed() {
-        let mesh = Mesh::square(2);
+        let mesh = AnyTopology::mesh(2, 2);
         let spec = ModulationSpec::OnOff {
             on: DurationDist::Geometric { mean: 30.0 },
             off: DurationDist::Geometric { mean: 70.0 },
@@ -501,7 +501,7 @@ mod tests {
 
     #[test]
     fn ramp_scales_linearly_then_holds() {
-        let mesh = Mesh::square(2);
+        let mesh = AnyTopology::mesh(2, 2);
         let spec = ModulationSpec::Ramp {
             from: 0.0,
             to: 1.0,
@@ -550,7 +550,7 @@ mod tests {
     fn modulators_compose() {
         // A ramp inside an on/off gate: scales multiply (here the ramp
         // holds at 0.5 and the gate is 50% duty → net ≈ rate/4).
-        let mesh = Mesh::square(2);
+        let mesh = AnyTopology::mesh(2, 2);
         let inner = SingleFlow::new(NodeId(0), NodeId(3), 0.8, 1);
         let ramp = Modulator::new(
             inner,

@@ -12,9 +12,9 @@ use rand::rngs::SmallRng;
 ///
 /// ```
 /// use footprint_traffic::{Overlay, SyntheticWorkload, PacketSize, Permutation, patterns::Uniform};
-/// use footprint_topology::Mesh;
+/// use footprint_topology::AnyTopology;
 ///
-/// let mesh = Mesh::square(4);
+/// let mesh = AnyTopology::mesh(4, 4);
 /// let fg = SyntheticWorkload::new(
 ///     mesh, Box::new(Permutation::figure2_example(mesh)), PacketSize::SINGLE, 1.0,
 /// ).with_class(1);

@@ -199,8 +199,7 @@ impl Permutation {
     /// # Panics
     ///
     /// Panics if a source appears twice or a pair maps a node to itself.
-    pub fn from_pairs(topo: impl Into<AnyTopology>, pairs: &[(NodeId, NodeId)]) -> Self {
-        let topo = topo.into();
+    pub fn from_pairs(topo: AnyTopology, pairs: &[(NodeId, NodeId)]) -> Self {
         let mut map = vec![None; topo.len()];
         for &(s, d) in pairs {
             assert_ne!(s, d, "self-pair in permutation");
@@ -212,8 +211,7 @@ impl Permutation {
 
     /// The paper's Figure 2 example on a 4×4 mesh:
     /// `{n0→n10, n1→n15, n4→n13, n12→n13}`.
-    pub fn figure2_example(topo: impl Into<AnyTopology>) -> Self {
-        let topo = topo.into();
+    pub fn figure2_example(topo: AnyTopology) -> Self {
         assert!(
             topo.width() >= 4 && topo.height() >= 4,
             "figure 2 example needs at least a 4x4 grid"
@@ -308,9 +306,8 @@ impl PatternSpec {
     /// topology does not satisfy the pattern's structural requirement.
     pub fn build_for(
         self,
-        topo: impl Into<AnyTopology>,
+        topo: AnyTopology,
     ) -> Result<Box<dyn TrafficPattern>, PatternError> {
-        let topo = topo.into();
         let needs_power_of_two = matches!(
             self,
             PatternSpec::Shuffle | PatternSpec::BitComplement | PatternSpec::BitReverse
@@ -360,7 +357,6 @@ impl fmt::Display for PatternSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_topology::{Mesh, Ring, Torus};
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -368,7 +364,7 @@ mod tests {
     }
 
     fn square4() -> AnyTopology {
-        Mesh::square(4).into()
+        AnyTopology::mesh(4, 4)
     }
 
     #[test]
@@ -386,7 +382,7 @@ mod tests {
 
     #[test]
     fn transpose_swaps_coordinates() {
-        let mesh = AnyTopology::from(Mesh::square(8));
+        let mesh = AnyTopology::mesh(8, 8);
         let mut r = rng();
         // (5,1) = n13 → (1,5) = n41.
         assert_eq!(Transpose.dest(mesh, NodeId(13), &mut r), Some(NodeId(41)));
@@ -430,7 +426,7 @@ mod tests {
 
     #[test]
     fn tornado_moves_half_way() {
-        let mesh = AnyTopology::from(Mesh::square(8));
+        let mesh = AnyTopology::mesh(8, 8);
         let mut r = rng();
         // shift = ceil(8/2) - 1 = 3: (0,0) → (3,0).
         assert_eq!(Tornado.dest(mesh, NodeId(0), &mut r), Some(NodeId(3)));
@@ -449,8 +445,8 @@ mod tests {
     fn patterns_agree_across_same_shape_topologies() {
         // Destination functions depend only on ids and grid coordinates, so
         // a torus of the same dimensions sees the identical pattern.
-        let mesh = AnyTopology::from(Mesh::square(4));
-        let torus = AnyTopology::from(Torus::square(4));
+        let mesh = AnyTopology::mesh(4, 4);
+        let torus = AnyTopology::torus(4, 4);
         let mut r1 = rng();
         let mut r2 = rng();
         for n in mesh.nodes() {
@@ -467,7 +463,7 @@ mod tests {
 
     #[test]
     fn ring_presents_as_flat_grid_to_patterns() {
-        let ring = AnyTopology::from(Ring::new(16));
+        let ring = AnyTopology::ring(16);
         let mut r = rng();
         // Neighbor walks the ring east with wraparound.
         assert_eq!(Neighbor.dest(ring, NodeId(15), &mut r), Some(NodeId(0)));
@@ -510,7 +506,7 @@ mod tests {
     fn power_of_two_patterns_reject_odd_meshes_at_build() {
         // 6×6 = 36 nodes: not a power of two, so the bit patterns must be
         // rejected at construction instead of panicking mid-run.
-        let odd = AnyTopology::from(Mesh::square(6));
+        let odd = AnyTopology::mesh(6, 6);
         for spec in [
             PatternSpec::Shuffle,
             PatternSpec::BitComplement,
@@ -522,7 +518,7 @@ mod tests {
             assert!(err.to_string().contains("36"));
         }
         // 8×8 = 64 nodes: accepted.
-        let pow2 = AnyTopology::from(Mesh::square(8));
+        let pow2 = AnyTopology::mesh(8, 8);
         for spec in [
             PatternSpec::Shuffle,
             PatternSpec::BitComplement,

@@ -37,14 +37,14 @@ impl SyntheticWorkload {
     /// Panics if `rate` is negative or exceeds 1.0 (a node cannot inject
     /// more than one flit per cycle).
     pub fn new(
-        topo: impl Into<AnyTopology>,
+        topo: AnyTopology,
         pattern: Box<dyn TrafficPattern>,
         size: PacketSize,
         rate: f64,
     ) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate {rate} out of [0, 1]");
         SyntheticWorkload {
-            topo: topo.into(),
+            topo,
             pattern,
             size,
             rate,
@@ -89,12 +89,12 @@ impl Workload for SyntheticWorkload {
 mod tests {
     use super::*;
     use crate::patterns::{Transpose, Uniform};
-    use footprint_topology::Mesh;
+    use footprint_topology::AnyTopology;
     use rand::SeedableRng;
 
     #[test]
     fn offered_load_matches_rate() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let mut wl =
             SyntheticWorkload::new(mesh, Box::new(Uniform), PacketSize::SINGLE, 0.25);
         let mut rng = SmallRng::seed_from_u64(3);
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn variable_sizes_keep_flit_rate() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let mut wl = SyntheticWorkload::new(
             mesh,
             Box::new(Uniform),
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn fixed_points_never_generate() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let mut wl =
             SyntheticWorkload::new(mesh, Box::new(Transpose), PacketSize::SINGLE, 1.0);
         let mut rng = SmallRng::seed_from_u64(3);
@@ -150,13 +150,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of [0, 1]")]
     fn excessive_rate_rejected() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let _ = SyntheticWorkload::new(mesh, Box::new(Uniform), PacketSize::SINGLE, 1.5);
     }
 
     #[test]
     fn class_tag_propagates() {
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let mut wl = SyntheticWorkload::new(mesh, Box::new(Uniform), PacketSize::SINGLE, 1.0)
             .with_class(2);
         let mut rng = SmallRng::seed_from_u64(3);

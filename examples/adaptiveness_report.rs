@@ -10,14 +10,15 @@
 use footprint_suite::routing::adaptiveness::{
     mean_path_adaptiveness, path_adaptiveness, vc_adaptiveness,
 };
-use footprint_suite::prelude::{Mesh, NodeId, RoutingSpec};
+use footprint_suite::prelude::{NodeId, RoutingSpec};
+use footprint_suite::topology::AnyTopology;
 
 fn main() {
     let k: u16 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(8);
-    let mesh = Mesh::square(k);
+    let mesh = AnyTopology::mesh(k, k);
     let num_vcs = 10;
     println!("Two-level adaptiveness on the {mesh} with {num_vcs} VCs\n");
     println!(

@@ -6,7 +6,7 @@
 //! Re-exports the public API of the member crates so that examples and
 //! integration tests can use a single dependency:
 //!
-//! * [`topology`] — 2D mesh geometry.
+//! * [`topology`] — fabric geometry: mesh, torus and ring as one grid value.
 //! * [`routing`] — DOR / Odd-Even / DBAR / Footprint / XORDET, the
 //!   adaptiveness metrics and the cost model.
 //! * [`sim`] — the cycle-accurate NoC simulator.
@@ -68,8 +68,6 @@ pub mod prelude {
         RoutingSpec, RunError, RunOptions, RunReport, Scheduler, SimulationBuilder,
         StallDiagnostic, SweepOptions, TenantSpec, TenantSummary, TrafficSpec, UnreachablePolicy,
     };
-    pub use footprint_topology::{
-        Direction, FaultEvent, FaultKind, FaultPlan, Mesh, NodeId, Ring, TopologySpec, Torus,
-    };
+    pub use footprint_topology::{Direction, FaultEvent, FaultKind, FaultPlan, NodeId, TopologySpec};
     pub use footprint_traffic::{App, DurationDist, ModulationSpec, PacketSize};
 }

@@ -165,9 +165,9 @@ fn structural_deadlock_freedom_is_proven_not_just_stressed() {
     // The CDG checker proves the acyclicity half of §3.4's argument for
     // every shipped algorithm on meshes up to 6x6.
     use footprint_suite::routing::cdg::{check_deadlock_freedom, DeadlockVerdict};
-    use footprint_suite::topology::Mesh;
+    use footprint_suite::topology::AnyTopology;
     for k in [3u16, 4, 6] {
-        let mesh = Mesh::square(k);
+        let mesh = AnyTopology::mesh(k, k);
         for spec in [
             RoutingSpec::Footprint,
             RoutingSpec::Dbar,

@@ -189,9 +189,8 @@ fn larger_meshes_work() {
 
 #[test]
 fn rectangular_mesh_works() {
-    use footprint_suite::topology::Mesh;
     let r = SimulationBuilder::paper_default()
-        .topology(Mesh::new(8, 2))
+        .topology(TopologySpec::Mesh { width: 8, height: 2 })
         .vcs(4)
         .traffic(TrafficSpec::UniformRandom)
         .injection_rate(0.1)

@@ -5,6 +5,7 @@
 
 use footprint_suite::prelude::*;
 use footprint_suite::sim::{FlowSet, Network, SimConfig, SingleFlow, StallWatchdog};
+use footprint_suite::topology::AnyTopology;
 use proptest::prelude::*;
 
 /// An 8×8 run whose whole lifetime is the measurement window, drained to
@@ -59,7 +60,7 @@ fn adaptive_algorithms_deliver_every_deliverable_packet_around_a_fault() {
         // Soundness: every reported pair is genuinely unreachable under
         // the algorithm's own routing DAG with the link removed — no
         // packet was dropped that the algorithm could have delivered.
-        let state = footprint_suite::sim::FaultState::new(Mesh::square(8), single_link_fault());
+        let state = footprint_suite::sim::FaultState::new(AnyTopology::mesh(8, 8), single_link_fault());
         let algo = spec.build();
         for &(src, dest) in &f.unreachable_pairs {
             assert!(
@@ -259,7 +260,7 @@ fn dateline_cut_on_a_torus_yields_a_typed_verdict() {
     // escape-classed algorithm; the turn-model algorithms route on the
     // acyclic subgraph and are admitted (their deadlock argument never
     // used the wrap channels).
-    let plan = FaultPlan::random_link_faults_biased(Torus::square(4), 2, 0, 0xDA7E).unwrap();
+    let plan = FaultPlan::random_link_faults_biased(AnyTopology::torus(4, 4), 2, 0, 0xDA7E).unwrap();
     for spec in [RoutingSpec::Footprint, RoutingSpec::Dbar, RoutingSpec::Dor] {
         let result = SimulationBuilder::torus(4)
             .vcs(6)
@@ -423,13 +424,13 @@ proptest! {
         ][algo_ix];
         let (plan, nodes, build): (_, usize, fn() -> SimulationBuilder) = if topo_ix == 0 {
             (
-                FaultPlan::random_link_faults_biased(Torus::square(4), wrap_cuts, grid_cuts, seed),
+                FaultPlan::random_link_faults_biased(AnyTopology::torus(4, 4), wrap_cuts, grid_cuts, seed),
                 16,
                 || SimulationBuilder::torus(4).vcs(6),
             )
         } else {
             (
-                FaultPlan::random_link_faults_biased(Ring::new(8), wrap_cuts, grid_cuts, seed),
+                FaultPlan::random_link_faults_biased(AnyTopology::ring(8), wrap_cuts, grid_cuts, seed),
                 8,
                 || SimulationBuilder::ring(8).vcs(4),
             )

@@ -18,7 +18,8 @@ use footprint_core::{
 };
 use footprint_routing::Footprint;
 use footprint_sim::{Network, SimConfig};
-use footprint_topology::{Direction, FaultEvent, FaultPlan, NodeId};
+use footprint_topology::{Direction, FaultEvent, FaultPlan, NodeId, TopologySpec, DIRECTIONS};
+use std::fmt::Write as _;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -404,4 +405,67 @@ fn snapshot_blobs_match_layout_2_goldens() {
         );
     }
     check(&got, SNAPSHOTS, "writer / reader pair");
+}
+
+/// Geometry pins: FNV-1a over every query of each fabric — size, wrap,
+/// escape VCs and channel count, then per node its coordinate, per
+/// direction its neighbor, wrap flag and escape class toward every
+/// destination, and per destination the hop count, both direction sets
+/// and the minimal-path count. Captured on the `Topology` trait with one
+/// implementation per shape, before the shapes became one grid value.
+const FABRICS: &[(&str, u64)] = &[
+    ("mesh:4x4", 0xa97c9f1ec399f2b6),
+    ("mesh:5x3", 0x57d0b3421fdbaef0),
+    ("mesh:8x8", 0x980034bf53456e9b),
+    ("torus:4x4", 0x48770bc957de611b),
+    ("torus:5x3", 0xfd745867d59a96dd),
+    ("torus:8x8", 0xf2201e13e1aba55b),
+    ("ring:8", 0xf1cf4e87e19ac638),
+    ("ring:9", 0xfbff6221a0506c93),
+];
+
+#[test]
+fn fabric_geometry_matches_goldens() {
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (label, _) in FABRICS {
+        let t = label
+            .parse::<TopologySpec>()
+            .and_then(TopologySpec::validate)
+            .expect("pinned fabric is valid");
+        let mut s = format!(
+            "{t} {}x{} {} {} {} {}\n",
+            t.width(),
+            t.height(),
+            t.len(),
+            t.wraps(),
+            t.escape_vcs(),
+            t.channels().count()
+        );
+        for a in t.nodes() {
+            write!(s, "{a} {}", t.coord(a)).unwrap();
+            for d in DIRECTIONS {
+                let next = t.neighbor(a, d);
+                write!(s, " {d}:{next:?}:{}:", t.is_wrap_channel(a, d)).unwrap();
+                if next.is_some() {
+                    for b in t.nodes() {
+                        write!(s, "{}", t.escape_class(a, b, d)).unwrap();
+                    }
+                }
+            }
+            for b in t.nodes() {
+                write!(
+                    s,
+                    " {}/{:?}/{:?}/{}",
+                    t.hops(a, b),
+                    t.minimal_dirs(a, b),
+                    t.acyclic_minimal_dirs(a, b),
+                    t.minimal_path_count(a, b)
+                )
+                .unwrap();
+            }
+            s.push('\n');
+        }
+        got.push((label.to_string(), fnv1a(s.as_bytes())));
+    }
+    check(&got, FABRICS, "per-shape trait");
 }

@@ -3,6 +3,7 @@
 
 use footprint_suite::prelude::*;
 use footprint_suite::sim::{FlowSet, Network, NoTraffic, SimConfig, SingleFlow};
+use footprint_suite::topology::AnyTopology;
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = RoutingSpec> {
@@ -113,7 +114,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         prop_assume!(src != dest);
-        let mesh = Mesh::square(4);
+        let mesh = AnyTopology::mesh(4, 4);
         let mut net = Network::new(cfg(4, 4), spec.build(), seed).unwrap();
         let mut wl = FlowSet::new(vec![SingleFlow {
             src: NodeId(src),

@@ -1,7 +1,7 @@
 //! Topology-generalisation acceptance tests (0.8.0).
 //!
-//! The topology layer is a trait now, and torus/ring fabrics ride the same
-//! datapath as the original mesh. These tests pin the structural properties
+//! Mesh, torus and ring are one grid value, and all three ride the same
+//! datapath. These tests pin the structural properties
 //! every fabric must satisfy (neighbor symmetry, hop-metric sanity, escape
 //! CDG acyclicity) and then drive the paper's four algorithms end-to-end on
 //! the new fabrics under the runtime sentinel — the same acceptance bar the
@@ -15,9 +15,9 @@ use proptest::prelude::*;
 /// Any fabric small enough for exhaustive node×node iteration in a test.
 fn arb_topo() -> impl Strategy<Value = AnyTopology> {
     prop_oneof![
-        (2u16..=6, 2u16..=6).prop_map(|(w, h)| Mesh::new(w, h).into()),
-        (3u16..=6, 3u16..=6).prop_map(|(w, h)| Torus::new(w, h).into()),
-        (3u16..=16).prop_map(|n| Ring::new(n).into()),
+        (2u16..=6, 2u16..=6).prop_map(|(w, h)| AnyTopology::mesh(w, h)),
+        (3u16..=6, 3u16..=6).prop_map(|(w, h)| AnyTopology::torus(w, h)),
+        (3u16..=16).prop_map(AnyTopology::ring),
     ]
 }
 
