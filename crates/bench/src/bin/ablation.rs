@@ -15,44 +15,44 @@
 
 use footprint_bench::phases_from_env;
 use footprint_core::JobSet;
-use footprint_routing::Footprint;
+use footprint_routing::{AnyRouting, Tiers};
 use footprint_sim::{Network, SimConfig};
 use footprint_stats::Table;
 use footprint_traffic::{patterns, HotspotWorkload, PacketSize, SyntheticWorkload};
 
 struct Variant {
     label: &'static str,
-    build: fn() -> Footprint,
+    tiers: Tiers,
 }
 
 const VARIANTS: [Variant; 7] = [
     Variant {
         label: "default (fp-first, no join)",
-        build: Footprint::new,
+        tiers: Tiers::new(),
     },
     Variant {
         label: "literal Algorithm-1 tiers",
-        build: || Footprint::new().with_literal_tiering(),
+        tiers: Tiers::new().with_literal_tiering(),
     },
     Variant {
         label: "with joins (unbounded)",
-        build: || Footprint::new().with_join(),
+        tiers: Tiers::new().with_join(),
     },
     Variant {
         label: "with joins, max 1 fp VC",
-        build: || Footprint::new().with_join().with_max_footprint_vcs(1),
+        tiers: Tiers::new().with_join().with_max_footprint_vcs(1),
     },
     Variant {
         label: "threshold 0 (never congested)",
-        build: || Footprint::with_threshold(0),
+        tiers: Tiers::with_threshold(0),
     },
     Variant {
         label: "threshold 2",
-        build: || Footprint::with_threshold(2),
+        tiers: Tiers::with_threshold(2),
     },
     Variant {
         label: "threshold V (always congested)",
-        build: || Footprint::with_threshold(usize::MAX >> 1),
+        tiers: Tiers::with_threshold(usize::MAX >> 1),
     },
 ];
 
@@ -63,10 +63,10 @@ fn main() {
     println!("Footprint ablation — saturated shuffle (rate 0.54, 8x8, 10 VCs)\n");
     let mut jobs = JobSet::new();
     for v in &VARIANTS {
-        let build = v.build;
+        let tiers = v.tiers;
         let label = v.label;
         jobs.push(move || {
-            let mut net = Network::new(cfg, Box::new(build()), 0xAB1).expect("valid config");
+            let mut net = Network::new(cfg, Box::new(AnyRouting::footprint(tiers)), 0xAB1).expect("valid config");
             let mut wl = SyntheticWorkload::new(
                 cfg.topo(),
                 Box::new(patterns::Shuffle),
@@ -94,10 +94,10 @@ fn main() {
     println!("Footprint ablation — hotspot isolation (hotspot 0.5, background 0.3)\n");
     let mut jobs = JobSet::new();
     for v in &VARIANTS {
-        let build = v.build;
+        let tiers = v.tiers;
         let label = v.label;
         jobs.push(move || {
-            let mut net = Network::new(cfg, Box::new(build()), 0xAB2).expect("valid config");
+            let mut net = Network::new(cfg, Box::new(AnyRouting::footprint(tiers)), 0xAB2).expect("valid config");
             let mut wl = HotspotWorkload::paper(cfg.topo(), 0.5);
             net.run(&mut wl, phases.warmup);
             net.metrics_mut().reset_window();

@@ -262,7 +262,7 @@ impl<'a> Run<'a> {
 /// deliverability quarantine.
 fn check_wrap_safety(cfg: &SimulationBuilder, exec: &ExecOptions) -> Result<(), RunError> {
     use footprint_routing::cdg::{check_escape_under_mask, EscapeMaskVerdict};
-    use footprint_routing::WrapStrategy;
+    use footprint_routing::{RoutingAlgorithm, WrapStrategy};
     let faults = &exec.faults;
     if faults.is_empty() {
         return Ok(());
@@ -271,7 +271,7 @@ fn check_wrap_safety(cfg: &SimulationBuilder, exec: &ExecOptions) -> Result<(), 
     if !topo.wraps() {
         return Ok(());
     }
-    let strategy = cfg.routing.build().wrap_strategy();
+    let strategy = cfg.routing.routing().wrap_strategy();
     if !matches!(
         strategy,
         WrapStrategy::EscapeVcs | WrapStrategy::DatelineVcClasses

@@ -138,14 +138,14 @@ pub fn vc_adaptiveness(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dbar, Dor, Footprint, OddEven, VcOverlay, VcRule};
+    use crate::RoutingSpec::{Dbar, Dor, DorXordet, Footprint, OddEven};
     use footprint_topology::AnyTopology;
 
     #[test]
     fn dor_allows_exactly_one_path() {
         let mesh = AnyTopology::mesh(8, 8);
-        assert_eq!(allowed_path_count(mesh, &Dor, NodeId(0), NodeId(63)), 1);
-        let p = path_adaptiveness(mesh, &Dor, NodeId(0), NodeId(63));
+        assert_eq!(allowed_path_count(mesh, &Dor.routing(), NodeId(0), NodeId(63)), 1);
+        let p = path_adaptiveness(mesh, &Dor.routing(), NodeId(0), NodeId(63));
         assert!(p > 0.0 && p < 1e-3, "DOR path adaptiveness tiny, got {p}");
     }
 
@@ -153,11 +153,11 @@ mod tests {
     fn fully_adaptive_algorithms_allow_all_paths() {
         let mesh = AnyTopology::mesh(8, 8);
         for (name, algo) in [
-            ("dbar", &Dbar as &dyn RoutingAlgorithm),
-            ("footprint", &Footprint::new()),
+            ("dbar", Dbar.routing()),
+            ("footprint", Footprint.routing()),
         ] {
             for (s, d) in [(0u16, 63u16), (5, 40), (17, 3)] {
-                let p = path_adaptiveness(mesh, algo, NodeId(s), NodeId(d));
+                let p = path_adaptiveness(mesh, &algo, NodeId(s), NodeId(d));
                 assert!((p - 1.0).abs() < 1e-12, "{name} {s}->{d} got {p}");
             }
         }
@@ -166,10 +166,10 @@ mod tests {
     #[test]
     fn odd_even_is_partially_adaptive() {
         let mesh = AnyTopology::mesh(8, 8);
-        let mean = mean_path_adaptiveness(mesh, &OddEven);
+        let mean = mean_path_adaptiveness(mesh, &OddEven.routing());
         assert!(mean > 0.0 && mean < 1.0, "odd-even mean {mean}");
-        let dor_mean = mean_path_adaptiveness(mesh, &Dor);
-        let full_mean = mean_path_adaptiveness(mesh, &Dbar);
+        let dor_mean = mean_path_adaptiveness(mesh, &Dor.routing());
+        let full_mean = mean_path_adaptiveness(mesh, &Dbar.routing());
         assert!(dor_mean < mean && mean < full_mean + 1e-12);
         assert!((full_mean - 1.0).abs() < 1e-12);
     }
@@ -181,7 +181,7 @@ mod tests {
             for dest in mesh.nodes() {
                 if src != dest {
                     assert!(
-                        allowed_path_count(mesh, &OddEven, src, dest) >= 1,
+                        allowed_path_count(mesh, &OddEven.routing(), src, dest) >= 1,
                         "{src}->{dest} disconnected"
                     );
                 }
@@ -193,21 +193,21 @@ mod tests {
     fn port_adaptiveness_at_decision_points() {
         let mesh = AnyTopology::mesh(8, 8);
         // DOR at an interior point with both dims productive: 1 of 2 ports.
-        let p = port_adaptiveness_at(mesh, &Dor, NodeId(0), NodeId(0), NodeId(63));
+        let p = port_adaptiveness_at(mesh, &Dor.routing(), NodeId(0), NodeId(0), NodeId(63));
         assert!((p - 0.5).abs() < 1e-12);
         // Fully adaptive: 2 of 2.
-        let p = port_adaptiveness_at(mesh, &Footprint::new(), NodeId(0), NodeId(0), NodeId(63));
+        let p = port_adaptiveness_at(mesh, &Footprint.routing(), NodeId(0), NodeId(0), NodeId(63));
         assert!((p - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn vc_adaptiveness_matches_eq3() {
-        let fp = Footprint::new();
+        let fp = Footprint.routing();
         assert_eq!(vc_adaptiveness(&fp, 10, true), Some(1.0));
         assert_eq!(vc_adaptiveness(&fp, 10, false), Some(0.9));
-        assert_eq!(vc_adaptiveness(&Dbar, 10, false), Some(0.0));
-        assert_eq!(vc_adaptiveness(&Dor, 10, false), Some(0.0));
-        let x = VcOverlay::new(Dor, VcRule::Xordet, "dor+xordet");
+        assert_eq!(vc_adaptiveness(&Dbar.routing(), 10, false), Some(0.0));
+        assert_eq!(vc_adaptiveness(&Dor.routing(), 10, false), Some(0.0));
+        let x = DorXordet.routing();
         assert_eq!(vc_adaptiveness(&x, 10, false), None);
     }
 }

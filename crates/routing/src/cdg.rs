@@ -14,7 +14,7 @@
 //! [`RoutingAlgorithm`]; the test suites use it to *prove* (rather than
 //! stress-test) the acyclicity side of the §3.4 argument.
 
-use crate::{Dor, RoutingAlgorithm, WrapStrategy};
+use crate::{RoutingAlgorithm, RoutingSpec, WrapStrategy};
 use footprint_topology::{AnyTopology, Channel, Direction, NodeId};
 use std::collections::BTreeMap;
 
@@ -410,7 +410,7 @@ pub fn check_deadlock_freedom(
         };
     }
     if algo.has_escape() {
-        let escape = ChannelDependencyGraph::build(topo, &Dor);
+        let escape = ChannelDependencyGraph::build(topo, &RoutingSpec::Dor.routing());
         match escape.find_cycle() {
             None => DeadlockVerdict::EscapeNetworkAcyclic,
             Some(c) => DeadlockVerdict::Cyclic(c),
@@ -427,13 +427,13 @@ pub fn check_deadlock_freedom(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dbar, DirSet, Footprint, NorthLast, OddEven, WestFirst};
+    use crate::DirSet;
     use footprint_topology::DIRECTIONS;
 
     #[test]
     fn dor_cdg_is_acyclic() {
         let mesh = AnyTopology::mesh(5, 5);
-        let g = ChannelDependencyGraph::build(mesh, &Dor);
+        let g = ChannelDependencyGraph::build(mesh, &RoutingSpec::Dor.routing());
         assert!(g.is_acyclic());
         assert_eq!(g.channel_count(), mesh.channels().count());
         assert!(g.edge_count() > 0);
@@ -442,13 +442,10 @@ mod tests {
     #[test]
     fn turn_models_have_acyclic_cdgs() {
         let mesh = AnyTopology::mesh(5, 5);
-        for algo in [
-            &OddEven as &dyn RoutingAlgorithm,
-            &WestFirst,
-            &NorthLast,
-        ] {
+        for spec in [RoutingSpec::OddEven, RoutingSpec::WestFirst, RoutingSpec::NorthLast] {
+            let algo = spec.routing();
             assert_eq!(
-                check_deadlock_freedom(mesh, algo),
+                check_deadlock_freedom(mesh, &algo),
                 DeadlockVerdict::AcyclicCdg,
                 "{}",
                 algo.name()
@@ -460,11 +457,11 @@ mod tests {
     fn duato_algorithms_verify_via_escape_network() {
         let mesh = AnyTopology::mesh(5, 5);
         assert_eq!(
-            check_deadlock_freedom(mesh, &Footprint::new()),
+            check_deadlock_freedom(mesh, &RoutingSpec::Footprint.routing()),
             DeadlockVerdict::EscapeNetworkAcyclic
         );
         assert_eq!(
-            check_deadlock_freedom(mesh, &Dbar),
+            check_deadlock_freedom(mesh, &RoutingSpec::Dbar.routing()),
             DeadlockVerdict::EscapeNetworkAcyclic
         );
     }
@@ -515,7 +512,7 @@ mod tests {
         // src/dest pair — spot-check via a restricted algorithm where we
         // can enumerate by hand: DOR's only turns are X→Y.
         let mesh = AnyTopology::mesh(3, 3);
-        let g = ChannelDependencyGraph::build(mesh, &Dor);
+        let g = ChannelDependencyGraph::build(mesh, &RoutingSpec::Dor.routing());
         // In DOR, a vertical channel can never depend on a horizontal one.
         for (i, ch) in g.channels.iter().enumerate() {
             if !ch.dir.is_x() {
@@ -536,7 +533,7 @@ mod tests {
     fn unclassed_dor_relation_is_cyclic_on_a_torus() {
         // The reason dateline classes exist: the plain channel-level DOR
         // CDG on a wrapping topology closes each ring into a cycle.
-        let g = ChannelDependencyGraph::build(AnyTopology::torus(4, 4), &Dor);
+        let g = ChannelDependencyGraph::build(AnyTopology::torus(4, 4), &RoutingSpec::Dor.routing());
         assert!(!g.is_acyclic());
     }
 
@@ -616,28 +613,28 @@ mod tests {
     fn wrap_verdicts_follow_the_declared_strategy() {
         let torus = AnyTopology::torus(4, 4);
         assert_eq!(
-            check_deadlock_freedom(torus, &Dor),
+            check_deadlock_freedom(torus, &RoutingSpec::Dor.routing()),
             DeadlockVerdict::DatelineClassesAcyclic
         );
         assert_eq!(
-            check_deadlock_freedom(torus, &Footprint::new()),
+            check_deadlock_freedom(torus, &RoutingSpec::Footprint.routing()),
             DeadlockVerdict::EscapeNetworkAcyclic
         );
         assert_eq!(
-            check_deadlock_freedom(torus, &Dbar),
+            check_deadlock_freedom(torus, &RoutingSpec::Dbar.routing()),
             DeadlockVerdict::EscapeNetworkAcyclic
         );
-        for algo in [&OddEven as &dyn RoutingAlgorithm, &WestFirst, &NorthLast] {
+        for spec in [RoutingSpec::OddEven, RoutingSpec::WestFirst, RoutingSpec::NorthLast] {
+            let algo = spec.routing();
             assert_eq!(
-                check_deadlock_freedom(torus, algo),
+                check_deadlock_freedom(torus, &algo),
                 DeadlockVerdict::AcyclicCdg,
                 "{}",
                 algo.name()
             );
         }
-        let x = crate::VcOverlay::new(Dor, crate::VcRule::Xordet, "dor+xordet");
         assert_eq!(
-            check_deadlock_freedom(torus, &x),
+            check_deadlock_freedom(torus, &RoutingSpec::DorXordet.routing()),
             DeadlockVerdict::UnsupportedOnTopology
         );
     }

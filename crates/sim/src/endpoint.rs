@@ -351,7 +351,7 @@ mod tests {
     use super::*;
     use crate::metrics::NullProbe;
     use crate::packet::FlitKind;
-    use footprint_routing::{AllLinksUp, Dor, Footprint, NoCongestionInfo};
+    use footprint_routing::{AllLinksUp, AnyRouting, NoCongestionInfo, RoutingSpec, Tiers};
     use footprint_topology::AnyTopology;
     use rand::SeedableRng;
 
@@ -373,13 +373,14 @@ mod tests {
     #[test]
     fn source_streams_a_packet() {
         let mesh = AnyTopology::mesh(4, 4);
+        let dor = RoutingSpec::Dor.routing();
         let (mut src, mut soa) = source(4, 4);
         let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
         src.enqueue(PacketId(1), new_packet(3, 2), 0);
         assert_eq!(src.backlog(), 1);
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
+        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
+        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
         assert_eq!(src.backlog(), 0);
         wire.tick();
         let flits: Vec<_> = wire.flits.drain().collect();
@@ -392,18 +393,19 @@ mod tests {
     #[test]
     fn source_respects_credits() {
         let mesh = AnyTopology::mesh(4, 4);
+        let dor = RoutingSpec::Dor.routing();
         let (mut src, mut soa) = source(2, 1); // 1-credit VCs
         let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
         src.enqueue(PacketId(1), new_packet(3, 3), 0);
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe); // head goes
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe); // stalls
+        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe); // head goes
+        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe); // stalls
         wire.tick();
         let sent: Vec<_> = wire.flits.drain().collect();
         assert_eq!(sent.len(), 1, "second flit must stall on zero credits");
         // Head slot freed downstream.
         soa.out_return_credit(soa.inj_ivc(NodeId(0), sent[0].vc as usize));
-        src.step(&Dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
+        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
         wire.tick();
         let flits: Vec<_> = wire.flits.drain().collect();
         assert_eq!(flits.len(), 1);
@@ -413,7 +415,7 @@ mod tests {
     #[test]
     fn footprint_source_joins_same_destination_stream() {
         let mesh = AnyTopology::mesh(4, 4);
-        let algo = Footprint::new().with_join();
+        let algo = AnyRouting::footprint(Tiers::new().with_join());
         let (mut src, mut soa) = source(3, 4);
         let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);

@@ -417,7 +417,8 @@ impl LinkStateView for FaultView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_routing::{Dor, OddEven, RoutingAlgorithm};
+    use footprint_routing::RoutingAlgorithm;
+    use footprint_routing::RoutingSpec::{Dor, OddEven, RandomMinimal};
     use footprint_topology::FaultEvent;
 
     fn mesh() -> AnyTopology {
@@ -430,7 +431,7 @@ mod tests {
         assert!(!s.any_active());
         assert!(s.link_up(NodeId(0), Direction::East));
         assert!(s.launch_allowed(NodeId(0), Port::Dir(Direction::East).index(), 7));
-        assert!(s.deliverable(&Dor, NodeId(0), NodeId(15)));
+        assert!(s.deliverable(&Dor.routing(), NodeId(0), NodeId(15)));
     }
 
     #[test]
@@ -484,7 +485,7 @@ mod tests {
         // off-row destination routes around.
         let plan = FaultPlan::new().with(FaultEvent::link_down(NodeId(0), Direction::East, 0));
         let s = FaultState::new(mesh(), plan);
-        let full = footprint_routing::RandomMinimal;
+        let full = RandomMinimal.routing();
         assert!(!s.deliverable(&full, NodeId(0), NodeId(1)));
         assert!(!s.deliverable(&full, NodeId(0), NodeId(3)));
         assert!(s.deliverable(&full, NodeId(0), NodeId(5)));
@@ -508,9 +509,9 @@ mod tests {
             }
             n
         };
-        let dor = count_unreachable(&Dor);
-        let oe = count_unreachable(&OddEven);
-        let full = count_unreachable(&footprint_routing::RandomMinimal);
+        let dor = count_unreachable(&Dor.routing());
+        let oe = count_unreachable(&OddEven.routing());
+        let full = count_unreachable(&RandomMinimal.routing());
         assert!(dor > oe, "XY loses more pairs than odd-even ({dor} vs {oe})");
         assert!(oe >= full, "odd-even cannot beat fully adaptive");
         assert!(full > 0, "same-row pairs across the cut are always lost");
@@ -521,7 +522,7 @@ mod tests {
         let plan = FaultPlan::new().with(FaultEvent::router_down(NodeId(5), 0));
         let s = FaultState::new(mesh(), plan);
         assert!(s.router_down(NodeId(5)));
-        let full = footprint_routing::RandomMinimal;
+        let full = RandomMinimal.routing();
         assert!(!s.deliverable(&full, NodeId(5), NodeId(0)), "source down");
         assert!(!s.deliverable(&full, NodeId(0), NodeId(5)), "dest down");
         // Traffic not involving n5 routes around it when the minimal
@@ -542,7 +543,7 @@ mod tests {
             .with(FaultEvent::link_down(NodeId(1), Direction::East, 0))
             .with(FaultEvent::link_down(NodeId(1), Direction::North, 0));
         let s = FaultState::new(mesh(), plan);
-        let full = footprint_routing::RandomMinimal;
+        let full = RandomMinimal.routing();
         let view = FaultView::new(&s, &full);
         assert!(view.link_up(NodeId(0), Direction::East));
         assert!(!view.usable(NodeId(0), Direction::East, NodeId(0), NodeId(2)));
@@ -583,8 +584,8 @@ mod tests {
             ]
         );
         // Cross-component pairs are unreachable under every algorithm.
-        assert!(!s.deliverable(&Dor, NodeId(3), NodeId(7)));
-        assert!(!s.deliverable(&footprint_routing::RandomMinimal, NodeId(3), NodeId(7)));
+        assert!(!s.deliverable(&Dor.routing(), NodeId(3), NodeId(7)));
+        assert!(!s.deliverable(&RandomMinimal.routing(), NodeId(3), NodeId(7)));
     }
 
     #[test]
@@ -666,7 +667,7 @@ mod tests {
         // go North first from an even column) keeps it.
         let plan = FaultPlan::new().with(FaultEvent::link_down(NodeId(0), Direction::East, 0));
         let s = FaultState::new(mesh(), plan);
-        assert!(!s.deliverable(&Dor, NodeId(0), NodeId(6)));
-        assert!(s.deliverable(&OddEven, NodeId(0), NodeId(6)));
+        assert!(!s.deliverable(&Dor.routing(), NodeId(0), NodeId(6)));
+        assert!(s.deliverable(&OddEven.routing(), NodeId(0), NodeId(6)));
     }
 }

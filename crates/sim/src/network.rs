@@ -930,7 +930,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::workload::{NoTraffic, SingleFlow};
-    use footprint_routing::{Dor, Footprint, RoutingSpec};
+    use footprint_routing::RoutingSpec;
 
     fn build(spec: RoutingSpec) -> Network {
         Network::new(SimConfig::small(), spec.build(), 42).unwrap()
@@ -1043,13 +1043,13 @@ mod tests {
     fn rejects_single_vc_for_duato_routing() {
         let mut cfg = SimConfig::small();
         cfg.num_vcs = 1;
-        let err = match Network::new(cfg, Box::new(Footprint::new()), 1) {
+        let err = match Network::new(cfg, RoutingSpec::Footprint.build(), 1) {
             Err(e) => e,
             Ok(_) => panic!("expected a configuration error"),
         };
         assert!(matches!(err, ConfigError::TooFewVcsForRouting { .. }));
         // DOR is fine with a single VC.
-        assert!(Network::new(cfg, Box::new(Dor), 1).is_ok());
+        assert!(Network::new(cfg, RoutingSpec::Dor.build(), 1).is_ok());
     }
 
     #[test]

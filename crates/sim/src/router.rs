@@ -545,7 +545,7 @@ mod tests {
     use crate::input::RouteState;
     use crate::metrics::NullProbe;
     use crate::packet::FlitKind;
-    use footprint_routing::{AllLinksUp, Dbar, DownLinks, Dor, Footprint, NoCongestionInfo, OddEven};
+    use footprint_routing::{AllLinksUp, AnyRouting, DownLinks, NoCongestionInfo, RoutingSpec, Tiers};
     use footprint_topology::{Direction, DIRECTIONS};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -595,7 +595,7 @@ mod tests {
         let (mut r, mut soa, mesh, mut rng, mut m, mut probe) = setup();
         // Head arrives on the local input VC 0, destined to n3 (east).
         soa.in_push(soa.ivc(NodeId(0), Port::Local.index(), 0), flit_to(3, 1));
-        allocate(&mut r, &mut soa, &Dor, mesh, &mut rng, &mut m, &mut probe);
+        allocate(&mut r, &mut soa, &RoutingSpec::Dor.routing(), mesh, &mut rng, &mut m, &mut probe);
         let east = Port::Dir(Direction::East).index();
         // Granted: the local VC is now active.
         assert!(matches!(
@@ -603,7 +603,7 @@ mod tests {
             RouteState::Active { .. }
         ));
         let mut freed = Vec::new();
-        r.switch_allocate(&mut soa, Dor.policy(), 2, &mut freed, &mut probe);
+        r.switch_allocate(&mut soa, VcReallocationPolicy::NonAtomic, 2, &mut freed, &mut probe);
         assert_eq!(freed.len(), 1);
         assert_eq!(freed[0].in_port, Port::Local.index());
         // Flit staged at the east output.
@@ -625,7 +625,7 @@ mod tests {
             );
         }
         soa.in_push(soa.ivc(NodeId(0), Port::Local.index(), 0), flit_to(3, 1));
-        allocate(&mut r, &mut soa, &Dor, mesh, &mut rng, &mut m, &mut probe);
+        allocate(&mut r, &mut soa, &RoutingSpec::Dor.routing(), mesh, &mut rng, &mut m, &mut probe);
         assert!(soa.waiting(soa.ivc(NodeId(0), Port::Local.index(), 0)));
         assert_eq!(m.va_blocks, 1);
         assert_eq!(m.purity_events, 1);
@@ -635,7 +635,7 @@ mod tests {
     #[test]
     fn footprint_join_grants_draining_vc_to_same_destination() {
         let (mut r, mut soa, mesh, mut rng, mut m, mut probe) = setup();
-        let algo = Footprint::new().with_join();
+        let algo = AnyRouting::footprint(Tiers::new().with_join());
         let east = Port::Dir(Direction::East).index();
         // All adaptive east VCs busy; VC1 is draining traffic to n3.
         for v in 1..4 {
@@ -665,7 +665,7 @@ mod tests {
     #[test]
     fn dbar_cannot_reuse_draining_vc() {
         let (mut r, mut soa, mesh, mut rng, mut m, mut probe) = setup();
-        let algo = footprint_routing::Dbar;
+        let algo = RoutingSpec::Dbar.routing();
         let east = Port::Dir(Direction::East).index();
         let north = Port::Dir(Direction::North).index();
         for port in [east, north] {
@@ -699,9 +699,9 @@ mod tests {
             f.vc = 1;
             soa.in_push(soa.ivc(NodeId(0), ip, 1), f);
         }
-        allocate(&mut r, &mut soa, &Dor, mesh, &mut rng, &mut m, &mut probe);
+        allocate(&mut r, &mut soa, &RoutingSpec::Dor.routing(), mesh, &mut rng, &mut m, &mut probe);
         let mut freed = Vec::new();
-        r.switch_allocate(&mut soa, Dor.policy(), 2, &mut freed, &mut probe);
+        r.switch_allocate(&mut soa, VcReallocationPolicy::NonAtomic, 2, &mut freed, &mut probe);
         // Only 2 can cross to the east output this cycle (speedup 2).
         assert_eq!(freed.len(), 2);
         let east = Port::Dir(Direction::East).index();
@@ -714,7 +714,7 @@ mod tests {
         let east = Port::Dir(Direction::East).index();
         // Put a granted packet on local VC0 → east with zero credits.
         soa.in_push(soa.ivc(NodeId(0), Port::Local.index(), 0), flit_to(3, 1));
-        allocate(&mut r, &mut soa, &Dor, mesh, &mut rng, &mut m, &mut probe);
+        allocate(&mut r, &mut soa, &RoutingSpec::Dor.routing(), mesh, &mut rng, &mut m, &mut probe);
         let RouteState::Active { out_vc, .. } =
             soa.route(soa.ivc(NodeId(0), Port::Local.index(), 0))
         else {
@@ -724,7 +724,7 @@ mod tests {
             soa.out_consume_credit(soa.ivc(NodeId(0), east, out_vc as usize));
         }
         let mut freed = Vec::new();
-        r.switch_allocate(&mut soa, Dor.policy(), 2, &mut freed, &mut probe);
+        r.switch_allocate(&mut soa, VcReallocationPolicy::NonAtomic, 2, &mut freed, &mut probe);
         assert!(freed.is_empty(), "no credits, no traversal");
     }
 
@@ -734,7 +734,7 @@ mod tests {
         let mut b = Router::new(NodeId(0), 4);
         let mut freed = Vec::new();
         for _ in 0..7 {
-            a.switch_allocate(&mut soa, Dor.policy(), 2, &mut freed, &mut probe);
+            a.switch_allocate(&mut soa, VcReallocationPolicy::NonAtomic, 2, &mut freed, &mut probe);
         }
         assert!(freed.is_empty(), "idle router must move nothing");
         b.advance_arbiters(7);
@@ -748,9 +748,9 @@ mod tests {
         assert_eq!(r.resident_flits(&soa), 0);
         soa.in_push(soa.ivc(NodeId(0), Port::Local.index(), 0), flit_to(3, 1));
         assert_eq!(r.resident_flits(&soa), 1);
-        allocate(&mut r, &mut soa, &Dor, mesh, &mut rng, &mut m, &mut probe);
+        allocate(&mut r, &mut soa, &RoutingSpec::Dor.routing(), mesh, &mut rng, &mut m, &mut probe);
         let mut freed = Vec::new();
-        r.switch_allocate(&mut soa, Dor.policy(), 2, &mut freed, &mut probe);
+        r.switch_allocate(&mut soa, VcReallocationPolicy::NonAtomic, 2, &mut freed, &mut probe);
         // Traversal moves the flit input → output stage: still resident.
         assert_eq!(r.resident_flits(&soa), 1);
         let east = Port::Dir(Direction::East).index();
@@ -956,10 +956,10 @@ mod tests {
             va_rr in 0usize..1000,
         ) {
             let algo: Box<dyn RoutingAlgorithm> = match algo {
-                0 => Box::new(Footprint::new()),
-                1 => Box::new(Dbar),
-                2 => Box::new(OddEven),
-                _ => Box::new(Dor),
+                0 => RoutingSpec::Footprint.build(),
+                1 => RoutingSpec::Dbar.build(),
+                2 => RoutingSpec::OddEven.build(),
+                _ => RoutingSpec::Dor.build(),
             };
             let topo = AnyTopology::mesh(3, 3);
             let policy = if atomic {

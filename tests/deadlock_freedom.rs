@@ -133,13 +133,13 @@ fn footprint_survives_oversubscribed_hotspots() {
 
 #[test]
 fn footprint_join_extension_is_also_live() {
-    use footprint_suite::routing::Footprint;
+    use footprint_suite::routing::{AnyRouting, Tiers};
     use footprint_suite::sim::{Network, SimConfig};
     use footprint_suite::traffic::{PacketSize, SyntheticWorkload};
 
     let mut cfg = SimConfig::small();
     cfg.num_vcs = 4;
-    let mut net = Network::new(cfg, Box::new(Footprint::new().with_join()), 0xD8).unwrap();
+    let mut net = Network::new(cfg, Box::new(AnyRouting::footprint(Tiers::new().with_join())), 0xD8).unwrap();
     let mut wl = SyntheticWorkload::new(
         cfg.topo(),
         Box::new(footprint_suite::traffic::Permutation::figure2_example(cfg.topo())),
