@@ -642,3 +642,126 @@ fn routing_decisions_match_goldens() {
     }
     check(&got, DECISIONS, "per-algorithm type");
 }
+
+/// Traffic pins: per (traffic spec, fabric, packet-size mix), FNV-1a over
+/// every `Workload::generate` outcome of the built workload for 200 cycles
+/// × all nodes at 0.4 flits/node/cycle from a seeded RNG, followed by one
+/// draw of that RNG so the number of draws is pinned too. Only the
+/// combinations a spec runs on are listed. Captured on the boxed
+/// pattern trait objects, one type per pattern, before the patterns
+/// became one value.
+const TRAFFIC: &[(&str, u64)] = &[
+    ("uniform@mesh:8x8/single", 0x31d1a08af75ec44d),
+    ("uniform@mesh:8x8/variable", 0xa3441c03fc8755fd),
+    ("uniform@mesh:4x4/single", 0x85429ddcaf4bd808),
+    ("uniform@mesh:4x4/variable", 0x6c03fff157ad3199),
+    ("uniform@torus:4x4/single", 0x85429ddcaf4bd808),
+    ("uniform@torus:4x4/variable", 0x6c03fff157ad3199),
+    ("uniform@ring:16/single", 0x85429ddcaf4bd808),
+    ("uniform@ring:16/variable", 0x6c03fff157ad3199),
+    ("uniform@mesh:5x3/single", 0xab127a1c6eb99ed6),
+    ("uniform@mesh:5x3/variable", 0xc7ca662b14b2660e),
+    ("transpose@mesh:8x8/single", 0xf0b7c2735d8d311a),
+    ("transpose@mesh:8x8/variable", 0x2cb8a7b39c9d3787),
+    ("transpose@mesh:4x4/single", 0x862f820a957de5a5),
+    ("transpose@mesh:4x4/variable", 0x4a85d89bb569a7fa),
+    ("transpose@torus:4x4/single", 0x862f820a957de5a5),
+    ("transpose@torus:4x4/variable", 0x4a85d89bb569a7fa),
+    ("shuffle@mesh:8x8/single", 0x524ae81d10c153ac),
+    ("shuffle@mesh:8x8/variable", 0x2cad29d1781ccdf2),
+    ("shuffle@mesh:4x4/single", 0x1ca9695f80142c5c),
+    ("shuffle@mesh:4x4/variable", 0xf7c20e34004f2e51),
+    ("shuffle@torus:4x4/single", 0x1ca9695f80142c5c),
+    ("shuffle@torus:4x4/variable", 0xf7c20e34004f2e51),
+    ("shuffle@ring:16/single", 0x1ca9695f80142c5c),
+    ("shuffle@ring:16/variable", 0xf7c20e34004f2e51),
+    ("bit-complement@mesh:8x8/single", 0x0a5deba3316b7612),
+    ("bit-complement@mesh:8x8/variable", 0xb2b0df909e940786),
+    ("bit-complement@mesh:4x4/single", 0x91616b4627f2d3f7),
+    ("bit-complement@mesh:4x4/variable", 0xc6d1f356ca041e31),
+    ("bit-complement@torus:4x4/single", 0x91616b4627f2d3f7),
+    ("bit-complement@torus:4x4/variable", 0xc6d1f356ca041e31),
+    ("bit-complement@ring:16/single", 0x91616b4627f2d3f7),
+    ("bit-complement@ring:16/variable", 0xc6d1f356ca041e31),
+    ("bit-reverse@mesh:8x8/single", 0x6727ee3845f3e57f),
+    ("bit-reverse@mesh:8x8/variable", 0x871da971fc5c9518),
+    ("bit-reverse@mesh:4x4/single", 0xe5522529f28dd156),
+    ("bit-reverse@mesh:4x4/variable", 0x97fdd3b55f0f24fe),
+    ("bit-reverse@torus:4x4/single", 0xe5522529f28dd156),
+    ("bit-reverse@torus:4x4/variable", 0x97fdd3b55f0f24fe),
+    ("bit-reverse@ring:16/single", 0xe5522529f28dd156),
+    ("bit-reverse@ring:16/variable", 0x97fdd3b55f0f24fe),
+    ("tornado@mesh:8x8/single", 0x6cc21553fd4dde99),
+    ("tornado@mesh:8x8/variable", 0xb16fc360935d58ff),
+    ("tornado@mesh:4x4/single", 0x7c4ba598ff494b1d),
+    ("tornado@mesh:4x4/variable", 0x00cf7c7eb716a2c1),
+    ("tornado@torus:4x4/single", 0x7c4ba598ff494b1d),
+    ("tornado@torus:4x4/variable", 0x00cf7c7eb716a2c1),
+    ("tornado@ring:16/single", 0x0a0031826001dfbe),
+    ("tornado@ring:16/variable", 0xd7c16b0ef3367864),
+    ("tornado@mesh:5x3/single", 0x7d8047aca47a5800),
+    ("tornado@mesh:5x3/variable", 0x59e50bd82d9c4ccf),
+    ("hotspot@mesh:8x8/single", 0xf7efbd65712054fb),
+    ("hotspot@mesh:8x8/variable", 0x2412809719ddc1cf),
+    ("fluidanimate+bodytrack@mesh:8x8/single", 0xcf216b1927907125),
+    ("fluidanimate+bodytrack@mesh:8x8/variable", 0xcf216b1927907125),
+    ("fluidanimate+bodytrack@mesh:4x4/single", 0xc252ebdea9ef1cf4),
+    ("fluidanimate+bodytrack@mesh:4x4/variable", 0xc252ebdea9ef1cf4),
+    ("fluidanimate+bodytrack@torus:4x4/single", 0xc252ebdea9ef1cf4),
+    ("fluidanimate+bodytrack@torus:4x4/variable", 0xc252ebdea9ef1cf4),
+    ("fluidanimate+bodytrack@ring:16/single", 0x846a61b5559944a5),
+    ("fluidanimate+bodytrack@ring:16/variable", 0x846a61b5559944a5),
+    ("fluidanimate+bodytrack@mesh:5x3/single", 0xdae4e95740df42af),
+    ("fluidanimate+bodytrack@mesh:5x3/variable", 0xdae4e95740df42af),
+    ("figure2-permutation@mesh:8x8/single", 0x95a7112a7d63d0e3),
+    ("figure2-permutation@mesh:8x8/variable", 0x3b86b9cde7e29a75),
+    ("figure2-permutation@mesh:4x4/single", 0x046a826b3a86f173),
+    ("figure2-permutation@mesh:4x4/variable", 0xbaeb623bc12c3a5d),
+    ("figure2-permutation@torus:4x4/single", 0x046a826b3a86f173),
+    ("figure2-permutation@torus:4x4/variable", 0xbaeb623bc12c3a5d),
+];
+
+const TRAFFIC_SPECS: [TrafficSpec; 9] = [
+    TrafficSpec::UniformRandom,
+    TrafficSpec::Transpose,
+    TrafficSpec::Shuffle,
+    TrafficSpec::BitComplement,
+    TrafficSpec::BitReverse,
+    TrafficSpec::Tornado,
+    TrafficSpec::Hotspot { background_rate: 0.5 },
+    TrafficSpec::ParsecPair(footprint_core::App::Fluidanimate, footprint_core::App::Bodytrack),
+    TrafficSpec::Figure2,
+];
+
+#[test]
+fn traffic_generation_matches_goldens() {
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (label, _) in TRAFFIC {
+        let (spec, rest) = label.split_once('@').expect("label is spec@fabric/size");
+        let (fabric, size) = rest.split_once('/').expect("label is spec@fabric/size");
+        let spec = TRAFFIC_SPECS
+            .into_iter()
+            .find(|s| s.name() == spec)
+            .expect("pinned spec is listed");
+        let topo = fabric
+            .parse::<TopologySpec>()
+            .and_then(TopologySpec::validate)
+            .expect("pinned fabric is valid");
+        let size = match size {
+            "single" => PacketSize::SINGLE,
+            _ => PacketSize::PAPER_VARIABLE,
+        };
+        let mut wl = spec.build(topo, size, 0.4).expect("pinned spec runs on its fabric");
+        let mut rng = SmallRng::seed_from_u64(0x7AFF1C);
+        let mut s = String::new();
+        for cycle in 0..200 {
+            for node in topo.nodes() {
+                writeln!(s, "{:?}", wl.generate(node, cycle, &mut rng)).unwrap();
+            }
+        }
+        write!(s, "{}", rng.next_u64()).unwrap();
+        got.push((label.to_string(), fnv1a(s.as_bytes())));
+    }
+    check(&got, TRAFFIC, "per-pattern type");
+}
+
