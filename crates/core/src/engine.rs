@@ -5,7 +5,6 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use crate::exec::{JobOutcome, JobSet};
 use crate::journal::SweepJournal;
@@ -22,9 +21,8 @@ use footprint_traffic::ModulationSpec;
 /// Cycles simulated per [`Run::advance`] call (at most; a phase's last
 /// slice is shorter). Slicing is invisible to the simulation — the
 /// network's run loops are stateless between calls — so any slice length
-/// reports bit-identically; this one keeps sentinel-trip and deadline
-/// checks, and the turn-taking of an ensemble group, coarse enough to cost
-/// nothing.
+/// reports bit-identically; this one keeps sentinel-trip checks and the
+/// turn-taking of an ensemble group coarse enough to cost nothing.
 const CHUNK: u64 = 1024;
 /// Accounting-window length for per-tenant offered/delivered timelines.
 const TENANT_WINDOW: u64 = 256;
@@ -55,9 +53,6 @@ struct Run<'a> {
     /// Cache slot to fill with the post-warmup snapshot (set on a cache
     /// miss of an eligible configuration).
     store: Option<(PathBuf, String)>,
-    /// Wall time spent inside this run's own `start`/`advance` calls —
-    /// what a deadline is charged against.
-    spent: Duration,
 }
 
 impl<'a> Run<'a> {
@@ -73,7 +68,6 @@ impl<'a> Run<'a> {
         exec: &'a ExecOptions,
         probe: Option<&'a mut dyn Probe>,
     ) -> Result<Self, RunError> {
-        let clock = Instant::now();
         check_wrap_safety(cfg, exec)?;
         let build = || -> Result<(Network, Box<dyn Workload>), ConfigError> {
             let (mut net, wl) = cfg.build_with(exec.faults.clone(), exec.on_unreachable)?;
@@ -122,14 +116,12 @@ impl<'a> Run<'a> {
             phase: Phase::Warmup,
             left,
             store,
-            spent: clock.elapsed(),
         })
     }
 
     /// Applies any due phase transition, then simulates one slice of at
     /// most [`CHUNK`] cycles. Returns `Ok(false)` once every phase is done.
     fn advance(&mut self) -> Result<bool, RunError> {
-        let clock = Instant::now();
         while self.left == 0 {
             match self.phase {
                 Phase::Warmup => {
@@ -154,16 +146,6 @@ impl<'a> Run<'a> {
                     self.left = self.cfg.drain;
                 }
                 Phase::Drain => return Ok(false),
-            }
-        }
-        // Checked before each slice, so an already-expired deadline stops
-        // the run without simulating another slice first.
-        if let Some(limit) = self.exec.deadline {
-            if self.spent >= limit {
-                return Err(RunError::DeadlineExceeded {
-                    limit,
-                    cycle: self.net.cycle(),
-                });
             }
         }
         let step = self.left.min(CHUNK);
@@ -207,7 +189,6 @@ impl<'a> Run<'a> {
         }
         result?;
         self.left -= step;
-        self.spent += clock.elapsed();
         Ok(true)
     }
 
@@ -705,46 +686,6 @@ mod tests {
             .unwrap();
         assert!(!report.faults.is_clean());
         assert!(report.latency.ejected_packets > 0);
-    }
-
-    #[test]
-    fn expired_deadline_is_a_typed_error() {
-        let err = quick()
-            .injection_rate(0.2)
-            .run_with(RunOptions::new().deadline(Duration::ZERO))
-            .unwrap_err();
-        match err {
-            RunError::DeadlineExceeded { limit, cycle } => {
-                assert_eq!(limit, Duration::ZERO);
-                assert_eq!(cycle, 0, "an expired deadline stops before simulating");
-            }
-            other => panic!("expected DeadlineExceeded, got {other}"),
-        }
-        assert!(err.to_string().contains("deadline"));
-    }
-
-    #[test]
-    fn generous_deadline_does_not_perturb_the_run() {
-        let plain = quick().injection_rate(0.2).run_with(RunOptions::new()).unwrap();
-        let bounded = quick()
-            .injection_rate(0.2)
-            .run_with(RunOptions::new().deadline(Duration::from_secs(3600)))
-            .unwrap();
-        assert_eq!(plain, bounded);
-    }
-
-    #[test]
-    fn a_deadline_is_charged_own_time_only() {
-        // Two interleavable runs: while one simulates, the other's clock
-        // stands still, so a per-point deadline means the same thing in an
-        // ensemble group as in a standalone run.
-        let (cfg, exec) = (quick().injection_rate(0.2), ExecOptions::default());
-        let mut busy = Run::start(&cfg, &exec, None).unwrap();
-        let idle = Run::start(&cfg, &exec, None).unwrap();
-        let charged = idle.spent;
-        while busy.advance().unwrap() {}
-        assert_eq!(idle.spent, charged);
-        assert!(busy.spent > charged, "simulating is charged");
     }
 
     #[test]

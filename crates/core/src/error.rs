@@ -1,7 +1,6 @@
 //! [`RunError`]: every way a run or a sweep can fail.
 
 use core::fmt;
-use std::time::Duration;
 
 use footprint_sim::{ConfigError, SentinelReport, StallDiagnostic};
 use footprint_stats::FaultStats;
@@ -31,16 +30,6 @@ pub enum RunError {
     /// alternative to a panic deep in the cycle loop or, worse, silently
     /// wrong numbers.
     InvariantViolated(Box<SentinelReport>),
-    /// The run exceeded its wall-clock deadline
-    /// ([`RunOptions::deadline`] / [`SweepOptions::deadline`]) — the
-    /// bound a sweep point must finish within so one degenerate
-    /// configuration cannot hold an entire campaign hostage.
-    DeadlineExceeded {
-        /// The configured wall-clock limit.
-        limit: Duration,
-        /// Simulated cycle reached when the deadline fired.
-        cycle: u64,
-    },
     /// A sweep job panicked. The panic was quarantined to its own result
     /// slot ([`crate::exec::JobSet::run_quarantined_on`]) so sibling
     /// points completed (and were journaled) normally; the string carries
@@ -79,10 +68,6 @@ impl fmt::Display for RunError {
                 s.dropped()
             ),
             RunError::InvariantViolated(r) => r.fmt(f),
-            RunError::DeadlineExceeded { limit, cycle } => write!(
-                f,
-                "run exceeded its {limit:?} wall-clock deadline at simulated cycle {cycle}"
-            ),
             RunError::JobPanicked(msg) => write!(f, "sweep job panicked: {msg}"),
             RunError::Checkpoint(msg) => write!(f, "sweep checkpoint error: {msg}"),
             RunError::EscapeCompromised {
@@ -108,7 +93,6 @@ impl std::error::Error for RunError {
             RunError::Stalled(d) => Some(d.as_ref()),
             RunError::InvariantViolated(r) => Some(r.as_ref()),
             RunError::Unreachable(_)
-            | RunError::DeadlineExceeded { .. }
             | RunError::JobPanicked(_)
             | RunError::Checkpoint(_)
             | RunError::EscapeCompromised { .. } => None,

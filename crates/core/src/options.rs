@@ -1,12 +1,11 @@
 //! [`RunOptions`] and [`SweepOptions`]: how a configuration is executed.
 //!
 //! Both carry the same per-run execution settings — one private
-//! [`ExecOptions`] value the engine takes by reference — so the eight
+//! [`ExecOptions`] value the engine takes by reference — so the seven
 //! setters they share are written once (`exec_setters!`) and a sweep
 //! point is executed under exactly the value a single run would be.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use footprint_sim::{Probe, Scheduler, UnreachablePolicy};
 use footprint_topology::FaultPlan;
@@ -26,7 +25,6 @@ pub(crate) struct ExecOptions {
     pub(crate) faults: FaultPlan,
     pub(crate) on_unreachable: UnreachablePolicy,
     pub(crate) sentinel: Option<bool>,
-    pub(crate) deadline: Option<Duration>,
     pub(crate) scheduler: Scheduler,
     pub(crate) degraded_escape: bool,
     pub(crate) snapshot_dir: Option<PathBuf>,
@@ -75,18 +73,6 @@ macro_rules! exec_setters {
         #[must_use]
         pub fn sentinel(mut self, enabled: bool) -> Self {
             self.exec.sentinel = Some(enabled);
-            self
-        }
-
-        /// Bounds the run to `limit` of wall-clock time, checked at slice
-        /// boundaries (every 1024 cycles at most). Only the time spent
-        /// executing *this* run counts, so a sweep point is bounded the
-        /// same way whether it runs alone or interleaved with the other
-        /// points of an ensemble: one degenerate point fails with
-        /// [`RunError::DeadlineExceeded`] instead of stalling the campaign.
-        #[must_use]
-        pub fn deadline(mut self, limit: Duration) -> Self {
-            self.exec.deadline = Some(limit);
             self
         }
 
@@ -231,7 +217,7 @@ impl SweepOptions {
     /// a standalone [`SimulationBuilder::run_with`] of that point would
     /// produce — the ensemble only changes the execution schedule, never
     /// the numbers, whatever else is configured (sentinel, tenants,
-    /// deadline, watchdog, cache). `n <= 1` (the default) runs one point
+    /// watchdog, cache). `n <= 1` (the default) runs one point
     /// per job.
     #[must_use]
     pub fn ensemble(mut self, n: usize) -> Self {

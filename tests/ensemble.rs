@@ -5,11 +5,8 @@
 //! warm-start snapshot cache carries the same bar — a cache hit must
 //! reproduce the cold-start report exactly.
 
-use std::time::Duration;
-
 use footprint_core::{
-    RoutingSpec, RunError, RunOptions, Scheduler, SimulationBuilder, SweepOptions, TenantSpec,
-    TrafficSpec,
+    RoutingSpec, RunOptions, Scheduler, SimulationBuilder, SweepOptions, TenantSpec, TrafficSpec,
 };
 
 const ALGOS: [RoutingSpec; 4] = [
@@ -43,7 +40,7 @@ fn two_tenants(b: SimulationBuilder) -> SimulationBuilder {
 }
 
 /// The full matrix: 4 algorithms × {mesh, torus} × {dense, active} ×
-/// {plain, sentinel, tenants, deadline, watchdog}. A four-point ensemble
+/// {plain, sentinel, tenants, watchdog}. A four-point ensemble
 /// sweep must equal the sequential single-thread sweep point for point
 /// (`Curve` derives `PartialEq` over exact f64 values, and the `Debug`
 /// rendering prints shortest-roundtrip floats, so both comparisons are
@@ -56,11 +53,10 @@ fn ensemble_lanes_bit_identical_across_algorithms_fabrics_schedulers() {
         fn(SimulationBuilder) -> SimulationBuilder,
         fn(SweepOptions) -> SweepOptions,
     );
-    let variants: [Variant; 5] = [
+    let variants: [Variant; 4] = [
         ("plain", |b| b, |o| o),
         ("sentinel", |b| b, |o| o.sentinel(true)),
         ("tenants", two_tenants, |o| o),
-        ("deadline", |b| b, |o| o.deadline(Duration::from_secs(600))),
         ("watchdog", |b| b, |o| o.watchdog(20_000)),
     ];
     for (fabric, base) in fabrics() {
@@ -84,20 +80,6 @@ fn ensemble_lanes_bit_identical_across_algorithms_fabrics_schedulers() {
             }
         }
     }
-    // An expired per-point deadline is the same typed error in an ensemble
-    // as in a standalone run: each point is charged its own time only.
-    let err = fabrics()[0]
-        .1
-        .clone()
-        .sweep_with(
-            &RATES,
-            SweepOptions::new().threads(1).ensemble(4).deadline(Duration::ZERO),
-        )
-        .expect_err("an expired deadline must fail the sweep");
-    assert!(
-        matches!(err, RunError::DeadlineExceeded { cycle: 0, .. }),
-        "expected DeadlineExceeded at cycle 0, got {err}"
-    );
 }
 
 /// A warm-start hit replays the cached post-warmup state and must produce
