@@ -18,7 +18,7 @@ use footprint_core::JobSet;
 use footprint_routing::{AnyRouting, Tiers};
 use footprint_sim::{Network, SimConfig};
 use footprint_stats::Table;
-use footprint_traffic::{patterns, HotspotWorkload, PacketSize, SyntheticWorkload};
+use footprint_traffic::{HotspotWorkload, PacketSize, Pattern, SyntheticWorkload};
 
 struct Variant {
     label: &'static str,
@@ -67,12 +67,9 @@ fn main() {
         let label = v.label;
         jobs.push(move || {
             let mut net = Network::new(cfg, Box::new(AnyRouting::footprint(tiers)), 0xAB1).expect("valid config");
-            let mut wl = SyntheticWorkload::new(
-                cfg.topo(),
-                Box::new(patterns::Shuffle),
-                PacketSize::SINGLE,
-                0.54,
-            );
+            let mut wl =
+                SyntheticWorkload::new(cfg.topo(), Pattern::Shuffle, PacketSize::SINGLE, 0.54)
+                    .expect("64 nodes are a power of two");
             net.run(&mut wl, phases.warmup);
             net.metrics_mut().reset_window();
             net.run(&mut wl, phases.measurement);
@@ -98,7 +95,8 @@ fn main() {
         let label = v.label;
         jobs.push(move || {
             let mut net = Network::new(cfg, Box::new(AnyRouting::footprint(tiers)), 0xAB2).expect("valid config");
-            let mut wl = HotspotWorkload::paper(cfg.topo(), 0.5);
+            let mut wl = HotspotWorkload::new(cfg.topo(), 0.5, 0.30, PacketSize::SINGLE)
+                .expect("Table 3 fits the 8x8 mesh");
             net.run(&mut wl, phases.warmup);
             net.metrics_mut().reset_window();
             net.run(&mut wl, phases.measurement);

@@ -38,17 +38,9 @@ impl Default for Args {
     }
 }
 
-fn parse_traffic(s: &str) -> Result<TrafficSpec, String> {
-    Ok(match s {
-        "uniform" => TrafficSpec::UniformRandom,
-        "transpose" => TrafficSpec::Transpose,
-        "shuffle" => TrafficSpec::Shuffle,
-        "bit-complement" => TrafficSpec::BitComplement,
-        "bit-reverse" => TrafficSpec::BitReverse,
-        "tornado" => TrafficSpec::Tornado,
-        "hotspot" => TrafficSpec::PAPER_HOTSPOT,
-        other => return Err(format!("unknown traffic pattern `{other}`")),
-    })
+/// Parses a flag's value, reporting `err` when it does not parse.
+fn num<T: std::str::FromStr>(value: String, err: &str) -> Result<T, String> {
+    value.parse().map_err(|_| err.to_string())
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -61,41 +53,19 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--routing" | "-r" => {
-                args.routing = value("--routing")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
+                args.routing = value("--routing")?.parse().map_err(|e| format!("{e}"))?;
             }
-            "--traffic" | "-t" => args.traffic = parse_traffic(&value("--traffic")?)?,
-            "--rate" => {
-                args.rate = value("--rate")?
-                    .parse()
-                    .map_err(|_| "rate must be a number".to_string())?;
+            "--traffic" | "-t" => {
+                args.traffic = value("--traffic")?.parse().map_err(|e| format!("{e}"))?;
             }
-            "--mesh" | "-k" => {
-                args.mesh = value("--mesh")?
-                    .parse()
-                    .map_err(|_| "mesh must be an integer radix".to_string())?;
-            }
-            "--vcs" | "-v" => {
-                args.vcs = value("--vcs")?
-                    .parse()
-                    .map_err(|_| "vcs must be an integer".to_string())?;
-            }
-            "--warmup" => {
-                args.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|_| "warmup must be an integer".to_string())?;
-            }
+            "--rate" => args.rate = num(value("--rate")?, "rate must be a number")?,
+            "--mesh" | "-k" => args.mesh = num(value("--mesh")?, "mesh must be an integer radix")?,
+            "--vcs" | "-v" => args.vcs = num(value("--vcs")?, "vcs must be an integer")?,
+            "--warmup" => args.warmup = num(value("--warmup")?, "warmup must be an integer")?,
             "--measurement" => {
-                args.measurement = value("--measurement")?
-                    .parse()
-                    .map_err(|_| "measurement must be an integer".to_string())?;
+                args.measurement = num(value("--measurement")?, "measurement must be an integer")?;
             }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "seed must be an integer".to_string())?;
-            }
+            "--seed" => args.seed = num(value("--seed")?, "seed must be an integer")?,
             "--variable-size" => args.variable_size = true,
             "--help" | "-h" => {
                 print_help();
@@ -108,6 +78,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn print_help() {
+    let patterns: Vec<String> = TrafficSpec::NAMED.map(TrafficSpec::name).into();
     println!(
         "explore — run one NoC simulation point\n\n\
          USAGE: explore [--routing ALGO] [--traffic PATTERN] [--rate R]\n\
@@ -115,8 +86,8 @@ fn print_help() {
                  [--seed S] [--variable-size]\n\n\
          ALGO:    footprint | dbar | odd-even | dor | dbar+xordet |\n\
                   odd-even+xordet | dor+xordet | random-minimal\n\
-         PATTERN: uniform | transpose | shuffle | bit-complement |\n\
-                  bit-reverse | tornado | hotspot"
+         PATTERN: {} | APP+APP",
+        patterns.join(" | ")
     );
 }
 

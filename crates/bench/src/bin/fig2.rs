@@ -21,7 +21,7 @@
 use footprint_core::{JobSet, RoutingSpec, SimulationBuilder, TrafficSpec};
 use footprint_stats::{table::f1 as fmt1, Table, TreeAnalysis};
 use footprint_topology::NodeId;
-use footprint_traffic::{patterns::Uniform, Overlay, PacketSize, Permutation, SyntheticWorkload};
+use footprint_traffic::{Overlay, PacketSize, Pattern, SyntheticWorkload, FIGURE2};
 
 const ALGOS: [RoutingSpec; 4] = [
     RoutingSpec::Dor,
@@ -103,14 +103,11 @@ fn hol_impact() {
                 .build()
                 .expect("static experiment config");
             let mesh = footprint_topology::AnyTopology::mesh(4, 4);
-            let fg = SyntheticWorkload::new(
-                mesh,
-                Box::new(Permutation::figure2_example(mesh)),
-                PacketSize::SINGLE,
-                1.0,
-            )
-            .with_class(1);
-            let bg = SyntheticWorkload::new(mesh, Box::new(Uniform), PacketSize::SINGLE, 0.15);
+            let fg = SyntheticWorkload::new(mesh, Pattern::Flows(FIGURE2), PacketSize::SINGLE, 1.0)
+                .expect("the Figure 2 flows fit the 4x4 mesh")
+                .with_class(1);
+            let bg = SyntheticWorkload::new(mesh, Pattern::Uniform, PacketSize::SINGLE, 0.15)
+                .expect("uniform runs on any fabric");
             let mut wl = Overlay::new(fg, bg);
             net.run(&mut wl, 500);
             net.metrics_mut().reset_window();

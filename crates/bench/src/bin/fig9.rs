@@ -11,8 +11,7 @@ use footprint_core::{JobSet, RoutingSpec, SimulationBuilder, TrafficSpec};
 use footprint_stats::table::pct;
 use footprint_stats::Table;
 use footprint_stats::TreeTimeline;
-use footprint_topology::NodeId;
-use footprint_traffic::BACKGROUND_CLASS;
+use footprint_traffic::{BACKGROUND_CLASS, TABLE3};
 
 fn main() {
     let phases = phases_from_env();
@@ -106,7 +105,7 @@ fn postponement() {
                 .seed(0x0F19)
                 .build()
                 .expect("static experiment config");
-            let mut timeline = TreeTimeline::new(NodeId(63));
+            let mut timeline = TreeTimeline::new(TABLE3[0].1);
             let mut collapse_cycle = None;
             let mut baseline: Option<f64> = None;
             let mut snapshot = Vec::new();

@@ -2,17 +2,13 @@
 //! set used by the Figure 9 experiment.
 
 use footprint_stats::Table;
-use footprint_traffic::paper_flows;
+use footprint_traffic::TABLE3;
 
 fn main() {
     println!("Table 3 — hotspot traffic flows (8x8 mesh)\n");
     let mut t = Table::new(["flow", "source", "destination"]);
-    for (i, f) in paper_flows().iter().enumerate() {
-        t.row([
-            format!("f{}", i + 1),
-            f.src.to_string(),
-            f.dest.to_string(),
-        ]);
+    for (i, (src, dest)) in TABLE3.iter().enumerate() {
+        t.row([format!("f{}", i + 1), src.to_string(), dest.to_string()]);
     }
     println!("{}", t.render());
     println!("Background: uniform random at 0.30 flits/node/cycle from all other nodes.");

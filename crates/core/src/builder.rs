@@ -238,7 +238,8 @@ impl SimulationBuilder {
     fn build_workload(&self) -> Result<Box<dyn Workload>, ConfigError> {
         let lower = |e: footprint_traffic::PatternError| ConfigError::PatternMesh {
             pattern: e.pattern,
-            nodes: e.nodes,
+            requirement: e.requirement,
+            topology: self.topology,
         };
         let topo = self.topology.validate()?;
         if self.tenants.is_empty() {
@@ -444,13 +445,48 @@ pub(crate) mod tests {
         // with a typed error instead of a mid-simulation panic.
         let err = quick().topology(TopologySpec::mesh(6)).traffic(TrafficSpec::Shuffle).run_with(RunOptions::new()).unwrap_err();
         match err {
-            RunError::Config(ConfigError::PatternMesh { pattern, nodes }) => {
+            RunError::Config(ConfigError::PatternMesh { pattern, topology, .. }) => {
                 assert_eq!(pattern, "shuffle");
-                assert_eq!(nodes, 36);
+                assert_eq!(topology, TopologySpec::mesh(6));
             }
-            other => panic!("expected PatternMesh, got {other}"),
+            ref other => panic!("expected PatternMesh, got {other}"),
         }
         assert!(err.to_string().contains("power-of-two"));
+    }
+
+    #[test]
+    fn shape_mismatches_are_config_errors() {
+        // Each pattern states its shape requirement once, checked when the
+        // workload is built: none of these reaches the cycle loop.
+        let (square, inside) = ("a square grid", "every flow endpoint inside the fabric");
+        let cases = [
+            ("ring:16", TrafficSpec::Transpose, "transpose", square),
+            ("mesh:8x4", TrafficSpec::Transpose, "transpose", square),
+            ("mesh:4x4", TrafficSpec::PAPER_HOTSPOT, "table3", inside),
+            ("mesh:3x3", TrafficSpec::Figure2, "figure2-permutation", inside),
+        ];
+        for (fabric, traffic, name, need) in cases {
+            let fabric: TopologySpec = fabric.parse().unwrap();
+            let err = quick()
+                .topology(fabric)
+                .traffic(traffic)
+                .run_with(RunOptions::new())
+                .unwrap_err();
+            let expected = ConfigError::PatternMesh {
+                pattern: name,
+                requirement: need,
+                topology: fabric,
+            };
+            assert!(
+                matches!(&err, RunError::Config(e) if *e == expected),
+                "{fabric} + {traffic}: expected {expected}, got {err}"
+            );
+        }
+        // Figure 2 needs only its six endpoints, so a 16-node ring runs it.
+        let ring = quick()
+            .topology(TopologySpec::ring(16))
+            .traffic(TrafficSpec::Figure2);
+        assert!(ring.run_with(RunOptions::new()).is_ok());
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub use options::{RunOptions, SweepOptions};
 pub use exec::{JobOutcome, JobSet};
 pub use journal::SweepJournal;
 pub use report::{ClassSummary, RunReport};
-pub use traffic_spec::{TenantSpec, TrafficSpec};
+pub use traffic_spec::{ParseTrafficSpecError, TenantSpec, TrafficSpec};
 
 pub use footprint_routing::RoutingSpec;
 pub use footprint_sim::{

@@ -1,11 +1,12 @@
 //! Named workload configurations.
 
 use core::fmt;
+use core::str::FromStr;
 use footprint_sim::Workload;
 use footprint_topology::AnyTopology;
 use footprint_traffic::{
-    App, HotspotWorkload, PacketSize, ParsecPairWorkload, PatternError, PatternSpec, Permutation,
-    SyntheticWorkload,
+    App, HotspotWorkload, PacketSize, ParsecPairWorkload, Pattern, PatternError, SyntheticWorkload,
+    APPS, FIGURE2,
 };
 
 /// A named workload, buildable into a `footprint-sim` [`Workload`].
@@ -35,7 +36,8 @@ pub enum TrafficSpec {
     /// set the load.
     ParsecPair(App, App),
     /// The four-flow permutation of the paper's Figure 2
-    /// (`{n0→n10, n1→n15, n4→n13, n12→n13}` on a ≥4×4 mesh).
+    /// ([`FIGURE2`]: `{n0→n10, n1→n15, n4→n13, n12→n13}`) on any fabric
+    /// of at least 16 nodes.
     Figure2,
 }
 
@@ -45,64 +47,64 @@ impl TrafficSpec {
         background_rate: 0.30,
     };
 
+    /// Every spec with a fixed name — all but the PARSEC pairs, which are
+    /// named `APP+APP` — in the order `--help` texts list them.
+    pub const NAMED: [TrafficSpec; 8] = [
+        TrafficSpec::UniformRandom,
+        TrafficSpec::Transpose,
+        TrafficSpec::Shuffle,
+        TrafficSpec::BitComplement,
+        TrafficSpec::BitReverse,
+        TrafficSpec::Tornado,
+        TrafficSpec::PAPER_HOTSPOT,
+        TrafficSpec::Figure2,
+    ];
+
+    /// The destination pattern a synthetic spec injects over — `None` for
+    /// the hotspot mix and the PARSEC pairs, which are workloads of their
+    /// own.
+    pub fn pattern(self) -> Option<Pattern> {
+        Some(match self {
+            TrafficSpec::UniformRandom => Pattern::Uniform,
+            TrafficSpec::Transpose => Pattern::Transpose,
+            TrafficSpec::Shuffle => Pattern::Shuffle,
+            TrafficSpec::BitComplement => Pattern::BitComplement,
+            TrafficSpec::BitReverse => Pattern::BitReverse,
+            TrafficSpec::Tornado => Pattern::Tornado,
+            TrafficSpec::Figure2 => Pattern::Flows(FIGURE2),
+            TrafficSpec::Hotspot { .. } | TrafficSpec::ParsecPair(..) => return None,
+        })
+    }
+
     /// Builds the workload for `topo` at the given offered load
     /// (flits/node/cycle) and packet-size mix.
     ///
     /// # Errors
     ///
     /// Returns a [`PatternError`] when the underlying pattern is not
-    /// defined on `topo` (the bit-manipulating patterns need a
-    /// power-of-two node count).
+    /// defined on `topo` ([`Pattern::check`]).
     pub fn build(
         self,
         topo: AnyTopology,
         size: PacketSize,
         rate: f64,
     ) -> Result<Box<dyn Workload>, PatternError> {
-        let synthetic = |pattern: PatternSpec| -> Result<Box<dyn Workload>, PatternError> {
-            Ok(Box::new(SyntheticWorkload::new(
-                topo,
-                pattern.build_for(topo)?,
-                size,
-                rate,
-            )))
-        };
-        match self {
-            TrafficSpec::UniformRandom => synthetic(PatternSpec::Uniform),
-            TrafficSpec::Transpose => synthetic(PatternSpec::Transpose),
-            TrafficSpec::Shuffle => synthetic(PatternSpec::Shuffle),
-            TrafficSpec::BitComplement => synthetic(PatternSpec::BitComplement),
-            TrafficSpec::BitReverse => synthetic(PatternSpec::BitReverse),
-            TrafficSpec::Tornado => synthetic(PatternSpec::Tornado),
-            TrafficSpec::Hotspot { background_rate } => Ok(Box::new(HotspotWorkload::new(
-                topo,
-                footprint_traffic::paper_flows(),
-                rate,
-                background_rate,
-                size,
-            ))),
-            TrafficSpec::ParsecPair(a, b) => Ok(Box::new(ParsecPairWorkload::new(topo, a, b))),
-            TrafficSpec::Figure2 => Ok(Box::new(SyntheticWorkload::new(
-                topo,
-                Box::new(Permutation::figure2_example(topo)),
-                size,
-                rate,
-            ))),
-        }
+        Ok(match (self, self.pattern()) {
+            (_, Some(pattern)) => Box::new(SyntheticWorkload::new(topo, pattern, size, rate)?),
+            (TrafficSpec::Hotspot { background_rate }, None) => {
+                Box::new(HotspotWorkload::new(topo, rate, background_rate, size)?)
+            }
+            (TrafficSpec::ParsecPair(a, b), None) => Box::new(ParsecPairWorkload::new(topo, a, b)),
+            (_, None) => unreachable!("every other spec has a pattern"),
+        })
     }
 
-    /// Display name.
+    /// Display name: the pattern's name, `hotspot`, or `APP+APP`.
     pub fn name(self) -> String {
-        match self {
-            TrafficSpec::UniformRandom => "uniform".into(),
-            TrafficSpec::Transpose => "transpose".into(),
-            TrafficSpec::Shuffle => "shuffle".into(),
-            TrafficSpec::BitComplement => "bit-complement".into(),
-            TrafficSpec::BitReverse => "bit-reverse".into(),
-            TrafficSpec::Tornado => "tornado".into(),
-            TrafficSpec::Hotspot { .. } => "hotspot".into(),
-            TrafficSpec::ParsecPair(a, b) => format!("{}+{}", a.name(), b.name()),
-            TrafficSpec::Figure2 => "figure2-permutation".into(),
+        match (self, self.pattern()) {
+            (TrafficSpec::ParsecPair(a, b), _) => format!("{}+{}", a.name(), b.name()),
+            (_, Some(pattern)) => pattern.name().into(),
+            (_, None) => "hotspot".into(),
         }
     }
 
@@ -127,6 +129,35 @@ impl TrafficSpec {
 impl fmt::Display for TrafficSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.name())
+    }
+}
+
+/// Error returned when parsing an unknown traffic name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseTrafficSpecError(String);
+
+impl fmt::Display for ParseTrafficSpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unknown traffic pattern `{}`", self.0)
+    }
+}
+
+impl std::error::Error for ParseTrafficSpecError {}
+
+/// Parses [`TrafficSpec::name`]'s output back: `hotspot` is
+/// [`TrafficSpec::PAPER_HOTSPOT`], and `APP+APP` a PARSEC pair.
+impl FromStr for TrafficSpec {
+    type Err = ParseTrafficSpecError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let pairs = APPS
+            .into_iter()
+            .flat_map(|a| APPS.map(|b| TrafficSpec::ParsecPair(a, b)));
+        TrafficSpec::NAMED
+            .into_iter()
+            .chain(pairs)
+            .find(|spec| spec.name() == s)
+            .ok_or_else(|| ParseTrafficSpecError(s.to_owned()))
     }
 }
 
@@ -181,17 +212,8 @@ mod tests {
     fn all_specs_build_and_generate() {
         let mesh = AnyTopology::mesh(8, 8);
         let mut rng = SmallRng::seed_from_u64(3);
-        let specs = [
-            TrafficSpec::UniformRandom,
-            TrafficSpec::Transpose,
-            TrafficSpec::Shuffle,
-            TrafficSpec::BitComplement,
-            TrafficSpec::BitReverse,
-            TrafficSpec::Tornado,
-            TrafficSpec::PAPER_HOTSPOT,
-            TrafficSpec::ParsecPair(App::Fluidanimate, App::X264),
-        ];
-        for spec in specs {
+        let pair = TrafficSpec::ParsecPair(App::Fluidanimate, App::X264);
+        for spec in TrafficSpec::NAMED.into_iter().chain([pair]) {
             let mut wl = spec.build(mesh, PacketSize::SINGLE, 0.8).unwrap();
             let mut generated = false;
             for cycle in 0..2000 {
@@ -220,30 +242,30 @@ mod tests {
     #[test]
     fn bit_patterns_rejected_on_non_power_of_two_mesh() {
         let odd = AnyTopology::mesh(6, 6);
-        for spec in [
-            TrafficSpec::Shuffle,
-            TrafficSpec::BitComplement,
-            TrafficSpec::BitReverse,
-        ] {
-            let err = spec
-                .build(odd, PacketSize::SINGLE, 0.5)
-                .err()
-                .expect("6x6 must be rejected");
-            assert_eq!(err.nodes, 36);
+        for spec in [TrafficSpec::Shuffle, TrafficSpec::BitComplement, TrafficSpec::BitReverse] {
+            let err = spec.build(odd, PacketSize::SINGLE, 0.5).err().expect("6x6 must be rejected");
+            assert_eq!(err.requirement, "a power-of-two node count");
+            assert_eq!(err.topology, odd);
         }
-        assert!(TrafficSpec::UniformRandom
-            .build(odd, PacketSize::SINGLE, 0.5)
-            .is_ok());
+        assert!(TrafficSpec::UniformRandom.build(odd, PacketSize::SINGLE, 0.5).is_ok());
     }
 
     #[test]
     fn names_are_stable() {
         assert_eq!(TrafficSpec::UniformRandom.name(), "uniform");
-        assert_eq!(
-            TrafficSpec::ParsecPair(App::Vips, App::Dedup).name(),
-            "vips+dedup"
-        );
+        assert_eq!(TrafficSpec::ParsecPair(App::Vips, App::Dedup).name(), "vips+dedup");
         assert_eq!(TrafficSpec::PAPER_HOTSPOT.to_string(), "hotspot");
         assert_eq!(TrafficSpec::PAPER_PATTERNS.len(), 3);
+    }
+
+    #[test]
+    fn names_round_trip_through_from_str() {
+        let pair = TrafficSpec::ParsecPair(App::Fluidanimate, App::Bodytrack);
+        for spec in TrafficSpec::NAMED.into_iter().chain([pair]) {
+            assert_eq!(spec.name().parse::<TrafficSpec>(), Ok(spec));
+        }
+        assert_eq!(TrafficSpec::Figure2.name(), "figure2-permutation");
+        let err = "neighbor".parse::<TrafficSpec>().unwrap_err();
+        assert_eq!(err.to_string(), "unknown traffic pattern `neighbor`");
     }
 }

@@ -130,14 +130,17 @@ pub enum ConfigError {
     /// [`FaultPlanError`]).
     Fault(FaultPlanError),
     /// A traffic pattern's destination function is not defined on the
-    /// configured topology (the bit-manipulating patterns need a
-    /// power-of-two node count). Carried as plain data because the traffic
-    /// layer sits above this crate.
+    /// configured topology (the bit patterns need a power-of-two node
+    /// count, transpose a square grid, flows every endpoint inside the
+    /// fabric). Carried as plain data because the traffic layer sits above
+    /// this crate.
     PatternMesh {
         /// Pattern display name.
         pattern: &'static str,
-        /// The offending node count.
-        nodes: usize,
+        /// What the pattern needs of the fabric, e.g. "a square grid".
+        requirement: &'static str,
+        /// The offending topology.
+        topology: TopologySpec,
     },
     /// An invalid workload composition (bad modulation schedule, tenant
     /// rates over the injection budget, …). Carried as a rendered message
@@ -182,9 +185,13 @@ impl fmt::Display for ConfigError {
                 "routing algorithm `{algorithm}` has no deadlock-free embedding on `{topology}`"
             ),
             ConfigError::Fault(e) => write!(f, "invalid fault plan: {e}"),
-            ConfigError::PatternMesh { pattern, nodes } => write!(
+            ConfigError::PatternMesh {
+                pattern,
+                requirement,
+                topology,
+            } => write!(
                 f,
-                "pattern `{pattern}` requires a power-of-two node count, got {nodes}"
+                "pattern `{pattern}` needs {requirement}, not `{topology}`"
             ),
             ConfigError::Workload(msg) => write!(f, "invalid workload: {msg}"),
         }
@@ -302,10 +309,13 @@ mod tests {
         assert!(e.to_string().contains("dor-xordet"));
         assert!(e.to_string().contains("torus"));
         let e = ConfigError::PatternMesh {
-            pattern: "shuffle",
-            nodes: 36,
+            pattern: "transpose",
+            requirement: "a square grid",
+            topology: TopologySpec::ring(16),
         };
-        assert!(e.to_string().contains("shuffle"));
-        assert!(e.to_string().contains("36"));
+        assert_eq!(
+            e.to_string(),
+            "pattern `transpose` needs a square grid, not `ring:16`"
+        );
     }
 }

@@ -1,152 +1,64 @@
 //! The paper's hotspot workload (Table 3, Figure 9).
 //!
-//! Eight persistent flows oversubscribe four endpoints while every
-//! non-participating node injects uniform-random *background* traffic at a
-//! fixed rate (0.30 in the paper). The experiment measures the latency of
-//! the background traffic only — the hotspot flows exist to grow a
-//! congestion tree and expose HoL blocking.
+//! Eight persistent flows ([`TABLE3`]) oversubscribe four endpoints while
+//! every non-participating node injects uniform-random *background*
+//! traffic at a fixed rate (0.30 in the paper). The experiment measures
+//! the latency of the background traffic only — the hotspot flows exist
+//! to grow a congestion tree and expose HoL blocking.
 
-use crate::patterns::{TrafficPattern, Uniform};
-use crate::PacketSize;
+use crate::{PacketSize, Pattern, PatternError, SyntheticWorkload, TABLE3};
 use footprint_sim::{NewPacket, Workload};
 use footprint_topology::{AnyTopology, NodeId};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Traffic class of background packets (latency is measured on this class).
 pub const BACKGROUND_CLASS: u8 = 0;
 /// Traffic class of hotspot packets (excluded from latency measurement).
 pub const HOTSPOT_CLASS: u8 = 1;
 
-/// A persistent flow `src → dest`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flow {
-    /// Source endpoint.
-    pub src: NodeId,
-    /// Destination endpoint.
-    pub dest: NodeId,
-}
-
-/// The eight flows of the paper's Table 3 (8×8 mesh):
-/// `f1: n0→n63, f2: n32→n63, f3: n7→n56, f4: n39→n56,
-///  f5: n63→n0, f6: n31→n0, f7: n56→n7, f8: n24→n7`.
-pub fn paper_flows() -> Vec<Flow> {
-    [
-        (0u16, 63u16),
-        (32, 63),
-        (7, 56),
-        (39, 56),
-        (63, 0),
-        (31, 0),
-        (56, 7),
-        (24, 7),
-    ]
-    .into_iter()
-    .map(|(s, d)| Flow {
-        src: NodeId(s),
-        dest: NodeId(d),
-    })
-    .collect()
-}
-
-/// The hotspot + background workload of Figure 9.
+/// The hotspot + background workload of Figure 9: the [`TABLE3`] flows
+/// and the uniform background are two [`SyntheticWorkload`]s, and each
+/// node injects through the one its role selects.
 #[derive(Debug)]
 pub struct HotspotWorkload {
-    topo: AnyTopology,
-    flows: Vec<Flow>,
-    hotspot_rate: f64,
-    background_rate: f64,
-    size: PacketSize,
-    is_hotspot_src: Vec<bool>,
+    hotspot: SyntheticWorkload,
+    background: SyntheticWorkload,
 }
 
 impl HotspotWorkload {
-    /// Creates the workload: flows inject at `hotspot_rate` flits/cycle,
-    /// everyone else injects uniform background at `background_rate`.
+    /// Creates the workload: the Table 3 flows inject at `hotspot_rate`
+    /// flits/cycle, everyone else injects uniform background at
+    /// `background_rate` (0.30 in the paper).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PatternError`] when a flow endpoint lies outside
+    /// `topo` (the flows are defined on the 8×8 mesh's node ids).
     ///
     /// # Panics
     ///
-    /// Panics if a flow endpoint lies outside the fabric or a rate is
-    /// outside `[0, 1]`.
+    /// Panics if a rate is outside `[0, 1]`.
     pub fn new(
         topo: AnyTopology,
-        flows: Vec<Flow>,
         hotspot_rate: f64,
         background_rate: f64,
         size: PacketSize,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&hotspot_rate), "hotspot rate");
-        assert!((0.0..=1.0).contains(&background_rate), "background rate");
-        let mut is_hotspot_src = vec![false; topo.len()];
-        for f in &flows {
-            assert!(f.src.index() < topo.len(), "flow source outside fabric");
-            assert!(f.dest.index() < topo.len(), "flow dest outside fabric");
-            is_hotspot_src[f.src.index()] = true;
-        }
-        HotspotWorkload {
-            topo,
-            flows,
-            hotspot_rate,
-            background_rate,
-            size,
-            is_hotspot_src,
-        }
-    }
-
-    /// The paper's configuration on an 8×8 mesh: Table 3 flows, background
-    /// at 0.30, single-flit packets; hotspot rate is the sweep variable.
-    pub fn paper(topo: AnyTopology, hotspot_rate: f64) -> Self {
-        assert!(
-            topo.len() == 64,
-            "the Table 3 flow set is defined on the 8x8 mesh"
-        );
-        Self::new(
-            topo,
-            paper_flows(),
-            hotspot_rate,
-            0.30,
-            PacketSize::SINGLE,
-        )
-    }
-
-    /// The flows.
-    pub fn flows(&self) -> &[Flow] {
-        &self.flows
+    ) -> Result<Self, PatternError> {
+        let flows = SyntheticWorkload::new(topo, Pattern::Flows(TABLE3), size, hotspot_rate)?;
+        let uniform = SyntheticWorkload::new(topo, Pattern::Uniform, size, background_rate)?;
+        Ok(HotspotWorkload {
+            hotspot: flows.with_class(HOTSPOT_CLASS),
+            background: uniform.with_class(BACKGROUND_CLASS),
+        })
     }
 }
 
 impl Workload for HotspotWorkload {
-    fn generate(&mut self, node: NodeId, _cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
-        if self.is_hotspot_src[node.index()] {
-            let p = (self.hotspot_rate / self.size.mean()).min(1.0);
-            if p > 0.0 && rng.gen_bool(p) {
-                let dest = self
-                    .flows
-                    .iter()
-                    .find(|f| f.src == node)
-                    .expect("marked source has a flow")
-                    .dest;
-                return Some(NewPacket {
-                    dest,
-                    size: self.size.sample(rng),
-                    class: HOTSPOT_CLASS,
-                    origin: None,
-                });
-            }
-            None
+    fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
+        if TABLE3.iter().any(|&(src, _)| src == node) {
+            self.hotspot.generate(node, cycle, rng)
         } else {
-            let p = (self.background_rate / self.size.mean()).min(1.0);
-            if p > 0.0 && rng.gen_bool(p) {
-                let dest = Uniform.dest(self.topo, node, rng)?;
-                Some(NewPacket {
-                    dest,
-                    size: self.size.sample(rng),
-                    class: BACKGROUND_CLASS,
-                    origin: None,
-                })
-            } else {
-                None
-            }
+            self.background.generate(node, cycle, rng)
         }
     }
 }
@@ -154,29 +66,36 @@ impl Workload for HotspotWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_topology::AnyTopology;
     use rand::SeedableRng;
+
+    fn paper(hotspot_rate: f64) -> HotspotWorkload {
+        HotspotWorkload::new(
+            AnyTopology::mesh(8, 8),
+            hotspot_rate,
+            0.30,
+            PacketSize::SINGLE,
+        )
+        .expect("Table 3 fits the 8x8 mesh")
+    }
 
     #[test]
     fn paper_flows_match_table_3() {
-        let flows = paper_flows();
-        assert_eq!(flows.len(), 8);
-        assert_eq!(flows[0], Flow { src: NodeId(0), dest: NodeId(63) });
-        assert_eq!(flows[7], Flow { src: NodeId(24), dest: NodeId(7) });
+        assert_eq!(TABLE3.len(), 8);
+        assert_eq!(TABLE3[0], (NodeId(0), NodeId(63)));
+        assert_eq!(TABLE3[7], (NodeId(24), NodeId(7)));
         // Four hotspot destinations, each hit by exactly two flows.
-        let mut dests: Vec<_> = flows.iter().map(|f| f.dest).collect();
+        let mut dests: Vec<_> = TABLE3.iter().map(|f| f.1).collect();
         dests.sort();
         dests.dedup();
         assert_eq!(dests.len(), 4);
         for d in dests {
-            assert_eq!(flows.iter().filter(|f| f.dest == d).count(), 2);
+            assert_eq!(TABLE3.iter().filter(|f| f.1 == d).count(), 2);
         }
     }
 
     #[test]
     fn hotspot_sources_send_only_their_flow() {
-        let mesh = AnyTopology::mesh(8, 8);
-        let mut wl = HotspotWorkload::paper(mesh, 1.0);
+        let mut wl = paper(1.0);
         let mut rng = SmallRng::seed_from_u64(1);
         for c in 0..50 {
             let p = wl.generate(NodeId(0), c, &mut rng).unwrap();
@@ -187,8 +106,7 @@ mod tests {
 
     #[test]
     fn background_nodes_send_uniform_class_0() {
-        let mesh = AnyTopology::mesh(8, 8);
-        let mut wl = HotspotWorkload::paper(mesh, 1.0);
+        let mut wl = paper(1.0);
         let mut rng = SmallRng::seed_from_u64(1);
         let mut saw = 0;
         for c in 0..500 {
@@ -204,8 +122,7 @@ mod tests {
 
     #[test]
     fn zero_hotspot_rate_silences_flows() {
-        let mesh = AnyTopology::mesh(8, 8);
-        let mut wl = HotspotWorkload::paper(mesh, 0.0);
+        let mut wl = paper(0.0);
         let mut rng = SmallRng::seed_from_u64(1);
         for c in 0..100 {
             assert!(wl.generate(NodeId(0), c, &mut rng).is_none());
@@ -213,8 +130,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "8x8")]
-    fn paper_config_requires_8x8() {
-        let _ = HotspotWorkload::paper(AnyTopology::mesh(4, 4), 0.5);
+    fn table3_flows_need_their_endpoints_in_the_fabric() {
+        let small = AnyTopology::mesh(4, 4);
+        let err = HotspotWorkload::new(small, 0.5, 0.30, PacketSize::SINGLE).unwrap_err();
+        assert_eq!(err.pattern, "table3");
+        assert_eq!(err.requirement, "every flow endpoint inside the fabric");
+        // Any fabric with node ids up to n63 runs them.
+        assert!(
+            HotspotWorkload::new(AnyTopology::mesh(16, 16), 0.5, 0.30, PacketSize::SINGLE).is_ok()
+        );
     }
 }

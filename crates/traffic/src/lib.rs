@@ -2,12 +2,15 @@
 //!
 //! Everything the paper's evaluation injects into the network:
 //!
-//! * [`patterns`] — the synthetic patterns of Figures 5–8 (uniform random,
-//!   transpose, shuffle) plus the classic extras, and the Figure 2
-//!   permutation example.
+//! * [`Pattern`] — one value per destination function: the synthetic
+//!   patterns of Figures 5–8 (uniform random, transpose, shuffle), the
+//!   classic extras, and explicit flow lists — the [`FIGURE2`] permutation
+//!   and the [`TABLE3`] hotspot flows. [`Pattern::check`] is the one
+//!   pattern/fabric shape check.
 //! * [`PacketSize`] — single-flit and 1–6-flit-uniform size mixes (Table 2).
 //! * [`SyntheticWorkload`] — Bernoulli injection over a pattern at an
-//!   offered load in flits/node/cycle.
+//!   offered load in flits/node/cycle; the one injection draw site for
+//!   synthetic, Figure 2 and hotspot traffic.
 //! * [`hotspot`] — the Table 3 hotspot + background workload of Figure 9.
 //! * [`parsec`] — bursty per-application workloads standing in for the
 //!   PARSEC/Netrace traces of Figure 10 (see the module docs for the
@@ -20,18 +23,19 @@
 //! # Example
 //!
 //! ```
-//! use footprint_traffic::{SyntheticWorkload, PacketSize, patterns::Transpose};
+//! use footprint_traffic::{PacketSize, Pattern, SyntheticWorkload};
 //! use footprint_sim::{Network, SimConfig, Workload};
 //! use footprint_routing::RoutingSpec;
 //!
 //! let cfg = SimConfig::small();
 //! let mut net = Network::new(cfg, RoutingSpec::Footprint.build(), 1)?;
-//! let mut wl = SyntheticWorkload::new(
-//!     cfg.topo(), Box::new(Transpose), PacketSize::SINGLE, 0.2,
-//! );
+//! let mut wl = SyntheticWorkload::new(cfg.topo(), Pattern::Transpose, PacketSize::SINGLE, 0.2)?;
 //! net.run(&mut wl, 1000);
 //! assert!(net.metrics().total().ejected_packets > 0);
-//! # Ok::<(), footprint_sim::ConfigError>(())
+//! // Transpose needs a square grid: a ring is refused when the workload is built.
+//! let ring = footprint_topology::AnyTopology::ring(16);
+//! assert!(SyntheticWorkload::new(ring, Pattern::Transpose, PacketSize::SINGLE, 0.2).is_err());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -40,29 +44,21 @@ pub mod hotspot;
 pub mod modulate;
 mod overlay;
 pub mod parsec;
-pub mod patterns;
+mod patterns;
 mod size;
 mod synthetic;
 pub mod tenants;
 pub mod trace;
 
-pub use hotspot::{paper_flows, Flow, HotspotWorkload, BACKGROUND_CLASS, HOTSPOT_CLASS};
+pub use hotspot::{HotspotWorkload, BACKGROUND_CLASS, HOTSPOT_CLASS};
 pub use modulate::{DurationDist, ModulationError, ModulationSpec, Modulator};
 pub use overlay::Overlay;
 pub use tenants::{Tenant, TenantWorkload};
 pub use parsec::{memory_controllers, App, AppProfile, ParsecPairWorkload, APPS};
-pub use patterns::{PatternError, PatternSpec, Permutation, TrafficPattern};
+pub use patterns::{Pattern, PatternError, FIGURE2, TABLE3};
 pub use size::PacketSize;
 pub use synthetic::SyntheticWorkload;
 pub use trace::{
     parse_trace, write_trace, ParseTraceError, TraceEvent, TraceRegression, TraceWorkload,
 };
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-/// A fixed-seed RNG used only for probing whether a node participates in a
-/// pattern (see [`TrafficPattern::active_fraction`]).
-pub(crate) fn pattern_probe_rng() -> SmallRng {
-    SmallRng::seed_from_u64(0xF00D)
-}

@@ -428,10 +428,11 @@ mod tests {
         ] {
             let inner = crate::SyntheticWorkload::new(
                 mesh,
-                Box::new(crate::patterns::Uniform),
+                crate::Pattern::Uniform,
                 crate::PacketSize::SINGLE,
                 r,
-            );
+            )
+            .unwrap();
             let mut wl = Modulator::new(inner, ModulationSpec::OnOff { on, off }, 7).unwrap();
             let flits = count_flits(&mut wl, mesh, cycles, 3);
             let load = flits as f64 / (cycles as f64 * mesh.len() as f64);

@@ -8,20 +8,18 @@ use rand::rngs::SmallRng;
 /// consulted first; the secondary only injects where the primary declined.
 ///
 /// This is how foreground/background mixes are built — e.g. the Figure 2
-/// permutation flows over a light uniform background:
+/// flows over a light uniform background:
 ///
 /// ```
-/// use footprint_traffic::{Overlay, SyntheticWorkload, PacketSize, Permutation, patterns::Uniform};
+/// use footprint_traffic::{Overlay, PacketSize, Pattern, SyntheticWorkload, FIGURE2};
 /// use footprint_topology::AnyTopology;
 ///
 /// let mesh = AnyTopology::mesh(4, 4);
-/// let fg = SyntheticWorkload::new(
-///     mesh, Box::new(Permutation::figure2_example(mesh)), PacketSize::SINGLE, 1.0,
-/// ).with_class(1);
-/// let bg = SyntheticWorkload::new(
-///     mesh, Box::new(Uniform), PacketSize::SINGLE, 0.15,
-/// );
+/// let fg = SyntheticWorkload::new(mesh, Pattern::Flows(FIGURE2), PacketSize::SINGLE, 1.0)?
+///     .with_class(1);
+/// let bg = SyntheticWorkload::new(mesh, Pattern::Uniform, PacketSize::SINGLE, 0.15)?;
 /// let _mix = Overlay::new(fg, bg);
+/// # Ok::<(), footprint_traffic::PatternError>(())
 /// ```
 #[derive(Debug)]
 pub struct Overlay<A, B> {

@@ -1,363 +1,186 @@
 //! Synthetic traffic patterns.
 //!
-//! The paper evaluates uniform random, transpose and shuffle (Figures 5–8);
-//! the extra classics (bit-complement, bit-reverse, tornado, neighbor) are
-//! provided for wider testing and ablations.
+//! Every workload the paper evaluates picks a packet's destination as a
+//! function of its source: uniform random, transpose and shuffle (Figures
+//! 5–8), the eight flows of Table 3 (Figure 9) and the four-flow
+//! permutation of Figure 2. [`Pattern`] is that function as one value;
+//! bit-complement, bit-reverse and tornado are provided for wider testing
+//! and ablations.
 
 use core::fmt;
 use footprint_topology::{AnyTopology, Coord, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// A destination-selection function over a topology.
+/// The four-flow permutation of the paper's Figure 2 on a 4×4 mesh:
+/// `{n0→n10, n1→n15, n4→n13, n12→n13}`. `n0→n10` and `n1→n15` cause
+/// network congestion; `n4` and `n12` oversubscribe endpoint `n13`.
+pub const FIGURE2: &[(NodeId, NodeId)] = &[
+    (NodeId(0), NodeId(10)),
+    (NodeId(1), NodeId(15)),
+    (NodeId(4), NodeId(13)),
+    (NodeId(12), NodeId(13)),
+];
+
+/// The eight hotspot flows of the paper's Table 3 on an 8×8 mesh,
+/// `f1` to `f8`: two flows into each of the four corner endpoints.
+pub const TABLE3: &[(NodeId, NodeId)] = &[
+    (NodeId(0), NodeId(63)),
+    (NodeId(32), NodeId(63)),
+    (NodeId(7), NodeId(56)),
+    (NodeId(39), NodeId(56)),
+    (NodeId(63), NodeId(0)),
+    (NodeId(31), NodeId(0)),
+    (NodeId(56), NodeId(7)),
+    (NodeId(24), NodeId(7)),
+];
+
+/// A destination-selection function over a fabric.
 ///
-/// Patterns are *pure* given the RNG: all state lives in the caller. A
-/// pattern may exclude a node from participation by returning `None`.
-/// Patterns address nodes by id and grid coordinate, so the same pattern
-/// drives a mesh, a torus of the same dimensions, or a ring (which presents
-/// as a `n×1` grid).
-pub trait TrafficPattern: Send + Sync {
+/// Patterns are pure given the RNG: only [`Pattern::Uniform`] draws from
+/// it (one draw per destination). A source whose destination would be
+/// itself — a fixed point of a permutation — does not inject. Patterns
+/// address nodes by id and grid coordinate, so the same pattern drives a
+/// mesh, a torus of the same dimensions, or a ring (which presents as an
+/// `n×1` grid) wherever [`Pattern::check`] accepts the fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pattern {
+    /// Uniform random: every other node is equally likely.
+    Uniform,
+    /// Transpose: `(x, y) → (y, x)`. Needs a square grid.
+    Transpose,
+    /// Shuffle: the destination id is the source id rotated left by one
+    /// bit. Needs a power-of-two node count.
+    Shuffle,
+    /// Bit-complement: the destination id is the bitwise complement of the
+    /// source id. Needs a power-of-two node count.
+    BitComplement,
+    /// Bit-reverse: the destination id is the bit-reversed source id.
+    /// Needs a power-of-two node count.
+    BitReverse,
+    /// Tornado: halfway around the X dimension,
+    /// `(x, y) → (x + ⌈w/2⌉ - 1 mod w, y)`.
+    Tornado,
+    /// Explicit `(source, destination)` flows ([`FIGURE2`], [`TABLE3`]).
+    /// A node that is no flow's source does not inject; a source listed
+    /// twice sends on its first flow.
+    Flows(&'static [(NodeId, NodeId)]),
+}
+
+impl Pattern {
     /// Short display name ("uniform", "transpose", ...).
-    fn name(&self) -> &'static str;
+    pub fn name(self) -> &'static str {
+        match self {
+            Pattern::Uniform => "uniform",
+            Pattern::Transpose => "transpose",
+            Pattern::Shuffle => "shuffle",
+            Pattern::BitComplement => "bit-complement",
+            Pattern::BitReverse => "bit-reverse",
+            Pattern::Tornado => "tornado",
+            Pattern::Flows(flows) if flows == FIGURE2 => "figure2-permutation",
+            Pattern::Flows(flows) if flows == TABLE3 => "table3",
+            Pattern::Flows(_) => "flows",
+        }
+    }
+
+    /// Checks that the pattern is defined on `topo`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PatternError`] naming the unmet requirement: a
+    /// power-of-two node count for the three bit patterns, a square grid
+    /// for transpose, every endpoint inside the fabric for flows.
+    pub fn check(self, topo: AnyTopology) -> Result<(), PatternError> {
+        let requirement = match self {
+            Pattern::Shuffle | Pattern::BitComplement | Pattern::BitReverse
+                if !topo.len().is_power_of_two() =>
+            {
+                "a power-of-two node count"
+            }
+            Pattern::Transpose if topo.width() != topo.height() => "a square grid",
+            Pattern::Flows(flows)
+                if flows
+                    .iter()
+                    .any(|&(s, d)| s.index().max(d.index()) >= topo.len()) =>
+            {
+                "every flow endpoint inside the fabric"
+            }
+            _ => return Ok(()),
+        };
+        Err(PatternError {
+            pattern: self.name(),
+            requirement,
+            topology: topo,
+        })
+    }
 
     /// Picks the destination for a packet injected at `src`, or `None` if
-    /// `src` does not participate (e.g. fixed points of a permutation).
-    fn dest(&self, topo: AnyTopology, src: NodeId, rng: &mut SmallRng) -> Option<NodeId>;
-
-    /// Fraction of nodes that actively inject (1.0 for the classics;
-    /// permutations with fixed points inject from fewer nodes).
-    fn active_fraction(&self, topo: AnyTopology) -> f64 {
-        let active = topo
-            .nodes()
-            .filter(|n| {
-                // A node participates if it has any possible destination;
-                // deterministic patterns are probed directly.
-                let mut probe = crate::pattern_probe_rng();
-                self.dest(topo, *n, &mut probe).is_some()
-            })
-            .count();
-        active as f64 / topo.len() as f64
-    }
-}
-
-/// Uniform random: every other node is equally likely.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Uniform;
-
-impl TrafficPattern for Uniform {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-
-    fn dest(&self, topo: AnyTopology, src: NodeId, rng: &mut SmallRng) -> Option<NodeId> {
-        let n = topo.len() as u16;
-        if n <= 1 {
-            return None;
-        }
-        let mut d = rng.gen_range(0..n - 1);
-        if d >= src.0 {
-            d += 1; // skip self
-        }
-        Some(NodeId(d))
-    }
-}
-
-/// Transpose: `(x, y) → (y, x)`. Diagonal nodes do not inject.
-/// Requires a square grid.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Transpose;
-
-impl TrafficPattern for Transpose {
-    fn name(&self) -> &'static str {
-        "transpose"
-    }
-
-    fn dest(&self, topo: AnyTopology, src: NodeId, _rng: &mut SmallRng) -> Option<NodeId> {
-        assert_eq!(topo.width(), topo.height(), "transpose needs a square grid");
-        let c = topo.coord(src);
-        if c.x == c.y {
-            return None;
-        }
-        Some(topo.node_at(Coord::new(c.y, c.x)))
-    }
-}
-
-/// Shuffle: destination id is the source id rotated left by one bit
-/// (`d_i = s_{i-1 mod b}`). Requires a power-of-two node count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Shuffle;
-
-impl TrafficPattern for Shuffle {
-    fn name(&self) -> &'static str {
-        "shuffle"
-    }
-
-    fn dest(&self, topo: AnyTopology, src: NodeId, _rng: &mut SmallRng) -> Option<NodeId> {
+    /// `src` does not inject. Defined on every fabric [`Pattern::check`]
+    /// accepts.
+    pub fn dest(self, topo: AnyTopology, src: NodeId, rng: &mut SmallRng) -> Option<NodeId> {
         let n = topo.len();
-        assert!(n.is_power_of_two(), "shuffle needs a power-of-two node count");
+        let s = src.index();
         let bits = n.trailing_zeros();
-        let s = src.0 as usize;
-        let d = ((s << 1) | (s >> (bits - 1) as usize)) & (n - 1);
-        if d == s {
-            return None;
-        }
-        Some(NodeId(d as u16))
+        let dest = match self {
+            Pattern::Uniform => {
+                let n = n as u16;
+                if n <= 1 {
+                    return None;
+                }
+                let d = rng.gen_range(0..n - 1);
+                return Some(NodeId(d + u16::from(d >= src.0))); // skip self
+            }
+            Pattern::Transpose => {
+                let c = topo.coord(src);
+                topo.node_at(Coord::new(c.y, c.x))
+            }
+            Pattern::Shuffle => NodeId((((s << 1) | (s >> (bits - 1))) & (n - 1)) as u16),
+            Pattern::BitComplement => NodeId((!s & (n - 1)) as u16),
+            Pattern::BitReverse => NodeId(
+                s.reverse_bits()
+                    .checked_shr(usize::BITS - bits)
+                    .unwrap_or(0) as u16,
+            ),
+            Pattern::Tornado => {
+                let c = topo.coord(src);
+                let w = topo.width();
+                topo.node_at(Coord::new((c.x + w.div_ceil(2) - 1) % w, c.y))
+            }
+            Pattern::Flows(flows) => flows.iter().find(|&&(from, _)| from == src)?.1,
+        };
+        (dest != src).then_some(dest)
     }
 }
 
-/// Bit-complement: destination id is the bitwise complement of the source.
-/// Requires a power-of-two node count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BitComplement;
-
-impl TrafficPattern for BitComplement {
-    fn name(&self) -> &'static str {
-        "bit-complement"
-    }
-
-    fn dest(&self, topo: AnyTopology, src: NodeId, _rng: &mut SmallRng) -> Option<NodeId> {
-        let n = topo.len();
-        assert!(n.is_power_of_two(), "bit-complement needs a power-of-two node count");
-        Some(NodeId((!(src.0 as usize) & (n - 1)) as u16))
-    }
-}
-
-/// Bit-reverse: destination id is the bit-reversed source id.
-/// Requires a power-of-two node count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BitReverse;
-
-impl TrafficPattern for BitReverse {
-    fn name(&self) -> &'static str {
-        "bit-reverse"
-    }
-
-    fn dest(&self, topo: AnyTopology, src: NodeId, _rng: &mut SmallRng) -> Option<NodeId> {
-        let n = topo.len();
-        assert!(n.is_power_of_two(), "bit-reverse needs a power-of-two node count");
-        let bits = n.trailing_zeros();
-        let mut s = src.0 as usize;
-        let mut d = 0usize;
-        for _ in 0..bits {
-            d = (d << 1) | (s & 1);
-            s >>= 1;
-        }
-        if d == src.0 as usize {
-            None
-        } else {
-            Some(NodeId(d as u16))
-        }
-    }
-}
-
-/// Tornado: halfway around each dimension
-/// (`(x, y) → (x + ⌈w/2⌉ - 1 mod w, y)`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tornado;
-
-impl TrafficPattern for Tornado {
-    fn name(&self) -> &'static str {
-        "tornado"
-    }
-
-    fn dest(&self, topo: AnyTopology, src: NodeId, _rng: &mut SmallRng) -> Option<NodeId> {
-        let c = topo.coord(src);
-        let w = topo.width();
-        let shift = w.div_ceil(2) - 1;
-        if shift == 0 {
-            return None;
-        }
-        Some(topo.node_at(Coord::new((c.x + shift) % w, c.y)))
-    }
-}
-
-/// Neighbor: one hop east, wrapping (stresses single links uniformly).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Neighbor;
-
-impl TrafficPattern for Neighbor {
-    fn name(&self) -> &'static str {
-        "neighbor"
-    }
-
-    fn dest(&self, topo: AnyTopology, src: NodeId, _rng: &mut SmallRng) -> Option<NodeId> {
-        let c = topo.coord(src);
-        Some(topo.node_at(Coord::new((c.x + 1) % topo.width(), c.y)))
-    }
-}
-
-/// An explicit permutation (e.g. the four-flow example of the paper's
-/// Figure 2). Nodes without a mapping do not inject.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Permutation {
-    map: Vec<Option<NodeId>>,
-}
-
-impl Permutation {
-    /// Builds a permutation over `topo` from explicit `(src, dest)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a source appears twice or a pair maps a node to itself.
-    pub fn from_pairs(topo: AnyTopology, pairs: &[(NodeId, NodeId)]) -> Self {
-        let mut map = vec![None; topo.len()];
-        for &(s, d) in pairs {
-            assert_ne!(s, d, "self-pair in permutation");
-            assert!(map[s.index()].is_none(), "duplicate source {s}");
-            map[s.index()] = Some(d);
-        }
-        Permutation { map }
-    }
-
-    /// The paper's Figure 2 example on a 4×4 mesh:
-    /// `{n0→n10, n1→n15, n4→n13, n12→n13}`.
-    pub fn figure2_example(topo: AnyTopology) -> Self {
-        assert!(
-            topo.width() >= 4 && topo.height() >= 4,
-            "figure 2 example needs at least a 4x4 grid"
-        );
-        Self::from_pairs(
-            topo,
-            &[
-                (NodeId(0), NodeId(10)),
-                (NodeId(1), NodeId(15)),
-                (NodeId(4), NodeId(13)),
-                (NodeId(12), NodeId(13)),
-            ],
-        )
-    }
-}
-
-impl TrafficPattern for Permutation {
-    fn name(&self) -> &'static str {
-        "permutation"
-    }
-
-    fn dest(&self, _topo: AnyTopology, src: NodeId, _rng: &mut SmallRng) -> Option<NodeId> {
-        self.map.get(src.index()).copied().flatten()
-    }
-}
-
-/// A pattern/topology mismatch caught at construction time: the pattern's
-/// destination function is only defined on a power-of-two node count, and
-/// the fabric has `nodes` nodes.
-///
-/// Catching this when the workload is *built* turns what used to be a
-/// mid-simulation panic (the first time the pattern computed a destination)
-/// into an ordinary configuration error the caller can report.
+/// A pattern/fabric mismatch caught when the workload is built (see
+/// [`Pattern::check`]), so it is an ordinary configuration error instead
+/// of a panic the first time the pattern computes a destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternError {
     /// The pattern's display name.
     pub pattern: &'static str,
-    /// The offending node count.
-    pub nodes: usize,
+    /// What the pattern needs of the fabric, e.g. "a square grid".
+    pub requirement: &'static str,
+    /// The fabric that does not meet it.
+    pub topology: AnyTopology,
 }
 
 impl fmt::Display for PatternError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "pattern `{}` requires a power-of-two node count, got {}",
-            self.pattern, self.nodes
+            "pattern `{}` needs {}, not the {}",
+            self.pattern, self.requirement, self.topology
         )
     }
 }
 
 impl std::error::Error for PatternError {}
 
-/// The named patterns, for CLI/config parsing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PatternSpec {
-    /// Uniform random.
-    Uniform,
-    /// Matrix transpose.
-    Transpose,
-    /// Bit shuffle.
-    Shuffle,
-    /// Bit complement.
-    BitComplement,
-    /// Bit reverse.
-    BitReverse,
-    /// Tornado.
-    Tornado,
-    /// Nearest neighbor.
-    Neighbor,
-}
-
-impl PatternSpec {
-    /// The three patterns used in the paper's Figures 5–8.
-    pub const PAPER_SET: [PatternSpec; 3] = [
-        PatternSpec::Uniform,
-        PatternSpec::Transpose,
-        PatternSpec::Shuffle,
-    ];
-
-    /// Instantiates the pattern after checking it is defined on `topo`.
-    ///
-    /// The bit-manipulating patterns (shuffle, bit-complement, bit-reverse)
-    /// only make sense on a power-of-two node count; [`PatternSpec::build`]
-    /// defers that check to the first destination computation (a panic deep
-    /// inside the simulation), while this constructor rejects the mismatch
-    /// up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PatternError`] naming the pattern and node count when the
-    /// topology does not satisfy the pattern's structural requirement.
-    pub fn build_for(
-        self,
-        topo: AnyTopology,
-    ) -> Result<Box<dyn TrafficPattern>, PatternError> {
-        let needs_power_of_two = matches!(
-            self,
-            PatternSpec::Shuffle | PatternSpec::BitComplement | PatternSpec::BitReverse
-        );
-        if needs_power_of_two && !topo.len().is_power_of_two() {
-            return Err(PatternError {
-                pattern: self.name(),
-                nodes: topo.len(),
-            });
-        }
-        Ok(self.build())
-    }
-
-    /// Instantiates the pattern.
-    pub fn build(self) -> Box<dyn TrafficPattern> {
-        match self {
-            PatternSpec::Uniform => Box::new(Uniform),
-            PatternSpec::Transpose => Box::new(Transpose),
-            PatternSpec::Shuffle => Box::new(Shuffle),
-            PatternSpec::BitComplement => Box::new(BitComplement),
-            PatternSpec::BitReverse => Box::new(BitReverse),
-            PatternSpec::Tornado => Box::new(Tornado),
-            PatternSpec::Neighbor => Box::new(Neighbor),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PatternSpec::Uniform => "uniform",
-            PatternSpec::Transpose => "transpose",
-            PatternSpec::Shuffle => "shuffle",
-            PatternSpec::BitComplement => "bit-complement",
-            PatternSpec::BitReverse => "bit-reverse",
-            PatternSpec::Tornado => "tornado",
-            PatternSpec::Neighbor => "neighbor",
-        }
-    }
-}
-
-impl fmt::Display for PatternSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(7)
@@ -373,7 +196,7 @@ mod tests {
         let mut r = rng();
         let mut seen = [false; 16];
         for _ in 0..2000 {
-            let d = Uniform.dest(mesh, NodeId(5), &mut r).unwrap();
+            let d = Pattern::Uniform.dest(mesh, NodeId(5), &mut r).unwrap();
             assert_ne!(d, NodeId(5));
             seen[d.index()] = true;
         }
@@ -385,9 +208,12 @@ mod tests {
         let mesh = AnyTopology::mesh(8, 8);
         let mut r = rng();
         // (5,1) = n13 → (1,5) = n41.
-        assert_eq!(Transpose.dest(mesh, NodeId(13), &mut r), Some(NodeId(41)));
+        assert_eq!(
+            Pattern::Transpose.dest(mesh, NodeId(13), &mut r),
+            Some(NodeId(41))
+        );
         // Diagonal nodes idle.
-        assert_eq!(Transpose.dest(mesh, NodeId(9), &mut r), None); // (1,1)
+        assert_eq!(Pattern::Transpose.dest(mesh, NodeId(9), &mut r), None); // (1,1)
     }
 
     #[test]
@@ -395,12 +221,18 @@ mod tests {
         let mesh = square4(); // 16 nodes, 4 bits
         let mut r = rng();
         // 0b0011 → 0b0110
-        assert_eq!(Shuffle.dest(mesh, NodeId(3), &mut r), Some(NodeId(6)));
+        assert_eq!(
+            Pattern::Shuffle.dest(mesh, NodeId(3), &mut r),
+            Some(NodeId(6))
+        );
         // 0b1000 → 0b0001
-        assert_eq!(Shuffle.dest(mesh, NodeId(8), &mut r), Some(NodeId(1)));
+        assert_eq!(
+            Pattern::Shuffle.dest(mesh, NodeId(8), &mut r),
+            Some(NodeId(1))
+        );
         // Fixed points (0, 15) idle.
-        assert_eq!(Shuffle.dest(mesh, NodeId(0), &mut r), None);
-        assert_eq!(Shuffle.dest(mesh, NodeId(15), &mut r), None);
+        assert_eq!(Pattern::Shuffle.dest(mesh, NodeId(0), &mut r), None);
+        assert_eq!(Pattern::Shuffle.dest(mesh, NodeId(15), &mut r), None);
     }
 
     #[test]
@@ -408,8 +240,8 @@ mod tests {
         let mesh = square4();
         let mut r = rng();
         for n in mesh.nodes() {
-            let d = BitComplement.dest(mesh, n, &mut r).unwrap();
-            assert_eq!(BitComplement.dest(mesh, d, &mut r), Some(n));
+            let d = Pattern::BitComplement.dest(mesh, n, &mut r).unwrap();
+            assert_eq!(Pattern::BitComplement.dest(mesh, d, &mut r), Some(n));
             assert_ne!(d, n);
         }
     }
@@ -419,9 +251,17 @@ mod tests {
         let mesh = square4();
         let mut r = rng();
         // 0b0001 → 0b1000
-        assert_eq!(BitReverse.dest(mesh, NodeId(1), &mut r), Some(NodeId(8)));
+        assert_eq!(
+            Pattern::BitReverse.dest(mesh, NodeId(1), &mut r),
+            Some(NodeId(8))
+        );
+        // 0b0011 → 0b1100
+        assert_eq!(
+            Pattern::BitReverse.dest(mesh, NodeId(3), &mut r),
+            Some(NodeId(12))
+        );
         // Palindromes idle: 0b0110.
-        assert_eq!(BitReverse.dest(mesh, NodeId(6), &mut r), None);
+        assert_eq!(Pattern::BitReverse.dest(mesh, NodeId(6), &mut r), None);
     }
 
     #[test]
@@ -429,16 +269,14 @@ mod tests {
         let mesh = AnyTopology::mesh(8, 8);
         let mut r = rng();
         // shift = ceil(8/2) - 1 = 3: (0,0) → (3,0).
-        assert_eq!(Tornado.dest(mesh, NodeId(0), &mut r), Some(NodeId(3)));
-        assert_eq!(Tornado.dest(mesh, NodeId(7), &mut r), Some(NodeId(2)));
-    }
-
-    #[test]
-    fn neighbor_wraps_east() {
-        let mesh = square4();
-        let mut r = rng();
-        assert_eq!(Neighbor.dest(mesh, NodeId(0), &mut r), Some(NodeId(1)));
-        assert_eq!(Neighbor.dest(mesh, NodeId(3), &mut r), Some(NodeId(0)));
+        assert_eq!(
+            Pattern::Tornado.dest(mesh, NodeId(0), &mut r),
+            Some(NodeId(3))
+        );
+        assert_eq!(
+            Pattern::Tornado.dest(mesh, NodeId(7), &mut r),
+            Some(NodeId(2))
+        );
     }
 
     #[test]
@@ -450,14 +288,9 @@ mod tests {
         let mut r1 = rng();
         let mut r2 = rng();
         for n in mesh.nodes() {
-            assert_eq!(
-                Transpose.dest(mesh, n, &mut r1),
-                Transpose.dest(torus, n, &mut r2)
-            );
-            assert_eq!(
-                Tornado.dest(mesh, n, &mut r1),
-                Tornado.dest(torus, n, &mut r2)
-            );
+            for p in [Pattern::Transpose, Pattern::Tornado] {
+                assert_eq!(p.dest(mesh, n, &mut r1), p.dest(torus, n, &mut r2));
+            }
         }
     }
 
@@ -465,85 +298,101 @@ mod tests {
     fn ring_presents_as_flat_grid_to_patterns() {
         let ring = AnyTopology::ring(16);
         let mut r = rng();
-        // Neighbor walks the ring east with wraparound.
-        assert_eq!(Neighbor.dest(ring, NodeId(15), &mut r), Some(NodeId(0)));
+        // Tornado walks the ring east with wraparound: shift 7.
+        assert_eq!(
+            Pattern::Tornado.dest(ring, NodeId(15), &mut r),
+            Some(NodeId(6))
+        );
         // Bit patterns work off the node count alone.
-        assert_eq!(Shuffle.dest(ring, NodeId(3), &mut r), Some(NodeId(6)));
-        assert!(PatternSpec::Shuffle.build_for(ring).is_ok());
+        assert_eq!(
+            Pattern::Shuffle.dest(ring, NodeId(3), &mut r),
+            Some(NodeId(6))
+        );
+        assert!(Pattern::Shuffle.check(ring).is_ok());
+        // A 16×1 grid is not square, so transpose refuses the ring.
+        let err = Pattern::Transpose.check(ring).unwrap_err();
+        assert_eq!(err.requirement, "a square grid");
+        assert!(err.to_string().contains("16-node ring"), "{err}");
     }
 
     #[test]
     fn figure2_permutation_matches_paper() {
         let mesh = square4();
-        let p = Permutation::figure2_example(mesh);
+        let p = Pattern::Flows(FIGURE2);
         let mut r = rng();
+        assert_eq!(p.name(), "figure2-permutation");
         assert_eq!(p.dest(mesh, NodeId(0), &mut r), Some(NodeId(10)));
         assert_eq!(p.dest(mesh, NodeId(1), &mut r), Some(NodeId(15)));
         assert_eq!(p.dest(mesh, NodeId(4), &mut r), Some(NodeId(13)));
         assert_eq!(p.dest(mesh, NodeId(12), &mut r), Some(NodeId(13)));
         assert_eq!(p.dest(mesh, NodeId(2), &mut r), None);
+        // Any fabric holding all six endpoints runs it, a ring included.
+        assert!(p.check(AnyTopology::ring(16)).is_ok());
+        let err = p.check(AnyTopology::mesh(3, 3)).unwrap_err();
+        assert_eq!(err.requirement, "every flow endpoint inside the fabric");
     }
 
     #[test]
-    #[should_panic(expected = "duplicate source")]
-    fn permutation_rejects_duplicate_sources() {
+    fn fixed_points_do_not_inject() {
         let mesh = square4();
-        let _ = Permutation::from_pairs(
-            mesh,
-            &[(NodeId(0), NodeId(1)), (NodeId(0), NodeId(2))],
-        );
-    }
-
-    #[test]
-    fn active_fraction_reflects_fixed_points() {
-        let mesh = square4();
-        assert!((Uniform.active_fraction(mesh) - 1.0).abs() < 1e-12);
+        let active = |p: Pattern| {
+            let mut r = rng();
+            mesh.nodes()
+                .filter(|&n| p.dest(mesh, n, &mut r).is_some())
+                .count()
+        };
+        assert_eq!(active(Pattern::Uniform), 16);
         // Transpose: 4 diagonal nodes idle out of 16.
-        assert!((Transpose.active_fraction(mesh) - 0.75).abs() < 1e-12);
+        assert_eq!(active(Pattern::Transpose), 12);
+        assert_eq!(active(Pattern::Flows(FIGURE2)), 4);
     }
 
     #[test]
     fn power_of_two_patterns_reject_odd_meshes_at_build() {
         // 6×6 = 36 nodes: not a power of two, so the bit patterns must be
-        // rejected at construction instead of panicking mid-run.
+        // rejected when the workload is built instead of misbehaving mid-run.
         let odd = AnyTopology::mesh(6, 6);
-        for spec in [
-            PatternSpec::Shuffle,
-            PatternSpec::BitComplement,
-            PatternSpec::BitReverse,
-        ] {
-            let err = spec.build_for(odd).err().expect("6x6 must be rejected");
-            assert_eq!(err, PatternError { pattern: spec.name(), nodes: 36 });
-            assert!(err.to_string().contains(spec.name()));
-            assert!(err.to_string().contains("36"));
-        }
-        // 8×8 = 64 nodes: accepted.
         let pow2 = AnyTopology::mesh(8, 8);
-        for spec in [
-            PatternSpec::Shuffle,
-            PatternSpec::BitComplement,
-            PatternSpec::BitReverse,
+        for p in [
+            Pattern::Shuffle,
+            Pattern::BitComplement,
+            Pattern::BitReverse,
         ] {
-            assert_eq!(spec.build_for(pow2).unwrap().name(), spec.name());
+            let err = p.check(odd).expect_err("6x6 must be rejected");
+            assert_eq!(
+                err,
+                PatternError {
+                    pattern: p.name(),
+                    requirement: "a power-of-two node count",
+                    topology: odd,
+                }
+            );
+            assert!(err.to_string().contains(p.name()));
+            assert!(err.to_string().contains("6x6 mesh"));
+            assert!(p.check(pow2).is_ok());
         }
         // Patterns without the structural requirement accept any topology.
-        assert!(PatternSpec::Uniform.build_for(odd).is_ok());
-        assert!(PatternSpec::Tornado.build_for(odd).is_ok());
+        for p in [Pattern::Uniform, Pattern::Transpose, Pattern::Tornado] {
+            assert!(p.check(odd).is_ok());
+        }
     }
 
     #[test]
-    fn spec_builds_matching_names() {
-        for spec in [
-            PatternSpec::Uniform,
-            PatternSpec::Transpose,
-            PatternSpec::Shuffle,
-            PatternSpec::BitComplement,
-            PatternSpec::BitReverse,
-            PatternSpec::Tornado,
-            PatternSpec::Neighbor,
+    fn only_uniform_draws_from_the_rng() {
+        let mesh = AnyTopology::mesh(8, 8);
+        for p in [
+            Pattern::Transpose,
+            Pattern::Shuffle,
+            Pattern::BitComplement,
+            Pattern::BitReverse,
+            Pattern::Tornado,
+            Pattern::Flows(TABLE3),
         ] {
-            assert_eq!(spec.build().name(), spec.name());
+            let mut r = rng();
+            for n in mesh.nodes() {
+                p.dest(mesh, n, &mut r);
+            }
+            assert_eq!(r.next_u64(), rng().next_u64(), "{} drew", p.name());
         }
-        assert_eq!(PatternSpec::PAPER_SET.len(), 3);
     }
 }

@@ -1,6 +1,6 @@
 //! Synthetic Bernoulli workloads over a traffic pattern.
 
-use crate::{PacketSize, TrafficPattern};
+use crate::{PacketSize, Pattern, PatternError};
 use footprint_sim::{NewPacket, Workload};
 use footprint_topology::{AnyTopology, NodeId};
 use rand::rngs::SmallRng;
@@ -10,27 +10,26 @@ use rand::Rng;
 /// cycle with probability `rate / mean_size`, so the *offered load* is
 /// `rate` flits per node per cycle — the x-axis of the paper's
 /// latency-throughput figures.
+///
+/// Per node and cycle the draws are the coin, then the pattern's
+/// destination, then the packet size. Synthetic, Figure 2 and hotspot
+/// traffic all inject through this one draw site.
+#[derive(Debug)]
 pub struct SyntheticWorkload {
     topo: AnyTopology,
-    pattern: Box<dyn TrafficPattern>,
+    pattern: Pattern,
     size: PacketSize,
     rate: f64,
     class: u8,
 }
 
-impl core::fmt::Debug for SyntheticWorkload {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("SyntheticWorkload")
-            .field("pattern", &self.pattern.name())
-            .field("size", &self.size)
-            .field("rate", &self.rate)
-            .field("class", &self.class)
-            .finish()
-    }
-}
-
 impl SyntheticWorkload {
     /// Creates a workload over `pattern` at `rate` flits/node/cycle.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PatternError`] when `pattern` is not defined on `topo`
+    /// ([`Pattern::check`]).
     ///
     /// # Panics
     ///
@@ -38,18 +37,19 @@ impl SyntheticWorkload {
     /// more than one flit per cycle).
     pub fn new(
         topo: AnyTopology,
-        pattern: Box<dyn TrafficPattern>,
+        pattern: Pattern,
         size: PacketSize,
         rate: f64,
-    ) -> Self {
+    ) -> Result<Self, PatternError> {
         assert!((0.0..=1.0).contains(&rate), "rate {rate} out of [0, 1]");
-        SyntheticWorkload {
+        pattern.check(topo)?;
+        Ok(SyntheticWorkload {
             topo,
             pattern,
             size,
             rate,
             class: 0,
-        }
+        })
     }
 
     /// Tags generated packets with a traffic class (default 0).
@@ -61,11 +61,6 @@ impl SyntheticWorkload {
     /// The configured offered load in flits/node/cycle.
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// The pattern's display name.
-    pub fn pattern_name(&self) -> &'static str {
-        self.pattern.name()
     }
 }
 
@@ -88,7 +83,6 @@ impl Workload for SyntheticWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::{Transpose, Uniform};
     use footprint_topology::AnyTopology;
     use rand::SeedableRng;
 
@@ -96,7 +90,7 @@ mod tests {
     fn offered_load_matches_rate() {
         let mesh = AnyTopology::mesh(4, 4);
         let mut wl =
-            SyntheticWorkload::new(mesh, Box::new(Uniform), PacketSize::SINGLE, 0.25);
+            SyntheticWorkload::new(mesh, Pattern::Uniform, PacketSize::SINGLE, 0.25).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         let mut flits = 0u64;
         let cycles = 20_000;
@@ -114,12 +108,9 @@ mod tests {
     #[test]
     fn variable_sizes_keep_flit_rate() {
         let mesh = AnyTopology::mesh(4, 4);
-        let mut wl = SyntheticWorkload::new(
-            mesh,
-            Box::new(Uniform),
-            PacketSize::PAPER_VARIABLE,
-            0.5,
-        );
+        let mut wl =
+            SyntheticWorkload::new(mesh, Pattern::Uniform, PacketSize::PAPER_VARIABLE, 0.5)
+                .unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         let mut flits = 0u64;
         let cycles = 20_000;
@@ -139,7 +130,7 @@ mod tests {
     fn fixed_points_never_generate() {
         let mesh = AnyTopology::mesh(4, 4);
         let mut wl =
-            SyntheticWorkload::new(mesh, Box::new(Transpose), PacketSize::SINGLE, 1.0);
+            SyntheticWorkload::new(mesh, Pattern::Transpose, PacketSize::SINGLE, 1.0).unwrap();
         let mut rng = SmallRng::seed_from_u64(3);
         for c in 0..100 {
             assert!(wl.generate(NodeId(0), c, &mut rng).is_none()); // (0,0)
@@ -151,18 +142,18 @@ mod tests {
     #[should_panic(expected = "out of [0, 1]")]
     fn excessive_rate_rejected() {
         let mesh = AnyTopology::mesh(4, 4);
-        let _ = SyntheticWorkload::new(mesh, Box::new(Uniform), PacketSize::SINGLE, 1.5);
+        let _ = SyntheticWorkload::new(mesh, Pattern::Uniform, PacketSize::SINGLE, 1.5);
     }
 
     #[test]
     fn class_tag_propagates() {
         let mesh = AnyTopology::mesh(4, 4);
-        let mut wl = SyntheticWorkload::new(mesh, Box::new(Uniform), PacketSize::SINGLE, 1.0)
+        let mut wl = SyntheticWorkload::new(mesh, Pattern::Uniform, PacketSize::SINGLE, 1.0)
+            .unwrap()
             .with_class(2);
         let mut rng = SmallRng::seed_from_u64(3);
         let p = wl.generate(NodeId(0), 0, &mut rng).unwrap();
         assert_eq!(p.class, 2);
         assert_eq!(wl.rate(), 1.0);
-        assert_eq!(wl.pattern_name(), "uniform");
     }
 }

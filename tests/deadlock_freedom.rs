@@ -135,17 +135,14 @@ fn footprint_survives_oversubscribed_hotspots() {
 fn footprint_join_extension_is_also_live() {
     use footprint_suite::routing::{AnyRouting, Tiers};
     use footprint_suite::sim::{Network, SimConfig};
-    use footprint_suite::traffic::{PacketSize, SyntheticWorkload};
+    use footprint_suite::traffic::{PacketSize, Pattern, SyntheticWorkload, FIGURE2};
 
     let mut cfg = SimConfig::small();
     cfg.num_vcs = 4;
     let mut net = Network::new(cfg, Box::new(AnyRouting::footprint(Tiers::new().with_join())), 0xD8).unwrap();
-    let mut wl = SyntheticWorkload::new(
-        cfg.topo(),
-        Box::new(footprint_suite::traffic::Permutation::figure2_example(cfg.topo())),
-        PacketSize::SINGLE,
-        1.0,
-    );
+    let mut wl =
+        SyntheticWorkload::new(cfg.topo(), Pattern::Flows(FIGURE2), PacketSize::SINGLE, 1.0)
+            .unwrap();
     net.run(&mut wl, 2_000);
     let before = net.metrics().total().ejected_flits;
     net.run(&mut wl, 500);
