@@ -1,5 +1,5 @@
-//! Shared driver code for the experiment binaries (one per paper
-//! table/figure).
+//! The experiment harness: the paper's evaluation as the rows of one
+//! table, [`figures::FIGURES`], plus the driver code the rows share.
 //!
 //! The central abstraction is [`CurveSet`]: a figure declares *all* of
 //! its latency-throughput curves up front, and `CurveSet::run`
@@ -11,14 +11,16 @@
 //! through a `CurveSet` is bit-identical to sweeping its curves one by
 //! one — and to `FOOTPRINT_THREADS=1` sequential execution.
 
-use std::io;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
 use footprint_core::{
     JobSet, RoutingSpec, RunReport, SimulationBuilder, SweepOptions, TrafficSpec,
 };
 use footprint_sim::{EventTrace, ProbePair};
 use footprint_stats::{Curve, TimelineProbe};
+
+pub mod figures;
 
 /// Standard offered-load sweep for latency-throughput figures: 0.02 to
 /// 0.60 flits/node/cycle.
@@ -37,9 +39,9 @@ pub fn quick_rates() -> Vec<f64> {
     vec![0.05, 0.15, 0.25, 0.35, 0.45, 0.55]
 }
 
-/// Phase lengths used by the experiment binaries. Tuned so a full figure
-/// regenerates in minutes on a laptop; the paper's qualitative shapes are
-/// stable at these lengths (longer runs sharpen the numbers).
+/// Phase lengths used by the figures. Tuned so a full figure regenerates
+/// in minutes on a laptop; the paper's qualitative shapes are stable at
+/// these lengths (longer runs sharpen the numbers).
 #[derive(Debug, Clone, Copy)]
 pub struct Phases {
     /// Warmup cycles.
@@ -62,85 +64,61 @@ impl Phases {
     };
 }
 
-/// `true` when `FOOTPRINT_QUICK` is set: every experiment binary then
-/// runs in smoke mode (short phases, sparse axes).
-pub fn quick() -> bool {
-    std::env::var_os("FOOTPRINT_QUICK").is_some()
+/// How a figure runs: the one argument every row of
+/// [`figures::FIGURES`] takes. Rows never read the environment.
+#[derive(Debug, Clone)]
+pub struct Mode {
+    /// Smoke mode: short phases and, on some rows, sparse axes.
+    pub quick: bool,
+    /// Attach the observability stack where a row offers it
+    /// ([`observed_run`]).
+    pub observe: bool,
+    /// Where result files land (created on demand).
+    pub results: PathBuf,
 }
 
-/// The phases [`quick`] selects.
-pub fn phases_from_env() -> Phases {
-    if quick() {
-        Phases::QUICK
-    } else {
-        Phases::FULL
-    }
-}
-
-/// Observability options for the experiment binaries.
-///
-/// Assembled from the environment by [`observe_from_env`]; the figure
-/// binaries stay probe-free (and overhead-free) unless `FOOTPRINT_OBSERVE`
-/// is set.
-#[derive(Debug, Clone, Copy)]
-pub struct ObserveOpts {
-    /// Timeline sampling stride in cycles (`FOOTPRINT_TIMELINE_STRIDE`,
-    /// default 100).
-    pub stride: u64,
-    /// Event-trace ring capacity in records (`FOOTPRINT_TRACE_CAP`,
-    /// default 65536 — the trace keeps the *last* N events).
-    pub trace_capacity: usize,
-}
-
-impl Default for ObserveOpts {
-    fn default() -> Self {
-        ObserveOpts {
-            stride: 100,
-            trace_capacity: 65_536,
+impl Mode {
+    /// The phases [`Mode::quick`] selects.
+    #[must_use]
+    pub fn phases(&self) -> Phases {
+        if self.quick {
+            Phases::QUICK
+        } else {
+            Phases::FULL
         }
     }
+
+    /// The results directory, created if missing.
+    fn results_dir(&self) -> io::Result<&Path> {
+        std::fs::create_dir_all(&self.results)?;
+        Ok(&self.results)
+    }
+
+    /// Writes `body` to `name` in the results directory and returns the
+    /// path written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write(&self, name: &str, body: impl AsRef<[u8]>) -> io::Result<PathBuf> {
+        let path = self.results_dir()?.join(name);
+        std::fs::write(&path, body)?;
+        Ok(path)
+    }
 }
 
-/// Reads observability options from the environment: `None` unless
-/// `FOOTPRINT_OBSERVE` is set, with `FOOTPRINT_TIMELINE_STRIDE` and
-/// `FOOTPRINT_TRACE_CAP` overriding the defaults.
-pub fn observe_from_env() -> Option<ObserveOpts> {
-    std::env::var_os("FOOTPRINT_OBSERVE")?;
-    let mut opts = ObserveOpts::default();
-    if let Some(s) = std::env::var_os("FOOTPRINT_TIMELINE_STRIDE") {
-        if let Some(n) = s.to_str().and_then(|s| s.trim().parse::<u64>().ok()) {
-            if n > 0 {
-                opts.stride = n;
-            }
-        }
-    }
-    if let Some(s) = std::env::var_os("FOOTPRINT_TRACE_CAP") {
-        if let Some(n) = s.to_str().and_then(|s| s.trim().parse::<usize>().ok()) {
-            if n > 0 {
-                opts.trace_capacity = n;
-            }
-        }
-    }
-    Some(opts)
-}
+/// Timeline sampling stride of [`observed_run`], in cycles.
+const TIMELINE_STRIDE: u64 = 100;
 
-/// Where observability artifacts land: the `results/` directory (created
-/// on demand), overridable with `FOOTPRINT_RESULTS_DIR`.
-///
-/// # Errors
-///
-/// Propagates directory-creation failures.
-pub fn results_dir() -> io::Result<PathBuf> {
-    let dir = std::env::var_os("FOOTPRINT_RESULTS_DIR")
-        .map_or_else(|| PathBuf::from("results"), PathBuf::from);
-    std::fs::create_dir_all(&dir)?;
-    Ok(dir)
-}
+/// Event-trace ring capacity of [`observed_run`], in records: the trace
+/// keeps the *last* this many events.
+const TRACE_CAPACITY: usize = 65_536;
 
 /// Runs `builder` once with the full observability stack attached — an
 /// occupancy/link-utilization timeline (per-router rows included) and a
 /// bounded flit-event tracer — and writes `<label>_timeline.csv`,
-/// `<label>_routers.csv` and `<label>_events.jsonl` into [`results_dir`].
+/// `<label>_routers.csv` and `<label>_events.jsonl` into the results
+/// directory.
 ///
 /// Returns the run's report and the artifact paths.
 ///
@@ -155,17 +133,17 @@ pub fn results_dir() -> io::Result<PathBuf> {
 pub fn observed_run(
     label: &str,
     builder: &SimulationBuilder,
-    opts: ObserveOpts,
+    mode: &Mode,
 ) -> io::Result<(RunReport, Vec<PathBuf>)> {
-    let mut timeline = TimelineProbe::new(opts.stride).with_router_rows();
-    let mut trace = EventTrace::with_capacity(opts.trace_capacity);
+    let mut timeline = TimelineProbe::new(TIMELINE_STRIDE).with_router_rows();
+    let mut trace = EventTrace::with_capacity(TRACE_CAPACITY);
     let report = {
         let mut pair = ProbePair::new(&mut timeline, &mut trace);
         builder
             .run_with(footprint_core::RunOptions::new().probe(&mut pair))
             .expect("experiment configuration must be valid")
     };
-    let dir = results_dir()?;
+    let dir = mode.results_dir()?;
     let paths = vec![
         dir.join(format!("{label}_timeline.csv")),
         dir.join(format!("{label}_routers.csv")),
@@ -177,11 +155,13 @@ pub fn observed_run(
     Ok((report, paths))
 }
 
-/// Prints the artifact list of an [`observed_run`] to stdout.
-pub fn print_artifacts(label: &str, paths: &[PathBuf]) {
-    for p in paths {
-        println!("# {label}: wrote {}", p.display());
-    }
+/// Sets `builder`'s warmup and measurement to `phases` and its seed to
+/// `seed`.
+pub fn phased(builder: SimulationBuilder, phases: Phases, seed: u64) -> SimulationBuilder {
+    builder
+        .warmup(phases.warmup)
+        .measurement(phases.measurement)
+        .seed(seed)
 }
 
 /// Builds the baseline 8×8 builder for an algorithm/pattern pair.
@@ -190,12 +170,10 @@ pub fn paper_builder(
     traffic: TrafficSpec,
     phases: Phases,
 ) -> SimulationBuilder {
-    SimulationBuilder::paper_default()
+    let builder = SimulationBuilder::paper_default()
         .routing(routing)
-        .traffic(traffic)
-        .warmup(phases.warmup)
-        .measurement(phases.measurement)
-        .seed(0x0F00)
+        .traffic(traffic);
+    phased(builder, phases, 0x0F00)
 }
 
 /// A batch of labelled latency-throughput curves sharing one rate axis,
@@ -254,18 +232,6 @@ impl CurveSet {
         self
     }
 
-    /// Number of curves queued.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// `true` when no curves are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
     /// Runs every (curve × rate) point as one flat job set and
     /// reassembles the curves in insertion order.
     ///
@@ -301,15 +267,20 @@ impl CurveSet {
     }
 }
 
-/// Prints a set of curves as aligned columns: one block per curve, in the
+/// Writes a set of curves as aligned columns: one block per curve, in the
 /// `offered accepted latency` format the paper's figures plot.
-pub fn print_curves(title: &str, curves: &[Curve]) {
-    println!("## {title}");
+///
+/// # Errors
+///
+/// Propagates write errors.
+pub fn write_curves(out: &mut impl Write, title: &str, curves: &[Curve]) -> io::Result<()> {
+    writeln!(out, "## {title}")?;
     for c in curves {
-        print!("{c}");
-        println!("# saturation throughput ({}): {}", c.label, c.saturation(3.0));
-        println!();
+        write!(out, "{c}")?;
+        writeln!(out, "# saturation throughput ({}): {}", c.label, c.saturation(3.0))?;
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 /// Relative gain of `ours` over `baseline` ((ours - baseline) / baseline).
