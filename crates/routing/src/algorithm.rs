@@ -89,24 +89,16 @@ impl<'a> RoutingCtx<'a> {
             .find(|&d| self.usable(d))
     }
 
-    /// The escape hop for this packet: the dimension-order direction plus
-    /// the escape-VC class of that channel. On meshes the class is always
-    /// [`VcId::ESCAPE`]; wrapping topologies return class 0 or 1 by the
-    /// dateline rule ([`footprint_topology::AnyTopology::escape_class`]).
-    pub fn escape_hop(&self) -> Option<(Direction, VcId)> {
-        let dir = self.escape_dir()?;
-        let class = self.topo.escape_class(self.current, self.dest, dir);
-        Some((dir, VcId::from_index(usize::from(class))))
-    }
-
-    /// Appends the canonical lowest-priority escape request (Duato's
-    /// always-requestable escape channel) if a productive escape hop
-    /// survives the fault mask.
+    /// The canonical lowest-priority escape request (Duato's
+    /// always-requestable escape channel) for the escape hop `dir` (see
+    /// [`RoutingCtx::escape_dir`]), on the escape-VC class of that
+    /// channel. On meshes the class is always [`VcId::ESCAPE`]; wrapping
+    /// topologies return class 0 or 1 by the dateline rule
+    /// ([`footprint_topology::AnyTopology::escape_class`]).
     #[inline]
-    pub fn push_escape_request(&self, out: &mut Vec<VcRequest>) {
-        if let Some((dir, vc)) = self.escape_hop() {
-            out.push(VcRequest::new(Port::Dir(dir), vc, Priority::Lowest));
-        }
+    pub fn escape_request(&self, dir: Direction) -> VcRequest {
+        let class = self.topo.escape_class(self.current, self.dest, dir);
+        VcRequest::new(Port::Dir(dir), VcId::from_index(usize::from(class)), Priority::Lowest)
     }
 }
 

@@ -112,20 +112,21 @@ impl AnyRouting {
     /// The port level: the direction the packet takes here, with the
     /// winner's class masks when the pick already scanned them; `None`
     /// when every candidate is masked by a fault (stand down and wait).
+    /// `minimal` is the usable X and Y productive directions, which the
+    /// fully adaptive selectors pick from (`(None, None)` for the others).
     /// Both levels stay inlined into `route`, which runs for every waiting
     /// head every cycle.
     #[inline(always)]
     fn select(
         &self,
         ctx: &RoutingCtx<'_>,
+        minimal: (Option<Direction>, Option<Direction>),
         lo: usize,
         rng: &mut dyn RngCore,
     ) -> Option<(Direction, Option<ClassMasks>)> {
         let (a, b) = match self.selector {
             Selector::Footprint | Selector::Dbar | Selector::RandomMinimal => {
-                let dirs = ctx.topo.minimal_dirs(ctx.current, ctx.dest);
-                let usable = |d: &Direction| ctx.usable(*d);
-                match (dirs.x.filter(usable), dirs.y.filter(usable)) {
+                match minimal {
                     (None, None) => return None,
                     (Some(d), None) | (None, Some(d)) => return Some((d, None)),
                     (Some(a), Some(b)) => (a, b),
@@ -255,12 +256,23 @@ impl RoutingAlgorithm for AnyRouting {
         // Escape arrivals re-enter the adaptive channels (Duato's theory):
         // the escape request below keeps the escape network reachable.
         let lo = ctx.adaptive_lo(self.has_escape());
-        let Some((dir, masks)) = self.select(ctx, lo, rng) else {
+        // The fully adaptive selectors (exactly those with an escape
+        // layer) pick among the usable productive directions, and the
+        // escape hop is the first of them, X before Y (`escape_dir`):
+        // both read one evaluation of the fault mask.
+        let minimal = if self.has_escape() {
+            let dirs = ctx.topo.minimal_dirs(ctx.current, ctx.dest);
+            let usable = |d: &Direction| ctx.usable(*d);
+            (dirs.x.filter(usable), dirs.y.filter(usable))
+        } else {
+            (None, None)
+        };
+        let Some((dir, masks)) = self.select(ctx, minimal, lo, rng) else {
             return;
         };
         self.request_vcs(ctx, Port::Dir(dir), lo, masks, out);
-        if self.has_escape() {
-            ctx.push_escape_request(out);
+        if let Some(escape) = minimal.0.or(minimal.1) {
+            out.push(ctx.escape_request(escape));
         }
     }
 

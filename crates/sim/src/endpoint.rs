@@ -7,7 +7,7 @@ use crate::packet::{Flit, NewPacket, PacketId, PendingPacket};
 use crate::snapshot::{Snap, SnapResult};
 use crate::soa::{NocSoa, VACANT};
 use crate::view::RouterOutputsView;
-use crate::wire::{CreditMsg, Wire};
+use crate::wire::CreditMsg;
 use footprint_routing::{
     CongestionView, LinkStateView, Priority, RoutingAlgorithm, RoutingCtx, VcId,
 };
@@ -66,7 +66,8 @@ impl Source {
     }
 
     /// One source cycle: allocate a VC for the front packet if needed, then
-    /// stream at most one flit onto the injection wire.
+    /// stream at most one flit onto the injection channel — the flit
+    /// returned, for the caller to send.
     #[allow(clippy::too_many_arguments)]
     pub fn step(
         &mut self,
@@ -76,16 +77,15 @@ impl Source {
         links: &dyn LinkStateView,
         rng: &mut SmallRng,
         soa: &mut NocSoa,
-        wire: &mut Wire,
         probe: &mut dyn Probe,
-    ) {
+    ) -> Option<Flit> {
         if self.active_vc.is_none() {
             self.try_allocate(algo, topo, congestion, links, rng, soa);
         }
-        let Some(vc) = self.active_vc else { return };
+        let vc = self.active_vc?;
         let ovc = soa.inj_ivc(self.node, vc);
         if soa.out_credits(ovc) == 0 {
-            return;
+            return None;
         }
         let front = self.queue.front_mut().expect("active VC implies a packet");
         let flit = front.next_flit(crate::cast::vc_u8(vc));
@@ -108,7 +108,7 @@ impl Source {
                 head: flit.is_head(),
             });
         }
-        wire.flits.push(flit);
+        Some(flit)
     }
 
     /// Runs the injection VC selection for the front packet.
@@ -375,15 +375,15 @@ mod tests {
         let mesh = AnyTopology::mesh(4, 4);
         let dor = RoutingSpec::Dor.routing();
         let (mut src, mut soa) = source(4, 4);
-        let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
         src.enqueue(PacketId(1), new_packet(3, 2), 0);
         assert_eq!(src.backlog(), 1);
-        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
-        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
+        let flits: Vec<_> = (0..2)
+            .filter_map(|_| {
+                src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut NullProbe)
+            })
+            .collect();
         assert_eq!(src.backlog(), 0);
-        wire.tick();
-        let flits: Vec<_> = wire.flits.drain().collect();
         assert_eq!(flits.len(), 2);
         assert!(flits[0].is_head());
         assert!(flits[1].is_tail());
@@ -395,21 +395,17 @@ mod tests {
         let mesh = AnyTopology::mesh(4, 4);
         let dor = RoutingSpec::Dor.routing();
         let (mut src, mut soa) = source(2, 1); // 1-credit VCs
-        let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
         src.enqueue(PacketId(1), new_packet(3, 3), 0);
-        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe); // head goes
-        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe); // stalls
-        wire.tick();
-        let sent: Vec<_> = wire.flits.drain().collect();
-        assert_eq!(sent.len(), 1, "second flit must stall on zero credits");
+        let mut step = |soa: &mut NocSoa| {
+            src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, soa, &mut NullProbe)
+        };
+        let head = step(&mut soa).expect("head goes");
+        assert!(step(&mut soa).is_none(), "second flit must stall on zero credits");
         // Head slot freed downstream.
-        soa.out_return_credit(soa.inj_ivc(NodeId(0), sent[0].vc as usize));
-        src.step(&dor, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
-        wire.tick();
-        let flits: Vec<_> = wire.flits.drain().collect();
-        assert_eq!(flits.len(), 1);
-        assert_eq!(flits[0].kind, FlitKind::Body);
+        soa.out_return_credit(soa.inj_ivc(NodeId(0), head.vc as usize));
+        let body = step(&mut soa).expect("the returned credit sends the body");
+        assert_eq!(body.kind, FlitKind::Body);
     }
 
     #[test]
@@ -417,23 +413,32 @@ mod tests {
         let mesh = AnyTopology::mesh(4, 4);
         let algo = AnyRouting::footprint(Tiers::new().with_join());
         let (mut src, mut soa) = source(3, 4);
-        let mut wire = Wire::new();
         let mut rng = SmallRng::seed_from_u64(1);
+        let mut flits = Vec::new();
+        let mut step = |src: &mut Source, soa: &mut NocSoa| {
+            flits.extend(src.step(
+                &algo,
+                mesh,
+                &NoCongestionInfo,
+                &AllLinksUp,
+                &mut rng,
+                soa,
+                &mut NullProbe,
+            ));
+        };
         // Packet 1 to n5 claims adaptive VC; packet 2 to n7 claims the
         // other adaptive VC (3 VCs total: escape + 2 adaptive). Both end up
         // draining, so the channel is congested (no idle adaptive VCs).
         src.enqueue(PacketId(1), new_packet(5, 1), 0);
-        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
+        step(&mut src, &mut soa);
         src.enqueue(PacketId(2), new_packet(7, 1), 1);
-        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
+        step(&mut src, &mut soa);
         assert_eq!(src.backlog(), 0);
         // Packet 3 to n5 finds idle = ∅ and a footprint VC for n5 → joins
         // it instead of waiting or escaping.
         src.enqueue(PacketId(3), new_packet(5, 1), 2);
-        src.step(&algo, mesh, &NoCongestionInfo, &AllLinksUp, &mut rng, &mut soa, &mut wire, &mut NullProbe);
+        step(&mut src, &mut soa);
         assert_eq!(src.backlog(), 0, "joined the draining footprint VC");
-        wire.tick();
-        let flits: Vec<_> = wire.flits.drain().collect();
         assert_eq!(flits.len(), 3);
         assert_eq!(flits[0].vc, flits[2].vc, "same footprint VC for n5");
         assert_ne!(flits[0].vc, flits[1].vc, "different destinations split");

@@ -86,5 +86,5 @@ pub use sentinel::{
 };
 pub use sideband::Sideband;
 pub use view::RouterOutputsView;
-pub use wire::{CreditMsg, Pipe, Wire};
+pub use wire::CreditMsg;
 pub use workload::{FlowSet, NoTraffic, SingleFlow, Windowed, Workload};

@@ -1,5 +1,5 @@
-//! The complete simulated network: routers, endpoints, wires and the cycle
-//! loop.
+//! The complete simulated network: routers, endpoints, the delivery
+//! calendar and the cycle loop.
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
@@ -15,10 +15,10 @@ use crate::sched::{SchedState, Scheduler};
 use crate::sideband::Sideband;
 use crate::snapshot::{Snap, SnapReader, SnapResult, SnapWriter, SNAPSHOT_LAYOUT};
 use crate::soa::NocSoa;
-use crate::wire::{CreditMsg, Wire};
+use crate::wire::Calendar;
 use crate::workload::Workload;
 use footprint_routing::{dbar_threshold, RoutingAlgorithm, WrapStrategy};
-use footprint_topology::{AnyTopology, FaultPlan, NodeId, Port, PORT_COUNT};
+use footprint_topology::{AnyTopology, FaultPlan, NodeId, Port, DIRECTIONS, PORT_COUNT};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -26,6 +26,10 @@ use rand::SeedableRng;
 /// channel (its flits land in the node's sink) and the `up` entry of a
 /// mesh-edge input port (no channel feeds it).
 pub(crate) const SINK: usize = usize::MAX;
+
+/// The `down` entry of a channel that does not exist: a direction port
+/// with no neighbour (a mesh edge).
+const NO_LINK: usize = usize::MAX - 1;
 
 /// Splitmix64 finalizer — the jitter mixer for retry backoff. Kept local:
 /// retry timing must be a pure function of `(seed, packet, attempt)`,
@@ -75,19 +79,23 @@ pub struct Network {
     /// The live topology resolved from `cfg.topology` at construction.
     topo: AnyTopology,
     algo: Box<dyn RoutingAlgorithm>,
+    /// `algo`'s VC-allocation rules on `topo`, derived once.
+    rules: AllocRules,
     /// The struct-of-arrays datapath state all routers operate on.
     soa: NocSoa,
     routers: Vec<Router>,
     sources: Vec<Source>,
     sinks: Vec<Sink>,
-    /// Every channel, indexed like [`NocSoa`]'s output rows: the router
-    /// outputs at `node * PORT_COUNT + port` (`port == 0` is the ejection
-    /// channel, always present; a direction port has a wire only where the
-    /// topology has a neighbor), then each node's injection channel. One
-    /// rule serves all three kinds: a channel's credits go home to its own
-    /// output row, its flits land in the input row at its far end.
-    wires: Vec<Option<Wire>>,
-    /// `down[channel]`: the input row its flits land in, or [`SINK`].
+    /// Every flit and credit in flight, on every channel. Channels are
+    /// indexed like [`NocSoa`]'s output rows: the router outputs at
+    /// `node * PORT_COUNT + port` (`port == 0` is the ejection channel),
+    /// then each node's injection channel. One rule serves all three
+    /// kinds: a channel's credits go home to its own output row, its flits
+    /// land in the input row at its far end.
+    calendar: Calendar,
+    /// `down[channel]`: the input row its flits land in, [`SINK`], or
+    /// [`NO_LINK`] where the channel does not exist (a direction port
+    /// without a neighbour).
     down: Vec<usize>,
     /// `up[input row]`: the channel feeding it, on which its credits
     /// return ([`SINK`] at a mesh edge).
@@ -188,36 +196,29 @@ impl Network {
             .map(|node| Sink::new(node, cfg.num_vcs, cfg.vc_buffer_depth))
             .collect();
         let rows = n * PORT_COUNT;
-        let mut wires: Vec<Option<Wire>> = Vec::with_capacity(rows + n);
         let mut down = vec![SINK; rows + n];
         let mut up = vec![SINK; rows];
         for node in topo.nodes() {
-            for port in 0..PORT_COUNT {
-                let far = match Port::from_index(port) {
-                    Port::Local => Some(SINK),
-                    Port::Dir(d) => topo
-                        .neighbor(node, d)
-                        .map(|nb| soa.np(nb, Port::Dir(d.opposite()).index())),
-                };
-                if let Some(row) = far.filter(|&row| row != SINK) {
-                    (down[wires.len()], up[row]) = (row, wires.len());
+            for d in DIRECTIONS {
+                let c = soa.np(node, Port::Dir(d).index());
+                down[c] = NO_LINK;
+                if let Some(nb) = topo.neighbor(node, d) {
+                    let row = soa.np(nb, Port::Dir(d.opposite()).index());
+                    (down[c], up[row]) = (row, c);
                 }
-                wires.push(far.map(|_| Wire::with_latency(cfg.link_latency)));
             }
-        }
-        for node in topo.nodes() {
-            let row = soa.np(node, Port::Local.index());
-            (down[wires.len()], up[row]) = (row, wires.len());
-            wires.push(Some(Wire::with_latency(cfg.link_latency)));
+            let (c, row) = (soa.inj_np(node), soa.np(node, Port::Local.index()));
+            (down[c], up[row]) = (row, c);
         }
         Ok(Network {
             topo,
+            rules: AllocRules::of(&*algo, topo),
             algo,
             soa,
             routers,
             sources,
             sinks,
-            wires,
+            calendar: Calendar::new(cfg.link_latency),
             down,
             up,
             link_flits: vec![0; n * PORT_COUNT],
@@ -292,7 +293,7 @@ impl Network {
     ///
     /// Both schedulers run the same stage sequence; the active-set walk
     /// merely restricts stages 2 to 5 to the components with work (stage 1
-    /// skips quiescent channels in either mode).
+    /// visits only what arrives, in either mode).
     /// Skipped components are exact no-ops under the dense loop (the
     /// private `sched` module's docs give the argument), so the two modes
     /// are bit-identical.
@@ -325,43 +326,31 @@ impl Network {
             || fault_change
             || probe.wants_full_tick(self.cycle);
 
-        // 1. Channels advance and deliver: what was sent `latency` cycles
-        //    ago arrives — credits at the channel's own output row, flits
-        //    in the input row (or sink) at its far end, waking that router.
-        //    A delivery writes only datapath rows, sinks and activity bits,
-        //    never another wire, and each input VC has one feeder, so the
-        //    visit order is immaterial. Quiescent channels are skipped
-        //    (ticking them is a no-op).
+        // 1. What was sent `latency` cycles ago arrives: credits at their
+        //    channel's own output row, flits in the input row (or sink) at
+        //    its far end, waking that router. Each output VC, input VC and
+        //    sink has one feeding channel, whose entries arrive in send
+        //    order; every other effect is a set insert or a counter, so
+        //    the order across channels is immaterial.
         let num_vcs = self.cfg.num_vcs;
-        for (c, slot) in self.wires.iter_mut().enumerate() {
-            let Some(w) = slot.as_mut().filter(|w| !w.is_quiescent()) else {
-                continue;
-            };
-            w.tick();
-            if w.credits.receivable() {
-                for credit in w.credits.drain() {
-                    self.soa.out_return_credit(c * num_vcs + credit.vc as usize);
-                }
-            }
-            if !w.flits.receivable() {
-                continue;
-            }
+        let (credits, flits) = self.calendar.due(self.cycle);
+        for (c, vc) in credits {
+            self.soa.out_return_credit(c as usize * num_vcs + vc as usize);
+        }
+        for (c, f) in flits {
+            let c = c as usize;
             match self.down[c] {
                 SINK => {
                     let ni = c / PORT_COUNT;
-                    for f in w.flits.drain() {
-                        self.sinks[ni].push(f);
-                    }
+                    self.sinks[ni].push(f);
                     self.sched.sink_live.insert(ni);
                 }
                 row => {
                     // Flit arrivals wake the router and dirty its
                     // occupancy as seen by the side band.
                     let ni = row / PORT_COUNT;
-                    for f in w.flits.drain() {
-                        self.soa.in_push(row * num_vcs + f.vc as usize, f);
-                        self.sched.router_work[ni] += 1;
-                    }
+                    self.soa.in_push(row * num_vcs + f.vc as usize, f);
+                    self.sched.router_work[ni] += 1;
                     self.sched.live.insert(ni);
                     self.sched.sideband_dirty.insert(ni);
                 }
@@ -449,17 +438,17 @@ impl Network {
                 }
             }
             if full || !self.sources[ni].is_idle() {
-                let inj = self.soa.inj_np(node);
-                self.sources[ni].step(
+                if let Some(f) = self.sources[ni].step(
                     &*self.algo,
                     topo,
                     &self.sideband,
                     &FaultView::new(&self.faults, &*self.algo),
                     &mut self.rng,
                     &mut self.soa,
-                    self.wires[inj].as_mut().expect("injection wire"),
                     probe,
-                );
+                ) {
+                    self.calendar.send_flit(self.soa.inj_np(node), f);
+                }
             }
         }
 
@@ -468,7 +457,7 @@ impl Network {
         // their period. Credits keep flowing regardless (the credit
         // side-band is modeled as reliable), so repaired links resume
         // cleanly with a consistent credit count.
-        let rules = AllocRules::of(&*self.algo, topo);
+        let rules = self.rules;
         order.clear();
         if full {
             order.extend(0..topo.len());
@@ -486,19 +475,16 @@ impl Network {
             }
             self.sched.next_expected[ni] = self.cycle + 1;
             for port in 0..PORT_COUNT {
-                // Nothing staged means nothing to launch: skip the wire and
-                // fault checks entirely (`launch_allowed` is pure).
-                if self.soa.staged(self.soa.np(node, port)) == 0 {
+                // Nothing staged means nothing to launch: skip the fault
+                // checks entirely (`launch_allowed` is pure).
+                let c = self.soa.np(node, port);
+                if self.soa.staged(c) == 0 || self.down[c] == NO_LINK {
                     continue;
                 }
-                let wi = self.soa.np(node, port);
-                let Some(wire) = self.wires[wi].as_mut() else {
-                    continue;
-                };
                 if self.faults.launch_allowed(node, port, self.cycle) {
                     if let Some(f) = self.routers[ni].launch(&mut self.soa, port) {
-                        self.link_flits[wi] += 1;
-                        wire.flits.push(f);
+                        self.link_flits[c] += 1;
+                        self.calendar.send_flit(c, f);
                         self.sched.router_work[ni] =
                             self.sched.router_work[ni].saturating_sub(1);
                     }
@@ -530,11 +516,9 @@ impl Network {
                 self.sched.sideband_dirty.insert(ni);
             }
             for slot in &freed {
-                self.wires[self.up[self.soa.np(node, slot.in_port)]]
-                    .as_mut()
-                    .expect("a flit arrived on this channel")
-                    .credits
-                    .push(CreditMsg { vc: slot.vc });
+                let c = self.up[self.soa.np(node, slot.in_port)];
+                debug_assert_ne!(c, SINK, "a flit arrived on this channel");
+                self.calendar.send_credit(c, slot.vc);
             }
             self.freed_scratch = freed;
             if self.sched.router_work[ni] == 0 {
@@ -554,11 +538,8 @@ impl Network {
         for &ni in &order {
             let node = NodeId(crate::cast::idx_u16(ni));
             if let Some(credit) = self.sinks[ni].step(self.cycle, &mut self.metrics, probe) {
-                self.wires[self.soa.np(node, Port::Local.index())]
-                    .as_mut()
-                    .expect("ejection wire")
-                    .credits
-                    .push(credit);
+                self.calendar
+                    .send_credit(self.soa.np(node, Port::Local.index()), credit.vc);
             }
             if self.sinks[ni].buffered() == 0 {
                 self.sched.sink_live.remove(ni);
@@ -680,10 +661,11 @@ impl Network {
         Ok(())
     }
 
-    /// `true` when nothing is in flight anywhere: wires, routers, sources
-    /// and sinks are all empty. Used by drain phases and deadlock checks.
+    /// `true` when nothing is in flight anywhere: channels, routers,
+    /// sources and sinks are all empty. Used by drain phases and deadlock
+    /// checks.
     pub fn is_quiescent(&self) -> bool {
-        self.wires.iter().flatten().all(Wire::is_quiescent)
+        self.calendar.is_empty()
             && self.routers.iter().all(|r| r.is_quiescent(&self.soa))
             && self.sources.iter().all(|s| s.is_quiescent(&self.soa))
             && self.sinks.iter().all(Sink::is_quiescent)
@@ -692,7 +674,7 @@ impl Network {
 
     /// Serializes the complete dynamic state of a fault-free network —
     /// cycle counter, packet-id counter, RNG stream, every flit, buffer,
-    /// credit, arbiter pointer and wire stage — for warm-start restore via
+    /// credit, arbiter pointer and channel stage — for warm-start restore via
     /// [`Network::restore`].
     ///
     /// **Not** serialized, by argument rather than accident:
@@ -713,7 +695,8 @@ impl Network {
     /// the snapshot inventory, so such a network must not be checkpointed.
     ///
     /// Takes `&mut self` only because it shares one walk with `restore`;
-    /// it changes nothing.
+    /// it changes nothing a later cycle can observe (the calendar's slots
+    /// come back grouped by channel, each channel's order kept).
     pub fn snapshot(&mut self) -> Result<Vec<u8>, String> {
         if self.track_recovery || !self.retries.is_empty() || !self.unreachable.is_empty() {
             return Err("snapshots require a fault-free network".into());
@@ -771,7 +754,8 @@ impl Network {
         s.each(&mut self.routers, |s, r| r.snap(s))?;
         s.each(&mut self.sources, |s, src| src.snap(s))?;
         s.each(&mut self.sinks, |s, sink| sink.snap(s))?;
-        s.each(self.wires.iter_mut().flatten(), |s, wire| wire.snap(s))?;
+        let channels = (0..self.down.len()).filter(|&c| self.down[c] != NO_LINK);
+        self.calendar.snap(s, self.cycle, channels)?;
         s.each(&mut self.link_flits, S::u64)?;
         s.each(&mut self.sched.next_expected, S::u64)
     }
@@ -890,12 +874,21 @@ impl Network {
         &self.sinks
     }
 
-    /// Every channel that exists, as `(channel, wire, down)`: `channel`
-    /// is its output row in the datapath store, `down` the input row at
-    /// its far end or [`SINK`] (sentinel audits).
-    pub(crate) fn channels(&self) -> impl Iterator<Item = (usize, &Wire, usize)> {
-        (self.wires.iter().zip(&self.down).enumerate())
-            .filter_map(|(c, (wire, &down))| Some((c, wire.as_ref()?, down)))
+    /// Every channel that exists, as `(channel, down)`: `channel` is its
+    /// output row in the datapath store, `down` the input row at its far
+    /// end or [`SINK`] (sentinel audits).
+    pub(crate) fn channels(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (self.down.iter().copied().enumerate()).filter(|&(_, down)| down != NO_LINK)
+    }
+
+    /// Every flit and credit in flight (sentinel census).
+    pub(crate) fn calendar(&self) -> &Calendar {
+        &self.calendar
+    }
+
+    /// The routing algorithm's VC-allocation rules on this fabric.
+    pub(crate) fn rules(&self) -> AllocRules {
+        self.rules
     }
 
     /// The side-band congestion view (one-cycle-old, as routing sees it).
@@ -916,9 +909,9 @@ impl Network {
         let mut loads = Vec::new();
         for node in self.topo.nodes() {
             for port in 0..PORT_COUNT {
-                let wi = self.soa.np(node, port);
-                if self.wires[wi].is_some() {
-                    loads.push((node, Port::from_index(port), self.link_flits[wi]));
+                let c = self.soa.np(node, port);
+                if self.down[c] != NO_LINK {
+                    loads.push((node, Port::from_index(port), self.link_flits[c]));
                 }
             }
         }
@@ -939,7 +932,7 @@ mod tests {
     /// The channel table pairs up: every channel but the ejection ones has
     /// a far-end input row whose credits return on it, every input row
     /// with a neighbour has exactly one feeder, and a mesh edge has
-    /// neither wire nor feeder.
+    /// neither channel nor feeder.
     #[test]
     fn channel_table_pairs_every_input_row_with_its_feeder() {
         use footprint_topology::{TopologySpec, DIRECTIONS};
@@ -947,9 +940,9 @@ mod tests {
             let cfg = SimConfig { topology: spec, ..SimConfig::small() };
             let net = Network::new(cfg, RoutingSpec::Footprint.build(), 1).unwrap();
             let (topo, n) = (net.topo(), net.topo().len());
-            assert_eq!(net.wires.len(), n * (PORT_COUNT + 1));
+            assert_eq!(net.down.len(), n * (PORT_COUNT + 1));
             let mut feeders = vec![0; n * PORT_COUNT];
-            for (c, _, down) in net.channels() {
+            for (c, down) in net.channels() {
                 let ejection = c < n * PORT_COUNT && c % PORT_COUNT == Port::Local.index();
                 assert_eq!(down == SINK, ejection, "{spec}: channel {c}");
                 if !ejection {
@@ -962,7 +955,7 @@ mod tests {
                 for d in DIRECTIONS {
                     let row = net.soa.np(node, Port::Dir(d).index());
                     let linked = topo.neighbor(node, d).is_some();
-                    assert_eq!(net.wires[row].is_some(), linked, "{spec}: {node} {d}");
+                    assert_eq!(net.down[row] != NO_LINK, linked, "{spec}: {node} {d}");
                     assert_eq!(feeders[row], usize::from(linked), "{spec}: {node} {d}");
                     assert_eq!(net.up[row] == SINK, !linked, "{spec}: {node} {d}");
                 }
@@ -1237,6 +1230,49 @@ mod tests {
         }
     }
 
+    /// The same with three-cycle links, snapshotted at a cycle that is not
+    /// a multiple of 3, so the stream's stage `k` maps to calendar slot
+    /// `(cycle + k) % 3` with a nonzero offset: the restored run's metrics
+    /// match the uninterrupted run's, and so does its final snapshot, byte
+    /// for byte.
+    #[test]
+    fn restore_with_a_multi_slot_calendar_resumes_bit_identically() {
+        let mk = || {
+            let cfg = SimConfig { link_latency: 3, ..SimConfig::small() };
+            Network::new(cfg, RoutingSpec::Footprint.build(), 5).unwrap()
+        };
+        let wl = || {
+            let flow = |src, dest, rate, size| SingleFlow { src: NodeId(src), dest: NodeId(dest), rate, size };
+            crate::workload::FlowSet::new(vec![
+                flow(0, 15, 0.5, 3),
+                flow(12, 3, 0.4, 1),
+                flow(5, 10, 0.6, 2),
+                flow(15, 0, 0.3, 4),
+            ])
+        };
+        let at = 200;
+        assert_ne!(at % 3, 0);
+        let mut a = mk();
+        let mut wa = wl();
+        a.run(&mut wa, at);
+        a.metrics_mut().reset_window_at(at);
+        a.run(&mut wa, 300);
+
+        let mut b0 = mk();
+        let mut wb = wl();
+        b0.run(&mut wb, at);
+        assert!(!b0.calendar.is_empty(), "the snapshot must catch entries in flight");
+        let blob = b0.snapshot().expect("fault-free snapshot");
+        let mut b = mk();
+        b.restore(&blob).expect("restore");
+        b.metrics_mut().reset_window_at(at);
+        b.run(&mut wb, 300);
+
+        assert!(a.metrics().total().ejected_packets > 0);
+        assert_eq!(a.metrics().total(), b.metrics().total(), "window metrics diverged");
+        assert_eq!(a.snapshot().unwrap(), b.snapshot().unwrap(), "final snapshots differ");
+    }
+
     #[test]
     fn snapshot_rejects_faulted_networks_and_wrong_geometry() {
         use footprint_topology::{FaultEvent, FaultPlan};
@@ -1259,7 +1295,7 @@ mod tests {
         assert!(other.restore(&blob[..blob.len() - 3]).is_err());
 
         // Offsets into `net`'s stream: source 0's queue length, its
-        // active-VC tag, and the first wire's first pipe stage length.
+        // active-VC tag, and the first channel's first stage length.
         let offsets = |net: &mut Network| {
             use crate::snapshot::{Snap, SnapWriter};
             // Before the sources: the layout word, three geometry echoes,
@@ -1274,7 +1310,7 @@ mod tests {
             let tag = w.0.len() - 17;
             w.each(&mut net.sources[1..], |w, s| s.snap(w)).unwrap();
             w.each(&mut net.sinks, |w, s| s.snap(w)).unwrap();
-            // Past the pipe's latency echo.
+            // Past the channel's latency echo.
             (queue, tag, w.0.len() + 8)
         };
         let mut other = build(RoutingSpec::Footprint);
@@ -1286,7 +1322,7 @@ mod tests {
         // A corrupt length prefix must be an error before anything is
         // allocated for it, not a 2^40-element resize.
         let (queue, tag, stage) = offsets(&mut net);
-        for (at, field) in [(queue, "source queue length"), (stage, "pipe stage length")] {
+        for (at, field) in [(queue, "source queue length"), (stage, "channel stage length")] {
             let mut bad = blob.clone();
             bad[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
             let err = other.restore(&bad).unwrap_err();

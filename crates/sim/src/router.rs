@@ -30,8 +30,8 @@ pub struct FreedSlot {
 }
 
 /// The routing algorithm's VC-allocation rules. They are constants of the
-/// algorithm and the fabric, so the network reads them once per cycle
-/// rather than once per router.
+/// algorithm and the fabric, so the network derives them once, at
+/// construction.
 #[derive(Debug, Clone, Copy)]
 pub struct AllocRules {
     /// When a drained-but-uncredited output VC may be claimed afresh.
@@ -425,6 +425,7 @@ impl Router {
         soa: &NocSoa,
         algo: &dyn RoutingAlgorithm,
         topo: AnyTopology,
+        rules: AllocRules,
         congestion: &dyn CongestionView,
         links: &dyn LinkStateView,
         in_port: usize,
@@ -437,7 +438,6 @@ impl Router {
             return false;
         }
         let head = soa.in_front(ivc).expect("waiting implies a front flit");
-        let rules = AllocRules::of(algo, topo);
         let view = RouterOutputsView::new(soa, self.node, rules.policy);
         let ctx = self.head_ctx(
             head,

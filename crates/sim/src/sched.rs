@@ -17,7 +17,6 @@
 //!   first RNG draw or round-robin bump.
 //! * A sink with empty buffers pops nothing and leaves its round-robin
 //!   pointer untouched.
-//! * A quiescent wire's tick is a rotation of empty stage buffers.
 //!
 //! Packet generation is the one per-node duty that can never be skipped:
 //! the Bernoulli draw per node per cycle comes from the shared simulation
@@ -28,7 +27,8 @@
 //! a divergence. The live sets here are conservative: a router is live
 //! while any flit is resident in its input buffers or output stages, a
 //! sink while it buffers flits, a source while its queue or active VC is
-//! non-empty, and a wire while anything is in flight.
+//! non-empty. (Channels need no live set: the delivery calendar visits
+//! only the entries that arrive.)
 //!
 //! # Layout
 //!
@@ -41,7 +41,7 @@
 /// Which cycle loop [`Network::step`](crate::Network::step) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Walk every router, wire and endpoint every cycle (the reference
+    /// Walk every router and endpoint every cycle (the reference
     /// loop; what the simulator did before the active-set scheduler).
     Dense,
     /// Walk only components with pending work, waking them on flit

@@ -505,10 +505,7 @@ fn render_excerpt(net: &Network, violation: &SentinelViolation) -> String {
 /// Invariant 1: `injected == ejected + resident`, where residency counts
 /// every place a flit can legally sit at cycle end.
 fn check_flit_conservation(net: &Network, injected: u64, ejected: u64) -> Option<SentinelViolation> {
-    let mut resident: u64 = 0;
-    for (_, wire, _) in net.channels() {
-        resident += wire.flits.in_flight() as u64;
-    }
+    let mut resident = net.calendar().flits().count() as u64;
     for node in net.topo().nodes() {
         // Inputs + output stages, exactly the router-resident places.
         resident += net.datapath().resident_flits(node) as u64;
@@ -529,16 +526,23 @@ fn check_flit_conservation(net: &Network, injected: u64, ejected: u64) -> Option
 
 /// Invariant 2: per-(channel, VC) credit conservation — one equation for
 /// every channel of the table: upstream credits + staged flits + wire
-/// flits + wire credits + downstream occupancy = capacity.
+/// flits + wire credits + downstream occupancy = capacity. One pass over
+/// the calendar counts what is in flight per (channel, VC).
 fn check_credit_conservation(net: &Network) -> Option<SentinelViolation> {
     let num_vcs = net.config().num_vcs;
     let soa = net.datapath();
     let router_rows = net.topo().len() * PORT_COUNT;
-    let mut wire_flits = [0u32; MAX_VCS];
-    let mut wire_credits = [0u32; MAX_VCS];
+    // `wire[c * num_vcs + v]`: (flits, credits) in flight on channel `c`
+    // for VC `v`.
+    let mut wire = vec![(0u32, 0u32); (router_rows + net.topo().len()) * num_vcs];
+    for (c, f) in net.calendar().flits() {
+        wire[c * num_vcs + f.vc as usize].0 += 1;
+    }
+    for (c, vc) in net.calendar().credits() {
+        wire[c * num_vcs + vc as usize].1 += 1;
+    }
     let mut staged = [0u32; MAX_VCS];
-    for (c, wire, down) in net.channels() {
-        count_wire(wire, num_vcs, &mut wire_flits, &mut wire_credits);
+    for (c, down) in net.channels() {
         staged[..num_vcs].fill(0);
         let output = soa.out_row(c);
         for f in output.staged_flits() {
@@ -560,7 +564,8 @@ fn check_credit_conservation(net: &Network) -> Option<SentinelViolation> {
             } else {
                 soa.in_row(down).vc(v).len() as u32
             };
-            let sum = up.credits() + staged[v] + wire_flits[v] + wire_credits[v] + downstream;
+            let (wire_flits, wire_credits) = wire[c * num_vcs + v];
+            let sum = up.credits() + staged[v] + wire_flits + wire_credits + downstream;
             if sum != up.capacity() {
                 return Some(SentinelViolation::CreditConservation {
                     node: NodeId(crate::cast::idx_u16(ni)),
@@ -568,8 +573,8 @@ fn check_credit_conservation(net: &Network) -> Option<SentinelViolation> {
                     vc: crate::cast::vc_u8(v),
                     upstream_credits: up.credits(),
                     staged: staged[v],
-                    wire_flits: wire_flits[v],
-                    wire_credits: wire_credits[v],
+                    wire_flits,
+                    wire_credits,
                     downstream,
                     capacity: up.capacity(),
                 });
@@ -577,23 +582,6 @@ fn check_credit_conservation(net: &Network) -> Option<SentinelViolation> {
         }
     }
     None
-}
-
-/// Tallies a wire's in-flight flits and credits per VC.
-fn count_wire(
-    wire: &crate::wire::Wire,
-    num_vcs: usize,
-    flits: &mut [u32; MAX_VCS],
-    credits: &mut [u32; MAX_VCS],
-) {
-    flits[..num_vcs].fill(0);
-    credits[..num_vcs].fill(0);
-    for f in wire.flits.iter() {
-        flits[f.vc as usize] += 1;
-    }
-    for c in wire.credits.iter() {
-        credits[c.vc as usize] += 1;
-    }
 }
 
 /// Invariant 3: VC state-machine legality — input route states, output
@@ -892,8 +880,8 @@ pub(crate) fn find_protocol_deadlock(net: &Network) -> Option<DeadlockFinding> {
                             scratch.clear();
                             let mut rng = coin;
                             net.router(node).recompute_requests(
-                                soa, algo, mesh, sideband, &fault_view, pi, vi, &mut rng,
-                                &mut scratch,
+                                soa, algo, mesh, net.rules(), sideband, &fault_view, pi, vi,
+                                &mut rng, &mut scratch,
                             );
                             for r in &scratch {
                                 if !reqs[lo..].iter().any(|q| q.port == r.port && q.vc == r.vc)
@@ -923,7 +911,7 @@ pub(crate) fn find_protocol_deadlock(net: &Network) -> Option<DeadlockFinding> {
         }
     };
     let faults = net.fault_state();
-    let adaptive_lo = crate::router::AllocRules::of(algo, mesh).escape_lo;
+    let adaptive_lo = net.rules().escape_lo;
 
     // Pass 2: least fixpoint of liveness.
     loop {

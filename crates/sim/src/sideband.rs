@@ -67,11 +67,11 @@ impl Sideband {
         }
     }
 
+    /// `dir`'s index in [`DIRECTIONS`] (which lists the variants in
+    /// declaration order, as `sideband::tests` pins).
+    #[inline]
     fn dir_index(dir: Direction) -> usize {
-        DIRECTIONS
-            .iter()
-            .position(|&d| d == dir)
-            .expect("direction in table")
+        dir as usize
     }
 }
 
@@ -125,6 +125,16 @@ mod tests {
         sb.update(mesh, &soa);
         assert!(!sb.channel_congested(NodeId(0), Direction::West));
         assert!(!sb.channel_congested(NodeId(0), Direction::South));
+    }
+
+    /// `dir_index` is the discriminant, so the bit a direction reads is
+    /// the bit `update` writes at its position in `DIRECTIONS`.
+    #[test]
+    fn dir_index_is_the_position_in_directions() {
+        for (i, dir) in DIRECTIONS.into_iter().enumerate() {
+            assert_eq!(dir as usize, i, "{dir:?}");
+            assert_eq!(Sideband::dir_index(dir), i, "{dir:?}");
+        }
     }
 
     #[test]

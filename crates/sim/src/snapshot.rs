@@ -17,7 +17,7 @@ use crate::packet::{Flit, FlitKind};
 /// Version of the stream [`Network::snapshot`](crate::Network::snapshot)
 /// writes, checked first by `restore`. Bump it with any change to what a
 /// component writes or in which order. (2: injection VCs are rows of the
-/// datapath image, wires are stored in channel order.)
+/// datapath image, in-flight entries are stored channel by channel.)
 pub(crate) const SNAPSHOT_LAYOUT: u64 = 2;
 
 /// Every failure is a `String`, so the caller can fold it into "cache

@@ -89,9 +89,8 @@ impl PortStateView for RouterOutputsView<'_> {
         while m != 0 {
             let v = m.trailing_zeros() as usize;
             m &= m - 1;
-            if owners[v] == d {
-                fp |= 1 << v;
-            }
+            // Branch-free: the match is data-dependent and unpredictable.
+            fp |= u64::from(owners[v] == d) << v;
         }
         let idle = self.soa.out_idle_mask_for(np, self.policy) & range & !fp;
         (idle, fp)

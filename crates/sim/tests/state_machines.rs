@@ -1,8 +1,9 @@
 //! Property tests for the simulator's flow-control state machines: output
-//! VC lifecycle, input VC FIFO discipline and the wire pipeline.
+//! VC lifecycle and input VC FIFO discipline. (The delivery calendar's
+//! FIFO property is a unit test in `wire.rs`: the calendar is private.)
 
 use footprint_routing::VcReallocationPolicy;
-use footprint_sim::{Flit, FlitKind, NocSoa, OutVcState, PacketId, Pipe};
+use footprint_sim::{Flit, FlitKind, NocSoa, OutVcState, PacketId};
 use footprint_topology::NodeId;
 use proptest::prelude::*;
 
@@ -125,26 +126,5 @@ proptest! {
             }
         }
         prop_assert!(soa.input(NodeId(0), 0).vc(0).is_quiescent());
-    }
-
-    /// Wire pipeline: exactly-once, in-order delivery with one cycle latency.
-    #[test]
-    fn pipe_delivers_exactly_once_in_order(batches in prop::collection::vec(
-        prop::collection::vec(0u32..1000, 0..5), 1..20,
-    )) {
-        let mut pipe: Pipe<u32> = Pipe::new();
-        let mut sent: Vec<u32> = Vec::new();
-        let mut received: Vec<u32> = Vec::new();
-        for batch in &batches {
-            for &x in batch {
-                pipe.push(x);
-                sent.push(x);
-            }
-            pipe.tick();
-            received.extend(pipe.drain());
-        }
-        pipe.tick();
-        received.extend(pipe.drain());
-        prop_assert_eq!(received, sent);
     }
 }

@@ -2,14 +2,27 @@
 //! several run lengths, separating per-run setup cost (network + workload
 //! construction) from steady-state cycles/sec, plus one point past
 //! saturation (load 0.55), where blocked heads make VC allocation the
-//! whole cost of a cycle. Not a paper figure.
+//! whole cost of a cycle, and one idle point (a 16×16 mesh at load 0.02),
+//! where the fixed per-cycle costs dominate. Last, the median time of one
+//! `build_with` on an 8×8 and a 16×16 mesh. Not a paper figure.
+//!
+//! Run with `cargo run --release --example hotpath_profile`.
 
-use footprint_core::{RoutingSpec, RunOptions, SimulationBuilder, TrafficSpec};
+use footprint_core::{
+    FaultPlan, RoutingSpec, RunOptions, SimulationBuilder, TrafficSpec, UnreachablePolicy,
+};
 use std::time::Instant;
 
 fn main() {
-    for (rate, total) in [(0.30, 4_000u64), (0.30, 8_000), (0.30, 20_000), (0.55, 4_000)] {
-        let b = SimulationBuilder::paper_default()
+    let points = [
+        (8, 0.30, 4_000u64),
+        (8, 0.30, 8_000),
+        (8, 0.30, 20_000),
+        (8, 0.55, 4_000),
+        (16, 0.02, 20_000),
+    ];
+    for (k, rate, total) in points {
+        let b = SimulationBuilder::mesh(k)
             .routing(RoutingSpec::Footprint)
             .traffic(TrafficSpec::UniformRandom)
             .injection_rate(rate)
@@ -23,19 +36,26 @@ fn main() {
             best = best.min(t.elapsed().as_secs_f64());
         }
         println!(
-            "load {rate:.2}: {total} cycles in {best:.3}s = {:.0} cycles/sec",
+            "{k}x{k} load {rate:.2}: {total} cycles in {best:.3}s = {:.0} cycles/sec",
             total as f64 / best
         );
     }
-    // Construction alone.
-    let b = SimulationBuilder::paper_default()
-        .routing(RoutingSpec::Footprint)
-        .traffic(TrafficSpec::UniformRandom)
-        .injection_rate(0.30);
-    let t = Instant::now();
-    for _ in 0..20 {
-        let (net, wl) = b.build().expect("static experiment config");
-        std::hint::black_box((net, wl));
+    // Construction alone: the median of 500 builds, network and workload
+    // constructed and dropped, as the benchmark's `setup_s` times them.
+    for k in [8, 16] {
+        let b = SimulationBuilder::mesh(k)
+            .routing(RoutingSpec::Footprint)
+            .traffic(TrafficSpec::UniformRandom)
+            .injection_rate(0.02);
+        let mut samples: Vec<f64> = (0..500)
+            .map(|_| {
+                let t = Instant::now();
+                let built = b.build_with(FaultPlan::new(), UnreachablePolicy::default());
+                drop(built.expect("static experiment config"));
+                t.elapsed().as_secs_f64()
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        println!("build_with {k}x{k}: median {:.1} us", samples[250] * 1e6);
     }
-    println!("build() alone: {:.4}s each", t.elapsed().as_secs_f64() / 20.0);
 }
