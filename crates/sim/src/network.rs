@@ -1317,7 +1317,34 @@ mod tests {
         let mut bad = blob.clone();
         bad[0] ^= 1;
         let err = other.restore(&bad).unwrap_err();
-        assert!(err.contains("snapshot layout 3, this build reads 2"), "{err}");
+        assert!(err.contains("snapshot layout 2, this build reads 3"), "{err}");
+
+        // A ring head or length outside its ring is refused by name, not
+        // left for a later push or pop to panic on. `net` is idle, so its
+        // datapath image holds no flits: the input rings' heads and
+        // lengths follow the four datapath echoes, and the stages' heads
+        // and lengths end the image.
+        let cfg = SimConfig::small();
+        let (depth, cap) = (cfg.vc_buffer_depth, cfg.speedup);
+        let nodes = net.topo().len();
+        let (ivcs, out_nps) = (nodes * PORT_COUNT * cfg.num_vcs, nodes * (PORT_COUNT + 1));
+        let image_end = {
+            let mut w = crate::snapshot::SnapWriter(vec![0; 10 * 8]);
+            net.soa.snap(&mut w).unwrap();
+            w.0.len()
+        };
+        let heads = 10 * 8 + 4 * 8;
+        for (at, value, want) in [
+            (heads, depth, format!("input VC 0 head {depth} outside its {depth} slots")),
+            (heads + 2 * ivcs, depth + 1, format!("input VC 0 length {} exceeds", depth + 1)),
+            (image_end - 4 * out_nps, cap, format!("output stage 0 head {cap} outside")),
+            (image_end - 2 * out_nps, cap + 1, format!("output stage 0 length {}", cap + 1)),
+        ] {
+            let mut bad = blob.clone();
+            bad[at..at + 2].copy_from_slice(&(value as u16).to_le_bytes());
+            let err = other.restore(&bad).unwrap_err();
+            assert!(err.contains(&want), "{want}: {err}");
+        }
 
         // A corrupt length prefix must be an error before anything is
         // allocated for it, not a 2^40-element resize.

@@ -10,7 +10,9 @@
 //!    somewhere (a wire, an input FIFO, an output stage, a sink buffer) or
 //!    has been ejected. Packets dropped by the fault subsystem never become
 //!    flits (they are discarded at generation, before the source queue), so
-//!    the census is exact under any fault plan.
+//!    the census is exact under any fault plan. The flit slab behind the
+//!    input FIFOs and output stages must balance too: its handles in use
+//!    equal the flits those rings hold.
 //! 2. **Credit conservation** — for every (channel, VC), the sum of
 //!    upstream credits, staged flits, in-flight flits, in-flight credits
 //!    and downstream buffered flits equals the buffer capacity. A leak
@@ -151,6 +153,15 @@ pub enum SentinelViolation {
         /// Flits currently resident in wires, buffers, stages and sinks.
         resident: u64,
     },
+    /// The flit slab does not balance: the handles in use differ from the
+    /// flits the input VCs and output stages hold, so a handle leaked or
+    /// one was given back twice.
+    FlitPool {
+        /// Slab entries handed out and not given back.
+        in_use: u64,
+        /// Flits in the rings' live windows.
+        buffered: u64,
+    },
     /// A (channel, VC) credit equation does not balance.
     CreditConservation {
         /// Upstream node of the channel.
@@ -199,6 +210,11 @@ impl fmt::Display for SentinelViolation {
                 "flit conservation broken: {injected} injected != {ejected} ejected + \
                  {resident} resident (delta {})",
                 *injected as i128 - (*ejected as i128 + *resident as i128)
+            ),
+            SentinelViolation::FlitPool { in_use, buffered } => write!(
+                f,
+                "flit pool out of balance: {in_use} slab handles in use != {buffered} flits \
+                 buffered in input VCs and output stages"
             ),
             SentinelViolation::CreditConservation {
                 node,
@@ -466,7 +482,7 @@ fn render_excerpt(net: &Network, violation: &SentinelViolation) -> String {
         out.push('\n');
     };
     match violation {
-        SentinelViolation::FlitConservation { .. } => {
+        SentinelViolation::FlitConservation { .. } | SentinelViolation::FlitPool { .. } => {
             out.push_str(&net.occupancy_map());
         }
         SentinelViolation::CreditConservation { node, channel, .. } => {
@@ -503,7 +519,8 @@ fn render_excerpt(net: &Network, violation: &SentinelViolation) -> String {
 }
 
 /// Invariant 1: `injected == ejected + resident`, where residency counts
-/// every place a flit can legally sit at cycle end.
+/// every place a flit can legally sit at cycle end, and the flit slab's
+/// handles in use equal the flits buffered in routers.
 fn check_flit_conservation(net: &Network, injected: u64, ejected: u64) -> Option<SentinelViolation> {
     let mut resident = net.calendar().flits().count() as u64;
     for node in net.topo().nodes() {
@@ -513,15 +530,18 @@ fn check_flit_conservation(net: &Network, injected: u64, ejected: u64) -> Option
     for sink in net.sinks() {
         resident += sink.buffered() as u64;
     }
-    if injected == ejected + resident {
-        None
-    } else {
-        Some(SentinelViolation::FlitConservation {
+    if injected != ejected + resident {
+        return Some(SentinelViolation::FlitConservation {
             injected,
             ejected,
             resident,
-        })
+        });
     }
+    // The buffered flits above are counted by the rings; the slab behind
+    // them must hold exactly as many.
+    let soa = net.datapath();
+    let (in_use, buffered) = (soa.handles_in_use() as u64, soa.buffered_flits() as u64);
+    (in_use != buffered).then_some(SentinelViolation::FlitPool { in_use, buffered })
 }
 
 /// Invariant 2: per-(channel, VC) credit conservation — one equation for
@@ -1041,5 +1061,41 @@ pub(crate) fn find_protocol_deadlock(net: &Network) -> Option<DeadlockFinding> {
                 path.push(next);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::workload::{FlowSet, SingleFlow};
+    use footprint_routing::RoutingSpec;
+
+    /// A slab handle taken and never given back moves no flit, so the
+    /// flit census still balances; the pool census catches it, under its
+    /// own violation, in the audit right after the leak.
+    #[test]
+    fn leaked_slab_handle_trips_the_pool_census() {
+        let mut net = Network::new(SimConfig::small(), RoutingSpec::Footprint.build(), 9).unwrap();
+        let flow = |src, dest| SingleFlow {
+            src: NodeId(src),
+            dest: NodeId(dest),
+            rate: 0.4,
+            size: 3,
+        };
+        let mut wl = FlowSet::new(vec![flow(0, 15), flow(12, 3)]);
+        let mut sentinel = Sentinel::with_intervals(1, 1);
+        for _ in 0..60 {
+            net.step_probed(&mut wl, &mut sentinel);
+        }
+        assert!(!sentinel.tripped(), "clean phase must stay clean");
+        assert!(net.datapath().slab_len() > 0, "the slab must have been used");
+        net.datapath_mut().leak_handle();
+        let report = sentinel.audit(net.cycle(), &net).expect("the leak went unnoticed");
+        let SentinelViolation::FlitPool { in_use, buffered } = report.violation else {
+            panic!("expected a flit-pool violation, got: {}", report.violation);
+        };
+        assert_eq!(in_use, buffered + 1);
+        assert!(report.violation.to_string().contains("flit pool out of balance"));
     }
 }

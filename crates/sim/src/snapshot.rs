@@ -7,18 +7,23 @@
 //! [`Snap`]: the [`SnapWriter`] appends every field, the [`SnapReader`]
 //! overwrites it from the stream and checks the geometry echoes. A length
 //! prefix larger than the bytes left is refused before anything is
-//! resized, so a corrupt stream is an error, never a huge allocation. The
-//! cache key upstream binds the full configuration, and the cache file
-//! carries a checksum of the body, so a restore error (another layout,
-//! another geometry, a short stream) only means "run cold".
+//! resized, so a corrupt stream is an error, never a huge allocation.
+//! Only what a later cycle can read is written: a ring buffer contributes
+//! its head, its length and its live entries, not its empty slots, and a
+//! head or length outside the ring is refused by name. The cache key
+//! upstream binds the full configuration, and the cache file carries a
+//! checksum of the body, so a restore error (another layout, another
+//! geometry, a short stream) only means "run cold".
 
 use crate::packet::{Flit, FlitKind};
 
 /// Version of the stream [`Network::snapshot`](crate::Network::snapshot)
 /// writes, checked first by `restore`. Bump it with any change to what a
 /// component writes or in which order. (2: injection VCs are rows of the
-/// datapath image, in-flight entries are stored channel by channel.)
-pub(crate) const SNAPSHOT_LAYOUT: u64 = 2;
+/// datapath image, in-flight entries are stored channel by channel. 3:
+/// the datapath writes each ring's head and length and then only its live
+/// flits, oldest first, since the rings hold handles into one flit slab.)
+pub(crate) const SNAPSHOT_LAYOUT: u64 = 3;
 
 /// Every failure is a `String`, so the caller can fold it into "cache
 /// miss, run cold".

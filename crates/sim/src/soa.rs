@@ -34,8 +34,22 @@
 //!   bytes.
 //! * `in_occupied[np]` equals the number of VCs at the port whose input
 //!   FIFO is nonempty (the DBAR side band's occupancy measure, O(1) here).
-//! * Input FIFOs and output stages are fixed-capacity rings inside
-//!   `in_store`/`stage_store`; `*_head`/`*_len` delimit the live window.
+//! * Input FIFOs and output stages are fixed-capacity rings of `u32`
+//!   handles (`inputs`/`stages`); each ring's head and length delimit its
+//!   live window. The flits themselves live in one network-wide slab: a
+//!   ring slot inside a live window holds the handle of a slab entry, a
+//!   slot outside it holds nothing meaningful.
+//! * Every slab entry is held by exactly one live ring slot or sits on the
+//!   free list: `slab.len() - free.len()` equals the buffered flits, the
+//!   sum of every ring's length (the sentinel checks it).
+//!
+//! # The flit slab
+//!
+//! A push takes a handle off the LIFO free list, or appends to the slab
+//! when the list is empty; a pop gives its handle back. The slab grows
+//! only to the peak number of flits buffered at once — a small fraction of
+//! the rings' capacity — and the most recently freed, cache-hot entry is
+//! reused first. Construction fills no flit: the rings are zeroed `u32`s.
 
 use crate::input::RouteState;
 use crate::output::OutVcState;
@@ -43,6 +57,7 @@ use crate::packet::{Flit, FlitKind, PacketId};
 use crate::snapshot::{Snap, SnapResult};
 use footprint_routing::VcReallocationPolicy;
 use footprint_topology::{NodeId, Port, PORT_COUNT};
+use std::fmt;
 
 /// Packed route state (`route_kind` values).
 const ROUTE_IDLE: u8 = 0;
@@ -57,9 +72,9 @@ const OUT_DRAINING: u8 = 2;
 /// Owner-register sentinel for "no owner yet".
 const NO_OWNER: u32 = u32::MAX;
 
-/// A placeholder flit for unoccupied ring slots and for the buffers a
-/// snapshot restore resizes before overwriting (never observable: reads
-/// are bounded by the live lengths).
+/// A placeholder flit for what a snapshot restore fills before overwriting
+/// it from the stream — the calendar's stages, the sinks' queues and the
+/// rebuilt flit slab (never observable).
 pub(crate) const VACANT: Flit = Flit {
     packet: PacketId(0),
     kind: FlitKind::Single,
@@ -73,17 +88,20 @@ pub(crate) const VACANT: Flit = Flit {
 };
 
 /// The network-wide struct-of-arrays datapath state (see module docs).
-#[derive(Debug)]
 pub struct NocSoa {
     num_nodes: usize,
     num_vcs: usize,
     depth: usize,
-    stage_cap: usize,
+
+    // ---- the flit slab, shared by every ring ----
+    /// Every buffered flit, wherever it sits; rings hold indices into it.
+    slab: Vec<Flit>,
+    /// Handles of slab entries no ring holds, the most recently freed last.
+    free: Vec<u32>,
 
     // ---- input VCs (indexed by `ivc`) ----
-    in_store: Vec<Flit>,
-    in_head: Vec<u16>,
-    in_len: Vec<u16>,
+    /// One FIFO of `depth` slots per input VC.
+    inputs: Rings,
     route_kind: Vec<u8>,
     route_port: Vec<u8>,
     route_vc: Vec<u8>,
@@ -113,9 +131,8 @@ pub struct NocSoa {
     out_drain_mask: Vec<u64>,
     /// Bit `v` set iff `out_owner[ivc] != NO_OWNER`.
     out_owned_mask: Vec<u64>,
-    stage_store: Vec<Flit>,
-    stage_head: Vec<u16>,
-    stage_len: Vec<u16>,
+    /// One FIFO of `speedup` slots per output row.
+    stages: Rings,
 }
 
 impl NocSoa {
@@ -134,10 +151,9 @@ impl NocSoa {
             num_nodes,
             num_vcs,
             depth,
-            stage_cap: speedup,
-            in_store: vec![VACANT; ivcs * depth],
-            in_head: vec![0; ivcs],
-            in_len: vec![0; ivcs],
+            slab: Vec::new(),
+            free: Vec::new(),
+            inputs: Rings::new(ivcs, depth),
             route_kind: vec![ROUTE_IDLE; ivcs],
             route_port: vec![0; ivcs],
             route_vc: vec![0; ivcs],
@@ -152,23 +168,29 @@ impl NocSoa {
             out_idle_mask: vec![Self::vc_range_mask(0, num_vcs); out_nps],
             out_drain_mask: vec![0; out_nps],
             out_owned_mask: vec![0; out_nps],
-            stage_store: vec![VACANT; out_nps * speedup],
-            stage_head: vec![0; out_nps],
-            stage_len: vec![0; out_nps],
+            stages: Rings::new(out_nps, speedup),
         }
     }
 
-    /// Moves every array verbatim (ring slots outside the live windows
-    /// included), after the geometry echo, so a restore is an exact image
-    /// of the store at snapshot time.
+    /// Moves what a later cycle can read, after the geometry echo: the
+    /// input rings' heads and lengths, then each input VC's live flits
+    /// oldest first, then the other arrays verbatim, then the same for the
+    /// output stages. Ring slots outside the live windows hold nothing and
+    /// are not written.
+    ///
+    /// The walk rebuilds a compact slab in either direction — the input
+    /// VCs' flits in `ivc` order, then the stages' in `np` order, no free
+    /// handle — so a restored store and the one it was taken from hold the
+    /// same slab, and writing changes nothing the simulation can observe.
+    /// A stored head or length outside the ring is refused, naming it.
     pub(crate) fn snap<S: Snap>(&mut self, s: &mut S) -> SnapResult {
         s.echo(self.num_nodes, "soa nodes")?;
         s.echo(self.num_vcs, "soa vcs")?;
         s.echo(self.depth, "soa depth")?;
-        s.echo(self.stage_cap, "soa stage cap")?;
-        s.each(&mut self.in_store, S::flit)?;
-        s.each(&mut self.in_head, S::u16)?;
-        s.each(&mut self.in_len, S::u16)?;
+        s.echo(self.stages.cap, "soa stage cap")?;
+        let old = std::mem::take(&mut self.slab);
+        self.free.clear();
+        self.inputs.snap(s, "input VC", &old, &mut self.slab)?;
         s.each(&mut self.route_kind, S::u8)?;
         s.each(&mut self.route_port, S::u8)?;
         s.each(&mut self.route_vc, S::u8)?;
@@ -183,9 +205,7 @@ impl NocSoa {
         s.each(&mut self.out_drain_mask, S::u64)?;
         s.each(&mut self.out_owned_mask, S::u64)?;
         s.each(&mut self.in_occupied, S::u16)?;
-        s.each(&mut self.stage_store, S::flit)?;
-        s.each(&mut self.stage_head, S::u16)?;
-        s.each(&mut self.stage_len, S::u16)
+        self.stages.snap(s, "output stage", &old, &mut self.slab)
     }
 
     /// VCs per physical channel.
@@ -226,31 +246,83 @@ impl NocSoa {
     }
 
     // ------------------------------------------------------------------
+    // The flit slab
+    // ------------------------------------------------------------------
+
+    /// The flit behind `handle`.
+    #[inline]
+    fn flit(&self, handle: u32) -> &Flit {
+        &self.slab[handle as usize]
+    }
+
+    /// Stores `flit` under a free handle — the most recently freed one, or
+    /// a new entry when none is free.
+    #[inline]
+    fn alloc(&mut self, flit: Flit) -> u32 {
+        match self.free.pop() {
+            Some(handle) => {
+                self.slab[handle as usize] = flit;
+                handle
+            }
+            None => {
+                self.slab.push(flit);
+                crate::cast::idx_u32(self.slab.len() - 1)
+            }
+        }
+    }
+
+    /// Gives `handle` back and returns the flit it held.
+    #[inline]
+    fn release(&mut self, handle: u32) -> Flit {
+        self.free.push(handle);
+        self.slab[handle as usize]
+    }
+
+    /// Slab handles a ring holds: entries allocated and not given back.
+    pub(crate) fn handles_in_use(&self) -> usize {
+        self.slab.len() - self.free.len()
+    }
+
+    /// Flits in every input VC and output stage, summed over the rings'
+    /// live windows — equal to [`NocSoa::handles_in_use`] unless a handle
+    /// leaked.
+    pub(crate) fn buffered_flits(&self) -> usize {
+        let sum = |lens: &[u16]| lens.iter().map(|&l| usize::from(l)).sum::<usize>();
+        sum(&self.inputs.lens) + sum(&self.stages.lens)
+    }
+
+    /// The slab's length: the peak number of flits buffered at once since
+    /// construction or the last snapshot walk, which compacts it.
+    pub fn slab_len(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// Takes a handle that no ring will ever give back: the fault the
+    /// sentinel's pool census exists to catch.
+    #[cfg(test)]
+    pub(crate) fn leak_handle(&mut self) {
+        self.alloc(VACANT);
+    }
+
+    // ------------------------------------------------------------------
     // Input VCs
     // ------------------------------------------------------------------
 
     /// Number of buffered flits in input VC `ivc`.
     #[inline]
     pub fn in_len(&self, ivc: usize) -> usize {
-        self.in_len[ivc] as usize
+        self.inputs.len(ivc)
     }
 
     /// The front flit of input VC `ivc`, if any.
     #[inline]
     pub fn in_front(&self, ivc: usize) -> Option<&Flit> {
-        if self.in_len[ivc] == 0 {
-            None
-        } else {
-            Some(&self.in_store[ivc * self.depth + self.in_head[ivc] as usize])
-        }
+        self.inputs.front(ivc).map(|h| self.flit(h))
     }
 
     /// The buffered flits of input VC `ivc`, front first.
     pub fn in_flits(&self, ivc: usize) -> impl Iterator<Item = &Flit> {
-        let base = ivc * self.depth;
-        let head = self.in_head[ivc] as usize;
-        let depth = self.depth;
-        (0..self.in_len[ivc] as usize).map(move |k| &self.in_store[base + (head + k) % depth])
+        self.inputs.live(ivc).map(|h| self.flit(h))
     }
 
     /// Routing/allocation state of input VC `ivc`.
@@ -314,11 +386,10 @@ impl NocSoa {
     /// Panics on buffer overflow — arrivals are gated by credits upstream,
     /// so an overflow indicates a flow-control bug.
     pub fn in_push(&mut self, ivc: usize, flit: Flit) {
-        let len = self.in_len[ivc] as usize;
+        let len = self.inputs.len(ivc);
         assert!(len < self.depth, "input VC overflow");
-        let slot = ivc * self.depth + (self.in_head[ivc] as usize + len) % self.depth;
-        self.in_store[slot] = flit;
-        self.in_len[ivc] = (len + 1) as u16;
+        let handle = self.alloc(flit);
+        self.inputs.push(ivc, handle);
         if len == 0 {
             self.in_occupied[ivc / self.num_vcs] += 1;
         }
@@ -357,18 +428,14 @@ impl NocSoa {
             self.route_kind[ivc], ROUTE_ACTIVE,
             "pop without an active grant"
         );
-        let len = self.in_len[ivc] as usize;
-        assert!(len > 0, "pop from empty input VC");
-        let head = self.in_head[ivc] as usize;
-        let flit = self.in_store[ivc * self.depth + head];
+        let handle = self.inputs.pop(ivc).expect("pop from empty input VC");
+        let flit = self.release(handle);
         debug_assert_eq!(
             flit.packet.0, self.route_packet[ivc],
             "front flit not of the active packet"
         );
-        self.in_head[ivc] = ((head + 1) % self.depth) as u16;
-        self.in_len[ivc] = (len - 1) as u16;
         let (np, bit) = (ivc / self.num_vcs, 1u64 << (ivc % self.num_vcs));
-        if len == 1 {
+        if self.inputs.len(ivc) == 0 {
             self.in_occupied[np] -= 1;
         }
         if flit.is_tail() {
@@ -547,21 +614,18 @@ impl NocSoa {
     /// Free slots in the staging FIFO of port `np`.
     #[inline]
     pub fn stage_space(&self, np: usize) -> usize {
-        self.stage_cap - self.stage_len[np] as usize
+        self.stages.cap - self.stages.len(np)
     }
 
     /// Number of staged flits at port `np`.
     #[inline]
     pub fn staged(&self, np: usize) -> usize {
-        self.stage_len[np] as usize
+        self.stages.len(np)
     }
 
     /// The staged flits of port `np`, next-to-launch first.
     pub fn staged_flits(&self, np: usize) -> impl Iterator<Item = &Flit> {
-        let base = np * self.stage_cap;
-        let head = self.stage_head[np] as usize;
-        let cap = self.stage_cap;
-        (0..self.stage_len[np] as usize).map(move |k| &self.stage_store[base + (head + k) % cap])
+        self.stages.live(np).map(|h| self.flit(h))
     }
 
     /// Pushes a flit that just crossed the switch into port `np`'s stage.
@@ -570,24 +634,15 @@ impl NocSoa {
     ///
     /// Panics if the stage is full.
     pub fn stage_push(&mut self, np: usize, flit: Flit) {
-        let len = self.stage_len[np] as usize;
-        assert!(len < self.stage_cap, "stage overflow");
-        let slot = np * self.stage_cap + (self.stage_head[np] as usize + len) % self.stage_cap;
-        self.stage_store[slot] = flit;
-        self.stage_len[np] = (len + 1) as u16;
+        assert!(self.stage_space(np) > 0, "stage overflow");
+        let handle = self.alloc(flit);
+        self.stages.push(np, handle);
     }
 
     /// Pops the next flit to launch onto port `np`'s link.
     pub fn stage_pop(&mut self, np: usize) -> Option<Flit> {
-        let len = self.stage_len[np] as usize;
-        if len == 0 {
-            return None;
-        }
-        let head = self.stage_head[np] as usize;
-        let flit = self.stage_store[np * self.stage_cap + head];
-        self.stage_head[np] = ((head + 1) % self.stage_cap) as u16;
-        self.stage_len[np] = (len - 1) as u16;
-        Some(flit)
+        let handle = self.stages.pop(np)?;
+        Some(self.release(handle))
     }
 
     // ------------------------------------------------------------------
@@ -599,11 +654,11 @@ impl NocSoa {
     pub fn resident_flits(&self, node: NodeId) -> usize {
         let np0 = node.index() * PORT_COUNT;
         let vc0 = np0 * self.num_vcs;
-        let in_sum: usize = self.in_len[vc0..vc0 + PORT_COUNT * self.num_vcs]
+        let in_sum: usize = self.inputs.lens[vc0..vc0 + PORT_COUNT * self.num_vcs]
             .iter()
             .map(|&l| l as usize)
             .sum();
-        let staged: usize = self.stage_len[np0..np0 + PORT_COUNT]
+        let staged: usize = self.stages.lens[np0..np0 + PORT_COUNT]
             .iter()
             .map(|&l| l as usize)
             .sum();
@@ -619,7 +674,7 @@ impl NocSoa {
         self.in_occupied[np0..np0 + PORT_COUNT].iter().all(|&c| c == 0)
             && self.waiting_mask[np0..np0 + PORT_COUNT].iter().all(|&m| m == 0)
             && self.active_mask[np0..np0 + PORT_COUNT].iter().all(|&m| m == 0)
-            && self.stage_len[np0..np0 + PORT_COUNT].iter().all(|&l| l == 0)
+            && self.stages.lens[np0..np0 + PORT_COUNT].iter().all(|&l| l == 0)
             && self.out_state[vc0..vc0 + nvc].iter().all(|&s| s == OUT_IDLE)
             && self.out_credits[vc0..vc0 + nvc]
                 .iter()
@@ -661,6 +716,147 @@ impl NocSoa {
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
+    }
+}
+
+/// Prints each ring's live flits, oldest first, in place of slab handles
+/// and the free list: two stores that buffer the same flits print the
+/// same, however their slabs are laid out.
+impl fmt::Debug for NocSoa {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let in_flits: Vec<Vec<&Flit>> = (0..self.inputs.lens.len())
+            .map(|ivc| self.in_flits(ivc).collect())
+            .collect();
+        let staged_flits: Vec<Vec<&Flit>> = (0..self.stages.lens.len())
+            .map(|np| self.staged_flits(np).collect())
+            .collect();
+        f.debug_struct("NocSoa")
+            .field("num_nodes", &self.num_nodes)
+            .field("num_vcs", &self.num_vcs)
+            .field("depth", &self.depth)
+            .field("stage_cap", &self.stages.cap)
+            .field("in_flits", &in_flits)
+            .field("in_head", &self.inputs.heads)
+            .field("route_kind", &self.route_kind)
+            .field("route_port", &self.route_port)
+            .field("route_vc", &self.route_vc)
+            .field("route_packet", &self.route_packet)
+            .field("out_state", &self.out_state)
+            .field("out_owner", &self.out_owner)
+            .field("out_packet", &self.out_packet)
+            .field("out_credits", &self.out_credits)
+            .field("waiting_mask", &self.waiting_mask)
+            .field("active_mask", &self.active_mask)
+            .field("in_occupied", &self.in_occupied)
+            .field("out_idle_mask", &self.out_idle_mask)
+            .field("out_drain_mask", &self.out_drain_mask)
+            .field("out_owned_mask", &self.out_owned_mask)
+            .field("staged_flits", &staged_flits)
+            .field("stage_head", &self.stages.heads)
+            .finish()
+    }
+}
+
+/// One family of fixed-capacity FIFOs of slab handles — the input VCs or
+/// the output stages: `cap` slots per ring, and each ring's live window
+/// of `lens[r]` handles from slot `heads[r]`. Slots outside the window hold
+/// nothing meaningful.
+struct Rings {
+    slot: Vec<u32>,
+    heads: Vec<u16>,
+    lens: Vec<u16>,
+    cap: usize,
+}
+
+impl Rings {
+    /// `count` empty rings of `cap` slots: zeroed integers, no flit.
+    fn new(count: usize, cap: usize) -> Self {
+        Rings {
+            slot: vec![0; count * cap],
+            heads: vec![0; count],
+            lens: vec![0; count],
+            cap,
+        }
+    }
+
+    /// The slot of ring `r`'s `k`-th oldest handle. A head is below `cap`
+    /// and `k < cap`, so one conditional subtraction wraps the index.
+    #[inline]
+    fn at(&self, r: usize, k: usize) -> usize {
+        let i = usize::from(self.heads[r]) + k;
+        r * self.cap + if i >= self.cap { i - self.cap } else { i }
+    }
+
+    #[inline]
+    fn len(&self, r: usize) -> usize {
+        usize::from(self.lens[r])
+    }
+
+    /// Ring `r`'s oldest handle, if any.
+    #[inline]
+    fn front(&self, r: usize) -> Option<u32> {
+        (self.lens[r] > 0).then(|| self.slot[self.at(r, 0)])
+    }
+
+    /// Ring `r`'s handles, oldest first.
+    fn live(&self, r: usize) -> impl Iterator<Item = u32> + '_ {
+        (0..self.len(r)).map(move |k| self.slot[self.at(r, k)])
+    }
+
+    /// Appends `handle` to ring `r`; the caller has checked for room.
+    #[inline]
+    fn push(&mut self, r: usize, handle: u32) {
+        debug_assert!(self.len(r) < self.cap);
+        let at = self.at(r, self.len(r));
+        self.slot[at] = handle;
+        self.lens[r] += 1;
+    }
+
+    /// Removes and returns ring `r`'s oldest handle, if any.
+    #[inline]
+    fn pop(&mut self, r: usize) -> Option<u32> {
+        let handle = self.front(r)?;
+        let next = usize::from(self.heads[r]) + 1;
+        self.heads[r] = if next == self.cap { 0 } else { next as u16 };
+        self.lens[r] -= 1;
+        Some(handle)
+    }
+
+    /// Moves the heads, the lengths and then each ring's live flits oldest
+    /// first, appending those flits to `slab` and pointing the live slots
+    /// at them. `old` is the slab the handles index before the walk (when
+    /// reading, a live slot's handle is stale and its flit overwritten).
+    fn snap<S: Snap>(
+        &mut self,
+        s: &mut S,
+        what: &str,
+        old: &[Flit],
+        slab: &mut Vec<Flit>,
+    ) -> SnapResult {
+        s.each(&mut self.heads, S::u16)?;
+        s.each(&mut self.lens, S::u16)?;
+        let cap = self.cap;
+        for r in 0..self.lens.len() {
+            let (head, len) = (usize::from(self.heads[r]), self.len(r));
+            if head >= cap {
+                return Err(format!(
+                    "snapshot {what} {r} head {head} outside its {cap} slots"
+                ));
+            }
+            if len > cap {
+                return Err(format!(
+                    "snapshot {what} {r} length {len} exceeds its {cap} slots"
+                ));
+            }
+            for k in 0..len {
+                let at = self.at(r, k);
+                let mut flit = old.get(self.slot[at] as usize).copied().unwrap_or(VACANT);
+                s.flit(&mut flit)?;
+                self.slot[at] = crate::cast::idx_u32(slab.len());
+                slab.push(flit);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -836,7 +1032,7 @@ impl<'a> OutPortRef<'a> {
 
     /// `true` when every VC is quiescent and the stage is empty.
     pub fn is_quiescent(&self) -> bool {
-        self.soa.stage_len[self.np] == 0 && self.vcs().all(|v| v.is_quiescent())
+        self.soa.staged(self.np) == 0 && self.vcs().all(|v| v.is_quiescent())
     }
 }
 
@@ -1086,6 +1282,88 @@ mod tests {
         let f = flit(1, FlitKind::Single, 0);
         s.stage_push(0, f);
         s.stage_push(0, f);
+    }
+
+    /// The census holds and every live window reads back what was pushed.
+    fn check_against_model(
+        s: &NocSoa,
+        inputs: &[std::collections::VecDeque<u64>],
+        stages: &[std::collections::VecDeque<u64>],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prop_assert_eq;
+        for (ivc, want) in inputs.iter().enumerate() {
+            let got: Vec<u64> = s.in_flits(ivc).map(|f| f.packet.0).collect();
+            prop_assert_eq!(&got, &want.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(s.in_front(ivc).map(|f| f.packet.0), want.front().copied());
+        }
+        for (np, want) in stages.iter().enumerate() {
+            let got: Vec<u64> = s.staged_flits(np).map(|f| f.packet.0).collect();
+            prop_assert_eq!(&got, &want.iter().copied().collect::<Vec<_>>());
+        }
+        let buffered = inputs.iter().chain(stages).map(|q| q.len()).sum::<usize>();
+        prop_assert_eq!(s.buffered_flits(), buffered);
+        prop_assert_eq!(s.handles_in_use(), buffered);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Random pushes, grants and pops over every input VC and output
+        /// stage of a one-router store, with `depth` and the stage
+        /// capacity in 1..=4, against a `VecDeque` per ring: each ring is
+        /// a FIFO, the slab's handles in use equal the buffered flits, and
+        /// a push appends to the slab only when no handle is free.
+        #[test]
+        fn rings_over_the_slab_match_a_deque_model(
+            depth in 1usize..=4,
+            cap in 1usize..=4,
+            ops in proptest::collection::vec((0u8..5, 0usize..64), 1..200),
+        ) {
+            use std::collections::VecDeque;
+            let mut s = NocSoa::new(1, 2, depth, cap);
+            let (ivcs, nps) = (PORT_COUNT * 2, PORT_COUNT + 1);
+            let mut inputs = vec![VecDeque::new(); ivcs];
+            let mut stages = vec![VecDeque::new(); nps];
+            let mut next = 0u64;
+            for (op, at) in ops {
+                let (slab, free) = (s.slab.len(), s.free.len());
+                let (ivc, np) = (at % ivcs, at % nps);
+                let pushed = match op {
+                    0 if inputs[ivc].len() < depth => {
+                        next += 1;
+                        let mut f = flit(next, FlitKind::Single, 0);
+                        f.size = 1;
+                        s.in_push(ivc, f);
+                        inputs[ivc].push_back(next);
+                        true
+                    }
+                    1 if s.waiting(ivc) => {
+                        s.in_grant(ivc, Port::Local, 0);
+                        false
+                    }
+                    2 if s.route_kind[ivc] == ROUTE_ACTIVE => {
+                        let f = s.in_pop_granted(ivc);
+                        proptest::prop_assert_eq!(Some(f.packet.0), inputs[ivc].pop_front());
+                        false
+                    }
+                    3 if stages[np].len() < cap => {
+                        next += 1;
+                        s.stage_push(np, flit(next, FlitKind::Single, 0));
+                        stages[np].push_back(next);
+                        true
+                    }
+                    4 => {
+                        let f = s.stage_pop(np).map(|f| f.packet.0);
+                        proptest::prop_assert_eq!(f, stages[np].pop_front());
+                        false
+                    }
+                    _ => false,
+                };
+                if pushed && free > 0 {
+                    proptest::prop_assert_eq!(s.slab.len(), slab, "grew with a free handle");
+                }
+                check_against_model(&s, &inputs, &stages)?;
+            }
+        }
     }
 
     #[test]
