@@ -8,7 +8,7 @@ use crate::{TenantSpec, TrafficSpec};
 use footprint_routing::RoutingSpec;
 use footprint_sim::{ConfigError, Network, Scheduler, SimConfig, UnreachablePolicy, Workload};
 use footprint_topology::{FaultPlan, TopologySpec};
-use footprint_traffic::{ModulationSpec, Modulator, PacketSize, Tenant, TenantWorkload};
+use footprint_traffic::{Modulation, ModulationSpec, PacketSize, Tenant, Tenants};
 
 /// Fluent configuration of one simulation run.
 ///
@@ -50,10 +50,10 @@ pub struct SimulationBuilder {
     pub(crate) tenants: Vec<TenantSpec>,
 }
 
-/// Seed salt for the single-workload modulator, far outside the sweep
-/// index range so modulation RNGs never collide with point seeds.
+/// Seed salt for a lone spec's gate, far outside the sweep index range so
+/// modulation RNGs never collide with point seeds.
 const MODULATION_SALT: u64 = 0x4D4F_4475_4C41_7465; // "MODuLAte"
-/// Base seed salt for per-tenant modulators (tenant `i` uses `SALT + i`).
+/// Base seed salt for per-tenant gates (tenant `i` uses `SALT + i`).
 const TENANT_SALT: u64 = 0x7465_4E61_4E74_0000; // "teNaNt"
 
 impl SimulationBuilder {
@@ -175,10 +175,10 @@ impl SimulationBuilder {
     }
 
     /// Applies a time-varying injection schedule
-    /// ([`footprint_traffic::Modulator`]) over the configured traffic:
+    /// ([`footprint_traffic::Modulation`]) to the configured traffic:
     /// on/off bursts, rate ramps or piecewise steps. Ignored for
     /// multi-tenant runs (each [`TenantSpec`] carries its own schedule).
-    /// The modulator's RNG seed derives from the builder seed, so sweeps
+    /// The gate's RNG seed derives from the builder seed, so sweeps
     /// stay bit-identical at any thread count. An invalid schedule fails
     /// the run with [`ConfigError::Workload`].
     pub fn modulation(mut self, spec: ModulationSpec) -> Self {
@@ -231,10 +231,12 @@ impl SimulationBuilder {
         self.build_with(FaultPlan::new(), UnreachablePolicy::default())
     }
 
-    /// Builds the configured workload — single traffic spec, modulated
-    /// spec, or multi-tenant composite — lowering traffic-layer errors
-    /// into the simulator's [`ConfigError`] vocabulary (the traffic crate
-    /// sits above `footprint-sim`, so the errors travel as plain data).
+    /// Builds the configured workload: one [`Tenants`] list, of the lone
+    /// traffic spec (which keeps its packets' classes) or of the
+    /// configured tenants (tenant `i` stamps class `i`). Traffic-layer
+    /// errors are lowered into the simulator's [`ConfigError`] vocabulary
+    /// (the traffic crate sits above `footprint-sim`, so the errors travel
+    /// as plain data).
     fn build_workload(&self) -> Result<Box<dyn Workload>, ConfigError> {
         let lower = |e: footprint_traffic::PatternError| ConfigError::PatternMesh {
             pattern: e.pattern,
@@ -242,19 +244,6 @@ impl SimulationBuilder {
             topology: self.topology,
         };
         let topo = self.topology.validate()?;
-        if self.tenants.is_empty() {
-            let base = self
-                .traffic
-                .build(topo, self.packet_size, self.rate)
-                .map_err(lower)?;
-            if self.modulation == ModulationSpec::Steady {
-                return Ok(base);
-            }
-            let seed = crate::exec::derive_seed(self.seed, MODULATION_SALT);
-            let modulated = Modulator::new(base, self.modulation.clone(), seed)
-                .map_err(|e| ConfigError::Workload(e.to_string()))?;
-            return Ok(Box::new(modulated));
-        }
         if self.tenants.len() > usize::from(u8::MAX) + 1 {
             return Err(ConfigError::Workload(format!(
                 "{} tenants exceed the 256 traffic classes",
@@ -267,31 +256,36 @@ impl SimulationBuilder {
                 "tenant rates sum to {total} flits/node/cycle (budget 1.0)"
             )));
         }
-        let mut tenants = Vec::with_capacity(self.tenants.len());
-        for (i, t) in self.tenants.iter().enumerate() {
-            if !(0.0..=1.0).contains(&t.rate) {
-                return Err(ConfigError::Workload(format!(
-                    "tenant `{}` rate {} out of [0, 1]",
-                    t.name, t.rate
-                )));
-            }
-            let wl = t
-                .traffic
-                .build(topo, self.packet_size, t.rate)
-                .map_err(lower)?;
-            let wl: Box<dyn Workload> = if t.modulation == ModulationSpec::Steady {
-                wl
+        let lone = [TenantSpec::new("", self.traffic, self.rate).modulation(self.modulation.clone())];
+        let multi = !self.tenants.is_empty();
+        let specs = if multi { &self.tenants[..] } else { &lone[..] };
+        let mut tenants = Vec::with_capacity(specs.len());
+        for (i, t) in specs.iter().enumerate() {
+            // A lone spec keeps its packets' classes and its own salt.
+            let (class, salt, label) = if multi {
+                if !(0.0..=1.0).contains(&t.rate) {
+                    return Err(ConfigError::Workload(format!(
+                        "tenant `{}` rate {} out of [0, 1]",
+                        t.name, t.rate
+                    )));
+                }
+                (Some(i as u8), TENANT_SALT + i as u64, format!("tenant `{}`: ", t.name))
             } else {
-                let seed = crate::exec::derive_seed(self.seed, TENANT_SALT + i as u64);
-                Box::new(
-                    Modulator::new(wl, t.modulation.clone(), seed).map_err(|e| {
-                        ConfigError::Workload(format!("tenant `{}`: {e}", t.name))
-                    })?,
-                )
+                (None, MODULATION_SALT, String::new())
             };
-            tenants.push(Tenant::new(t.name.clone(), i as u8, wl));
+            let source = t.traffic.build(topo, self.packet_size, t.rate).map_err(lower)?;
+            let gate = match &t.modulation {
+                ModulationSpec::Steady => None,
+                spec => {
+                    let seed = crate::exec::derive_seed(self.seed, salt);
+                    let gate = Modulation::new(spec.clone(), seed)
+                        .map_err(|e| ConfigError::Workload(format!("{label}{e}")))?;
+                    Some(gate)
+                }
+            };
+            tenants.push(Tenant { class, source, gate });
         }
-        Ok(Box::new(TenantWorkload::new(tenants)))
+        Ok(Box::new(Tenants(tenants)))
     }
 
     /// Builds the network under a fault schedule and unreachable policy,

@@ -101,4 +101,4 @@ pub use footprint_stats::{
     WindowCounts,
 };
 pub use footprint_topology::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
-pub use footprint_traffic::{App, DurationDist, ModulationSpec, Modulator, PacketSize};
+pub use footprint_traffic::{App, DurationDist, ModulationSpec, PacketSize};

@@ -2,14 +2,13 @@
 
 use core::fmt;
 use core::str::FromStr;
-use footprint_sim::Workload;
 use footprint_topology::AnyTopology;
 use footprint_traffic::{
-    App, HotspotWorkload, PacketSize, ParsecPairWorkload, Pattern, PatternError, SyntheticWorkload,
-    APPS, FIGURE2,
+    App, HotspotWorkload, PacketSize, ParsecPairWorkload, Pattern, PatternError, Source,
+    SyntheticWorkload, APPS, FIGURE2,
 };
 
-/// A named workload, buildable into a `footprint-sim` [`Workload`].
+/// A named workload, buildable into a traffic [`Source`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficSpec {
     /// Uniform random (Figures 5–8).
@@ -76,7 +75,7 @@ impl TrafficSpec {
         })
     }
 
-    /// Builds the workload for `topo` at the given offered load
+    /// Builds the source for `topo` at the given offered load
     /// (flits/node/cycle) and packet-size mix.
     ///
     /// # Errors
@@ -88,13 +87,15 @@ impl TrafficSpec {
         topo: AnyTopology,
         size: PacketSize,
         rate: f64,
-    ) -> Result<Box<dyn Workload>, PatternError> {
+    ) -> Result<Source, PatternError> {
         Ok(match (self, self.pattern()) {
-            (_, Some(pattern)) => Box::new(SyntheticWorkload::new(topo, pattern, size, rate)?),
+            (_, Some(p)) => Source::Synthetic(SyntheticWorkload::new(topo, p, size, rate)?),
             (TrafficSpec::Hotspot { background_rate }, None) => {
-                Box::new(HotspotWorkload::new(topo, rate, background_rate, size)?)
+                Source::Hotspot(HotspotWorkload::new(topo, rate, background_rate, size)?)
             }
-            (TrafficSpec::ParsecPair(a, b), None) => Box::new(ParsecPairWorkload::new(topo, a, b)),
+            (TrafficSpec::ParsecPair(a, b), None) => {
+                Source::ParsecPair(ParsecPairWorkload::new(topo, a, b))
+            }
             (_, None) => unreachable!("every other spec has a pattern"),
         })
     }
@@ -204,6 +205,7 @@ impl TenantSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use footprint_sim::Workload;
     use footprint_topology::NodeId;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -243,7 +245,7 @@ mod tests {
     fn bit_patterns_rejected_on_non_power_of_two_mesh() {
         let odd = AnyTopology::mesh(6, 6);
         for spec in [TrafficSpec::Shuffle, TrafficSpec::BitComplement, TrafficSpec::BitReverse] {
-            let err = spec.build(odd, PacketSize::SINGLE, 0.5).err().expect("6x6 must be rejected");
+            let err = spec.build(odd, PacketSize::SINGLE, 0.5).expect_err("6x6 must be rejected");
             assert_eq!(err.requirement, "a power-of-two node count");
             assert_eq!(err.topology, odd);
         }

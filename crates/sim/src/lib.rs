@@ -4,8 +4,10 @@
 //! input-queued, virtual-channel router microarchitecture with credit-based
 //! flow control and wormhole switching, simulated cycle by cycle:
 //!
-//! * [`Network`] — a 2D mesh of [`Router`]s, each with a [`Source`] and a
-//!   [`Sink`] endpoint, connected by single-cycle links.
+//! * [`Network`] — a fabric of [`Router`]s (a 2D mesh, a torus or a ring,
+//!   per [`SimConfig::topology`]), each with a [`Source`] and a [`Sink`]
+//!   endpoint, connected by links of [`SimConfig::link_latency`] cycles
+//!   (one in the paper's configuration).
 //! * Routing is pluggable through `footprint-routing`'s `RoutingAlgorithm`
 //!   trait; the router's **priority-based VC allocator** consumes the
 //!   prioritized request sets that Footprint's Algorithm 1 emits, and
@@ -87,4 +89,4 @@ pub use sentinel::{
 pub use sideband::Sideband;
 pub use view::RouterOutputsView;
 pub use wire::CreditMsg;
-pub use workload::{FlowSet, NoTraffic, SingleFlow, Windowed, Workload};
+pub use workload::{FlowSet, NoTraffic, SingleFlow, Workload};

@@ -504,8 +504,7 @@ impl Router {
                         continue;
                     }
                     // Grant: traverse the switch.
-                    let mut flit = soa.in_pop_granted(ivc);
-                    flit.vc = out_vc;
+                    let flit = soa.switch_traverse(ivc, np0 + p, out_vc);
                     soa.out_consume_credit(ovc);
                     if flit.is_tail() {
                         soa.out_tail_sent(ovc, policy);
@@ -523,7 +522,6 @@ impl Router {
                             head: flit.is_head(),
                         });
                     }
-                    soa.stage_push(np0 + p, flit);
                     stage_space[p] -= 1;
                     out_budget[p] -= 1;
                     in_budget -= 1;

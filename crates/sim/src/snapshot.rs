@@ -22,8 +22,10 @@ use crate::packet::{Flit, FlitKind};
 /// component writes or in which order. (2: injection VCs are rows of the
 /// datapath image, in-flight entries are stored channel by channel. 3:
 /// the datapath writes each ring's head and length and then only its live
-/// flits, oldest first, since the rings hold handles into one flit slab.)
-pub(crate) const SNAPSHOT_LAYOUT: u64 = 3;
+/// flits, oldest first, since the rings hold handles into one flit slab.
+/// 4: the datapath writes no per-port mask or occupancy count; restore
+/// recomputes them.)
+pub(crate) const SNAPSHOT_LAYOUT: u64 = 4;
 
 /// Every failure is a `String`, so the caller can fold it into "cache
 /// miss, run cold".

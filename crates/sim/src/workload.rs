@@ -10,9 +10,9 @@ use rand::Rng;
 /// node per cycle, so rates up to 1.0 fit this contract for single-flit
 /// packets; multi-flit packets lower the packet rate accordingly).
 ///
-/// The `footprint-traffic` crate provides the paper's synthetic patterns
-/// and workloads behind this trait (via the adapter in `footprint-core`);
-/// the implementations here are minimal fixtures for tests and examples.
+/// The `footprint-traffic` crate implements this trait for the paper's
+/// synthetic patterns and workloads; the implementations here are minimal
+/// fixtures for tests and examples.
 ///
 /// # Determinism contract
 ///
@@ -21,8 +21,8 @@ use rand::Rng;
 /// generation loop is dense in every scheduler mode (see
 /// [`Scheduler`](crate::Scheduler)). A workload's RNG consumption is
 /// therefore a pure function of the call sequence, which makes any
-/// composition of workloads (flow sets, modulation wrappers, tenant
-/// multiplexers) bit-identical across schedulers and sweep thread counts.
+/// composition of workloads (flow sets, gated sources, tenant lists)
+/// bit-identical across schedulers and sweep thread counts.
 pub trait Workload {
     /// Possibly generates a packet at `node` on `cycle`.
     fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket>;
@@ -180,31 +180,6 @@ impl Workload for FlowSet {
     }
 }
 
-/// Applies a workload only during a cycle window (e.g. to stop injection in
-/// a drain phase while keeping the same workload object).
-#[derive(Debug, Clone)]
-pub struct Windowed<W> {
-    inner: W,
-    until: u64,
-}
-
-impl<W: Workload> Windowed<W> {
-    /// Wraps `inner`, active for cycles `< until`.
-    pub fn new(inner: W, until: u64) -> Self {
-        Windowed { inner, until }
-    }
-}
-
-impl<W: Workload> Workload for Windowed<W> {
-    fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
-        if cycle < self.until {
-            self.inner.generate(node, cycle, rng)
-        } else {
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,15 +250,6 @@ mod tests {
     #[should_panic(expected = "size must be nonzero")]
     fn zero_size_is_rejected() {
         let _ = SingleFlow::new(NodeId(0), NodeId(1), 0.5, 0);
-    }
-
-    #[test]
-    fn windowed_stops_after_deadline() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let f = SingleFlow::new(NodeId(0), NodeId(1), 1.0, 1);
-        let mut w = Windowed::new(f, 5);
-        assert!(w.generate(NodeId(0), 4, &mut rng).is_some());
-        assert!(w.generate(NodeId(0), 5, &mut rng).is_none());
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   substitution rationale).
 //! * [`trace`] — generic timestamped trace replay.
 //! * [`modulate`] — on/off (bursty) gating, rate ramps and piecewise
-//!   schedules over any workload.
-//! * [`tenants`] — multi-tenant multiplexing with per-tenant classes.
+//!   schedules: the [`Modulation`] gate beside a source.
+//! * [`tenants`] — the workload value: [`Tenants`], a list of
+//!   [`Tenant`]s, each a closed-enum [`Source`] with an optional gate and
+//!   class. A plain, modulated or multi-tenant configuration is one.
 //!
 //! # Example
 //!
@@ -51,13 +53,13 @@ pub mod tenants;
 pub mod trace;
 
 pub use hotspot::{HotspotWorkload, BACKGROUND_CLASS, HOTSPOT_CLASS};
-pub use modulate::{DurationDist, ModulationError, ModulationSpec, Modulator};
+pub use modulate::{DurationDist, Modulation, ModulationError, ModulationSpec};
 pub use overlay::Overlay;
-pub use tenants::{Tenant, TenantWorkload};
 pub use parsec::{memory_controllers, App, AppProfile, ParsecPairWorkload, APPS};
 pub use patterns::{Pattern, PatternError, FIGURE2, TABLE3};
 pub use size::PacketSize;
 pub use synthetic::SyntheticWorkload;
+pub use tenants::{Source, Tenant, Tenants};
 pub use trace::{
     parse_trace, write_trace, ParseTraceError, TraceEvent, TraceRegression, TraceWorkload,
 };

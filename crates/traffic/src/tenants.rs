@@ -1,107 +1,92 @@
-//! Multi-tenant workloads: independent traffic sources sharing the mesh.
+//! The workload value: a list of tenants, each a closed-enum [`Source`]
+//! with an optional [`Modulation`] gate beside it.
 //!
-//! A tenant is a named workload (any pattern, rate and modulation) tagged
-//! with a distinct traffic class so the stats layer can attribute every
-//! packet. [`TenantWorkload`] multiplexes the tenants onto the single
-//! packet-per-node-per-cycle injection budget.
+//! A plain or modulated traffic spec is a list of one tenant that keeps
+//! its packets' own classes; a multi-tenant run is a list of several, each
+//! stamping its class on what it injects so the stats layer can attribute
+//! every packet.
 //!
 //! # Draw-order contract
 //!
-//! Each cycle the tenants are polled in declaration order and the **first
-//! tenant that generates wins** the node's injection slot — the same
-//! first-firing-wins discipline as `FlowSet` in `footprint-sim`, and with
-//! the same determinism consequences: every polled tenant draws from the
-//! shared RNG whether or not it wins, so the composite sequence is exactly
-//! reproducible for a fixed tenant order and seed, while *reordering*
-//! tenants produces a different (equally valid) sequence. Earlier tenants
-//! thin later tenants' accepted load by at most the product of their
-//! injection probabilities; keep aggregate rates within the budget (the
-//! `footprint-core` builder enforces the sum ≤ 1.0 flit/node/cycle) and
-//! the distortion stays second-order.
+//! Each cycle **every** tenant is polled in declaration order, and the
+//! first tenant that generates wins the node's injection slot. Unlike
+//! `FlowSet` in `footprint-sim`, which stops at the first flow that fires,
+//! the losers are polled too: each tenant's draws from the shared RNG do
+//! not depend on the other tenants' outcomes, so the composite sequence is
+//! exactly reproducible for a fixed tenant order and seed, while
+//! *reordering* tenants produces a different (equally valid) sequence.
+//! Earlier tenants thin later tenants' accepted load by at most the
+//! product of their injection probabilities; keep aggregate rates within
+//! the budget (the `footprint-core` builder enforces the sum ≤ 1.0
+//! flit/node/cycle) and the distortion stays second-order.
 
+use crate::{HotspotWorkload, Modulation, ParsecPairWorkload, SyntheticWorkload};
 use footprint_sim::{NewPacket, Workload};
 use footprint_topology::NodeId;
 use rand::rngs::SmallRng;
 
-/// One tenant: a named, class-tagged workload share of the mesh.
-pub struct Tenant {
-    /// Display name, carried into per-tenant summaries.
-    pub name: String,
-    /// Traffic class stamped on every packet this tenant generates
-    /// (overriding any class the inner workload set).
-    pub class: u8,
-    /// The tenant's traffic source.
-    pub workload: Box<dyn Workload>,
+/// One traffic source: the closed set of workloads a traffic spec names.
+#[derive(Debug)]
+pub enum Source {
+    /// Bernoulli injection over a pattern (Figures 2 and 5–8).
+    Synthetic(SyntheticWorkload),
+    /// The Table 3 hotspot + background mix (Figure 9).
+    Hotspot(HotspotWorkload),
+    /// Two PARSEC-like applications sharing the fabric (Figure 10).
+    ParsecPair(ParsecPairWorkload),
 }
 
-impl Tenant {
-    /// Creates a tenant.
-    pub fn new(name: impl Into<String>, class: u8, workload: Box<dyn Workload>) -> Self {
-        Tenant {
-            name: name.into(),
-            class,
-            workload,
+impl Workload for Source {
+    fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
+        match self {
+            Source::Synthetic(w) => w.generate(node, cycle, rng),
+            Source::Hotspot(w) => w.generate(node, cycle, rng),
+            Source::ParsecPair(w) => w.generate(node, cycle, rng),
         }
     }
 }
 
-impl core::fmt::Debug for Tenant {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Tenant")
-            .field("name", &self.name)
-            .field("class", &self.class)
-            .finish_non_exhaustive()
-    }
+/// One tenant: a source, the gate beside it, and the class it stamps.
+#[derive(Debug)]
+pub struct Tenant {
+    /// Traffic class stamped on every packet this tenant injects; `None`
+    /// keeps the class the source set.
+    pub class: Option<u8>,
+    /// The tenant's traffic source.
+    pub source: Source,
+    /// The time-varying gate over the source, if any.
+    pub gate: Option<Modulation>,
 }
 
-/// Multiplexes tenant workloads onto the shared injection budget (see the
+/// The tenants sharing the fabric, in polling order (see the
 /// [module docs](self) for the draw-order contract).
 #[derive(Debug)]
-pub struct TenantWorkload {
-    tenants: Vec<Tenant>,
-}
+pub struct Tenants(pub Vec<Tenant>);
 
-impl TenantWorkload {
-    /// Creates a multi-tenant workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenants` is empty or two tenants share a traffic class
-    /// (classes are the attribution key for per-tenant accounting).
-    pub fn new(tenants: Vec<Tenant>) -> Self {
-        assert!(!tenants.is_empty(), "a TenantWorkload needs at least one tenant");
-        let mut seen = [false; 256];
-        for t in &tenants {
-            assert!(
-                !std::mem::replace(&mut seen[t.class as usize], true),
-                "tenants `{}` and another share class {}",
-                t.name,
-                t.class
-            );
-        }
-        TenantWorkload { tenants }
-    }
-
-    /// Tenant names in declaration (= polling) order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.tenants.iter().map(|t| t.name.as_str())
-    }
-}
-
-impl Workload for TenantWorkload {
+impl Tenant {
+    /// What this tenant injects at `node` on `cycle`: the source draws,
+    /// then the gate admits or drops, then the class is stamped.
     fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
-        let mut winner: Option<NewPacket> = None;
-        // Poll *every* tenant even after one wins: each tenant's RNG
-        // consumption must not depend on the other tenants' outcomes, or
-        // determinism would hold only for this exact tenant set.
-        for t in &mut self.tenants {
-            let p = t.workload.generate(node, cycle, rng);
-            if winner.is_none() {
-                if let Some(mut p) = p {
-                    p.class = t.class;
-                    winner = Some(p);
-                }
-            }
+        let p = self.source.generate(node, cycle, rng);
+        let mut p = match &mut self.gate {
+            Some(gate) => gate.admit(node, cycle, p)?,
+            None => p?,
+        };
+        if let Some(class) = self.class {
+            p.class = class;
+        }
+        Some(p)
+    }
+}
+
+impl Workload for Tenants {
+    fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
+        let mut winner = None;
+        // No early exit: a tenant's draws must not depend on whether an
+        // earlier tenant fired.
+        for t in &mut self.0 {
+            let p = t.generate(node, cycle, rng);
+            winner = winner.or(p);
         }
         winner
     }
@@ -110,28 +95,46 @@ impl Workload for TenantWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use footprint_sim::SingleFlow;
+    use crate::{PacketSize, Pattern};
+    use footprint_topology::AnyTopology;
     use rand::SeedableRng;
+
+    /// A steady tenant sending one flow at `rate`, stamping `class`.
+    fn flow(flow: &'static [(NodeId, NodeId)], rate: f64, class: u8) -> Tenant {
+        let mesh = AnyTopology::mesh(4, 4);
+        let wl = SyntheticWorkload::new(mesh, Pattern::Flows(flow), PacketSize::SINGLE, rate);
+        Tenant {
+            class: Some(class),
+            source: Source::Synthetic(wl.unwrap()),
+            gate: None,
+        }
+    }
+
+    const N0_N1: &[(NodeId, NodeId)] = &[(NodeId(0), NodeId(1))];
+    const N0_N2: &[(NodeId, NodeId)] = &[(NodeId(0), NodeId(2))];
+    const N2_N1: &[(NodeId, NodeId)] = &[(NodeId(2), NodeId(1))];
 
     #[test]
     fn packets_carry_the_tenant_class() {
-        let mut wl = TenantWorkload::new(vec![
-            Tenant::new("a", 0, Box::new(SingleFlow::new(NodeId(0), NodeId(1), 1.0, 1))),
-            Tenant::new("b", 3, Box::new(SingleFlow::new(NodeId(2), NodeId(1), 1.0, 1))),
-        ]);
+        let mut wl = Tenants(vec![flow(N0_N1, 1.0, 0), flow(N2_N1, 1.0, 3)]);
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(wl.generate(NodeId(0), 0, &mut rng).unwrap().class, 0);
         assert_eq!(wl.generate(NodeId(2), 0, &mut rng).unwrap().class, 3);
         assert!(wl.generate(NodeId(3), 0, &mut rng).is_none());
-        assert_eq!(wl.names().collect::<Vec<_>>(), ["a", "b"]);
+        // A tenant without a class keeps the source's own.
+        let mesh = AnyTopology::mesh(4, 4);
+        let own = SyntheticWorkload::new(mesh, Pattern::Flows(N0_N1), PacketSize::SINGLE, 1.0);
+        let mut lone = Tenants(vec![Tenant {
+            class: None,
+            source: Source::Synthetic(own.unwrap().with_class(5)),
+            gate: None,
+        }]);
+        assert_eq!(lone.generate(NodeId(0), 0, &mut rng).unwrap().class, 5);
     }
 
     #[test]
     fn first_tenant_wins_contended_slots() {
-        let mut wl = TenantWorkload::new(vec![
-            Tenant::new("hi", 1, Box::new(SingleFlow::new(NodeId(0), NodeId(1), 1.0, 1))),
-            Tenant::new("lo", 2, Box::new(SingleFlow::new(NodeId(0), NodeId(2), 1.0, 1))),
-        ]);
+        let mut wl = Tenants(vec![flow(N0_N1, 1.0, 1), flow(N0_N2, 1.0, 2)]);
         let mut rng = SmallRng::seed_from_u64(1);
         for c in 0..50 {
             let p = wl.generate(NodeId(0), c, &mut rng).unwrap();
@@ -146,10 +149,7 @@ mod tests {
         // tenant's draw. Replay the composite by hand: one Bernoulli per
         // tenant per call, first success wins, regardless of who won.
         use rand::Rng;
-        let mut wl = TenantWorkload::new(vec![
-            Tenant::new("a", 1, Box::new(SingleFlow::new(NodeId(0), NodeId(1), 0.5, 1))),
-            Tenant::new("b", 2, Box::new(SingleFlow::new(NodeId(0), NodeId(2), 0.5, 1))),
-        ]);
+        let mut wl = Tenants(vec![flow(N0_N1, 0.5, 1), flow(N0_N2, 0.5, 2)]);
         let mut rng = SmallRng::seed_from_u64(42);
         let mut manual = SmallRng::seed_from_u64(42);
         for c in 0..400u64 {
@@ -165,20 +165,5 @@ mod tests {
             };
             assert_eq!(got, want, "cycle {c}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "share class")]
-    fn duplicate_classes_are_rejected() {
-        let _ = TenantWorkload::new(vec![
-            Tenant::new("a", 1, Box::new(footprint_sim::NoTraffic)),
-            Tenant::new("b", 1, Box::new(footprint_sim::NoTraffic)),
-        ]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one tenant")]
-    fn empty_tenant_sets_are_rejected() {
-        let _ = TenantWorkload::new(vec![]);
     }
 }
