@@ -20,6 +20,8 @@ pub struct SyntheticWorkload {
     pattern: Pattern,
     size: PacketSize,
     rate: f64,
+    /// The per-call packet probability, `rate / mean size` capped at 1.
+    packet_p: f64,
     class: u8,
 }
 
@@ -48,6 +50,7 @@ impl SyntheticWorkload {
             pattern,
             size,
             rate,
+            packet_p: (rate / size.mean()).min(1.0),
             class: 0,
         })
     }
@@ -66,7 +69,7 @@ impl SyntheticWorkload {
 
 impl Workload for SyntheticWorkload {
     fn generate(&mut self, node: NodeId, _cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
-        let p = (self.rate / self.size.mean()).min(1.0);
+        let p = self.packet_p;
         if p <= 0.0 || !rng.gen_bool(p) {
             return None;
         }
