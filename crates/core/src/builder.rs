@@ -233,17 +233,9 @@ impl SimulationBuilder {
 
     /// Builds the configured workload: one [`Tenants`] list, of the lone
     /// traffic spec (which keeps its packets' classes) or of the
-    /// configured tenants (tenant `i` stamps class `i`). Traffic-layer
-    /// errors are lowered into the simulator's [`ConfigError`] vocabulary
-    /// (the traffic crate sits above `footprint-sim`, so the errors travel
-    /// as plain data).
+    /// configured tenants (tenant `i` stamps class `i`). Each source's
+    /// rate, packet size and pattern are checked by [`TrafficSpec::build`].
     fn build_workload(&self) -> Result<Box<dyn Workload>, ConfigError> {
-        let lower = |e: footprint_traffic::PatternError| ConfigError::PatternMesh {
-            pattern: e.pattern,
-            requirement: e.requirement,
-            topology: self.topology,
-        };
-        let topo = self.topology.validate()?;
         if self.tenants.len() > usize::from(u8::MAX) + 1 {
             return Err(ConfigError::Workload(format!(
                 "{} tenants exceed the 256 traffic classes",
@@ -273,7 +265,7 @@ impl SimulationBuilder {
             } else {
                 (None, MODULATION_SALT, String::new())
             };
-            let source = t.traffic.build(topo, self.packet_size, t.rate).map_err(lower)?;
+            let source = t.traffic.build(self.topology, self.packet_size, t.rate)?;
             let gate = match &t.modulation {
                 ModulationSpec::Steady => None,
                 spec => {

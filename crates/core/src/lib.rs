@@ -24,8 +24,9 @@
 //!
 //! * [`Scheduler`] — which cycle loop the network runs: the active-set
 //!   scheduler (default) walks only components with pending work and is
-//!   bit-identical to the dense reference loop, selectable per run via
-//!   [`RunOptions::scheduler`] / [`SweepOptions::scheduler`].
+//!   bit-identical to [`Scheduler::Dense`], the reference loop the
+//!   differential tests and the benchmark compare it against (selectable
+//!   per run via [`RunOptions::scheduler`] / [`SweepOptions::scheduler`]).
 //!
 //! * Observability — attach any [`Probe`] subscriber to a run
 //!   ([`RunOptions::probe`]; for every point of a sweep, run the points
@@ -46,8 +47,8 @@
 //!   [`RunOptions::faults`]; per-class delivery/drop accounting and the
 //!   observed unreachable pairs come back in [`RunReport::faults`].
 //!
-//! Re-exported: [`RoutingSpec`] (the seven algorithms of Table 2),
-//! [`PacketSize`], [`App`].
+//! Re-exported: [`RoutingSpec`] (thirteen algorithms; the seven of
+//! Table 2 are [`RoutingSpec::PAPER_SET`]), [`PacketSize`], [`App`].
 //!
 //! # Example
 //!

@@ -77,9 +77,10 @@ macro_rules! exec_setters {
         }
 
         /// Which cycle loop the network runs ([`Scheduler::Active`] by
-        /// default). The active-set scheduler is bit-identical to the dense
-        /// reference loop; select [`Scheduler::Dense`] to cross-check it or to
-        /// measure its speedup.
+        /// default). [`Scheduler::Dense`] is the reference loop the active
+        /// set must reproduce bit for bit, not a tuning knob: select it
+        /// only to cross-check a result or to measure the active set's
+        /// speedup.
         #[must_use]
         pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
             self.exec.scheduler = scheduler;

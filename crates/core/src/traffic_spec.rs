@@ -2,7 +2,8 @@
 
 use core::fmt;
 use core::str::FromStr;
-use footprint_topology::AnyTopology;
+use footprint_sim::ConfigError;
+use footprint_topology::TopologySpec;
 use footprint_traffic::{
     App, HotspotWorkload, PacketSize, ParsecPairWorkload, Pattern, PatternError, Source,
     SyntheticWorkload, APPS, FIGURE2,
@@ -80,23 +81,49 @@ impl TrafficSpec {
     ///
     /// # Errors
     ///
-    /// Returns a [`PatternError`] when the underlying pattern is not
-    /// defined on `topo` ([`Pattern::check`]).
+    /// [`ConfigError::Workload`] when a synthetic or hotspot source is
+    /// given a rate outside `[0, 1]` (NaN included) or a packet size with
+    /// no flits (`Fixed(0)`, `Uniform { lo: 0, .. }`, `lo > hi`); a PARSEC
+    /// pair sets its own load and sizes and ignores both.
+    /// [`ConfigError::PatternMesh`] when the underlying pattern is not
+    /// defined on `topo` ([`Pattern::check`]), and
+    /// [`ConfigError::Topology`] when `topo` itself is not buildable.
     pub fn build(
         self,
-        topo: AnyTopology,
+        topo: TopologySpec,
         size: PacketSize,
         rate: f64,
-    ) -> Result<Source, PatternError> {
-        Ok(match (self, self.pattern()) {
-            (_, Some(p)) => Source::Synthetic(SyntheticWorkload::new(topo, p, size, rate)?),
-            (TrafficSpec::Hotspot { background_rate }, None) => {
-                Source::Hotspot(HotspotWorkload::new(topo, rate, background_rate, size)?)
+    ) -> Result<Source, ConfigError> {
+        let fabric = topo.validate()?;
+        let background = match self {
+            TrafficSpec::ParsecPair(a, b) => {
+                return Ok(Source::ParsecPair(ParsecPairWorkload::new(fabric, a, b)))
             }
-            (TrafficSpec::ParsecPair(a, b), None) => {
-                Source::ParsecPair(ParsecPairWorkload::new(topo, a, b))
+            TrafficSpec::Hotspot { background_rate } => background_rate,
+            _ => 0.0,
+        };
+        for (what, r) in [("rate", rate), ("background rate", background)] {
+            if !(0.0..=1.0).contains(&r) {
+                return Err(ConfigError::Workload(format!("{what} {r} out of [0, 1]")));
             }
-            (_, None) => unreachable!("every other spec has a pattern"),
+        }
+        let (lo, hi) = match size {
+            PacketSize::Fixed(n) => (n, n),
+            PacketSize::Uniform { lo, hi } => (lo, hi),
+        };
+        if lo == 0 || lo > hi {
+            return Err(ConfigError::Workload(format!(
+                "packet size {size:?} is not a range of 1 or more flits"
+            )));
+        }
+        let lower = |e: PatternError| ConfigError::PatternMesh {
+            pattern: e.pattern,
+            requirement: e.requirement,
+            topology: topo,
+        };
+        Ok(match self.pattern() {
+            Some(p) => Source::Synthetic(SyntheticWorkload::new(fabric, p, size, rate).map_err(lower)?),
+            None => Source::Hotspot(HotspotWorkload::new(fabric, rate, background, size).map_err(lower)?),
         })
     }
 
@@ -212,14 +239,14 @@ mod tests {
 
     #[test]
     fn all_specs_build_and_generate() {
-        let mesh = AnyTopology::mesh(8, 8);
+        let mesh = TopologySpec::mesh(8);
         let mut rng = SmallRng::seed_from_u64(3);
         let pair = TrafficSpec::ParsecPair(App::Fluidanimate, App::X264);
         for spec in TrafficSpec::NAMED.into_iter().chain([pair]) {
             let mut wl = spec.build(mesh, PacketSize::SINGLE, 0.8).unwrap();
             let mut generated = false;
             for cycle in 0..2000 {
-                for n in mesh.nodes() {
+                for n in (0..64).map(NodeId) {
                     if wl.generate(n, cycle, &mut rng).is_some() {
                         generated = true;
                     }
@@ -234,7 +261,7 @@ mod tests {
 
     #[test]
     fn figure2_runs_on_4x4() {
-        let mesh = AnyTopology::mesh(4, 4);
+        let mesh = TopologySpec::mesh(4);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut wl = TrafficSpec::Figure2.build(mesh, PacketSize::SINGLE, 1.0).unwrap();
         let p = wl.generate(NodeId(0), 0, &mut rng).unwrap();
@@ -243,11 +270,14 @@ mod tests {
 
     #[test]
     fn bit_patterns_rejected_on_non_power_of_two_mesh() {
-        let odd = AnyTopology::mesh(6, 6);
+        let odd = TopologySpec::mesh(6);
         for spec in [TrafficSpec::Shuffle, TrafficSpec::BitComplement, TrafficSpec::BitReverse] {
             let err = spec.build(odd, PacketSize::SINGLE, 0.5).expect_err("6x6 must be rejected");
-            assert_eq!(err.requirement, "a power-of-two node count");
-            assert_eq!(err.topology, odd);
+            assert!(matches!(
+                err,
+                ConfigError::PatternMesh { requirement: "a power-of-two node count", topology, .. }
+                    if topology == odd
+            ));
         }
         assert!(TrafficSpec::UniformRandom.build(odd, PacketSize::SINGLE, 0.5).is_ok());
     }

@@ -1445,49 +1445,4 @@ mod tests {
         assert_eq!(m.generated_packets, m.ejected_packets);
         assert_eq!(m.dropped_packets, 0);
     }
-
-    /// Retry backoff timing is a pure function of (seed, packet, attempt):
-    /// two identical faulted runs under different schedulers produce
-    /// bit-identical metrics, retries included.
-    #[test]
-    fn retry_backoff_is_scheduler_invariant() {
-        use footprint_topology::{Direction, FaultEvent, FaultPlan};
-        let run = |sched: Scheduler| {
-            let plan = FaultPlan::new()
-                .with(FaultEvent::link_down(NodeId(0), Direction::East, 0).repaired_at(200));
-            let mut net = Network::with_faults(
-                SimConfig::small(),
-                RoutingSpec::Footprint.build(),
-                77,
-                plan,
-                UnreachablePolicy::Retry {
-                    max_attempts: 6,
-                    backoff: 16,
-                },
-            )
-            .unwrap();
-            net.set_scheduler(sched);
-            let mut wl = crate::workload::FlowSet::new(vec![SingleFlow {
-                src: NodeId(0),
-                dest: NodeId(3),
-                rate: 0.4,
-                size: 1,
-            }]);
-            net.run(&mut wl, 400);
-            net.run(&mut NoTraffic, 300);
-            let m = net.metrics().total();
-            (
-                m.generated_packets,
-                m.ejected_packets,
-                m.dropped_packets,
-                m.retry_attempts,
-                m.latency_sum,
-                m.latency_max,
-            )
-        };
-        let dense = run(Scheduler::Dense);
-        let active = run(Scheduler::Active);
-        assert!(dense.3 > 0, "the outage must schedule retries");
-        assert_eq!(dense, active);
-    }
 }

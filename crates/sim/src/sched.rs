@@ -41,8 +41,10 @@
 /// Which cycle loop [`Network::step`](crate::Network::step) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Walk every router and endpoint every cycle (the reference
-    /// loop; what the simulator did before the active-set scheduler).
+    /// Walk every router and endpoint every cycle: the reference loop
+    /// that [`Scheduler::Active`] must reproduce bit for bit, and that
+    /// the differential tests and the benchmark compare it against — a
+    /// reference, not a tuning knob.
     Dense,
     /// Walk only components with pending work, waking them on flit
     /// arrival, credit return, workload injection, fault transitions and

@@ -7,9 +7,9 @@ use std::collections::BTreeMap;
 /// Records the full latency distribution of ejected packets, per traffic
 /// class, as fixed-width histograms plus exact streaming moments.
 ///
-/// Attach to a run via `SimulationBuilder::run_probed` (or
-/// `Network::step_probed`) to get percentiles the mean-only metrics can't
-/// provide — e.g. tail latency under hotspot interference.
+/// Attach to a run via `RunOptions::probe` (or `Network::run_probed`) to
+/// get percentiles the mean-only metrics can't provide — e.g. tail latency
+/// under hotspot interference.
 #[derive(Debug)]
 pub struct LatencyHistogramProbe {
     bucket_width: u64,

@@ -1,7 +1,7 @@
 //! Integration tests for the dynamic-workload layer: modulated and
-//! multi-tenant runs through the public builder API, pinned to the
-//! engine's three standing guarantees — scheduler bit-identity, thread
-//! bit-identity and exact accounting.
+//! multi-tenant runs through the public builder API, pinned to exact
+//! accounting and typed errors. Scheduler and thread bit-identity of
+//! these runs is the differential oracle's (`tests/differential.rs`).
 
 use footprint_suite::prelude::*;
 
@@ -13,59 +13,6 @@ fn base() -> SimulationBuilder {
         .seed(0xD1_5EED)
 }
 
-/// Long off-phases are the adversarial case for the active-set
-/// scheduler: whole stretches where no router has work, then a
-/// simultaneous wake across the mesh. The dense loop is the reference;
-/// reports must be bit-identical.
-#[test]
-fn long_off_phases_are_scheduler_invariant() {
-    let b = base()
-        .injection_rate(0.2)
-        .modulation(ModulationSpec::OnOff {
-            on: DurationDist::Fixed(50),
-            off: DurationDist::Fixed(400),
-        })
-        .warmup(100)
-        .measurement(2_000);
-    let run = |s: Scheduler| {
-        b.run_with(RunOptions::new().scheduler(s).watchdog(20_000))
-            .expect("valid configuration")
-    };
-    let dense = run(Scheduler::Dense);
-    assert_eq!(dense, run(Scheduler::Active), "dense vs active diverged");
-    assert!(dense.latency.ejected_packets > 0, "the on-phases must inject");
-}
-
-/// The full determinism matrix for a modulated sweep: every
-/// (threads × scheduler) combination must reproduce the sequential
-/// dense reference bit for bit.
-#[test]
-fn modulated_sweeps_are_thread_and_scheduler_invariant() {
-    let rates = [0.08, 0.2];
-    let b = base()
-        .modulation(ModulationSpec::OnOff {
-            on: DurationDist::Geometric { mean: 30.0 },
-            off: DurationDist::Uniform { min: 10, max: 90 },
-        })
-        .warmup(100)
-        .measurement(600);
-    let sweep = |threads: usize, s: Scheduler| {
-        b.sweep_with(
-            &rates,
-            SweepOptions::new().threads(threads).scheduler(s).watchdog(20_000),
-        )
-        .expect("valid configuration")
-    };
-    let reference = sweep(1, Scheduler::Dense);
-    for (threads, s) in [(1, Scheduler::Active), (4, Scheduler::Dense), (4, Scheduler::Active)] {
-        assert_eq!(
-            reference,
-            sweep(threads, s),
-            "modulated sweep diverged at {threads} thread(s), {s:?}"
-        );
-    }
-}
-
 fn two_tenants() -> Vec<TenantSpec> {
     vec![
         TenantSpec::new("web", TrafficSpec::UniformRandom, 0.2).modulation(ModulationSpec::OnOff {
@@ -74,20 +21,6 @@ fn two_tenants() -> Vec<TenantSpec> {
         }),
         TenantSpec::new("batch", TrafficSpec::Transpose, 0.1),
     ]
-}
-
-/// A sentinel-audited multi-tenant run is scheduler-invariant, down to
-/// the per-tenant summaries (which hash every windowed counter).
-#[test]
-fn multi_tenant_runs_are_scheduler_invariant_under_audit() {
-    let b = base().tenants(two_tenants()).warmup(100).measurement(800);
-    let run = |s: Scheduler| {
-        b.run_with(RunOptions::new().scheduler(s).sentinel(true).watchdog(20_000))
-            .expect("a healthy multi-tenant run must not trip the sentinel")
-    };
-    let dense = run(Scheduler::Dense);
-    assert_eq!(dense, run(Scheduler::Active), "dense vs active diverged");
-    assert_eq!(dense.tenants.len(), 2);
 }
 
 /// Whole-run measurement plus a drain closes the per-tenant books

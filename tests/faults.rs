@@ -1,7 +1,8 @@
 //! Integration tests for the fault-injection subsystem: graceful
 //! degradation of the adaptive algorithms, typed unreachability for DOR,
-//! bit-identical faulted sweeps across thread counts, and the guarantee
-//! that even a partitioning fault plan never hangs or panics the stack.
+//! and the guarantee that even a partitioning fault plan never hangs or
+//! panics the stack. Faulted runs' scheduler and thread bit-identity is
+//! the differential oracle's (`tests/differential.rs`).
 
 use footprint_suite::prelude::*;
 use footprint_suite::sim::{FlowSet, Network, SimConfig, SingleFlow, StallWatchdog};
@@ -94,38 +95,6 @@ fn dor_reports_unreachable_pairs_as_a_typed_error() {
         }
         other => panic!("expected RunError::Unreachable, got {other}"),
     }
-}
-
-#[test]
-fn faulted_sweeps_are_bit_identical_across_thread_counts() {
-    // The PR-1 engine guarantee extended to faulted runs: the fault state
-    // is a pure function of (plan, cycle), so per-point derived seeds keep
-    // sweeps bit-identical whatever the worker count (the code path
-    // `FOOTPRINT_THREADS` selects).
-    let rates = [0.05, 0.1];
-    let sweep = |threads: usize| {
-        SimulationBuilder::mesh(4)
-            .vcs(4)
-            .routing(RoutingSpec::Footprint)
-            .warmup(150)
-            .measurement(300)
-            .seed(0x5EED)
-            .sweep_with(
-                &rates,
-                SweepOptions::new()
-                    .faults(single_link_4x4())
-                    .threads(threads)
-                    .watchdog(20_000),
-            )
-            .unwrap()
-    };
-    let one = sweep(1);
-    let four = sweep(4);
-    assert_eq!(one, four);
-}
-
-fn single_link_4x4() -> FaultPlan {
-    FaultPlan::new().with(FaultEvent::link_down(NodeId(5), Direction::East, 0))
 }
 
 #[test]
@@ -298,43 +267,6 @@ fn dateline_cut_on_a_torus_yields_a_typed_verdict() {
 }
 
 #[test]
-fn retry_backoff_sweeps_are_bit_identical_across_threads_and_schedulers() {
-    // The recovery path's own determinism guarantee: retry jitter derives
-    // from (seed, packet, attempt) — never the shared RNG — so a faulted
-    // sweep under the Retry policy is bit-identical across worker counts
-    // AND across the dense/active cycle loops.
-    let rates = [0.05, 0.1];
-    let plan = FaultPlan::new()
-        .with(FaultEvent::link_down(NodeId(5), Direction::East, 100).repaired_at(400));
-    let sweep = |threads: usize, sched: Scheduler| {
-        SimulationBuilder::mesh(4)
-            .vcs(4)
-            .routing(RoutingSpec::Footprint)
-            .warmup(0)
-            .measurement(600)
-            .drain(600)
-            .seed(0xBACC)
-            .sweep_with(
-                &rates,
-                SweepOptions::new()
-                    .faults(plan.clone())
-                    .on_unreachable(UnreachablePolicy::Retry {
-                        max_attempts: 8,
-                        backoff: 32,
-                    })
-                    .threads(threads)
-                    .scheduler(sched)
-                    .watchdog(20_000),
-            )
-            .unwrap()
-    };
-    let reference = sweep(1, Scheduler::Dense);
-    assert_eq!(reference, sweep(4, Scheduler::Dense));
-    assert_eq!(reference, sweep(1, Scheduler::Active));
-    assert_eq!(reference, sweep(4, Scheduler::Active));
-}
-
-#[test]
 fn repaired_outage_reports_recovery_stats() {
     // A mid-run outage with a scheduled repair: the report carries a
     // completed time-to-recover record and an availability timeline that
@@ -406,8 +338,7 @@ proptest! {
     /// Arbitrary biased fault plans on the wrapping fabrics, audited by
     /// the sentinel: every run either completes fully accounted, stalls
     /// inside the watchdog bound, or is refused with the typed
-    /// escape verdict — never a panic, never a hang, and bit-identical
-    /// across both cycle schedulers.
+    /// escape verdict — never a panic, never a hang.
     #[test]
     fn random_fault_plans_on_wrapping_fabrics_are_audited_and_bounded(
         topo_ix in 0usize..2,
@@ -436,25 +367,16 @@ proptest! {
             )
         };
         let plan = plan.expect("wrapping fabrics always have wrap edges");
-        let run = |sched: Scheduler| {
-            build()
-                .routing(spec)
-                .traffic(TrafficSpec::UniformRandom)
-                .injection_rate(0.1)
-                .warmup(0)
-                .measurement(250)
-                .drain(600)
-                .seed(seed ^ 0x5EED)
-                .run_with(
-                    RunOptions::new()
-                        .faults(plan.clone())
-                        .sentinel(true)
-                        .scheduler(sched)
-                        .watchdog(2_000),
-                )
-        };
-        let dense = run(Scheduler::Dense);
-        match &dense {
+        let result = build()
+            .routing(spec)
+            .traffic(TrafficSpec::UniformRandom)
+            .injection_rate(0.1)
+            .warmup(0)
+            .measurement(250)
+            .drain(600)
+            .seed(seed ^ 0x5EED)
+            .run_with(RunOptions::new().faults(plan).sentinel(true).watchdog(2_000));
+        match result {
             Ok(report) => {
                 prop_assert!(report.faults.fully_accounted());
                 prop_assert!(report.partitions.covers_all_nodes(nodes));
@@ -464,16 +386,6 @@ proptest! {
                 prop_assert!(!severed.is_empty());
             }
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
-        }
-        match (dense, run(Scheduler::Active)) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-            (Err(RunError::EscapeCompromised { severed: a, .. }),
-             Err(RunError::EscapeCompromised { severed: b, .. })) => prop_assert_eq!(a, b),
-            (Err(RunError::Stalled(_)), Err(RunError::Stalled(_))) => {}
-            (a, b) => prop_assert!(
-                false,
-                "schedulers disagree: dense {a:?} vs active {b:?}"
-            ),
         }
     }
 }

@@ -228,7 +228,7 @@ fn join_report(scheduler: Scheduler) -> RunReport {
         .expect("paper config fits Footprint");
     net.set_scheduler(scheduler);
     let mut wl = TrafficSpec::UniformRandom
-        .build(topo, PacketSize::Fixed(3), SAT_RATE)
+        .build(cfg.topology, PacketSize::Fixed(3), SAT_RATE)
         .expect("uniform is defined on every mesh");
     net.run(&mut wl, SAT_WARMUP);
     let at = net.cycle();
@@ -746,15 +746,13 @@ fn traffic_generation_matches_goldens() {
             .into_iter()
             .find(|s| s.name() == spec)
             .expect("pinned spec is listed");
-        let topo = fabric
-            .parse::<TopologySpec>()
-            .and_then(TopologySpec::validate)
-            .expect("pinned fabric is valid");
+        let fabric = fabric.parse::<TopologySpec>().expect("pinned fabric parses");
+        let topo = fabric.validate().expect("pinned fabric is valid");
         let size = match size {
             "single" => PacketSize::SINGLE,
             _ => PacketSize::PAPER_VARIABLE,
         };
-        let mut wl = spec.build(topo, size, 0.4).expect("pinned spec runs on its fabric");
+        let mut wl = spec.build(fabric, size, 0.4).expect("pinned spec runs on its fabric");
         let mut rng = SmallRng::seed_from_u64(0x7AFF1C);
         let mut s = String::new();
         for cycle in 0..200 {

@@ -1,5 +1,6 @@
-//! Property-based integration tests: flow conservation, determinism and
-//! drainability over randomized workloads and configurations.
+//! Property-based integration tests: flow conservation, latency sanity and
+//! drainability over randomized workloads and configurations (determinism
+//! is the differential oracle's, `tests/differential.rs`).
 
 use footprint_suite::prelude::*;
 use footprint_suite::sim::{FlowSet, Network, NoTraffic, SimConfig, SingleFlow};
@@ -84,24 +85,6 @@ proptest! {
         let m = net.metrics().total();
         prop_assert_eq!(m.generated_packets, m.ejected_packets);
         prop_assert_eq!(m.generated_flits, m.ejected_flits);
-    }
-
-    /// Determinism: identical configuration + seed → identical metrics.
-    #[test]
-    fn determinism(
-        spec in arb_spec(),
-        flows in arb_flows(16, 4),
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(!flows.is_empty());
-        let run = |flows: Vec<SingleFlow>| {
-            let mut net = Network::new(cfg(4, 4), spec.build(), seed).unwrap();
-            let mut wl = FlowSet::new(flows);
-            net.run(&mut wl, 300);
-            let m = net.metrics().total();
-            (m.generated_packets, m.ejected_packets, m.latency_sum)
-        };
-        prop_assert_eq!(run(flows.clone()), run(flows));
     }
 
     /// Latency sanity: every delivered packet's latency is at least its

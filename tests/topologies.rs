@@ -168,49 +168,6 @@ fn ring_runs_all_algorithms_under_sentinel() {
     );
 }
 
-/// Dense and active-set schedulers stay bit-identical on a wrapping fabric
-/// — the idle-skip optimisation must not interact with dateline classes.
-#[test]
-fn torus_schedulers_bit_identical() {
-    let run = |s: Scheduler| {
-        SimulationBuilder::torus(4)
-            .vcs(4)
-            .warmup(200)
-            .measurement(400)
-            .drain(1_000)
-            .injection_rate(0.12)
-            .seed(11)
-            .routing(RoutingSpec::Footprint)
-            .run_with(RunOptions::new().scheduler(s).watchdog(20_000))
-            .expect("torus run")
-    };
-    let dense = format!("{:?}", run(Scheduler::Dense));
-    let active = format!("{:?}", run(Scheduler::Active));
-    assert_eq!(dense, active, "torus: dense vs active scheduler diverged");
-}
-
-/// Sweeps on a torus are bit-identical regardless of worker count
-/// (per-point derived seeds, no cross-point state).
-#[test]
-fn torus_sweep_thread_count_invariant() {
-    let sweep = |threads: usize| {
-        SimulationBuilder::torus(4)
-            .vcs(4)
-            .warmup(150)
-            .measurement(300)
-            .drain(1_000)
-            .seed(23)
-            .routing(RoutingSpec::Footprint)
-            .sweep_with(&[0.05, 0.15], SweepOptions::new().threads(threads))
-            .expect("torus sweep")
-    };
-    assert_eq!(
-        format!("{:?}", sweep(1)),
-        format!("{:?}", sweep(4)),
-        "torus sweep: 1-thread vs 4-thread results diverged"
-    );
-}
-
 /// Reports carry the fabric identity in `TopologySpec` display form.
 #[test]
 fn reports_record_topology_identity() {
