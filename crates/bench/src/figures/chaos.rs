@@ -31,21 +31,12 @@ use footprint_core::{
     JobSet, RoutingSpec, RunError, RunOptions, RunReport, SimulationBuilder, TrafficSpec,
     UnreachablePolicy,
 };
-use footprint_topology::{Direction, FaultEvent, FaultPlan, NodeId, TopologySpec};
+use footprint_topology::{splitmix64, Direction, FaultEvent, FaultPlan, NodeId, TopologySpec};
 
 use super::{FABRICS, HEADLINE};
 use crate::Mode;
 
 const FAMILIES: [&str; 4] = ["random_cuts", "dateline", "router_burst", "repair"];
-
-/// splitmix64: the repo's standard seed-mixing finalizer, reused here so
-/// trial parameters are decorrelated without any global RNG state.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The deterministic plan for one `(fabric, family, trial)` cell. `None`
 /// when the family does not apply to the fabric (dateline cuts on a mesh).
@@ -54,13 +45,14 @@ fn plan_for(fabric: TopologySpec, family: &str, trial: u64) -> Option<FaultPlan>
     let nodes = topo.len() as u64;
     // The seed mixes in the length of the fabric's textual form, so
     // every trial keeps the plan it has always drawn.
-    let seed = mix(trial ^ mix(fabric.to_string().len() as u64 ^ (family.len() as u64) << 8));
+    let salt = fabric.to_string().len() as u64 ^ (family.len() as u64) << 8;
+    let seed = splitmix64(trial ^ splitmix64(salt));
     match family {
         "random_cuts" => Some(FaultPlan::random_link_faults(topo, 2, seed)),
         "dateline" => FaultPlan::random_link_faults_biased(topo, 1, 1, seed).ok(),
         "router_burst" => {
-            let a = NodeId((mix(seed) % nodes) as u16);
-            let mut b = NodeId((mix(seed ^ 1) % nodes) as u16);
+            let a = NodeId((splitmix64(seed) % nodes) as u16);
+            let mut b = NodeId((splitmix64(seed ^ 1) % nodes) as u16);
             if b == a {
                 b = NodeId(((b.0 as u64 + 1) % nodes) as u16);
             }
@@ -72,7 +64,7 @@ fn plan_for(fabric: TopologySpec, family: &str, trial: u64) -> Option<FaultPlan>
         }
         "repair" => {
             // A mid-run duplex cut on a random East edge, healed later.
-            let mut n = NodeId((mix(seed ^ 2) % nodes) as u16);
+            let mut n = NodeId((splitmix64(seed ^ 2) % nodes) as u16);
             while topo.neighbor(n, Direction::East).is_none() {
                 n = NodeId(((n.0 as u64 + 1) % nodes) as u16);
             }

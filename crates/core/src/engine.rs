@@ -10,9 +10,8 @@ use crate::exec::{JobOutcome, JobSet};
 use crate::journal::SweepJournal;
 use crate::options::ExecOptions;
 use crate::{snapcache, RunError, RunOptions, RunReport, SimulationBuilder, SweepOptions};
-use footprint_sim::observe::ProbePair;
 use footprint_sim::{
-    ConfigError, Network, NoTraffic, NullProbe, Probe, Sentinel, StallWatchdog,
+    ConfigError, Network, NoTraffic, NullProbe, Probe, ProbePair, Sentinel, StallWatchdog,
     UnreachablePolicy, Workload,
 };
 use footprint_stats::{Curve, FaultStats, PartitionReport, RecoveryStats, SweepPoint, TenantProbe};
@@ -59,15 +58,12 @@ impl<'a> Run<'a> {
     /// Checks wrap safety, builds the network and workload, and consults
     /// the warm-start cache: a hit restores the post-warmup state so the
     /// warmup phase has no cycles left to run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a configured watchdog threshold is zero.
     fn start(
         cfg: &'a SimulationBuilder,
         exec: &'a ExecOptions,
         probe: Option<&'a mut dyn Probe>,
     ) -> Result<Self, RunError> {
+        check_options(exec, &[])?;
         check_wrap_safety(cfg, exec)?;
         let build = || -> Result<(Network, Box<dyn Workload>), ConfigError> {
             let (mut net, wl) = cfg.build_with(exec.faults.clone(), exec.on_unreachable)?;
@@ -296,6 +292,19 @@ fn snapshot_eligible(cfg: &SimulationBuilder, exec: &ExecOptions, sentinel_on: b
         && cfg.traffic.stateless_workload()
 }
 
+/// Refuses options no run can honour, before anything is built or
+/// journalled: a zero watchdog threshold, or a sweep grid that does not
+/// strictly ascend (a descent, a repeat or a NaN).
+fn check_options(exec: &ExecOptions, rates: &[f64]) -> Result<(), ConfigError> {
+    if exec.stall_threshold == Some(0) {
+        return Err(ConfigError::Workload("watchdog stall threshold must be nonzero".into()));
+    }
+    if rates.iter().any(|r| r.is_nan()) || rates.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(ConfigError::Workload(format!("sweep rates {rates:?} must strictly ascend")));
+    }
+    Ok(())
+}
+
 /// Runs one sweep group — the points one worker job owns — to completion:
 /// start every point, advance them round-robin one slice each until none
 /// is live, finish each. A group of one is the sequential path.
@@ -346,14 +355,10 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// [`RunError::Config`] for configuration errors (including a fault
-    /// plan that does not fit the topology), [`RunError::Stalled`] when a
-    /// configured watchdog trips, [`RunError::Unreachable`] when
-    /// [`UnreachablePolicy::Error`] is set and the fault state made any
-    /// generated packet undeliverable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a configured watchdog threshold is zero.
+    /// plan that does not fit the topology, and a zero watchdog
+    /// threshold), [`RunError::Stalled`] when a configured watchdog trips,
+    /// [`RunError::Unreachable`] when [`UnreachablePolicy::Error`] is set
+    /// and the fault state made any generated packet undeliverable.
     pub fn run_with(&self, opts: RunOptions<'_>) -> Result<RunReport, RunError> {
         let RunOptions { probe, exec } = opts;
         // The cast shortens the probe's trait-object lifetime to `exec`'s.
@@ -366,9 +371,8 @@ impl SimulationBuilder {
     /// in parallel under `opts`, producing a latency-throughput curve.
     ///
     /// The rate points run concurrently on the worker pool
-    /// ([`SweepOptions::threads`], defaulting to
-    /// [`crate::exec::num_threads`], overridable with
-    /// `FOOTPRINT_THREADS`). Each point gets its own seed, derived
+    /// ([`SweepOptions::threads`], defaulting to the machine's available
+    /// parallelism, overridable with `FOOTPRINT_THREADS`). Each point gets its own seed, derived
     /// deterministically from this builder's seed and the rate's index
     /// ([`crate::exec::derive_seed`]), so the curve is bit-identical
     /// whatever the thread count or completion order — with or without a
@@ -377,12 +381,12 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// Any [`RunError`] from the individual points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is not strictly increasing (curve invariant).
+    /// [`RunError::Config`] before any point runs or is journalled when
+    /// `rates` does not strictly ascend (a descent, a repeat or a NaN) or
+    /// the options are refused as [`Self::run_with`] refuses them; else
+    /// any [`RunError`] from the individual points.
     pub fn sweep_with(&self, rates: &[f64], opts: SweepOptions) -> Result<Curve, RunError> {
+        check_options(&opts.exec, rates)?;
         let threads = opts.threads.unwrap_or_else(crate::exec::num_threads);
         // With a checkpoint journal, restore the completed points and
         // submit only the missing ones; each finishing job appends its

@@ -31,9 +31,9 @@ pub enum RunError {
     /// wrong numbers.
     InvariantViolated(Box<SentinelReport>),
     /// A sweep job panicked. The panic was quarantined to its own result
-    /// slot ([`crate::exec::JobSet::run_quarantined_on`]) so sibling
-    /// points completed (and were journaled) normally; the string carries
-    /// the offending point and the captured panic payload.
+    /// slot so sibling points completed (and were journaled) normally;
+    /// the string carries the offending point and the captured panic
+    /// payload.
     JobPanicked(String),
     /// The sweep checkpoint journal could not be opened, validated or
     /// appended ([`SweepOptions::checkpoint`]).

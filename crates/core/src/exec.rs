@@ -27,7 +27,7 @@ use std::sync::Mutex;
 /// Worker-pool width: the `FOOTPRINT_THREADS` environment variable when
 /// set to a positive integer, otherwise the machine's available
 /// parallelism (1 if that cannot be determined).
-pub fn num_threads() -> usize {
+pub(crate) fn num_threads() -> usize {
     if let Ok(s) = std::env::var("FOOTPRINT_THREADS") {
         if let Ok(n) = s.trim().parse::<usize>() {
             if n >= 1 {
@@ -50,12 +50,7 @@ pub fn num_threads() -> usize {
 ///   of a sweep).
 #[must_use]
 pub fn derive_seed(base: u64, index: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    footprint_topology::splitmix64(base.wrapping_add(index.wrapping_mul(0xBF58_476D_1CE4_E5B9)))
 }
 
 /// A boxed job: runs once on some worker, produces a `T`.
@@ -68,22 +63,12 @@ type Job<'scope, T> = Box<dyn FnOnce() -> T + Send + 'scope>;
 /// diverging simulation point must not discard the completed work of its
 /// siblings (which may already be journaled to a sweep checkpoint).
 #[derive(Debug)]
-pub enum JobOutcome<T> {
+pub(crate) enum JobOutcome<T> {
     /// The job returned normally.
     Completed(T),
     /// The job panicked; the payload (downcast to a string where possible)
     /// is captured for the caller's report.
     Panicked(String),
-}
-
-impl<T> JobOutcome<T> {
-    /// The completed value, or `None` if the job panicked.
-    pub fn completed(self) -> Option<T> {
-        match self {
-            JobOutcome::Completed(v) => Some(v),
-            JobOutcome::Panicked(_) => None,
-        }
-    }
 }
 
 /// Renders a `catch_unwind` payload as the human-readable panic message.
@@ -140,8 +125,9 @@ impl<'scope, T: Send + 'scope> JobSet<'scope, T> {
         self.jobs.is_empty()
     }
 
-    /// Runs all jobs on the default pool ([`num_threads`] workers) and
-    /// returns their results in submission order.
+    /// Runs all jobs on the default pool (the machine's available
+    /// parallelism, or `FOOTPRINT_THREADS` workers) and returns their
+    /// results in submission order.
     pub fn run(self) -> Vec<T> {
         let threads = num_threads();
         self.run_on(threads)
@@ -167,7 +153,7 @@ impl<'scope, T: Send + 'scope> JobSet<'scope, T> {
     /// into the job's result slot instead of unwinding through the pool.
     /// Results stay in submission order, so callers can attribute a
     /// panic to the job that raised it.
-    pub fn run_quarantined_on(self, threads: usize) -> Vec<JobOutcome<T>> {
+    pub(crate) fn run_quarantined_on(self, threads: usize) -> Vec<JobOutcome<T>> {
         let jobs: Vec<Job<'scope, JobOutcome<T>>> = self
             .jobs
             .into_iter()

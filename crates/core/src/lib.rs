@@ -73,6 +73,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod builder;
 mod engine;
@@ -87,7 +88,7 @@ mod traffic_spec;
 pub use builder::SimulationBuilder;
 pub use error::RunError;
 pub use options::{RunOptions, SweepOptions};
-pub use exec::{JobOutcome, JobSet};
+pub use exec::JobSet;
 pub use journal::SweepJournal;
 pub use report::{ClassSummary, RunReport};
 pub use traffic_spec::{ParseTrafficSpecError, TenantSpec, TrafficSpec};

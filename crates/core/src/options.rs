@@ -37,7 +37,8 @@ macro_rules! exec_setters {
         /// Guards the whole run (warmup included) with a stall watchdog: if no
         /// flit moves for `stall_threshold` consecutive cycles while packets
         /// are in flight, the run aborts with [`RunError::Stalled`] instead of
-        /// spinning to the cycle limit. The threshold must be nonzero.
+        /// spinning to the cycle limit. A zero threshold is refused with
+        /// [`RunError::Config`] before cycle 0.
         #[must_use]
         pub fn watchdog(mut self, stall_threshold: u64) -> Self {
             self.exec.stall_threshold = Some(stall_threshold);
@@ -190,7 +191,8 @@ impl SweepOptions {
     }
 
     /// Explicit worker count (`<= 1` runs sequentially on the calling
-    /// thread). Defaults to [`crate::exec::num_threads`].
+    /// thread). Defaults to the machine's available parallelism, or
+    /// `FOOTPRINT_THREADS` when set.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);

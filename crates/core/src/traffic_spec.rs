@@ -142,7 +142,7 @@ impl TrafficSpec {
     /// is the exception: its burst schedule lives inside the workload
     /// object, outside the snapshot, so a restored run could not replay
     /// it faithfully.
-    pub fn stateless_workload(self) -> bool {
+    pub(crate) fn stateless_workload(self) -> bool {
         !matches!(self, TrafficSpec::ParsecPair(..))
     }
 

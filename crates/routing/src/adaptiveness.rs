@@ -19,7 +19,7 @@ use footprint_topology::{AnyTopology, NodeId};
 ///
 /// Uses memoized counting over the (acyclic) minimal quadrant, so it is
 /// exact even for 16×16 meshes where path counts explode combinatorially.
-pub fn allowed_path_count(
+fn allowed_path_count(
     topo: AnyTopology,
     algo: &dyn RoutingAlgorithm,
     src: NodeId,
@@ -94,22 +94,6 @@ pub fn mean_path_adaptiveness(topo: AnyTopology, algo: &dyn RoutingAlgorithm) ->
         }
     }
     sum / pairs as f64
-}
-
-/// Port adaptiveness per the paper's Eq. (1) at a single decision point:
-/// adaptive output ports over minimal output ports at `cur` for `src→dest`.
-pub fn port_adaptiveness_at(
-    topo: AnyTopology,
-    algo: &dyn RoutingAlgorithm,
-    cur: NodeId,
-    src: NodeId,
-    dest: NodeId,
-) -> f64 {
-    let minimal = topo.minimal_dirs(cur, dest).count();
-    if minimal == 0 {
-        return 1.0;
-    }
-    algo.allowed_dirs(topo, cur, src, dest).len() as f64 / minimal as f64
 }
 
 /// VC adaptiveness per the paper's Eq. (2)/(3).
@@ -187,17 +171,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn port_adaptiveness_at_decision_points() {
-        let mesh = AnyTopology::mesh(8, 8);
-        // DOR at an interior point with both dims productive: 1 of 2 ports.
-        let p = port_adaptiveness_at(mesh, &Dor.routing(), NodeId(0), NodeId(0), NodeId(63));
-        assert!((p - 0.5).abs() < 1e-12);
-        // Fully adaptive: 2 of 2.
-        let p = port_adaptiveness_at(mesh, &Footprint.routing(), NodeId(0), NodeId(0), NodeId(63));
-        assert!((p - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! to reproduce.
 //!
 //! Hot paths that cannot propagate a `Result` (e.g. `route()` filling a
-//! request buffer) degrade gracefully through [`report_violation`]: the
+//! request buffer) degrade gracefully through `report_violation`: the
 //! diagnostic is printed once to stderr, debug builds still assert, and the
 //! caller falls back to a safe default.
 
@@ -107,7 +107,7 @@ impl std::error::Error for InvariantError {}
 ///
 /// Returns [`InvariantError::MissingNeighbor`] when `node` has no neighbor
 /// in `dir`.
-pub fn neighbor_checked(
+pub(crate) fn neighbor_checked(
     topo: AnyTopology,
     node: NodeId,
     dir: Direction,
@@ -116,39 +116,17 @@ pub fn neighbor_checked(
         .ok_or(InvariantError::MissingNeighbor { node, dir })
 }
 
-/// The escape-channel request in `reqs`, or a typed error carrying the full
-/// request set if the Duato invariant is violated.
-///
-/// Checks against the single mesh escape VC ([`VcId::ESCAPE`]); for
-/// topologies with more escape classes use [`escape_request_within`].
-///
-/// # Errors
-///
-/// Returns [`InvariantError::MissingEscapeRequest`] when no request targets
-/// [`VcId::ESCAPE`].
-pub fn escape_request(
+/// The request for the mesh escape VC ([`VcId::ESCAPE`]) in `reqs`, or a
+/// typed error carrying the full request set if the Duato invariant is
+/// violated: the routing functions' unit tests check their request sets
+/// with it.
+#[cfg(test)]
+pub(crate) fn escape_request(
     reqs: &[VcRequest],
     current: NodeId,
     dest: NodeId,
 ) -> Result<&VcRequest, InvariantError> {
-    escape_request_within(reqs, current, dest, 1)
-}
-
-/// The escape-channel request in `reqs` for a topology reserving
-/// `escape_vcs` escape classes (VCs `0..escape_vcs`), or a typed error
-/// carrying the full request set if the Duato invariant is violated.
-///
-/// # Errors
-///
-/// Returns [`InvariantError::MissingEscapeRequest`] when no request targets
-/// a VC below `escape_vcs`.
-pub fn escape_request_within(
-    reqs: &[VcRequest],
-    current: NodeId,
-    dest: NodeId,
-    escape_vcs: usize,
-) -> Result<&VcRequest, InvariantError> {
-    reqs.iter().find(|r| r.vc.index() < escape_vcs).ok_or_else(|| {
+    reqs.iter().find(|r| r.vc == VcId::ESCAPE).ok_or_else(|| {
         InvariantError::MissingEscapeRequest {
             current,
             dest,
@@ -189,7 +167,7 @@ pub fn audit_footprint_owner(
 /// Reports an invariant violation from a hot path that must keep going:
 /// prints the diagnostic to stderr (once per process, so a violation inside
 /// the cycle loop cannot flood the console) and asserts in debug builds.
-pub fn report_violation(err: &InvariantError) {
+pub(crate) fn report_violation(err: &InvariantError) {
     static REPORTED: AtomicBool = AtomicBool::new(false);
     if !REPORTED.swap(true, Ordering::Relaxed) {
         eprintln!("{err}");

@@ -55,6 +55,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod adaptiveness;
 mod algorithm;
@@ -80,12 +81,11 @@ pub use algorithm::{
 pub use any::AnyRouting;
 pub use dbar::dbar_threshold;
 pub use footprint::Tiers;
-pub use invariant::{escape_request, escape_request_within, neighbor_checked, InvariantError};
+pub use invariant::InvariantError;
 pub use request::{Priority, VcId, VcRequest};
 pub use spec::{ParseRoutingSpecError, RoutingSpec};
 pub use view::{
     AllLinksUp, CongestionView, DownLinks, LinkStateView, NoCongestionInfo, PortStateView,
     TablePortView, VcClass, VcView,
 };
-pub use voqsw::dor_output_port;
 pub use xordet::xordet_class;

@@ -17,7 +17,7 @@ pub(crate) enum VcRule {
     /// one VC per port, e.g. `DBAR + XORDET` in the paper's evaluation.
     Xordet,
     /// The VOQ_sw mapping: one VC per port, chosen by the packet's output
-    /// port at the downstream router ([`crate::dor_output_port`]).
+    /// port at the downstream router ([`crate::voqsw::dor_output_port`]).
     VoqSw,
     /// Algorithm 1 step 3: idle / footprint / busy tiers, gated by the
     /// local congestion estimate and configured by

@@ -17,7 +17,7 @@ use footprint_topology::{AnyTopology, NodeId, Port, PORT_COUNT};
 /// downstream output that VOQ_sw keys its VC classes on: it must be
 /// computable by the *upstream* router, hence the deterministic routing
 /// function.
-pub fn dor_output_port(topo: AnyTopology, node: NodeId, dest: NodeId) -> Port {
+pub(crate) fn dor_output_port(topo: AnyTopology, node: NodeId, dest: NodeId) -> Port {
     crate::dor::dir(topo, node, dest).map_or(Port::Local, Port::Dir)
 }
 

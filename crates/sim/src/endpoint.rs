@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 /// The source runs the routing algorithm's *injection* VC selection, so a
 /// Footprint network starts forming footprints from the very first hop.
 #[derive(Debug)]
-pub struct Source {
+pub(crate) struct Source {
     node: NodeId,
     queue: VecDeque<PendingPacket>,
     num_vcs: usize,
@@ -36,7 +36,7 @@ pub struct Source {
 
 impl Source {
     /// Creates a source for `node` with `num_vcs` injection VCs.
-    pub fn new(node: NodeId, num_vcs: usize) -> Self {
+    pub(crate) fn new(node: NodeId, num_vcs: usize) -> Self {
         Source {
             node,
             queue: VecDeque::new(),
@@ -48,7 +48,7 @@ impl Source {
     }
 
     /// Enqueues a freshly generated packet.
-    pub fn enqueue(&mut self, id: PacketId, p: NewPacket, cycle: u64) {
+    pub(crate) fn enqueue(&mut self, id: PacketId, p: NewPacket, cycle: u64) {
         self.queue.push_back(PendingPacket {
             id,
             src: self.node,
@@ -61,7 +61,7 @@ impl Source {
     }
 
     /// Packets waiting (including the one currently streaming).
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.queue.len()
     }
 
@@ -69,7 +69,7 @@ impl Source {
     /// stream at most one flit onto the injection channel — the flit
     /// returned, for the caller to send.
     #[allow(clippy::too_many_arguments)]
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         algo: &dyn RoutingAlgorithm,
         topo: AnyTopology,
@@ -174,12 +174,12 @@ impl Source {
     /// first RNG draw or round-robin bump, so the active-set scheduler may
     /// skip the call without perturbing the simulation's random stream.
     #[inline]
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.active_vc.is_none()
     }
 
     /// `true` when the queue is empty and all injection VCs have drained.
-    pub fn is_quiescent(&self, soa: &NocSoa) -> bool {
+    pub(crate) fn is_quiescent(&self, soa: &NocSoa) -> bool {
         self.queue.is_empty() && soa.injection(self.node).is_quiescent()
     }
 
@@ -234,7 +234,7 @@ impl Source {
 /// of one flit per cycle — the finite rate that makes oversubscribed
 /// endpoints (Figure 9's hotspots) grow genuine congestion trees.
 #[derive(Debug)]
-pub struct Sink {
+pub(crate) struct Sink {
     node: NodeId,
     vcs: Vec<VecDeque<Flit>>,
     capacity: usize,
@@ -243,7 +243,7 @@ pub struct Sink {
 
 impl Sink {
     /// Creates a sink with `num_vcs` buffers of `capacity` flits.
-    pub fn new(node: NodeId, num_vcs: usize, capacity: usize) -> Self {
+    pub(crate) fn new(node: NodeId, num_vcs: usize, capacity: usize) -> Self {
         Sink {
             node,
             vcs: (0..num_vcs).map(|_| VecDeque::new()).collect(),
@@ -257,7 +257,7 @@ impl Sink {
     /// # Panics
     ///
     /// Panics on buffer overflow (credit protocol violation).
-    pub fn push(&mut self, flit: Flit) {
+    pub(crate) fn push(&mut self, flit: Flit) {
         let q = &mut self.vcs[flit.vc as usize];
         assert!(q.len() < self.capacity, "sink VC overflow");
         q.push_back(flit);
@@ -265,7 +265,7 @@ impl Sink {
 
     /// Consumes up to one flit this cycle (round-robin over non-empty VCs);
     /// returns the credit to send back and records finished packets.
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         cycle: u64,
         metrics: &mut Metrics,
@@ -312,17 +312,17 @@ impl Sink {
     }
 
     /// Buffered flits across all VCs.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.vcs.iter().map(VecDeque::len).sum()
     }
 
     /// Buffered flits waiting in VC `vc` (sentinel credit audit).
-    pub fn buffered_in(&self, vc: usize) -> usize {
+    pub(crate) fn buffered_in(&self, vc: usize) -> usize {
         self.vcs[vc].len()
     }
 
     /// `true` when no flits are buffered.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.vcs.iter().all(VecDeque::is_empty)
     }
 

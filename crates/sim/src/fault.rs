@@ -335,7 +335,7 @@ impl FaultState {
     /// still reach `dest` through `algo`'s allowed minimal directions over
     /// the surviving links. Memoized; the recursion runs over the minimal
     /// DAG so it terminates on any mask.
-    pub fn can_reach(
+    fn can_reach(
         &self,
         algo: &dyn RoutingAlgorithm,
         cur: NodeId,
@@ -382,7 +382,7 @@ impl FaultState {
 
 /// The routing-facing projection of a [`FaultState`]: liveness plus
 /// algorithm-aware reachability (see the module docs).
-pub struct FaultView<'a> {
+pub(crate) struct FaultView<'a> {
     state: &'a FaultState,
     algo: &'a dyn RoutingAlgorithm,
 }
@@ -390,7 +390,7 @@ pub struct FaultView<'a> {
 impl<'a> FaultView<'a> {
     /// Couples the fault state with the routing function whose allowed
     /// directions define reachability.
-    pub fn new(state: &'a FaultState, algo: &'a dyn RoutingAlgorithm) -> Self {
+    pub(crate) fn new(state: &'a FaultState, algo: &'a dyn RoutingAlgorithm) -> Self {
         FaultView { state, algo }
     }
 }

@@ -1,7 +1,7 @@
 //! Input-side VC state: the per-VC routing state machine.
 //!
 //! The backing data — flit FIFOs, route registers, occupancy counters —
-//! lives in the network-wide struct-of-arrays store ([`crate::NocSoa`]);
+//! lives in the network-wide struct-of-arrays store ([`crate::soa::NocSoa`]);
 //! this module keeps the `RouteState` vocabulary type that the store packs
 //! into its flat `u8` arrays and that read-only consumers (the sentinel,
 //! state dumps) still match on.
@@ -12,7 +12,7 @@ use footprint_topology::Port;
 /// Routing/allocation state of one input VC (tracks the packet at the front
 /// of the FIFO).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteState {
+pub(crate) enum RouteState {
     /// No head packet awaiting a decision (empty, or mid-packet flits only).
     Idle,
     /// A head flit is at the front and has not yet been granted an output

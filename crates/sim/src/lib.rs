@@ -4,10 +4,12 @@
 //! input-queued, virtual-channel router microarchitecture with credit-based
 //! flow control and wormhole switching, simulated cycle by cycle:
 //!
-//! * [`Network`] — a fabric of [`Router`]s (a 2D mesh, a torus or a ring,
-//!   per [`SimConfig::topology`]), each with a [`Source`] and a [`Sink`]
-//!   endpoint, connected by links of [`SimConfig::link_latency`] cycles
-//!   (one in the paper's configuration).
+//! * [`Network`] — a fabric of routers (a 2D mesh, a torus or a ring, per
+//!   [`SimConfig::topology`]), each with a source and a sink endpoint,
+//!   connected by links of [`SimConfig::link_latency`] cycles (one in the
+//!   paper's configuration). A [`Workload`] offers packets to the sources,
+//!   and a [`Probe`] observes the cycle; the router datapath behind them is
+//!   private to this crate.
 //! * Routing is pluggable through `footprint-routing`'s `RoutingAlgorithm`
 //!   trait; the router's **priority-based VC allocator** consumes the
 //!   prioritized request sets that Footprint's Algorithm 1 emits, and
@@ -44,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cast;
 mod config;
@@ -53,13 +56,13 @@ mod fault;
 mod input;
 mod metrics;
 mod network;
-pub mod observe;
+mod observe;
 mod recovery;
 mod output;
 mod packet;
 mod router;
 mod sched;
-pub mod sentinel;
+mod sentinel;
 mod sideband;
 mod snapshot;
 mod soa;
@@ -68,25 +71,17 @@ mod wire;
 mod workload;
 
 pub use config::{ConfigError, SimConfig};
-pub use endpoint::{Sink, Source};
-pub use fault::{FaultState, FaultView, PartitionEpoch, UnreachablePolicy};
-pub use input::RouteState;
+pub use fault::{FaultState, PartitionEpoch, UnreachablePolicy};
 pub use metrics::{ClassStats, EjectedPacket, Metrics, NullProbe, Probe, VaBlockInfo};
 pub use network::{Network, OccupiedVcEntry};
-pub use recovery::{AvailabilityWindow, RecoveryTracker, TtrRecord, AVAILABILITY_WINDOW};
+pub use recovery::{AvailabilityWindow, RecoveryTracker, TtrRecord};
 pub use observe::{
     EventTrace, FlitEvent, FlitEventKind, InFlightPacket, ProbePair, StallDiagnostic,
     StallWatchdog, TraceRecord,
 };
-pub use output::OutVcState;
-pub use packet::{Flit, FlitKind, NewPacket, PacketId, PendingPacket};
-pub use router::{AllocRules, FreedSlot, Router};
+pub use packet::{NewPacket, PacketId};
 pub use sched::Scheduler;
-pub use soa::{InPortRef, InVcRef, NocSoa, OutPortRef, OutVcRef};
 pub use sentinel::{
     DeadlockFinding, DeadlockMember, Sentinel, SentinelChannel, SentinelReport, SentinelViolation,
 };
-pub use sideband::Sideband;
-pub use view::RouterOutputsView;
-pub use wire::CreditMsg;
 pub use workload::{FlowSet, NoTraffic, SingleFlow, Workload};

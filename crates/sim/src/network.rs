@@ -18,7 +18,9 @@ use crate::soa::NocSoa;
 use crate::wire::Calendar;
 use crate::workload::Workload;
 use footprint_routing::{dbar_threshold, RoutingAlgorithm, WrapStrategy};
-use footprint_topology::{AnyTopology, FaultPlan, NodeId, Port, DIRECTIONS, PORT_COUNT};
+use footprint_topology::{
+    splitmix64, AnyTopology, FaultPlan, NodeId, Port, DIRECTIONS, PORT_COUNT,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -30,17 +32,6 @@ pub(crate) const SINK: usize = usize::MAX;
 /// The `down` entry of a channel that does not exist: a direction port
 /// with no neighbour (a mesh edge).
 const NO_LINK: usize = usize::MAX - 1;
-
-/// Splitmix64 finalizer — the jitter mixer for retry backoff. Kept local:
-/// retry timing must be a pure function of `(seed, packet, attempt)`,
-/// never a draw from the simulation's shared RNG stream.
-#[inline]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A generated packet parked by [`UnreachablePolicy::Retry`], waiting for
 /// its next reachability check.
@@ -848,27 +839,25 @@ impl Network {
     }
 
     /// Direct read access to a router (tests and white-box analysis).
-    pub fn router(&self, node: NodeId) -> &Router {
+    pub(crate) fn router(&self, node: NodeId) -> &Router {
         &self.routers[node.index()]
     }
 
     /// Direct read access to the struct-of-arrays datapath state (tests,
     /// sentinel, white-box analysis).
-    pub fn datapath(&self) -> &NocSoa {
+    pub(crate) fn datapath(&self) -> &NocSoa {
         &self.soa
     }
 
-    /// Direct mutable access to the struct-of-arrays datapath state.
-    ///
-    /// This is a white-box testing hook: the sentinel's negative tests use
-    /// it to corrupt credit counters or plant counterfeit flits and verify
-    /// the violation is caught. Production code never needs it.
+    /// Direct mutable access to the struct-of-arrays datapath state: the
+    /// sentinel's negative tests corrupt credit counters or plant
+    /// counterfeit flits through it and check the violation is caught.
     ///
     /// Mutating the datapath behind the scheduler's back invalidates the
     /// active-set bookkeeping, so the next step rebuilds it from actual
     /// component state before running.
-    #[doc(hidden)]
-    pub fn datapath_mut(&mut self) -> &mut NocSoa {
+    #[cfg(test)]
+    pub(crate) fn datapath_mut(&mut self) -> &mut NocSoa {
         self.sched_resync_pending = true;
         &mut self.soa
     }

@@ -1,7 +1,7 @@
 //! The allocation states of an output VC — the vocabulary
-//! [`OutVcRef`](crate::OutVcRef), the state dumps and the sentinel match
+//! [`OutVcRef`](crate::soa::OutVcRef), the state dumps and the sentinel match
 //! on. The state machine itself, with its credit counter and owner
-//! register, is [`NocSoa`](crate::NocSoa)'s `out_*` arrays, for router
+//! register, is [`NocSoa`](crate::soa::NocSoa)'s `out_*` arrays, for router
 //! outputs and source injection channels alike.
 
 use crate::packet::PacketId;
@@ -9,7 +9,7 @@ use crate::packet::PacketId;
 /// Allocation state of one output VC (the upstream view of a downstream
 /// input VC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutVcState {
+pub(crate) enum OutVcState {
     /// Unowned and available for a fresh allocation.
     Idle,
     /// Allocated to a packet that is still streaming (tail not yet

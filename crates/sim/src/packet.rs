@@ -15,7 +15,7 @@ impl fmt::Display for PacketId {
 
 /// Position of a flit within its packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlitKind {
+pub(crate) enum FlitKind {
     /// First flit of a multi-flit packet: carries the routing information.
     Head,
     /// Interior flit.
@@ -30,13 +30,13 @@ pub enum FlitKind {
 impl FlitKind {
     /// `true` for `Head` and `Single`.
     #[inline]
-    pub fn is_head(self) -> bool {
+    pub(crate) fn is_head(self) -> bool {
         matches!(self, FlitKind::Head | FlitKind::Single)
     }
 
     /// `true` for `Tail` and `Single`.
     #[inline]
-    pub fn is_tail(self) -> bool {
+    pub(crate) fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::Single)
     }
 
@@ -45,7 +45,7 @@ impl FlitKind {
     /// # Panics
     ///
     /// Panics if `seq >= size` or `size == 0`.
-    pub fn for_position(seq: u16, size: u16) -> FlitKind {
+    pub(crate) fn for_position(seq: u16, size: u16) -> FlitKind {
         assert!(size > 0 && seq < size, "flit position out of range");
         match (seq, size) {
             (_, 1) => FlitKind::Single,
@@ -58,7 +58,7 @@ impl FlitKind {
 
 /// A flow-control digit: the unit of buffering and link transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flit {
+pub(crate) struct Flit {
     /// Owning packet.
     pub packet: PacketId,
     /// Kind (head/body/tail/single).
@@ -85,13 +85,13 @@ pub struct Flit {
 impl Flit {
     /// `true` if this flit carries the routing information of its packet.
     #[inline]
-    pub fn is_head(&self) -> bool {
+    pub(crate) fn is_head(&self) -> bool {
         self.kind.is_head()
     }
 
     /// `true` if this flit releases resources held by its packet.
     #[inline]
-    pub fn is_tail(&self) -> bool {
+    pub(crate) fn is_tail(&self) -> bool {
         self.kind.is_tail()
     }
 }
@@ -115,7 +115,7 @@ pub struct NewPacket {
 
 /// A packet waiting in (or streaming from) a source queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingPacket {
+pub(crate) struct PendingPacket {
     /// Packet id.
     pub id: PacketId,
     /// Source endpoint (the node that owns the queue).
@@ -138,7 +138,7 @@ impl PendingPacket {
     /// # Panics
     ///
     /// Panics if the packet has already been fully sent.
-    pub fn next_flit(&mut self, vc: u8) -> Flit {
+    pub(crate) fn next_flit(&mut self, vc: u8) -> Flit {
         let seq = self.sent;
         assert!(seq < self.size, "packet already fully sent");
         self.sent += 1;
@@ -153,12 +153,6 @@ impl PendingPacket {
             class: self.class,
             vc,
         }
-    }
-
-    /// `true` once every flit has been transmitted.
-    #[inline]
-    pub fn done(&self) -> bool {
-        self.sent == self.size
     }
 }
 
@@ -205,12 +199,12 @@ mod tests {
         assert!(f0.is_head());
         assert_eq!(f0.vc, 2);
         assert_eq!(f0.seq, 0);
-        assert!(!p.done());
+        assert_eq!(p.sent, 1);
         let f1 = p.next_flit(2);
         assert_eq!(f1.kind, FlitKind::Body);
         let f2 = p.next_flit(2);
         assert!(f2.is_tail());
-        assert!(p.done());
+        assert_eq!(p.sent, p.size, "every flit sent");
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl AvailabilityWindow {
 /// Cycles per availability window. Long enough that a healthy window
 /// saturates near 1.0 (deliveries lag generation by the pipeline depth),
 /// short enough to resolve individual fault epochs in a standard run.
-pub const AVAILABILITY_WINDOW: u64 = 256;
+pub(crate) const AVAILABILITY_WINDOW: u64 = 256;
 
 /// Accumulates recovery observations over a faulted run. See the module
 /// docs for the semantics; [`Network`](crate::Network) drives it from the

@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 /// A buffer slot freed by switch traversal; the network converts these into
 /// upstream credit messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FreedSlot {
+pub(crate) struct FreedSlot {
     /// Input port whose VC freed a slot.
     pub in_port: usize,
     /// The VC index.
@@ -33,7 +33,7 @@ pub struct FreedSlot {
 /// algorithm and the fabric, so the network derives them once, at
 /// construction.
 #[derive(Debug, Clone, Copy)]
-pub struct AllocRules {
+pub(crate) struct AllocRules {
     /// When a drained-but-uncredited output VC may be claimed afresh.
     pub policy: VcReallocationPolicy,
     /// VCs `0..escape_lo` are the deadlock-free escape network (one VC on
@@ -46,7 +46,7 @@ pub struct AllocRules {
 
 impl AllocRules {
     /// The rules of `algo` on `topo`.
-    pub fn of(algo: &dyn RoutingAlgorithm, topo: AnyTopology) -> Self {
+    pub(crate) fn of(algo: &dyn RoutingAlgorithm, topo: AnyTopology) -> Self {
         AllocRules {
             policy: algo.policy(),
             escape_lo: if algo.has_escape() { topo.escape_vcs() } else { 0 },
@@ -76,7 +76,7 @@ struct Requester {
 /// A five-port VC router (four directions + local), one VC allocator and
 /// one switch allocator, all operating on the shared [`NocSoa`] state.
 #[derive(Debug)]
-pub struct Router {
+pub(crate) struct Router {
     node: NodeId,
     num_vcs: usize,
     va_rr: usize,
@@ -90,7 +90,7 @@ pub struct Router {
 impl Router {
     /// Creates the router logic for `node` with `num_vcs` VCs per port
     /// (the buffers themselves live in the [`NocSoa`] store).
-    pub fn new(node: NodeId, num_vcs: usize) -> Self {
+    pub(crate) fn new(node: NodeId, num_vcs: usize) -> Self {
         Router {
             node,
             num_vcs,
@@ -102,20 +102,15 @@ impl Router {
         }
     }
 
-    /// The router's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Pops the next flit to launch from output port `port` (one per cycle
     /// per link).
-    pub fn launch(&self, soa: &mut NocSoa, port: usize) -> Option<Flit> {
+    pub(crate) fn launch(&self, soa: &mut NocSoa, port: usize) -> Option<Flit> {
         soa.stage_pop(soa.np(self.node, port))
     }
 
     /// `true` when no flits or grants are outstanding anywhere in the
     /// router.
-    pub fn is_quiescent(&self, soa: &NocSoa) -> bool {
+    pub(crate) fn is_quiescent(&self, soa: &NocSoa) -> bool {
         soa.router_quiescent(self.node)
     }
 
@@ -123,7 +118,7 @@ impl Router {
     /// staged at output ports. The active-set scheduler keeps a running
     /// copy of this count and processes the router only while it is
     /// nonzero.
-    pub fn resident_flits(&self, soa: &NocSoa) -> usize {
+    pub(crate) fn resident_flits(&self, soa: &NocSoa) -> usize {
         soa.resident_flits(self.node)
     }
 
@@ -155,7 +150,7 @@ impl Router {
     /// VC state (which is what lets Footprint's priorities track congestion)
     /// and arbitrated by priority with round-robin fairness among inputs.
     #[allow(clippy::too_many_arguments)]
-    pub fn vc_allocate(
+    pub(crate) fn vc_allocate(
         &mut self,
         soa: &mut NocSoa,
         algo: &dyn RoutingAlgorithm,
@@ -456,7 +451,7 @@ impl Router {
     /// Switch allocation + traversal: moves up to `speedup` flits per input
     /// and output port from input VCs into output stages, gated by credits
     /// and stage space. Returns the freed buffer slots through `freed`.
-    pub fn switch_allocate(
+    pub(crate) fn switch_allocate(
         &mut self,
         soa: &mut NocSoa,
         policy: VcReallocationPolicy,

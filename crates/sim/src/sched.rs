@@ -61,28 +61,28 @@ pub(crate) struct NodeSet {
 }
 
 impl NodeSet {
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         NodeSet {
             words: vec![0; nodes.div_ceil(64)],
         }
     }
 
     #[inline]
-    pub fn insert(&mut self, node: usize) {
+    pub(crate) fn insert(&mut self, node: usize) {
         self.words[node / 64] |= 1 << (node % 64);
     }
 
     #[inline]
-    pub fn remove(&mut self, node: usize) {
+    pub(crate) fn remove(&mut self, node: usize) {
         self.words[node / 64] &= !(1 << (node % 64));
     }
 
     #[cfg(test)]
-    pub fn contains(&self, node: usize) -> bool {
+    pub(crate) fn contains(&self, node: usize) -> bool {
         self.words[node / 64] & (1 << (node % 64)) != 0
     }
 
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
@@ -90,7 +90,7 @@ impl NodeSet {
     /// dense loop visits nodes, which the shared RNG requires. Snapshotting
     /// into a scratch buffer lets the caller mutate the set (and the rest
     /// of the network) while walking the members.
-    pub fn collect_into(&self, out: &mut Vec<usize>) {
+    pub(crate) fn collect_into(&self, out: &mut Vec<usize>) {
         for (wi, &word) in self.words.iter().enumerate() {
             let mut w = word;
             while w != 0 {
@@ -124,7 +124,7 @@ pub(crate) struct SchedState {
 }
 
 impl SchedState {
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         SchedState {
             live: NodeSet::new(nodes),
             router_work: vec![0; nodes],
@@ -139,7 +139,7 @@ impl SchedState {
     /// recovery path after white-box router mutation (tests that plant or
     /// corrupt state behind the bookkeeping's back). Arbiter lag accrued
     /// before the rebuild is applied, not discarded.
-    pub fn resync(
+    pub(crate) fn resync(
         &mut self,
         routers: &mut [crate::router::Router],
         soa: &crate::soa::NocSoa,

@@ -12,7 +12,7 @@ use footprint_topology::{AnyTopology, Direction, NodeId, Port, DIRECTIONS};
 /// one-cycle-old global view, which is the fidelity level the Footprint
 /// paper's comparison needs.
 #[derive(Debug, Clone)]
-pub struct Sideband {
+pub(crate) struct Sideband {
     bits: Vec<[bool; 4]>,
     threshold: usize,
 }
@@ -20,20 +20,15 @@ pub struct Sideband {
 impl Sideband {
     /// Creates a side band for `nodes` routers with the given occupancy
     /// `threshold` (number of occupied VCs that marks a channel congested).
-    pub fn new(nodes: usize, threshold: usize) -> Self {
+    pub(crate) fn new(nodes: usize, threshold: usize) -> Self {
         Sideband {
             bits: vec![[false; 4]; nodes],
             threshold: threshold.max(1),
         }
     }
 
-    /// The congestion threshold in occupied VCs.
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
     /// Recomputes every congestion bit from current router state.
-    pub fn update(&mut self, topo: AnyTopology, soa: &NocSoa) {
+    pub(crate) fn update(&mut self, topo: AnyTopology, soa: &NocSoa) {
         for node in topo.nodes() {
             for (di, dir) in DIRECTIONS.into_iter().enumerate() {
                 let congested = match topo.neighbor(node, dir) {
@@ -56,7 +51,7 @@ impl Sideband {
     /// the last refresh is equivalent to a full [`Sideband::update`] —
     /// bits whose source occupancy did not change cannot flip, and edge
     /// bits stay `false` forever.
-    pub fn refresh_from(&mut self, topo: AnyTopology, soa: &NocSoa, dirty: NodeId) {
+    pub(crate) fn refresh_from(&mut self, topo: AnyTopology, soa: &NocSoa, dirty: NodeId) {
         for dir in DIRECTIONS {
             let Some(upstream) = topo.neighbor(dirty, dir) else {
                 continue;
@@ -140,7 +135,7 @@ mod tests {
     #[test]
     fn threshold_is_at_least_one() {
         let sb = Sideband::new(4, 0);
-        assert_eq!(sb.threshold(), 1);
+        assert_eq!(sb.threshold, 1);
     }
 
     #[test]

@@ -167,13 +167,13 @@ pub(crate) struct SnapReader<'a> {
 }
 
 impl<'a> SnapReader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         SnapReader { buf, pos: 0 }
     }
 
     /// Fails unless every byte has been consumed — trailing garbage means
     /// the stream and the reader disagree about the state inventory.
-    pub fn done(&self) -> SnapResult {
+    pub(crate) fn done(&self) -> SnapResult {
         if self.left() != 0 {
             return Err(format!(
                 "snapshot has {} unread trailing bytes",

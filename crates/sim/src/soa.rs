@@ -8,7 +8,7 @@
 //! side band's occupancy reads) then traverse contiguous `u8`/`u16` arrays
 //! and per-port bitmasks instead of chasing one heap object per VC.
 //!
-//! [`Router`](crate::Router) keeps only its arbiter pointers and scratch
+//! [`Router`](crate::router::Router) keeps only its arbiter pointers and scratch
 //! buffers; everything it arbitrates over is read from and written through
 //! this store. Read-only consumers (the sentinel, state dumps, probes) go
 //! through the [`InPortRef`]/[`OutPortRef`] view structs.
@@ -88,7 +88,7 @@ pub(crate) const VACANT: Flit = Flit {
 };
 
 /// The network-wide struct-of-arrays datapath state (see module docs).
-pub struct NocSoa {
+pub(crate) struct NocSoa {
     num_nodes: usize,
     num_vcs: usize,
     depth: usize,
@@ -138,7 +138,7 @@ pub struct NocSoa {
 impl NocSoa {
     /// Creates the store for `num_nodes` routers with `num_vcs` VCs of
     /// `depth` flits per port and `speedup`-deep output stages.
-    pub fn new(num_nodes: usize, num_vcs: usize, depth: usize, speedup: usize) -> Self {
+    pub(crate) fn new(num_nodes: usize, num_vcs: usize, depth: usize, speedup: usize) -> Self {
         assert!((1..=64).contains(&num_vcs), "num_vcs out of mask range");
         assert!(depth >= 1 && depth <= u16::MAX as usize);
         assert!(speedup >= 1 && speedup <= u16::MAX as usize);
@@ -242,38 +242,32 @@ impl NocSoa {
 
     /// VCs per physical channel.
     #[inline]
-    pub fn num_vcs(&self) -> usize {
+    pub(crate) fn num_vcs(&self) -> usize {
         self.num_vcs
-    }
-
-    /// Input-VC buffer depth (= downstream credit capacity).
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     /// Flat port id of `(node, port)`.
     #[inline]
-    pub fn np(&self, node: NodeId, port: usize) -> usize {
+    pub(crate) fn np(&self, node: NodeId, port: usize) -> usize {
         node.index() * PORT_COUNT + port
     }
 
     /// Flat VC id of `(node, port, vc)`.
     #[inline]
-    pub fn ivc(&self, node: NodeId, port: usize, vc: usize) -> usize {
+    pub(crate) fn ivc(&self, node: NodeId, port: usize, vc: usize) -> usize {
         (node.index() * PORT_COUNT + port) * self.num_vcs + vc
     }
 
     /// Output row of `node`'s injection channel (the source's end of the
     /// source → router link).
     #[inline]
-    pub fn inj_np(&self, node: NodeId) -> usize {
+    pub(crate) fn inj_np(&self, node: NodeId) -> usize {
         self.num_nodes * PORT_COUNT + node.index()
     }
 
     /// Flat output-VC id of VC `vc` of `node`'s injection channel.
     #[inline]
-    pub fn inj_ivc(&self, node: NodeId, vc: usize) -> usize {
+    pub(crate) fn inj_ivc(&self, node: NodeId, vc: usize) -> usize {
         self.inj_np(node) * self.num_vcs + vc
     }
 
@@ -323,12 +317,6 @@ impl NocSoa {
         sum(&self.inputs.lens) + sum(&self.stages.lens)
     }
 
-    /// The slab's length: the peak number of flits buffered at once since
-    /// construction or the last snapshot walk, which compacts it.
-    pub fn slab_len(&self) -> usize {
-        self.slab.len()
-    }
-
     /// Takes a handle that no ring will ever give back: the fault the
     /// sentinel's pool census exists to catch.
     #[cfg(test)]
@@ -342,24 +330,24 @@ impl NocSoa {
 
     /// Number of buffered flits in input VC `ivc`.
     #[inline]
-    pub fn in_len(&self, ivc: usize) -> usize {
+    pub(crate) fn in_len(&self, ivc: usize) -> usize {
         self.inputs.len(ivc)
     }
 
     /// The front flit of input VC `ivc`, if any.
     #[inline]
-    pub fn in_front(&self, ivc: usize) -> Option<&Flit> {
+    pub(crate) fn in_front(&self, ivc: usize) -> Option<&Flit> {
         self.inputs.front(ivc).map(|h| self.flit(h))
     }
 
     /// The buffered flits of input VC `ivc`, front first.
-    pub fn in_flits(&self, ivc: usize) -> impl Iterator<Item = &Flit> {
+    pub(crate) fn in_flits(&self, ivc: usize) -> impl Iterator<Item = &Flit> {
         self.inputs.live(ivc).map(|h| self.flit(h))
     }
 
     /// Routing/allocation state of input VC `ivc`.
     #[inline]
-    pub fn route(&self, ivc: usize) -> RouteState {
+    pub(crate) fn route(&self, ivc: usize) -> RouteState {
         match self.route_kind[ivc] {
             ROUTE_IDLE => RouteState::Idle,
             ROUTE_WAITING => RouteState::Waiting,
@@ -373,7 +361,7 @@ impl NocSoa {
 
     /// `true` if a head flit waits for VC allocation in `ivc`.
     #[inline]
-    pub fn waiting(&self, ivc: usize) -> bool {
+    pub(crate) fn waiting(&self, ivc: usize) -> bool {
         self.route_kind[ivc] == ROUTE_WAITING
     }
 
@@ -393,20 +381,20 @@ impl NocSoa {
 
     /// Bitmask of the port's VCs holding a waiting head.
     #[inline]
-    pub fn waiting_mask(&self, np: usize) -> u64 {
+    pub(crate) fn waiting_mask(&self, np: usize) -> u64 {
         self.waiting_mask[np]
     }
 
     /// Bitmask of the port's VCs streaming under an active grant.
     #[inline]
-    pub fn active_mask(&self, np: usize) -> u64 {
+    pub(crate) fn active_mask(&self, np: usize) -> u64 {
         self.active_mask[np]
     }
 
     /// Number of the port's input VCs holding at least one flit (the DBAR
     /// side band's congestion measure).
     #[inline]
-    pub fn in_occupied(&self, np: usize) -> usize {
+    pub(crate) fn in_occupied(&self, np: usize) -> usize {
         self.in_occupied[np] as usize
     }
 
@@ -417,7 +405,7 @@ impl NocSoa {
     ///
     /// Panics on buffer overflow — arrivals are gated by credits upstream,
     /// so an overflow indicates a flow-control bug.
-    pub fn in_push(&mut self, ivc: usize, flit: Flit) {
+    pub(crate) fn in_push(&mut self, ivc: usize, flit: Flit) {
         let len = self.inputs.len(ivc);
         assert!(len < self.depth, "input VC overflow");
         let handle = self.alloc(flit);
@@ -433,7 +421,7 @@ impl NocSoa {
     /// # Panics
     ///
     /// Panics if the VC holds no waiting head.
-    pub fn in_grant(&mut self, ivc: usize, out_port: Port, out_vc: u8) {
+    pub(crate) fn in_grant(&mut self, ivc: usize, out_port: Port, out_vc: u8) {
         assert_eq!(
             self.route_kind[ivc], ROUTE_WAITING,
             "grant without a waiting head"
@@ -448,27 +436,16 @@ impl NocSoa {
         self.active_mask[np] |= bit;
     }
 
-    /// Pops the front flit of `ivc` after a switch grant. When a tail
-    /// leaves, the route state resets so a queued-behind packet's head can
-    /// be routed next.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VC is empty or not `Active`.
-    pub fn in_pop_granted(&mut self, ivc: usize) -> Flit {
-        let handle = self.in_unlink_granted(ivc);
-        self.release(handle)
-    }
-
     /// Moves the front flit of `ivc` across the switch onto port `np`'s
     /// stage, relabelled with its output VC `out_vc`, and returns a copy.
-    /// Its handle changes rings and the flit stays put in the slab. The
-    /// route state and masks change as under [`NocSoa::in_pop_granted`].
+    /// Its handle changes rings and the flit stays put in the slab. When a
+    /// tail leaves, the route state resets so a queued-behind packet's
+    /// head can be routed next.
     ///
     /// # Panics
     ///
     /// Panics if the VC is empty or not `Active`, or if the stage is full.
-    pub fn switch_traverse(&mut self, ivc: usize, np: usize, out_vc: u8) -> Flit {
+    pub(crate) fn switch_traverse(&mut self, ivc: usize, np: usize, out_vc: u8) -> Flit {
         assert!(self.stage_space(np) > 0, "stage overflow");
         let handle = self.in_unlink_granted(ivc);
         self.stages.push(np, handle);
@@ -521,7 +498,7 @@ impl NocSoa {
 
     /// Allocation state of output VC `ivc`.
     #[inline]
-    pub fn out_state(&self, ivc: usize) -> OutVcState {
+    pub(crate) fn out_state(&self, ivc: usize) -> OutVcState {
         match self.out_state[ivc] {
             OUT_IDLE => OutVcState::Idle,
             OUT_ACTIVE => OutVcState::Active(PacketId(self.out_packet[ivc])),
@@ -531,21 +508,21 @@ impl NocSoa {
 
     /// Owner register of output VC `ivc` (persists after the VC drains).
     #[inline]
-    pub fn out_owner(&self, ivc: usize) -> Option<NodeId> {
+    pub(crate) fn out_owner(&self, ivc: usize) -> Option<NodeId> {
         let o = self.out_owner[ivc];
         (o != NO_OWNER).then_some(NodeId(o as u16))
     }
 
     /// Remaining downstream credits of output VC `ivc`.
     #[inline]
-    pub fn out_credits(&self, ivc: usize) -> u32 {
+    pub(crate) fn out_credits(&self, ivc: usize) -> u32 {
         self.out_credits[ivc]
     }
 
     /// `true` if a fresh (non-join) allocation of `ivc` is permitted under
     /// `policy`.
     #[inline]
-    pub fn out_idle_for(&self, ivc: usize, policy: VcReallocationPolicy) -> bool {
+    pub(crate) fn out_idle_for(&self, ivc: usize, policy: VcReallocationPolicy) -> bool {
         match self.out_state[ivc] {
             OUT_IDLE => true,
             OUT_ACTIVE => false,
@@ -556,7 +533,7 @@ impl NocSoa {
     /// `true` if a packet destined to `dest` may join output VC `ivc`
     /// right now (draining, owner matches, a credit available).
     #[inline]
-    pub fn out_joinable_by(&self, ivc: usize, dest: NodeId) -> bool {
+    pub(crate) fn out_joinable_by(&self, ivc: usize, dest: NodeId) -> bool {
         self.out_state[ivc] == OUT_DRAINING
             && self.out_owner[ivc] == u32::from(dest.0)
             && self.out_credits[ivc] > 0
@@ -567,7 +544,7 @@ impl NocSoa {
     /// # Panics
     ///
     /// Panics if a packet is still streaming through the VC.
-    pub fn out_allocate(&mut self, ivc: usize, pkt: PacketId, dest: NodeId) {
+    pub(crate) fn out_allocate(&mut self, ivc: usize, pkt: PacketId, dest: NodeId) {
         assert_ne!(self.out_state[ivc], OUT_ACTIVE, "allocating an active VC");
         self.out_state[ivc] = OUT_ACTIVE;
         self.out_packet[ivc] = pkt.0;
@@ -583,13 +560,13 @@ impl NocSoa {
     /// # Panics
     ///
     /// Panics if no credits remain.
-    pub fn out_consume_credit(&mut self, ivc: usize) {
+    pub(crate) fn out_consume_credit(&mut self, ivc: usize) {
         assert!(self.out_credits[ivc] > 0, "credit underflow");
         self.out_credits[ivc] -= 1;
     }
 
     /// Marks the current packet's tail as forwarded on `ivc`.
-    pub fn out_tail_sent(&mut self, ivc: usize, policy: VcReallocationPolicy) {
+    pub(crate) fn out_tail_sent(&mut self, ivc: usize, policy: VcReallocationPolicy) {
         debug_assert_eq!(self.out_state[ivc], OUT_ACTIVE);
         let all_credits = self.out_credits[ivc] as usize == self.depth;
         let next = match policy {
@@ -612,7 +589,7 @@ impl NocSoa {
     /// # Panics
     ///
     /// Panics on credit overflow.
-    pub fn out_return_credit(&mut self, ivc: usize) {
+    pub(crate) fn out_return_credit(&mut self, ivc: usize) {
         assert!((self.out_credits[ivc] as usize) < self.depth, "credit overflow");
         self.out_credits[ivc] += 1;
         if self.out_state[ivc] == OUT_DRAINING && self.out_credits[ivc] as usize == self.depth {
@@ -670,36 +647,23 @@ impl NocSoa {
 
     /// Free slots in the staging FIFO of port `np`.
     #[inline]
-    pub fn stage_space(&self, np: usize) -> usize {
+    pub(crate) fn stage_space(&self, np: usize) -> usize {
         self.stages.cap - self.stages.len(np)
     }
 
     /// Number of staged flits at port `np`.
     #[inline]
-    pub fn staged(&self, np: usize) -> usize {
+    pub(crate) fn staged(&self, np: usize) -> usize {
         self.stages.len(np)
     }
 
     /// The staged flits of port `np`, next-to-launch first.
-    pub fn staged_flits(&self, np: usize) -> impl Iterator<Item = &Flit> {
+    pub(crate) fn staged_flits(&self, np: usize) -> impl Iterator<Item = &Flit> {
         self.stages.live(np).map(|h| self.flit(h))
     }
 
-    /// Stores `flit` in the slab and appends it to port `np`'s stage. The
-    /// router moves buffered flits across the switch with
-    /// [`NocSoa::switch_traverse`] instead, which stores nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stage is full.
-    pub fn stage_push(&mut self, np: usize, flit: Flit) {
-        assert!(self.stage_space(np) > 0, "stage overflow");
-        let handle = self.alloc(flit);
-        self.stages.push(np, handle);
-    }
-
     /// Pops the next flit to launch onto port `np`'s link.
-    pub fn stage_pop(&mut self, np: usize) -> Option<Flit> {
+    pub(crate) fn stage_pop(&mut self, np: usize) -> Option<Flit> {
         let handle = self.stages.pop(np)?;
         Some(self.release(handle))
     }
@@ -710,7 +674,7 @@ impl NocSoa {
 
     /// Flits resident in `node`'s router: buffered in input VCs or staged
     /// at output ports (the active-set scheduler's work measure).
-    pub fn resident_flits(&self, node: NodeId) -> usize {
+    pub(crate) fn resident_flits(&self, node: NodeId) -> usize {
         let np0 = node.index() * PORT_COUNT;
         let vc0 = np0 * self.num_vcs;
         let in_sum: usize = self.inputs.lens[vc0..vc0 + PORT_COUNT * self.num_vcs]
@@ -726,7 +690,7 @@ impl NocSoa {
 
     /// `true` when no flits, grants or outstanding credits remain anywhere
     /// in `node`'s router.
-    pub fn router_quiescent(&self, node: NodeId) -> bool {
+    pub(crate) fn router_quiescent(&self, node: NodeId) -> bool {
         let np0 = node.index() * PORT_COUNT;
         let vc0 = np0 * self.num_vcs;
         let nvc = PORT_COUNT * self.num_vcs;
@@ -742,20 +706,20 @@ impl NocSoa {
 
     /// Read-only view of one input port.
     #[inline]
-    pub fn input(&self, node: NodeId, port: usize) -> InPortRef<'_> {
+    pub(crate) fn input(&self, node: NodeId, port: usize) -> InPortRef<'_> {
         self.in_row(self.np(node, port))
     }
 
     /// Read-only view of one router output port.
     #[inline]
-    pub fn output(&self, node: NodeId, port: usize) -> OutPortRef<'_> {
+    pub(crate) fn output(&self, node: NodeId, port: usize) -> OutPortRef<'_> {
         self.out_row(self.np(node, port))
     }
 
     /// Read-only view of `node`'s injection channel: the source's output
     /// VCs (its stage is always empty — sources send straight to the wire).
     #[inline]
-    pub fn injection(&self, node: NodeId) -> OutPortRef<'_> {
+    pub(crate) fn injection(&self, node: NodeId) -> OutPortRef<'_> {
         self.out_row(self.inj_np(node))
     }
 
@@ -769,12 +733,6 @@ impl NocSoa {
     #[inline]
     pub(crate) fn out_row(&self, np: usize) -> OutPortRef<'_> {
         OutPortRef { soa: self, np }
-    }
-
-    /// Total nodes the store was sized for.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
     }
 }
 
@@ -921,7 +879,7 @@ impl Rings {
 
 /// Read-only view of one input VC.
 #[derive(Clone, Copy)]
-pub struct InVcRef<'a> {
+pub(crate) struct InVcRef<'a> {
     soa: &'a NocSoa,
     ivc: usize,
 }
@@ -929,59 +887,48 @@ pub struct InVcRef<'a> {
 impl<'a> InVcRef<'a> {
     /// Number of buffered flits.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.soa.in_len(self.ivc)
     }
 
     /// `true` when no flits are buffered.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Buffer capacity in flits.
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.soa.depth
     }
 
     /// The front flit, if any.
     #[inline]
-    pub fn front(&self) -> Option<&'a Flit> {
+    pub(crate) fn front(&self) -> Option<&'a Flit> {
         self.soa.in_front(self.ivc)
     }
 
     /// Current routing state.
     #[inline]
-    pub fn route(&self) -> RouteState {
+    pub(crate) fn route(&self) -> RouteState {
         self.soa.route(self.ivc)
     }
 
-    /// `true` if a head flit is waiting for VC allocation.
-    #[inline]
-    pub fn waiting(&self) -> bool {
-        self.soa.waiting(self.ivc)
-    }
-
-    /// `true` if the VC holds nothing and no grant is outstanding.
-    pub fn is_quiescent(&self) -> bool {
-        self.is_empty() && self.route() == RouteState::Idle
-    }
-
     /// The buffered flits, front first.
-    pub fn flits(&self) -> impl Iterator<Item = &'a Flit> {
+    pub(crate) fn flits(&self) -> impl Iterator<Item = &'a Flit> {
         self.soa.in_flits(self.ivc)
     }
 
     /// Appends the buffered flit destinations to `out` (FIFO order).
-    pub fn dests_into(&self, out: &mut Vec<NodeId>) {
+    pub(crate) fn dests_into(&self, out: &mut Vec<NodeId>) {
         out.extend(self.flits().map(|f| f.dest));
     }
 }
 
 /// Read-only view of one output VC (a router's or a source's).
 #[derive(Clone, Copy)]
-pub struct OutVcRef<'a> {
+pub(crate) struct OutVcRef<'a> {
     soa: &'a NocSoa,
     ivc: usize,
 }
@@ -989,37 +936,37 @@ pub struct OutVcRef<'a> {
 impl OutVcRef<'_> {
     /// Current allocation state.
     #[inline]
-    pub fn state(&self) -> OutVcState {
+    pub(crate) fn state(&self) -> OutVcState {
         self.soa.out_state(self.ivc)
     }
 
     /// Destination owner register.
     #[inline]
-    pub fn owner(&self) -> Option<NodeId> {
+    pub(crate) fn owner(&self) -> Option<NodeId> {
         self.soa.out_owner(self.ivc)
     }
 
     /// Remaining downstream credits.
     #[inline]
-    pub fn credits(&self) -> u32 {
+    pub(crate) fn credits(&self) -> u32 {
         self.soa.out_credits(self.ivc)
     }
 
     /// Downstream buffer capacity.
     #[inline]
-    pub fn capacity(&self) -> u32 {
+    pub(crate) fn capacity(&self) -> u32 {
         crate::cast::idx_u32(self.soa.depth)
     }
 
     /// `true` if the VC holds no traffic and all credits are home.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.state() == OutVcState::Idle && self.credits() as usize == self.soa.depth
     }
 }
 
 /// Read-only view of one input port.
 #[derive(Clone, Copy)]
-pub struct InPortRef<'a> {
+pub(crate) struct InPortRef<'a> {
     soa: &'a NocSoa,
     np: usize,
 }
@@ -1027,7 +974,7 @@ pub struct InPortRef<'a> {
 impl<'a> InPortRef<'a> {
     /// One VC.
     #[inline]
-    pub fn vc(&self, vc: usize) -> InVcRef<'a> {
+    pub(crate) fn vc(&self, vc: usize) -> InVcRef<'a> {
         debug_assert!(vc < self.soa.num_vcs);
         InVcRef {
             soa: self.soa,
@@ -1036,28 +983,15 @@ impl<'a> InPortRef<'a> {
     }
 
     /// All VCs, ascending.
-    pub fn vcs(&self) -> impl Iterator<Item = InVcRef<'a>> + '_ {
+    pub(crate) fn vcs(&self) -> impl Iterator<Item = InVcRef<'a>> + '_ {
         (0..self.soa.num_vcs).map(|v| self.vc(v))
-    }
-
-    /// Number of VCs whose buffers hold at least one flit.
-    #[inline]
-    pub fn occupied_vcs(&self) -> usize {
-        self.soa.in_occupied(self.np)
-    }
-
-    /// `true` when all VCs are quiescent.
-    pub fn is_quiescent(&self) -> bool {
-        self.soa.in_occupied[self.np] == 0
-            && self.soa.waiting_mask[self.np] == 0
-            && self.soa.active_mask[self.np] == 0
     }
 }
 
 /// Read-only view of one output port (a router's, or a source's injection
 /// channel).
 #[derive(Clone, Copy)]
-pub struct OutPortRef<'a> {
+pub(crate) struct OutPortRef<'a> {
     soa: &'a NocSoa,
     np: usize,
 }
@@ -1065,7 +999,7 @@ pub struct OutPortRef<'a> {
 impl<'a> OutPortRef<'a> {
     /// One VC.
     #[inline]
-    pub fn vc(&self, vc: usize) -> OutVcRef<'a> {
+    pub(crate) fn vc(&self, vc: usize) -> OutVcRef<'a> {
         debug_assert!(vc < self.soa.num_vcs);
         OutVcRef {
             soa: self.soa,
@@ -1074,23 +1008,23 @@ impl<'a> OutPortRef<'a> {
     }
 
     /// All VCs, ascending.
-    pub fn vcs(&self) -> impl Iterator<Item = OutVcRef<'a>> + '_ {
+    pub(crate) fn vcs(&self) -> impl Iterator<Item = OutVcRef<'a>> + '_ {
         (0..self.soa.num_vcs).map(|v| self.vc(v))
     }
 
     /// Number of staged flits.
     #[inline]
-    pub fn staged(&self) -> usize {
+    pub(crate) fn staged(&self) -> usize {
         self.soa.staged(self.np)
     }
 
     /// The staged flits, next-to-launch first.
-    pub fn staged_flits(&self) -> impl Iterator<Item = &'a Flit> {
+    pub(crate) fn staged_flits(&self) -> impl Iterator<Item = &'a Flit> {
         self.soa.staged_flits(self.np)
     }
 
     /// `true` when every VC is quiescent and the stage is empty.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.soa.staged(self.np) == 0 && self.vcs().all(|v| v.is_quiescent())
     }
 }
@@ -1118,6 +1052,14 @@ mod tests {
         NocSoa::new(1, 4, 4, 2)
     }
 
+    /// Moves the front flit of active `ivc` across the switch onto output
+    /// row 0's stage and launches it from there, as one router cycle does.
+    fn traverse(s: &mut NocSoa, ivc: usize) -> Flit {
+        let f = s.switch_traverse(ivc, 0, 0);
+        assert_eq!(s.stage_pop(0), Some(f));
+        f
+    }
+
     #[test]
     fn head_arrival_triggers_waiting_and_masks() {
         let mut s = soa();
@@ -1139,9 +1081,9 @@ mod tests {
         s.in_grant(ivc, Port::Dir(Direction::East), 2);
         assert!(matches!(s.route(ivc), RouteState::Active { out_vc: 2, .. }));
         assert_eq!(s.active_mask(0), 0b1);
-        assert!(s.in_pop_granted(ivc).is_head());
-        assert_eq!(s.in_pop_granted(ivc).kind, FlitKind::Body);
-        assert!(s.in_pop_granted(ivc).is_tail());
+        assert!(traverse(&mut s, ivc).is_head());
+        assert_eq!(traverse(&mut s, ivc).kind, FlitKind::Body);
+        assert!(traverse(&mut s, ivc).is_tail());
         assert_eq!(s.route(ivc), RouteState::Idle);
         assert_eq!((s.waiting_mask(0), s.active_mask(0)), (0, 0));
         assert_eq!(s.in_occupied(0), 0);
@@ -1163,7 +1105,7 @@ mod tests {
             s.route(ivc),
             RouteState::Active { packet: PacketId(1), .. }
         ));
-        assert!(s.in_pop_granted(ivc).is_tail());
+        assert!(traverse(&mut s, ivc).is_tail());
         assert!(s.waiting(ivc), "queued head promoted");
         assert_eq!(s.waiting_mask(0), 0b1);
         assert_eq!(s.active_mask(0), 0);
@@ -1184,7 +1126,7 @@ mod tests {
             assert_eq!(dests, (round * 4..round * 4 + 4).collect::<Vec<_>>());
             for _ in 0..4 {
                 s.in_grant(ivc, Port::Local, 0);
-                s.in_pop_granted(ivc);
+                traverse(&mut s, ivc);
             }
         }
         assert!(s.router_quiescent(NodeId(0)));
@@ -1315,17 +1257,24 @@ mod tests {
         s.out_return_credit(injection);
     }
 
+    /// Pushes one single-flit packet per `seq` into `ivc`, then grants and
+    /// moves each across the switch onto stage `np`.
+    fn stage_singles(s: &mut NocSoa, ivc: usize, np: usize, seqs: std::ops::Range<u16>) {
+        for seq in seqs.clone() {
+            s.in_push(ivc, flit(u64::from(seq), FlitKind::Single, seq));
+        }
+        for _ in seqs {
+            s.in_grant(ivc, Port::Local, 0);
+            s.switch_traverse(ivc, np, 0);
+        }
+    }
+
     #[test]
     fn stage_ring_respects_capacity_and_order() {
         let mut s = NocSoa::new(1, 2, 4, 2);
         let np = s.np(NodeId(0), 3);
         assert_eq!(s.stage_space(np), 2);
-        let mut f1 = flit(1, FlitKind::Single, 0);
-        f1.seq = 0;
-        let mut f2 = flit(1, FlitKind::Single, 0);
-        f2.seq = 1;
-        s.stage_push(np, f1);
-        s.stage_push(np, f2);
+        stage_singles(&mut s, 0, np, 0..2);
         assert_eq!(s.stage_space(np), 0);
         let seqs: Vec<u16> = s.staged_flits(np).map(|f| f.seq).collect();
         assert_eq!(seqs, vec![0, 1]);
@@ -1338,9 +1287,7 @@ mod tests {
     #[should_panic(expected = "stage overflow")]
     fn stage_overflow_panics() {
         let mut s = NocSoa::new(1, 1, 4, 1);
-        let f = flit(1, FlitKind::Single, 0);
-        s.stage_push(0, f);
-        s.stage_push(0, f);
+        stage_singles(&mut s, 0, 0, 0..2);
     }
 
     /// The census holds and every live window reads back what was pushed.
@@ -1366,9 +1313,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random pushes, grants, pops and switch traversals over every
-        /// input VC and output stage of a one-router store, with `depth`
-        /// and the stage capacity in 1..=4, against a `VecDeque` per ring:
+        /// Random pushes, grants, switch traversals and stage pops over
+        /// every input VC and output stage of a one-router store, with
+        /// `depth` and the stage capacity in 1..=4, against a `VecDeque`
+        /// per ring:
         /// each ring is a FIFO, the slab's handles in use equal the
         /// buffered flits, a push appends to the slab only when no handle
         /// is free, and a traversal moves a handle without touching the
@@ -1377,7 +1325,7 @@ mod tests {
         fn rings_over_the_slab_match_a_deque_model(
             depth in 1usize..=4,
             cap in 1usize..=4,
-            ops in proptest::collection::vec((0u8..6, 0usize..64), 1..200),
+            ops in proptest::collection::vec((0u8..4, 0usize..64), 1..200),
         ) {
             use std::collections::VecDeque;
             let mut s = NocSoa::new(1, 2, depth, cap);
@@ -1401,23 +1349,12 @@ mod tests {
                         s.in_grant(ivc, Port::Local, 0);
                         false
                     }
-                    2 if s.route_kind[ivc] == ROUTE_ACTIVE => {
-                        let f = s.in_pop_granted(ivc);
-                        proptest::prop_assert_eq!(Some(f.packet.0), inputs[ivc].pop_front());
-                        false
-                    }
-                    3 if stages[np].len() < cap => {
-                        next += 1;
-                        s.stage_push(np, flit(next, FlitKind::Single, 0));
-                        stages[np].push_back(next);
-                        true
-                    }
-                    4 => {
+                    2 => {
                         let f = s.stage_pop(np).map(|f| f.packet.0);
                         proptest::prop_assert_eq!(f, stages[np].pop_front());
                         false
                     }
-                    5 if s.route_kind[ivc] == ROUTE_ACTIVE && stages[np].len() < cap => {
+                    3 if s.route_kind[ivc] == ROUTE_ACTIVE && stages[np].len() < cap => {
                         let out_vc = (at % 2) as u8;
                         let f = s.switch_traverse(ivc, np, out_vc);
                         let moved = inputs[ivc].pop_front();
@@ -1441,17 +1378,139 @@ mod tests {
     #[test]
     fn occupancy_counter_matches_scan() {
         let mut s = soa();
-        let port = s.input(NodeId(0), 0);
-        assert_eq!(port.occupied_vcs(), 0);
+        assert_eq!(s.in_occupied(0), 0);
         s.in_push(s.ivc(NodeId(0), 0, 1), flit(1, FlitKind::Head, 0));
         s.in_push(s.ivc(NodeId(0), 0, 1), flit(1, FlitKind::Body, 1));
         s.in_push(s.ivc(NodeId(0), 0, 3), flit(2, FlitKind::Head, 0));
+        assert_eq!(s.in_occupied(0), 2);
         let port = s.input(NodeId(0), 0);
-        assert_eq!(port.occupied_vcs(), 2);
-        assert_eq!(
-            port.vcs().filter(|v| !v.is_empty()).count(),
-            port.occupied_vcs()
-        );
-        assert!(!port.is_quiescent());
+        assert_eq!(port.vcs().filter(|v| !v.is_empty()).count(), s.in_occupied(0));
+        assert!(!s.router_quiescent(NodeId(0)));
+    }
+
+    // The flow-control state machines under random operation sequences:
+    // the output VC lifecycle and the input VC FIFO discipline.
+    use proptest::prelude::*;
+
+    /// Random operation against an output VC.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Allocate(u16, u16), // packet id, dest
+        Consume,
+        TailSent,
+        ReturnCredit,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u16..100, 0u16..16).prop_map(|(p, d)| Op::Allocate(p, d)),
+            Just(Op::Consume),
+            Just(Op::TailSent),
+            Just(Op::ReturnCredit),
+        ]
+    }
+
+    proptest! {
+        /// Credits never under/overflow and the state machine never wedges when
+        /// operations are applied only in legal states (as the router does).
+        #[test]
+        fn outvc_invariants(
+            ops in prop::collection::vec(arb_op(), 1..200),
+            atomic in any::<bool>(),
+            injection in any::<bool>(),
+        ) {
+            let policy = if atomic {
+                VcReallocationPolicy::Atomic
+            } else {
+                VcReallocationPolicy::NonAtomic
+            };
+            let capacity = 4;
+            // One VC of a router output row or of a source's injection row:
+            // the same state machine either way.
+            let mut soa = NocSoa::new(2, 2, capacity as usize, 1);
+            let vc = if injection {
+                soa.inj_ivc(NodeId(1), 1)
+            } else {
+                soa.ivc(NodeId(1), 3, 1)
+            };
+            let mut outstanding = 0u32; // flits sent minus credits returned
+            for op in ops {
+                match op {
+                    Op::Allocate(p, d) => {
+                        let fresh = soa.out_idle_for(vc, policy);
+                        let join = soa.out_joinable_by(vc, NodeId(d));
+                        if fresh || join {
+                            soa.out_allocate(vc, PacketId(p as u64), NodeId(d));
+                            prop_assert_eq!(soa.out_owner(vc), Some(NodeId(d)));
+                            prop_assert!(matches!(soa.out_state(vc), OutVcState::Active(_)));
+                        }
+                    }
+                    Op::Consume => {
+                        if matches!(soa.out_state(vc), OutVcState::Active(_))
+                            && soa.out_credits(vc) > 0
+                        {
+                            soa.out_consume_credit(vc);
+                            outstanding += 1;
+                        }
+                    }
+                    Op::TailSent => {
+                        if matches!(soa.out_state(vc), OutVcState::Active(_)) {
+                            soa.out_tail_sent(vc, policy);
+                            prop_assert!(!matches!(soa.out_state(vc), OutVcState::Active(_)));
+                        }
+                    }
+                    Op::ReturnCredit => {
+                        if outstanding > 0 {
+                            soa.out_return_credit(vc);
+                            outstanding -= 1;
+                        }
+                    }
+                }
+                prop_assert!(soa.out_credits(vc) <= capacity);
+                prop_assert_eq!(soa.out_credits(vc) + outstanding, capacity, "credit conservation");
+                // Atomic policy: a drained VC in Idle state implies full credits.
+                if soa.out_state(vc) == OutVcState::Idle && policy == VcReallocationPolicy::Atomic {
+                    prop_assert!(soa.out_idle_for(vc, policy));
+                }
+            }
+        }
+
+        /// Input VC FIFO (one ring of the SoA store): packets stream in order,
+        /// route state resets exactly at tails, and buffered flit count is
+        /// conserved.
+        #[test]
+        fn invc_fifo_discipline(sizes in prop::collection::vec(1u16..4, 1..6)) {
+            let capacity: usize = sizes.iter().map(|&s| s as usize).sum();
+            let mut soa = NocSoa::new(1, 1, capacity.max(1), 1);
+            let ivc = soa.ivc(NodeId(0), 0, 0);
+            // Enqueue all packets back to back (multi-packet FIFO).
+            for (pid, &size) in sizes.iter().enumerate() {
+                for seq in 0..size {
+                    soa.in_push(ivc, Flit {
+                        packet: PacketId(pid as u64),
+                        kind: FlitKind::for_position(seq, size),
+                        src: NodeId(0),
+                        dest: NodeId(1),
+                        seq,
+                        size,
+                        birth: 0,
+                        class: 0,
+                        vc: 0,
+                    });
+                }
+            }
+            prop_assert_eq!(soa.in_len(ivc), capacity);
+            // Drain packet by packet.
+            for (pid, &size) in sizes.iter().enumerate() {
+                prop_assert!(soa.waiting(ivc), "head of packet {pid} must be waiting");
+                soa.in_grant(ivc, Port::Local, 0);
+                for seq in 0..size {
+                    let f = traverse(&mut soa, ivc);
+                    prop_assert_eq!(f.packet, PacketId(pid as u64));
+                    prop_assert_eq!(f.seq, seq);
+                }
+            }
+            prop_assert!(soa.router_quiescent(NodeId(0)));
+        }
     }
 }

@@ -17,7 +17,7 @@ use footprint_topology::{NodeId, Port, PORT_COUNT};
 
 /// View over the output VCs a routing decision at one node may read: a
 /// router's five output ports, or a source's injection channel.
-pub struct RouterOutputsView<'a> {
+pub(crate) struct RouterOutputsView<'a> {
     soa: &'a NocSoa,
     /// Output row of port index 0.
     base: usize,
@@ -29,7 +29,7 @@ pub struct RouterOutputsView<'a> {
 
 impl<'a> RouterOutputsView<'a> {
     /// Wraps the output-VC state of router `node`.
-    pub fn new(soa: &'a NocSoa, node: NodeId, policy: VcReallocationPolicy) -> Self {
+    pub(crate) fn new(soa: &'a NocSoa, node: NodeId, policy: VcReallocationPolicy) -> Self {
         RouterOutputsView {
             soa,
             base: soa.np(node, 0),
@@ -41,7 +41,7 @@ impl<'a> RouterOutputsView<'a> {
 
     /// Wraps the injection channel of `node`'s source: [`Port::Local`] has
     /// index 0, so this is the same view over a one-row window.
-    pub fn injection(soa: &'a NocSoa, node: NodeId, policy: VcReallocationPolicy) -> Self {
+    pub(crate) fn injection(soa: &'a NocSoa, node: NodeId, policy: VcReallocationPolicy) -> Self {
         RouterOutputsView {
             base: soa.inj_np(node),
             ports: 1,

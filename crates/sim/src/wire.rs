@@ -21,7 +21,7 @@ use crate::soa::VACANT;
 
 /// A credit message: one buffer slot of VC `vc` freed downstream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CreditMsg {
+pub(crate) struct CreditMsg {
     /// The VC whose slot was freed.
     pub vc: u8,
 }
@@ -52,7 +52,7 @@ impl Calendar {
     /// # Panics
     ///
     /// Panics if `latency` is zero (combinational wires are not modeled).
-    pub fn new(latency: usize) -> Self {
+    pub(crate) fn new(latency: usize) -> Self {
         assert!(latency > 0, "wire latency must be at least one cycle");
         Calendar {
             flits: vec![Vec::new(); latency],
@@ -64,7 +64,7 @@ impl Calendar {
     /// Opens cycle `cycle`: drains what arrives now — the credits, then
     /// the flits, each as `(channel, _)` in send order. Sends until the
     /// next call arrive `latency` cycles later.
-    pub fn due(&mut self, cycle: u64) -> (Arrivals<'_, u8>, Arrivals<'_, Flit>) {
+    pub(crate) fn due(&mut self, cycle: u64) -> (Arrivals<'_, u8>, Arrivals<'_, Flit>) {
         self.now = (cycle % self.flits.len() as u64) as usize;
         (
             self.credits[self.now].drain(..),
@@ -74,28 +74,28 @@ impl Calendar {
 
     /// Sends `flit` on `channel`.
     #[inline]
-    pub fn send_flit(&mut self, channel: usize, flit: Flit) {
+    pub(crate) fn send_flit(&mut self, channel: usize, flit: Flit) {
         self.flits[self.now].push((channel as u32, flit));
     }
 
     /// Sends a credit for VC `vc` back on `channel`.
     #[inline]
-    pub fn send_credit(&mut self, channel: usize, vc: u8) {
+    pub(crate) fn send_credit(&mut self, channel: usize, vc: u8) {
         self.credits[self.now].push((channel as u32, vc));
     }
 
     /// `true` when nothing is in flight on any channel.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.flits.iter().all(Vec::is_empty) && self.credits.iter().all(Vec::is_empty)
     }
 
     /// Every flit in flight, with its channel (the sentinel's census).
-    pub fn flits(&self) -> impl Iterator<Item = (usize, &Flit)> {
+    pub(crate) fn flits(&self) -> impl Iterator<Item = (usize, &Flit)> {
         self.flits.iter().flatten().map(|(c, f)| (*c as usize, f))
     }
 
     /// Every credit in flight as `(channel, vc)` (the sentinel's census).
-    pub fn credits(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
+    pub(crate) fn credits(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
         self.credits
             .iter()
             .flatten()

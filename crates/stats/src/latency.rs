@@ -72,24 +72,6 @@ impl OnlineStats {
     pub fn max(&self) -> Option<u64> {
         (self.n > 0).then_some(self.max)
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        self.m2 += other.m2 + d * d * (self.n as f64 * other.n as f64) / n as f64;
-        self.mean += d * other.n as f64 / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for OnlineStats {
@@ -194,40 +176,6 @@ mod tests {
         assert!((s.variance() - 8.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2));
         assert_eq!(s.max(), Some(6));
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let xs: Vec<u64> = (0..50).map(|i| (i * 13) % 97).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..20] {
-            a.push(x);
-        }
-        for &x in &xs[20..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

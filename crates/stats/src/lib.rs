@@ -24,6 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod congestion_tree;
 mod fault_stats;
@@ -40,7 +41,7 @@ mod timeline;
 pub use congestion_tree::{CongestionTree, TreeAnalysis};
 pub use fault_stats::{ClassFaultCounts, FaultStats};
 pub use latency::{Histogram, OnlineStats};
-pub use observers::{MeshSample, RouterSample, TimelineProbe};
+pub use observers::{MeshSample, TimelineProbe};
 pub use probes::{load_balance, LatencyHistogramProbe, LoadBalance};
 pub use purity::PurityProbe;
 pub use resilience::{PartitionReport, RecoveryStats};

@@ -4,7 +4,6 @@
 
 use std::io::{self, Write};
 
-use crate::timeline::TreeTimeline;
 use footprint_sim::{Network, OccupiedVcEntry, Probe};
 use footprint_topology::NodeId;
 
@@ -24,20 +23,18 @@ pub struct MeshSample {
 /// One per-router timeline row (only routers holding flits are recorded —
 /// the series is sparse, long-format: `cycle,node,buffered,occupied_vcs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterSample {
-    /// Cycle the sample was taken.
-    pub cycle: u64,
-    /// The router.
-    pub node: NodeId,
+struct RouterSample {
+    cycle: u64,
+    node: NodeId,
     /// Flits buffered at this router's inputs.
-    pub buffered_flits: usize,
+    buffered_flits: usize,
     /// Input VCs holding at least one flit.
-    pub occupied_vcs: usize,
+    occupied_vcs: usize,
 }
 
 /// A [`Probe`] that samples network occupancy and link utilization every
 /// `stride` cycles, building mesh-wide and (optionally) per-router
-/// timelines plus congestion-tree series for tracked destinations.
+/// timelines.
 ///
 /// The probe leaves [`Probe::wants_flit_events`] at `false`: it costs one
 /// no-op virtual call per cycle off-stride, and one occupancy snapshot
@@ -49,7 +46,6 @@ pub struct TimelineProbe {
     scratch: Vec<OccupiedVcEntry>,
     mesh: Vec<MeshSample>,
     routers: Vec<RouterSample>,
-    trees: Vec<TreeTimeline>,
     last_link_flits: u64,
 }
 
@@ -67,7 +63,6 @@ impl TimelineProbe {
             scratch: Vec::new(),
             mesh: Vec::new(),
             routers: Vec::new(),
-            trees: Vec::new(),
             last_link_flits: 0,
         }
     }
@@ -75,12 +70,6 @@ impl TimelineProbe {
     /// Also records the sparse per-router series.
     pub fn with_router_rows(mut self) -> Self {
         self.per_router = true;
-        self
-    }
-
-    /// Also tracks the congestion tree rooted at `dest` (repeatable).
-    pub fn with_tree(mut self, dest: NodeId) -> Self {
-        self.trees.push(TreeTimeline::new(dest));
         self
     }
 
@@ -92,16 +81,6 @@ impl TimelineProbe {
     /// The mesh-wide samples, in time order.
     pub fn mesh_samples(&self) -> &[MeshSample] {
         &self.mesh
-    }
-
-    /// The per-router rows (empty unless [`Self::with_router_rows`]).
-    pub fn router_samples(&self) -> &[RouterSample] {
-        &self.routers
-    }
-
-    /// The tracked congestion-tree timelines.
-    pub fn trees(&self) -> &[TreeTimeline] {
-        &self.trees
     }
 
     /// Writes the mesh-wide series as CSV
@@ -201,9 +180,6 @@ impl Probe for TimelineProbe {
                 });
             }
         }
-        for tree in &mut self.trees {
-            tree.record(cycle, &self.scratch);
-        }
     }
 }
 
@@ -246,22 +222,17 @@ mod tests {
     #[test]
     fn oversubscription_shows_up_in_the_series() {
         let (mut net, mut wl) = hotspot_net();
-        let mut tl = TimelineProbe::new(50).with_router_rows().with_tree(NodeId(5));
+        let mut tl = TimelineProbe::new(50).with_router_rows();
         net.run_probed(&mut wl, 400, &mut tl);
         let last = tl.mesh_samples().last().unwrap();
         assert!(last.buffered_flits > 0, "hotspot must back up");
         assert!(last.link_flits > 0, "links must carry traffic");
         // Per-router rows exist and sum to the mesh totals per cycle.
-        let per_router: usize = tl
-            .router_samples()
-            .iter()
+        let per_router: usize = (tl.routers.iter())
             .filter(|r| r.cycle == last.cycle)
             .map(|r| r.buffered_flits)
             .sum();
         assert_eq!(per_router, last.buffered_flits);
-        // The hotspot's congestion tree grew.
-        assert_eq!(tl.trees().len(), 1);
-        assert!(tl.trees()[0].peak_vcs() > 0);
     }
 
     #[test]

@@ -34,12 +34,6 @@ impl LatencyHistogramProbe {
         }
     }
 
-    /// A convenient default: 200 buckets of 5 cycles (covers zero-load
-    /// through heavy congestion on the paper's meshes).
-    pub fn default_shape() -> Self {
-        Self::new(5, 200)
-    }
-
     /// The histogram for `class`, if any packet of that class ejected.
     pub fn histogram(&self, class: u8) -> Option<&Histogram> {
         self.classes.get(&class).map(|(h, _)| h)
@@ -134,15 +128,6 @@ mod tests {
         assert!((p.stats(0).unwrap().mean() - 10.0).abs() < 1e-9);
         assert_eq!(p.quantile(0, 0.5), Some(10));
         assert!(p.histogram(7).is_none());
-    }
-
-    #[test]
-    fn default_shape_covers_typical_latencies() {
-        let mut p = LatencyHistogramProbe::default_shape();
-        p.packet_ejected(&pkt(0, 999));
-        assert_eq!(p.histogram(0).unwrap().overflow(), 0);
-        p.packet_ejected(&pkt(0, 1001));
-        assert_eq!(p.histogram(0).unwrap().overflow(), 1);
     }
 
     #[test]

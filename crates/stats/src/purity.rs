@@ -17,7 +17,6 @@ pub struct PurityProbe {
     limit: usize,
     per_packet: HashMap<PacketId, (u64, f64, u64)>, // (blocks, purity_sum, purity_events)
     ejected: u64,
-    total_blocks: u64,
 }
 
 impl PurityProbe {
@@ -27,7 +26,6 @@ impl PurityProbe {
             limit,
             per_packet: HashMap::new(),
             ejected: 0,
-            total_blocks: 0,
         }
     }
 
@@ -39,11 +37,6 @@ impl PurityProbe {
     /// Number of distinct packets that experienced blocking (capped).
     pub fn tracked(&self) -> usize {
         self.per_packet.len()
-    }
-
-    /// Total blocking events seen (uncapped).
-    pub fn total_blocks(&self) -> u64 {
-        self.total_blocks
     }
 
     /// Packets ejected while the probe was attached.
@@ -84,7 +77,6 @@ impl PurityProbe {
 
 impl Probe for PurityProbe {
     fn va_blocked(&mut self, info: &VaBlockInfo) {
-        self.total_blocks += 1;
         let full = self.per_packet.len() >= self.limit;
         let entry = match self.per_packet.get_mut(&info.packet) {
             Some(e) => e,
@@ -129,7 +121,6 @@ mod tests {
         p.va_blocked(&block(2, 2, 2));
         assert_eq!(p.tracked(), 2);
         assert!((p.mean_purity() - 0.75).abs() < 1e-12);
-        assert_eq!(p.total_blocks(), 3);
     }
 
     #[test]
@@ -148,10 +139,12 @@ mod tests {
             p.va_blocked(&block(pkt, 1, 2));
         }
         assert_eq!(p.tracked(), 2);
-        assert_eq!(p.total_blocks(), 5);
-        // Existing packets keep accumulating past the cap.
+        // One block per tracked packet at purity 0.5.
+        assert!((p.hol_degree() - 0.5).abs() < 1e-12);
+        // Existing packets keep accumulating past the cap: 3 blocks over 2.
         p.va_blocked(&block(0, 1, 2));
-        assert_eq!(p.total_blocks(), 6);
+        assert_eq!(p.tracked(), 2);
+        assert!((p.hol_degree() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -65,16 +65,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (no quoting; intended for numeric experiment output).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
-        }
-        out
-    }
 }
 
 /// Formats a float with 3 decimal places (helper for table rows).
@@ -99,23 +89,16 @@ mod tests {
     #[test]
     fn render_aligns_columns() {
         let mut t = Table::new(["algo", "throughput"]);
+        assert!(t.is_empty());
         t.row(["footprint", "0.43"]);
         t.row(["dor", "0.3"]);
+        assert_eq!(t.len(), 2);
         let s = t.render();
         assert!(s.contains("algo"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         // All lines same width (right-aligned columns).
         assert_eq!(lines[0].len(), lines[2].len());
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

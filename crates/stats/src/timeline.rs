@@ -89,21 +89,6 @@ impl TreeTimeline {
         self.samples.iter().map(|s| s.vcs).max().unwrap_or(0)
     }
 
-    /// Mean VC count across samples (tree "steady size").
-    pub fn mean_vcs(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().map(|s| s.vcs).sum::<usize>() as f64 / self.samples.len() as f64
-        }
-    }
-
-    /// First cycle at which the tree reached `vcs` VCs, if it ever did —
-    /// the tree-formation delay that Footprint postpones.
-    pub fn first_reached(&self, vcs: usize) -> Option<u64> {
-        self.samples.iter().find(|s| s.vcs >= vcs).map(|s| s.cycle)
-    }
-
     /// Growth rate between the first and the peak sample, VCs per kilocycle
     /// (0 for flat or empty timelines).
     pub fn growth_rate(&self) -> f64 {
@@ -146,10 +131,6 @@ mod tests {
         tl.record(300, &[entry(1, 0, &[13]), entry(1, 1, &[13, 13])]);
         assert_eq!(tl.len(), 3);
         assert_eq!(tl.peak_vcs(), 2);
-        assert!((tl.mean_vcs() - 1.0).abs() < 1e-12);
-        assert_eq!(tl.first_reached(1), Some(200));
-        assert_eq!(tl.first_reached(2), Some(300));
-        assert_eq!(tl.first_reached(3), None);
         // 2 VCs gained over 200 cycles → 10 VCs/kcycle.
         assert!((tl.growth_rate() - 10.0).abs() < 1e-12);
     }

@@ -485,13 +485,13 @@ mod wrap {
 
     /// Distance traveling in the increasing (`pos`) direction.
     #[inline]
-    pub fn fwd_dist(cur: u16, dst: u16, k: u16) -> u32 {
+    pub(super) fn fwd_dist(cur: u16, dst: u16, k: u16) -> u32 {
         (u32::from(dst) + u32::from(k) - u32::from(cur)) % u32::from(k)
     }
 
     /// Wrap-reduced distance: the shorter way around.
     #[inline]
-    pub fn dist(cur: u16, dst: u16, k: u16) -> u32 {
+    pub(super) fn dist(cur: u16, dst: u16, k: u16) -> u32 {
         let f = fwd_dist(cur, dst, k);
         f.min(u32::from(k) - f)
     }
@@ -500,7 +500,7 @@ mod wrap {
     /// position. Ties at exactly `k/2` break toward `pos` (East / North),
     /// deterministically.
     #[inline]
-    pub fn minimal_dir(cur: u16, dst: u16, k: u16, pos: Direction, neg: Direction) -> Option<Direction> {
+    pub(super) fn minimal_dir(cur: u16, dst: u16, k: u16, pos: Direction, neg: Direction) -> Option<Direction> {
         let f = fwd_dist(cur, dst, k);
         if f == 0 {
             None
@@ -517,7 +517,7 @@ mod wrap {
     /// (and for journeys that never cross). See
     /// [`AnyTopology::escape_class`](super::AnyTopology::escape_class).
     #[inline]
-    pub fn escape_class(next: u16, dst: u16, forward: bool) -> u8 {
+    pub(super) fn escape_class(next: u16, dst: u16, forward: bool) -> u8 {
         let pre_dateline = if forward { next > dst } else { next < dst };
         u8::from(!pre_dateline)
     }

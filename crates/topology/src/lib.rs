@@ -16,8 +16,9 @@
 //!
 //! Supporting types: [`NodeId`] (dense row-major index), [`Coord`],
 //! [`Direction`]/[`Port`] (the four-direction port alphabet plus the local
-//! port), [`Channel`], [`MinimalDirs`], and the deterministic fault-plan
-//! model ([`FaultPlan`]).
+//! port), [`Channel`], [`MinimalDirs`], the deterministic fault-plan
+//! model ([`FaultPlan`]) and the workspace's one seed mixer
+//! ([`splitmix64`]).
 //!
 //! # Example
 //!
@@ -34,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod any;
 mod coord;
@@ -51,3 +53,15 @@ pub use coord::{Coord, NodeId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError, FaultTarget};
 pub use port::{Direction, Port, DIRECTIONS, PORTS, PORT_COUNT};
 pub use spec::{TopologyError, TopologySpec};
+
+/// The splitmix64 finalizer: a well-mixed, deterministic function of `x`,
+/// used wherever a seed or a coin must be a pure function of its inputs
+/// (per-job seeds, per-node gate seeds, fault placement, retry jitter)
+/// rather than a draw from a shared stream.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

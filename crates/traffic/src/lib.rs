@@ -11,16 +11,17 @@
 //! * [`SyntheticWorkload`] — Bernoulli injection over a pattern at an
 //!   offered load in flits/node/cycle; the one injection draw site for
 //!   synthetic, Figure 2 and hotspot traffic.
-//! * [`hotspot`] — the Table 3 hotspot + background workload of Figure 9.
-//! * [`parsec`] — bursty per-application workloads standing in for the
-//!   PARSEC/Netrace traces of Figure 10 (see the module docs for the
+//! * [`HotspotWorkload`] — the Table 3 hotspot + background workload of
+//!   Figure 9.
+//! * [`ParsecPairWorkload`] — bursty per-application workloads standing in
+//!   for the PARSEC/Netrace traces of Figure 10 (`src/parsec.rs` gives the
 //!   substitution rationale).
-//! * [`trace`] — generic timestamped trace replay.
-//! * [`modulate`] — on/off (bursty) gating, rate ramps and piecewise
-//!   schedules: the [`Modulation`] gate beside a source.
-//! * [`tenants`] — the workload value: [`Tenants`], a list of
-//!   [`Tenant`]s, each a closed-enum [`Source`] with an optional gate and
-//!   class. A plain, modulated or multi-tenant configuration is one.
+//! * [`TraceWorkload`] — generic timestamped trace replay.
+//! * [`Modulation`] — on/off (bursty) gating, rate ramps and piecewise
+//!   schedules: the gate beside a source.
+//! * [`Tenants`] — the workload value: a list of [`Tenant`]s, each a
+//!   closed-enum [`Source`] with an optional gate and class. A plain,
+//!   modulated or multi-tenant configuration is one.
 //!
 //! # Example
 //!
@@ -41,21 +42,22 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod hotspot;
-pub mod modulate;
+mod hotspot;
+mod modulate;
 mod overlay;
-pub mod parsec;
+mod parsec;
 mod patterns;
 mod size;
 mod synthetic;
-pub mod tenants;
-pub mod trace;
+mod tenants;
+mod trace;
 
 pub use hotspot::{HotspotWorkload, BACKGROUND_CLASS, HOTSPOT_CLASS};
 pub use modulate::{DurationDist, Modulation, ModulationError, ModulationSpec};
 pub use overlay::Overlay;
-pub use parsec::{memory_controllers, App, AppProfile, ParsecPairWorkload, APPS};
+pub use parsec::{App, AppProfile, ParsecPairWorkload, APPS};
 pub use patterns::{Pattern, PatternError, FIGURE2, TABLE3};
 pub use size::PacketSize;
 pub use synthetic::SyntheticWorkload;

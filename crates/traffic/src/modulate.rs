@@ -34,7 +34,7 @@
 //! at rate `r` offers mean load `r/2`.
 
 use footprint_sim::NewPacket;
-use footprint_topology::NodeId;
+use footprint_topology::{splitmix64, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -254,24 +254,16 @@ struct Gate {
 /// A time-varying injection scale: the gate a [`Tenant`](crate::Tenant)
 /// puts beside its source.
 ///
-/// See the [module docs](self) for the determinism argument; the practical
-/// summary is that a gated source is bit-identical across Dense/Active
-/// schedulers and sweep thread counts whenever the source is, because all
-/// modulation randomness comes from private per-node RNGs derived from
-/// `seed` and the gate never touches the shared stream.
+/// A gated source is bit-identical across Dense/Active schedulers and
+/// sweep thread counts whenever the source is: the gate thins only after
+/// the source has drawn, all modulation randomness comes from private
+/// per-node RNGs derived from `seed`, and the gate never touches the
+/// shared stream.
 #[derive(Debug, Clone)]
 pub struct Modulation {
     spec: ModulationSpec,
     seed: u64,
     gates: Vec<Option<Gate>>,
-}
-
-/// splitmix64 finalizer — decorrelates per-node gate seeds.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Modulation {
@@ -288,7 +280,7 @@ impl Modulation {
     }
 
     fn gate_rng(&self, node: NodeId) -> SmallRng {
-        SmallRng::seed_from_u64(mix(self.seed ^ mix(node.index() as u64)))
+        SmallRng::seed_from_u64(splitmix64(self.seed ^ splitmix64(node.index() as u64)))
     }
 
     /// The injection scale for `node` at `cycle`, advancing gate state.
@@ -372,7 +364,7 @@ impl Modulation {
         let gate = self.gates[ni].get_or_insert_with(|| Gate {
             on: true,
             until: u64::MAX,
-            rng: SmallRng::seed_from_u64(mix(self.seed ^ mix(ni as u64))),
+            rng: SmallRng::seed_from_u64(splitmix64(self.seed ^ splitmix64(ni as u64))),
         });
         if gate.rng.gen_bool(s) {
             Some(packet)

@@ -5,20 +5,6 @@
 //! its packets' own classes; a multi-tenant run is a list of several, each
 //! stamping its class on what it injects so the stats layer can attribute
 //! every packet.
-//!
-//! # Draw-order contract
-//!
-//! Each cycle **every** tenant is polled in declaration order, and the
-//! first tenant that generates wins the node's injection slot. Unlike
-//! `FlowSet` in `footprint-sim`, which stops at the first flow that fires,
-//! the losers are polled too: each tenant's draws from the shared RNG do
-//! not depend on the other tenants' outcomes, so the composite sequence is
-//! exactly reproducible for a fixed tenant order and seed, while
-//! *reordering* tenants produces a different (equally valid) sequence.
-//! Earlier tenants thin later tenants' accepted load by at most the
-//! product of their injection probabilities; keep aggregate rates within
-//! the budget (the `footprint-core` builder enforces the sum ≤ 1.0
-//! flit/node/cycle) and the distortion stays second-order.
 
 use crate::{HotspotWorkload, Modulation, ParsecPairWorkload, SyntheticWorkload};
 use footprint_sim::{NewPacket, Workload};
@@ -58,8 +44,21 @@ pub struct Tenant {
     pub gate: Option<Modulation>,
 }
 
-/// The tenants sharing the fabric, in polling order (see the
-/// [module docs](self) for the draw-order contract).
+/// The tenants sharing the fabric, in polling order.
+///
+/// # Draw-order contract
+///
+/// Each cycle **every** tenant is polled in declaration order, and the
+/// first tenant that generates wins the node's injection slot. Unlike
+/// `FlowSet` in `footprint-sim`, which stops at the first flow that fires,
+/// the losers are polled too: each tenant's draws from the shared RNG do
+/// not depend on the other tenants' outcomes, so the composite sequence is
+/// exactly reproducible for a fixed tenant order and seed, while
+/// *reordering* tenants produces a different (equally valid) sequence.
+/// Earlier tenants thin later tenants' accepted load by at most the
+/// product of their injection probabilities; keep aggregate rates within
+/// the budget (the `footprint-core` builder enforces the sum ≤ 1.0
+/// flit/node/cycle) and the distortion stays second-order.
 #[derive(Debug)]
 pub struct Tenants(pub Vec<Tenant>);
 

@@ -4,10 +4,8 @@
 //! saturation (load 0.55), where blocked heads make VC allocation the
 //! whole cost of a cycle, and one idle point (a 16×16 mesh at load 0.02),
 //! where the fixed per-cycle costs dominate. Then the median time of one
-//! `build_with` on an 8×8 and a 16×16 mesh. Last, two memory readings:
-//! the snapshot bytes of the 8×8 load-0.30 point after its warmup, and the
-//! flit slab's peak length (the most flits ever buffered at once) over the
-//! idle 16×16 run and the load-0.55 run. Not a paper figure.
+//! `build_with` on an 8×8 and a 16×16 mesh. Last, the snapshot bytes of
+//! the 8×8 load-0.30 point after its warmup. Not a paper figure.
 //!
 //! Run with `cargo run --release --example hotpath_profile`.
 
@@ -65,16 +63,4 @@ fn main() {
     net.run(&mut *wl, 1_000);
     let bytes = net.snapshot().expect("fault-free snapshot").len();
     println!("8x8 load 0.30: snapshot after warmup {bytes} bytes");
-    for (k, rate, total) in [(16, 0.02, 20_000), (8, 0.55, 4_000)] {
-        let (mut net, mut wl) = point(k, rate).build().expect("static experiment config");
-        net.run(&mut *wl, total);
-        // What the slab replaced: a flit per input-VC slot and per
-        // output-stage slot (router and injection rows).
-        let (cfg, n) = (net.config(), net.topo().len());
-        let slots = n * 5 * cfg.num_vcs * cfg.vc_buffer_depth + n * 6 * cfg.speedup;
-        println!(
-            "{k}x{k} load {rate:.2}: flit slab peak {} of {slots} buffer slots",
-            net.datapath().slab_len()
-        );
-    }
 }

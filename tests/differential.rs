@@ -13,7 +13,10 @@
 //!   on the full `RunReport`. A typed error must be the same in every cell.
 //! * **Invalid half.** The same generator breaks one dimension; `build_with`
 //!   and a short `run_with`, each under `catch_unwind`, must return the same
-//!   typed `ConfigError` and never unwind.
+//!   typed `ConfigError` and never unwind. A broken option — a zero
+//!   watchdog, a sweep grid that descends, repeats or holds NaN — must be
+//!   refused with a typed error before a checkpointed `sweep_with` opens
+//!   its journal, and a zero watchdog before `run_with`'s cycle 0.
 //!
 //! A failure prints the case index and the drawn configuration. To rerun
 //! one case alone, set [`RERUN`] to its index and run
@@ -29,7 +32,7 @@ use footprint_suite::topology::{AnyTopology, DIRECTIONS};
 use footprint_suite::traffic::APPS;
 
 /// Valid cases, spread over [`WORKERS`] threads.
-const VALID_CASES: u64 = 36;
+const VALID_CASES: u64 = 200;
 const WORKERS: u64 = 2;
 /// Invalid cases: every broken value on two different drawn configurations.
 const INVALID_CASES: u64 = 2 * INVALID.len() as u64;
@@ -388,8 +391,17 @@ const INVALID: [(&str, Breaker); 22] = [
     }),
 ];
 
+/// One broken option: its name, the watchdog threshold and the sweep grid.
+const INVALID_OPTIONS: [(&str, u64, &[f64]); 4] = [
+    ("watchdog 0", 0, &[0.1, 0.2]),
+    ("grid descends", WATCHDOG, &[0.2, 0.1]),
+    ("grid repeats", WATCHDOG, &[0.1, 0.1]),
+    ("grid holds NaN", WATCHDOG, &[0.1, f64::NAN]),
+];
+
 /// The invalid half: each broken value makes `build_with` and a short
-/// `run_with` return the same typed configuration error, never unwind.
+/// `run_with` return the same typed configuration error, never unwind; each
+/// broken option is a typed error before any work, never an unwind.
 #[test]
 fn invalid_half() {
     for i in 0..INVALID_CASES {
@@ -414,6 +426,34 @@ fn invalid_half() {
                 built.map_err(|_| "a panic"),
                 ran.map_err(|_| "a panic"),
             ),
+        }
+    }
+    for i in 0..2 * INVALID_OPTIONS.len() as u64 {
+        let (what, watchdog, rates) = INVALID_OPTIONS[i as usize % INVALID_OPTIONS.len()];
+        let builder = valid_case(i).builder.warmup(10).measurement(20).drain(0);
+        let journal = std::env::temp_dir()
+            .join(format!("footprint-differential-{}-{i}.journal", std::process::id()));
+        let swept = catch_unwind(AssertUnwindSafe(|| {
+            let opts = SweepOptions::new().watchdog(watchdog).checkpoint(&journal);
+            builder.sweep_with(rates, opts).map(drop)
+        }));
+        let opened = journal.exists();
+        let _ = std::fs::remove_file(&journal);
+        assert!(
+            matches!(swept, Ok(Err(RunError::Config(_)))) && !opened,
+            "case {i} ({what}): expected sweep_with to refuse before opening its journal, got \
+             {:?} (journal opened: {opened})",
+            swept.map_err(|_| "a panic"),
+        );
+        if watchdog == 0 {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                builder.run_with(RunOptions::new().watchdog(watchdog)).map(drop)
+            }));
+            assert!(
+                matches!(ran, Ok(Err(RunError::Config(_)))),
+                "case {i} ({what}): expected a typed error from run_with, got {:?}",
+                ran.map_err(|_| "a panic"),
+            );
         }
     }
 }
